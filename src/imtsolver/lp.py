@@ -1,10 +1,16 @@
 """Exact rational relaxation: simplex, dual certificates, rounding cuts, propagation.
 
-The solver is a two-phase primal simplex with Bland's rule over exact
-rationals, so it terminates on every input and its answers are never
-approximate. Box bounds participate as explicit rows; lower-bound rows of
-the form v >= lo are folded into column nonnegativity by shifting, and the
-matching dual multiplier is read off the column's reduced cost.
+The solver is a two-phase primal simplex with Bland's rule, so it terminates
+on every input, and its answers are exact. The tableau is sparse and
+integer-preserving: each row stores only its nonzero entries, as ``int``
+numerators over one positive row denominator, and is divided by the gcd of
+its numbers after every update (Edmonds' fraction-free elimination). No
+``Fraction`` is built inside a pivot; values become ``Fraction`` only when
+they leave the tableau. The Gaussian elimination that recovers Gomory
+multipliers uses the same rows. Box bounds participate as explicit rows;
+lower-bound rows of the form v >= lo are folded into column nonnegativity by
+shifting, and the matching dual multiplier is read off the column's reduced
+cost.
 
 Every outcome carries a certificate in the shared combination format:
 infeasibility yields Farkas multipliers, optimality yields dual multipliers
@@ -31,6 +37,7 @@ from .certificates import (
 from .model import (
     Bounds,
     ImtError,
+    InvariantError,
     LinConstraint,
     LinExpr,
     ObjValue,
@@ -42,24 +49,6 @@ from .model import (
     frac_floor,
     normalize,
 )
-
-try:  # fast exact rationals when available; Fraction is the reference type
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
-
-
-def _to_frac(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-def _q_floor(q) -> int:
-    return int(q.numerator) // int(q.denominator)
 
 
 class NoFractionalRow(ImtError):
@@ -117,67 +106,104 @@ def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr(
     return sorted(rows, key=lambda r: r.render())
 
 
-class _Simplex:
-    """Dense exact tableau with Bland pivoting; columns are built by the caller."""
+Row = tuple[dict[int, int], int, int]
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.T: list[list] = []
-        self.rhs: list = []
+
+def _reduce(nums: dict[int, int], rhs: int, den: int) -> Row:
+    """Divide a row by the gcd of its numerators, right side and denominator."""
+    if den == 1:
+        return nums, rhs, den
+    g = math.gcd(den, rhs, *nums.values())
+    if g == 1:
+        return nums, rhs, den
+    return {k: v // g for k, v in nums.items()}, rhs // g, den // g
+
+
+def _unit_row(nums: dict[int, int], rhs: int, j: int) -> Row:
+    """The row divided by its entry in column ``j``; the denominators cancel."""
+    p = nums[j]
+    if p < 0:
+        return _reduce({k: -v for k, v in nums.items()}, -rhs, -p)
+    return _reduce(nums, rhs, p)
+
+
+def _eliminate(nums: dict[int, int], rhs: int, den: int, f: int, src: Row) -> Row:
+    """Subtract ``f / den`` times ``src`` from the row; may update ``nums`` in place.
+
+    Only the nonzeros of ``src`` are walked, unless the row must first be
+    brought to a multiple of ``src``'s denominator.
+    """
+    src_nums, src_rhs, src_den = src
+    g = math.gcd(f, src_den)
+    scale = src_den // g
+    f //= g
+    if scale != 1:
+        nums = {k: v * scale for k, v in nums.items()}
+        rhs *= scale
+        den *= scale
+    for k, s in src_nums.items():
+        v = nums.get(k, 0) - f * s
+        if v:
+            nums[k] = v
+        else:
+            del nums[k]
+    return _reduce(nums, rhs - f * src_rhs, den)
+
+
+class _Simplex:
+    """Sparse integer-preserving tableau with Bland pivoting; columns are built by the caller.
+
+    Row ``r`` reads ``sum_j nums[r][j] / den[r] * x_j = rhs[r] / den[r]``.
+    ``nums[r]`` holds only nonzero ``int`` numerators, ``den[r]`` is positive,
+    and the numerators, right side and denominator of a row share no factor.
+    The reduced-cost row is stored the same way in ``cost``, ``costval`` and
+    ``cost_den``, with ``costval`` the negated objective value.
+    """
+
+    def __init__(self) -> None:
+        self.nums: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.den: list[int] = []
         self.basis: list[int] = []
         self.alive: list[bool] = []
-        self.cost: list = [_ZERO] * ncols
-        self.costval = _ZERO
+        self.cost: dict[int, int] = {}
+        self.costval = 0
+        self.cost_den = 1
 
-    def add_row(self, coeffs: dict[int, int | object], rhs) -> int:
-        row = [_ZERO] * self.ncols
-        for j, a in coeffs.items():
-            row[j] = _Q(a)
-        self.T.append(row)
-        self.rhs.append(_Q(rhs))
+    def add_row(self, coeffs: dict[int, int], rhs: int) -> int:
+        self.nums.append({j: a for j, a in coeffs.items() if a})
+        self.rhs.append(rhs)
+        self.den.append(1)
         self.basis.append(-1)
         self.alive.append(True)
-        return len(self.T) - 1
+        return len(self.nums) - 1
 
-    def price(self, costs: list) -> None:
-        """Rebuild the reduced-cost row for the given column costs."""
-        self.cost = list(costs)
-        self.costval = _ZERO
+    def row(self, r: int) -> Row:
+        return self.nums[r], self.rhs[r], self.den[r]
+
+    def price(self, costs: list[int]) -> None:
+        """Rebuild the reduced-cost row for the given integer column costs."""
+        cost: Row = ({j: c for j, c in enumerate(costs) if c}, 0, 1)
         for r, alive in enumerate(self.alive):
             if not alive:
                 continue
             cb = costs[self.basis[r]]
-            if cb != 0:
-                trow = self.T[r]
-                for j in range(self.ncols):
-                    if trow[j] != 0:
-                        self.cost[j] -= cb * trow[j]
-                self.costval -= cb * self.rhs[r]
+            if cb:
+                cost = _eliminate(*cost, cb * cost[2], self.row(r))
+        self.cost, self.costval, self.cost_den = cost
 
     def pivot(self, r: int, j: int) -> None:
-        piv = self.T[r][j]
-        inv = _ONE / piv
-        trow = self.T[r]
-        if piv != 1:
-            for k in range(self.ncols):
-                if trow[k] != 0:
-                    trow[k] *= inv
-            self.rhs[r] *= inv
-        for i, other in enumerate(self.T):
+        src = _unit_row(self.nums[r], self.rhs[r], j)
+        self.nums[r], self.rhs[r], self.den[r] = src
+        for i, other in enumerate(self.nums):
             if i == r or not self.alive[i]:
                 continue
-            f = other[j]
-            if f != 0:
-                for k in range(self.ncols):
-                    if trow[k] != 0:
-                        other[k] -= f * trow[k]
-                self.rhs[i] -= f * self.rhs[r]
-        f = self.cost[j]
-        if f != 0:
-            for k in range(self.ncols):
-                if trow[k] != 0:
-                    self.cost[k] -= f * trow[k]
-            self.costval -= f * self.rhs[r]
+            f = other.get(j)
+            if f:
+                self.nums[i], self.rhs[i], self.den[i] = _eliminate(other, self.rhs[i], self.den[i], f, src)
+        f = self.cost.get(j)
+        if f:
+            self.cost, self.costval, self.cost_den = _eliminate(self.cost, self.costval, self.cost_den, f, src)
         self.basis[r] = j
 
     def run(self, enterable: list[bool]) -> tuple[str, int]:
@@ -187,33 +213,33 @@ class _Simplex:
             guard += 1
             if guard > 200000:
                 raise ImtError("pivot limit exceeded")
-            enter = -1
-            for j in range(self.ncols):
-                if enterable[j] and self.cost[j] < 0:
-                    enter = j
-                    break
+            enter = min((j for j, c in self.cost.items() if c < 0 and enterable[j]), default=-1)
             if enter < 0:
                 return ("optimal", -1)
+            # ratio rhs/a per row, compared by cross-multiplying; ties go to the lowest basic column
             leave = -1
-            best = None
-            for r in range(len(self.T)):
-                if not self.alive[r]:
+            best_rhs = best_a = 0
+            for r, row in enumerate(self.nums):
+                a = row.get(enter)
+                if a is None or a < 0 or not self.alive[r]:
                     continue
-                a = self.T[r][enter]
-                if a > 0:
-                    ratio = self.rhs[r] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[r] < self.basis[leave]):
-                        best = ratio
-                        leave = r
+                rhs = self.rhs[r]
+                if leave < 0 or rhs * best_a < best_rhs * a or (
+                    rhs * best_a == best_rhs * a and self.basis[r] < self.basis[leave]
+                ):
+                    leave, best_rhs, best_a = r, rhs, a
             if leave < 0:
                 return ("unbounded", enter)
             self.pivot(leave, enter)
 
-    def column_value(self, j: int):
-        for r in range(len(self.T)):
-            if self.alive[r] and self.basis[r] == j:
-                return self.rhs[r]
-        return _ZERO
+    def entry(self, r: int, j: int) -> Fraction:
+        return Fraction(self.nums[r].get(j, 0), self.den[r])
+
+    def column_value(self, j: int) -> Fraction:
+        for r, b in enumerate(self.basis):
+            if b == j and self.alive[r]:
+                return Fraction(self.rhs[r], self.den[r])
+        return Fraction(0)
 
 
 def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
@@ -306,19 +332,19 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
             col_meta.append(("art", i))
             next_col += 1
 
-    sx = _Simplex(next_col)
+    sx = _Simplex()
     ref_col: list[int] = []
     for i, (row, coeffs, rhs, sigma, slack_sign) in enumerate(specs):
-        dense: dict[int, object] = {}
+        sparse: dict[int, int] = {}
         for v, a in coeffs.items():
-            dense[pos_col[v]] = dense.get(pos_col[v], 0) + a
+            sparse[pos_col[v]] = a
             if v in neg_col:
-                dense[neg_col[v]] = dense.get(neg_col[v], 0) - a
+                sparse[neg_col[v]] = -a
         if slack_sign != 0:
-            dense[slack_col[i]] = slack_sign
+            sparse[slack_col[i]] = slack_sign
         if i in art_col:
-            dense[art_col[i]] = 1
-        r = sx.add_row(dense, rhs)
+            sparse[art_col[i]] = 1
+        r = sx.add_row(sparse, rhs)
         if i in art_col:
             sx.basis[r] = art_col[i]
             ref_col.append(art_col[i])
@@ -327,67 +353,69 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
             ref_col.append(slack_col[i])
 
     is_art = [meta[0] == "art" for meta in col_meta]
-    enterable_p1 = [not a for a in is_art]
-    enterable_p2 = [not a for a in is_art]
+    enterable = [not a for a in is_art]
 
     # phase 1: minimize the artificial total
-    phase1_costs = [_ONE if a else _ZERO for a in is_art]
+    phase1_costs = [1 if a else 0 for a in is_art]
     sx.price(phase1_costs)
-    status, _ = sx.run(enterable_p1)
-    assert status == "optimal"
-    p1_value = -sx.costval
+    status, _ = sx.run(enterable)
+    if status != "optimal":
+        raise InvariantError("phase 1 of the simplex went unbounded")
 
     available = frozenset(rows)
 
-    def dual_entries(costs: list) -> list[ComboEntry]:
+    def dual_entries(costs: list[int]) -> list[ComboEntry]:
         entries: list[ComboEntry] = []
         for i, (row, _, _, sigma, _) in enumerate(specs):
             ref = ref_col[i]
-            y = costs[ref] - sx.cost[ref]
-            mu = sigma * y
-            if mu == 0:
+            # y = costs[ref] - reduced cost of ref, over the cost row's denominator
+            y = costs[ref] * sx.cost_den - sx.cost.get(ref, 0)
+            if y == 0:
                 continue
+            mu = Fraction(sigma * y, sx.cost_den)
             if row.rel is Relation.GE:
-                assert mu > 0, "dual sign clash on a >= row"
-                entries.append((row, "ge", _to_frac(mu)))
+                if mu < 0:
+                    raise InvariantError("dual sign clash on a >= row")
+                entries.append((row, "ge", mu))
             elif row.rel is Relation.LE:
-                assert mu < 0, "dual sign clash on a <= row"
-                entries.append((row, "le", _to_frac(-mu)))
+                if mu > 0:
+                    raise InvariantError("dual sign clash on a <= row")
+                entries.append((row, "le", -mu))
             else:
-                entries.append((row, "ge" if mu > 0 else "le", _to_frac(abs(mu))))
+                entries.append((row, "ge" if mu > 0 else "le", abs(mu)))
         for v, row in lo_row_of.items():
-            rc = sx.cost[pos_col[v]]
+            rc = sx.cost.get(pos_col[v], 0)
             if rc != 0:
-                assert rc > 0, "reduced cost of a shifted column went negative"
-                entries.append((row, "ge", _to_frac(rc)))
+                if rc < 0:
+                    raise InvariantError("reduced cost of a shifted column went negative")
+                entries.append((row, "ge", Fraction(rc, sx.cost_den)))
         return entries
 
-    if p1_value > 0:
+    # the phase 1 optimum -costval / cost_den is positive
+    if sx.costval < 0:
         proof = FarkasProof(tuple(dual_entries(phase1_costs)))
         check_farkas(proof, available)
         return LpInfeasible(proof)
 
     # drive leftover artificials out of the basis; dependent rows are retired
-    for r in range(len(sx.T)):
+    n_plain = n_struct + len(slack_col)  # artificial columns come last
+    for r, row in enumerate(sx.nums):
         if not sx.alive[r] or not is_art[sx.basis[r]]:
             continue
-        pivoted = False
-        for j in range(n_struct + len(slack_col)):
-            if not is_art[j] and sx.T[r][j] != 0:
-                sx.pivot(r, j)
-                pivoted = True
-                break
-        if not pivoted:
+        j = min((k for k in row if k < n_plain), default=-1)
+        if j >= 0:
+            sx.pivot(r, j)
+        else:
             sx.alive[r] = False
 
     # phase 2: the real objective over structural columns
-    phase2_costs = [_ZERO] * sx.ncols
+    phase2_costs = [0] * next_col
     for v, c in objective.terms:
-        phase2_costs[pos_col[v]] += _Q(c)
+        phase2_costs[pos_col[v]] += c
         if v in neg_col:
-            phase2_costs[neg_col[v]] -= _Q(c)
+            phase2_costs[neg_col[v]] -= c
     sx.price(phase2_costs)
-    status, enter = sx.run(enterable_p2)
+    status, enter = sx.run(enterable)
 
     def current_point() -> dict[Var, Fraction]:
         point = {}
@@ -395,21 +423,21 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
             val = sx.column_value(pos_col[v])
             if v in neg_col:
                 val = val - sx.column_value(neg_col[v])
-            point[v] = _to_frac(val + shifts.get(v, 0))
+            point[v] = val + shifts.get(v, 0)
         return point
 
     if status == "unbounded":
-        dz = {enter: _ONE}
-        for r in range(len(sx.T)):
-            if sx.alive[r] and sx.T[r][enter] != 0:
-                dz[sx.basis[r]] = -sx.T[r][enter]
+        dz = {enter: Fraction(1)}
+        for r, row in enumerate(sx.nums):
+            if sx.alive[r] and enter in row:
+                dz[sx.basis[r]] = -sx.entry(r, enter)
         ray = {}
         for v in names:
-            d = dz.get(pos_col[v], _ZERO)
+            d = dz.get(pos_col[v], Fraction(0))
             if v in neg_col:
-                d = d - dz.get(neg_col[v], _ZERO)
+                d = d - dz.get(neg_col[v], Fraction(0))
             if d != 0:
-                ray[v] = _to_frac(d)
+                ray[v] = d
         return LpUnbounded(current_point(), ray)
 
     x_star = current_point()
@@ -439,50 +467,55 @@ def lower_bound(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> tuple[Ob
 def _solve_combination(rows: list[tuple[dict[Var, int], int, int]], target: Var) -> list[Fraction] | None:
     """Find multipliers expressing the unit vector of ``target`` over row vectors.
 
-    Rows are (coefficients, rhs, tag); only coefficients matter here. Gaussian
-    elimination over exact rationals; returns None when the unit vector is
-    outside the row space.
+    Rows are (coefficients, rhs, tag); only coefficients matter here.
+    Gauss-Jordan elimination over the simplex's integer rows, pivoting in
+    each column on the first remaining equation that has it; returns None
+    when the unit vector is outside the row space.
     """
     vars_all = sorted({v for coeffs, _, _ in rows for v in coeffs} | {target})
     n = len(vars_all)
     m = len(rows)
     # columns of the system are the row multipliers; one equation per variable
-    mat = [[Fraction(rows[j][0].get(v, 0)) for j in range(m)] for v in vars_all]
-    rhs = [Fraction(1) if v == target else Fraction(0) for v in vars_all]
+    at = {v: i for i, v in enumerate(vars_all)}
+    eqs: list[Row] = [({}, 1 if v == target else 0, 1) for v in vars_all]
+    for j, (coeffs, _, _) in enumerate(rows):
+        for v, a in coeffs.items():
+            if a:
+                eqs[at[v]][0][j] = a
     piv_of_col: list[int | None] = [None] * m
     r = 0
     for j in range(m):
-        p = next((i for i in range(r, n) if mat[i][j] != 0), None)
+        p = next((i for i in range(r, n) if j in eqs[i][0]), None)
         if p is None:
             continue
-        mat[r], mat[p] = mat[p], mat[r]
-        rhs[r], rhs[p] = rhs[p], rhs[r]
-        inv = 1 / mat[r][j]
-        mat[r] = [x * inv for x in mat[r]]
-        rhs[r] *= inv
+        eqs[r], eqs[p] = eqs[p], eqs[r]
+        src = eqs[r] = _unit_row(eqs[r][0], eqs[r][1], j)
         for i in range(n):
-            if i != r and mat[i][j] != 0:
-                f = mat[i][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-                rhs[i] -= f * rhs[r]
+            f = eqs[i][0].get(j)
+            if f and i != r:
+                eqs[i] = _eliminate(*eqs[i], f, src)
         piv_of_col[j] = r
         r += 1
         if r == n:
             break
     # consistency: all-zero rows must carry zero right sides
-    for i in range(n):
-        if rhs[i] != 0 and all(x == 0 for x in mat[i]):
-            return None
+    if any(rhs != 0 and not nums for nums, rhs, _ in eqs):
+        return None
     sol = [Fraction(0)] * m
-    for j in range(m):
-        if piv_of_col[j] is not None:
-            sol[j] = rhs[piv_of_col[j]]
-    # verify: guards against rank deficiencies interacting with free columns
-    for idx, v in enumerate(vars_all):
-        total = sum(sol[j] * rows[j][0].get(v, 0) for j in range(m))
-        want = 1 if v == target else 0
-        if total != want:
-            return None
+    for j, p in enumerate(piv_of_col):
+        if p is not None:
+            sol[j] = Fraction(eqs[p][1], eqs[p][2])
+    # verify, over the common denominator: guards against rank deficiencies
+    # interacting with free columns
+    scale = math.lcm(*(q.denominator for q in sol))
+    total: dict[Var, int] = {}
+    for q, (coeffs, _, _) in zip(sol, rows):
+        if q:
+            k = q.numerator * (scale // q.denominator)
+            for v, a in coeffs.items():
+                total[v] = total.get(v, 0) + k * a
+    if any(total.get(v, 0) != (scale if v == target else 0) for v in vars_all):
+        return None
     return sol
 
 

@@ -24,7 +24,7 @@ class MissingVariable(ImtError):
 
 
 class InvariantError(ImtError):
-    """A model-level invariant was violated at construction time."""
+    """A model-level invariant was violated at construction time, or a solver invariant during a solve."""
 
 
 def frac_floor(q: Fraction) -> int:

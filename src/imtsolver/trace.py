@@ -242,7 +242,7 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise TraceError(f"bad header: {exc}") from exc
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceError(f"not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
         raise TraceError(f"unsupported version {header.get('version')}")
@@ -253,6 +253,6 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
     for i, line in enumerate(lines[1:], start=2):
         try:
             steps.append(step_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise TraceError(f"line {i}: {exc}") from exc
     return digest, steps

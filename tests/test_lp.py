@@ -1,15 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imtsolver.certificates import check_bound_fix, check_cg, check_farkas, check_lb_dual
+from imtsolver.certificates import LbDual, check_bound_fix, check_cg, check_farkas, check_lb_dual
 from imtsolver.kernel import rows_of
 from imtsolver.lp import (
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
     NoFractionalRow,
+    _Simplex,
+    _solve_combination,
     assemble_rows,
     derive_gomory_cuts,
     lower_bound,
@@ -208,3 +213,117 @@ def test_propagation_fixes_pinned_variables_and_differences():
     fixed = {d for d, _ in res.fixes}
     assert SimpleEquality.fix("x", 2) in fixed
     assert SimpleEquality.diff("y", "z", 3) in fixed
+
+
+def test_degenerate_beale_lp_reaches_its_exact_optimum():
+    # Beale's example (scaled to integers), on which Dantzig's rule cycles
+    rows = [
+        LinConstraint(LinExpr.of([("x4", 1), ("x5", -32), ("x6", -4), ("x7", 36)]), Relation.LE, 0),
+        LinConstraint(LinExpr.of([("x4", 1), ("x5", -24), ("x6", -1), ("x7", 6)]), Relation.LE, 0),
+        LinConstraint(LinExpr.var("x6"), Relation.LE, 1),
+    ]
+    obj = LinExpr.of([("x4", -3), ("x5", 80), ("x6", -2), ("x7", 24)])
+    sub = Subproblem.root(rows)
+    bounds = Bounds({v: (0, None) for v in ("x4", "x5", "x6", "x7")})
+    out = lp_solve(sub, obj, bounds)
+    assert isinstance(out, LpOptimal)
+    assert out.value == -5
+    have = frozenset(assemble_rows(sub, bounds, obj))
+    assert satisfies_all(have, out.x_star)
+    check_lb_dual(LbDual(ObjValue.finite(-5), out.dual), have, obj)
+
+
+def test_solve_combination_rejects_a_target_outside_the_row_space():
+    rows = [({"x": 1, "y": 1}, 0, 0), ({"x": 2, "y": 2}, 3, 0)]
+    assert _solve_combination(rows, "x") is None
+
+
+def test_solve_combination_is_exact_on_rank_deficient_rows():
+    rows = [({"x": 1, "y": 1}, 0, 0), ({"x": 1, "y": 1}, 0, 0), ({"y": 2}, 0, 0), ({"x": 3, "y": 3}, 0, 0)]
+    assert _solve_combination(rows, "x") == [Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(0)]
+    assert _solve_combination(rows, "y") == [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(0)]
+
+
+def dense_solve_combination(rows, target):
+    """Reference: Gauss-Jordan on dense Fraction rows, same pivot order."""
+    vars_all = sorted({v for coeffs, _, _ in rows for v in coeffs} | {target})
+    n, m = len(vars_all), len(rows)
+    mat = [[Fraction(rows[j][0].get(v, 0)) for j in range(m)] for v in vars_all]
+    rhs = [Fraction(int(v == target)) for v in vars_all]
+    piv_of_col = [None] * m
+    r = 0
+    for j in range(m):
+        p = next((i for i in range(r, n) if mat[i][j] != 0), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        rhs[r], rhs[p] = rhs[p], rhs[r]
+        inv = 1 / mat[r][j]
+        mat[r] = [x * inv for x in mat[r]]
+        rhs[r] *= inv
+        for i in range(n):
+            if i != r and mat[i][j] != 0:
+                f = mat[i][j]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                rhs[i] -= f * rhs[r]
+        piv_of_col[j] = r
+        r += 1
+        if r == n:
+            break
+    sol = [Fraction(0) if p is None else rhs[p] for p in piv_of_col]
+    for v in vars_all:
+        if sum(q * coeffs.get(v, 0) for q, (coeffs, _, _) in zip(sol, rows)) != int(v == target):
+            return None
+    return sol
+
+
+small_ints = st.integers(-4, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.sampled_from("abcd"), small_ints, max_size=4), min_size=1, max_size=6),
+    st.sampled_from("abcd"),
+)
+def test_solve_combination_matches_dense_fractions(coeff_rows, target):
+    rows = [(coeffs, 0, 0) for coeffs in coeff_rows]
+    assert _solve_combination(rows, target) == dense_solve_combination(rows, target)
+
+
+def assert_integer_row(nums, rhs, den):
+    assert den > 0
+    assert all(v != 0 for v in nums.values())
+    assert math.gcd(den, rhs, *nums.values()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pivots_keep_rows_reduced_and_exact(data):
+    nrows = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 6))
+    table = [data.draw(st.lists(small_ints, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    rhs = data.draw(st.lists(small_ints, min_size=nrows, max_size=nrows))
+    costs = data.draw(st.lists(small_ints, min_size=ncols, max_size=ncols))
+    sx = _Simplex()
+    for coeffs, b in zip(table, rhs):
+        sx.add_row(dict(enumerate(coeffs)), b)
+    sx.cost, sx.costval, sx.cost_den = {j: c for j, c in enumerate(costs) if c}, 0, 1
+    # the dense Fraction reference, updated in step; the cost row goes last
+    ref = [[Fraction(a) for a in coeffs] + [Fraction(b)] for coeffs, b in zip(table, rhs)]
+    ref.append([Fraction(c) for c in costs] + [Fraction(0)])
+    for _ in range(data.draw(st.integers(0, 6))):
+        choices = [(r, j) for r in range(nrows) for j in range(ncols) if ref[r][j] != 0]
+        if not choices:
+            break
+        r, j = data.draw(st.sampled_from(choices))
+        sx.pivot(r, j)
+        ref[r] = [x / ref[r][j] for x in ref[r]]
+        for i, other in enumerate(ref):
+            if i != r and other[j] != 0:
+                ref[i] = [a - other[j] * b for a, b in zip(other, ref[r])]
+        for i in range(nrows):
+            assert_integer_row(*sx.row(i))
+            assert [sx.entry(i, k) for k in range(ncols)] + [Fraction(sx.rhs[i], sx.den[i])] == ref[i]
+        assert_integer_row(sx.cost, sx.costval, sx.cost_den)
+        cost_values = [Fraction(sx.cost.get(k, 0), sx.cost_den) for k in range(ncols)]
+        assert cost_values + [Fraction(sx.costval, sx.cost_den)] == ref[-1]

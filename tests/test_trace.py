@@ -19,8 +19,10 @@ from imtsolver.certificates import (
     TLemma,
     UnboundedEvidence,
 )
+from imtsolver.cli import EXIT_ERROR, main
 from imtsolver.engine import solve
 from imtsolver.kernel import ReplayError, Step, replay_trace
+from imtsolver.native import parse_instance
 from imtsolver.model import (
     Bounds,
     ImtInstance,
@@ -137,6 +139,31 @@ def test_read_trace_rejects_garbage(tmp_path):
     path.write_text('{"format": "bct-trace", "version": 99}\n')
     with pytest.raises(TraceError):
         read_trace(path)
+    path.write_text("[1]\n")
+    with pytest.raises(TraceError):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        {"kind": "farkas", "entries": 5},
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 0}, "ge", "1/0"]]},
+    ],
+    ids=["non_list_entries", "zero_denominator"],
+)
+def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, cert):
+    text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
+    instance = tmp_path / "inst.imt"
+    instance.write_text(text)
+    header = {"format": "bct-trace", "version": 1, "instance": parse_instance(text).digest()}
+    step = {"rule": "drop", "target": 0, "cert": cert}
+    trace = tmp_path / "bad.trace"
+    trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
+    with pytest.raises(TraceError):
+        read_trace(trace)
+    assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_replay_rejects_a_tampered_step(tmp_path):
