@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Fingerprint the traces the engine writes for the benchmark's inputs.
+
+Draws the inputs of one benchmark workload (``bench/workloads.py``) for each
+seed in a range, solves each one in process, and prints one line per input:
+
+    <workload> <seed> <index> <status> <sha256 of the trace file's bytes>
+
+then a last line ``combined <sha256>`` over all of those lines. Two source
+trees write byte-identical traces on these inputs exactly when their combined
+digests agree, so a change that must not alter any proof step is checked by
+running this on both trees:
+
+    python3 scripts/trace_digest.py --workload random-suite --seeds 1-4
+
+Only the standard library and the sources under ``src/`` are used.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+
+from imtsolver.engine import solve  # noqa: E402
+from imtsolver.native import parse_instance  # noqa: E402
+from imtsolver.smtlib import encode_script  # noqa: E402
+from imtsolver.trace import trace_lines  # noqa: E402
+
+
+def seed_range(text: str) -> range:
+    """``"3"`` or ``"1-4"`` (both ends included)."""
+    first, _, last = text.partition("-")
+    try:
+        lo, hi = int(first), int(last or first)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or N-M, got {text!r}") from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return range(lo, hi + 1)
+
+
+def trace_digest(case: workloads.Case) -> tuple[str, str]:
+    """Status of the solve and the sha256 of the trace file ``write_trace`` would write."""
+    if case.fmt == "smt":
+        instance = encode_script(case.text).instance
+    else:
+        instance = parse_instance(case.text)
+    result = solve(instance)
+    text = "".join(line + "\n" for line in trace_lines(instance, result.steps))
+    return result.status, hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    ap.add_argument("--seeds", type=seed_range, default=seed_range("1-4"), help="N or N-M (default 1-4)")
+    ap.add_argument("--size", choices=workloads.SIZES, default="full")
+    args = ap.parse_args(argv)
+
+    combined = hashlib.sha256()
+    for seed in args.seeds:
+        for i, case in enumerate(workloads.generate(args.workload, seed, args.size)):
+            status, digest = trace_digest(case)
+            line = f"{args.workload} {seed} {i} {status} {digest}"
+            print(line)
+            combined.update(line.encode() + b"\n")
+    print(f"combined {combined.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,8 +12,10 @@ supports "le", and an equality row supports both.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import AbstractSet
 
 from .model import (
     LinConstraint,
@@ -22,7 +24,6 @@ from .model import (
     Relation,
     SimpleEquality,
     Var,
-    frac_ceil,
 )
 
 
@@ -212,45 +213,57 @@ Certificate = (
 
 
 def combo_aggregate(
-    entries: tuple[ComboEntry, ...], available: frozenset[LinConstraint]
-) -> tuple[dict[Var, Fraction], Fraction]:
+    entries: tuple[ComboEntry, ...], available: AbstractSet[LinConstraint]
+) -> tuple[dict[Var, int], int, int]:
     """Aggregate a nonnegative combination of available rows, oriented to >=.
 
-    Returns the aggregate expression and right side. Raises CheckFailed if a
-    multiplier is negative, a row is not available, or a direction is illegal
-    for the row's relation.
+    Returns ``(agg, rhs, den)``: the aggregate expression is ``agg / den``
+    with no zero entry and its right side is ``rhs / den``, over one positive
+    common denominator. Raises CheckFailed if a multiplier is negative, a row
+    is not available, or a direction is illegal for the row's relation.
     """
-    agg: dict[Var, Fraction] = {}
-    rhs = Fraction(0)
+    agg: dict[Var, int] = {}
+    rhs, den = 0, 1
     for row, direction, mult in entries:
-        mult = Fraction(mult)
-        if mult < 0:
+        if not isinstance(mult, Fraction):
+            mult = Fraction(mult)
+        k, d = mult.numerator, mult.denominator
+        if k < 0:
             raise CheckFailed(f"negative multiplier {mult}")
         if row not in available:
             raise CheckFailed(f"combination references a row outside the subproblem: {row.render()}")
         if direction == "ge":
             if row.rel not in (Relation.GE, Relation.EQ):
                 raise CheckFailed(f"direction ge illegal for {row.render()}")
-            sign = 1
         elif direction == "le":
             if row.rel not in (Relation.LE, Relation.EQ):
                 raise CheckFailed(f"direction le illegal for {row.render()}")
-            sign = -1
+            k = -k
         else:
             raise CheckFailed(f"unknown direction {direction!r}")
+        if den % d:
+            grow = d // math.gcd(den, d)
+            agg = {v: c * grow for v, c in agg.items()}
+            rhs *= grow
+            den *= grow
+        k *= den // d
         for v, c in row.lhs.terms:
-            agg[v] = agg.get(v, Fraction(0)) + sign * mult * c
-        rhs += sign * mult * row.rhs
-    return {v: c for v, c in agg.items() if c != 0}, rhs
+            agg[v] = agg.get(v, 0) + k * c
+        rhs += k * row.rhs
+    return {v: c for v, c in agg.items() if c}, rhs, den
 
 
-def check_farkas(proof: FarkasProof, available: frozenset[LinConstraint]) -> None:
+def _ceil(n: int, d: int) -> int:
+    return -(-n // d)
+
+
+def check_farkas(proof: FarkasProof, available: AbstractSet[LinConstraint]) -> None:
     """Valid iff the aggregate is the zero expression with a positive right side."""
-    agg, rhs = combo_aggregate(proof.entries, available)
+    agg, rhs, den = combo_aggregate(proof.entries, available)
     if agg:
         raise CheckFailed("Farkas aggregate does not cancel")
     if rhs <= 0:
-        raise CheckFailed(f"Farkas aggregate right side {rhs} is not positive")
+        raise CheckFailed(f"Farkas aggregate right side {Fraction(rhs, den)} is not positive")
 
 
 def _as_ge(c: LinConstraint) -> tuple[dict[Var, int], int]:
@@ -262,7 +275,7 @@ def _as_ge(c: LinConstraint) -> tuple[dict[Var, int], int]:
     raise CheckFailed(f"cut target must be an inequality: {c.render()}")
 
 
-def check_cg(cut: CGCut, available: frozenset[LinConstraint], claimed: LinConstraint) -> None:
+def check_cg(cut: CGCut, available: AbstractSet[LinConstraint], claimed: LinConstraint) -> None:
     """Chvatal-Gomory validity of ``claimed`` from available rows.
 
     The combination's aggregate must have integer coefficients matching the
@@ -270,44 +283,39 @@ def check_cg(cut: CGCut, available: frozenset[LinConstraint], claimed: LinConstr
     must reach (or exceed) the claimed right side.
     """
     want_lhs, want_rhs = _as_ge(claimed)
-    agg, rhs = combo_aggregate(cut.entries, available)
-    agg_int: dict[Var, int] = {}
+    agg, rhs, den = combo_aggregate(cut.entries, available)
     for v, c in agg.items():
-        if c.denominator != 1:
-            raise CheckFailed(f"aggregate coefficient of {v} is fractional: {c}")
-        agg_int[v] = int(c)
-    if agg_int != want_lhs:
+        if c % den:
+            raise CheckFailed(f"aggregate coefficient of {v} is fractional: {Fraction(c, den)}")
+    if {v: c // den for v, c in agg.items()} != want_lhs:
         raise CheckFailed("aggregate expression does not match the claimed cut")
-    if frac_ceil(rhs) < want_rhs:
-        raise CheckFailed(f"rounded aggregate {frac_ceil(rhs)} does not reach claimed {want_rhs}")
+    if _ceil(rhs, den) < want_rhs:
+        raise CheckFailed(f"rounded aggregate {_ceil(rhs, den)} does not reach claimed {want_rhs}")
 
 
-def check_bound_fix(fix: BoundFix, available: frozenset[LinConstraint], d: SimpleEquality) -> None:
+def check_bound_fix(fix: BoundFix, available: AbstractSet[LinConstraint], d: SimpleEquality) -> None:
     """Both directions of the simple equality must be derivable."""
     expr = LinExpr.var(d.x) if d.y is None else LinExpr.of({d.x: 1, d.y: -1})
     check_cg(fix.lower, available, LinConstraint(expr, Relation.GE, d.c))
     check_cg(fix.upper, available, LinConstraint(expr, Relation.LE, d.c))
 
 
-def check_lb_dual(cert: LbDual, available: frozenset[LinConstraint], objective: LinExpr) -> None:
+def check_lb_dual(cert: LbDual, available: AbstractSet[LinConstraint], objective: LinExpr) -> None:
     """Soundness of a claimed objective lower bound over the row set."""
     if cert.bound.kind == -1:
         return  # -inf claims nothing
     if cert.bound.kind == 1:
         check_farkas(FarkasProof(cert.entries), available)
         return
-    agg, rhs = combo_aggregate(cert.entries, available)
-    want = {v: Fraction(c) for v, c in objective.terms}
-    if agg != want:
+    agg, rhs, den = combo_aggregate(cert.entries, available)
+    if agg != {v: c * den for v, c in objective.terms}:
         raise CheckFailed("dual aggregate does not match the objective")
-    if cert.bound.value > frac_ceil(rhs):
-        raise CheckFailed(
-            f"claimed bound {cert.bound.value} exceeds certified {frac_ceil(rhs)}"
-        )
+    if cert.bound.value > _ceil(rhs, den):
+        raise CheckFailed(f"claimed bound {cert.bound.value} exceeds certified {_ceil(rhs, den)}")
 
 
 def check_literal_evidence(
-    lit: TheoryLiteral, ev: LiteralEvidence, available: frozenset[LinConstraint]
+    lit: TheoryLiteral, ev: LiteralEvidence, available: AbstractSet[LinConstraint]
 ) -> None:
     """The literal must be entailed by the rows via the attached derivation."""
     if lit.kind == "eq":

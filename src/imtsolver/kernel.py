@@ -119,11 +119,7 @@ def initial_state(instance: ImtInstance) -> KernelState:
 
 def rows_of(instance: ImtInstance, sub: Subproblem) -> frozenset[LinConstraint]:
     """Every row a certificate may reference on this subproblem."""
-    rows = set(sub.cons)
-    for d in sub.eqs:
-        rows.add(d.as_constraint())
-    rows.update(instance.bounds.rows(instance.vars))
-    return frozenset(rows)
+    return sub.cons.union([d.as_constraint() for d in sub.eqs], instance.box_rows)
 
 
 def _check_row_vars(instance: ImtInstance, row: LinConstraint) -> None:

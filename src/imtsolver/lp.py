@@ -257,6 +257,8 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
         if lo is not None:
             shifts[v] = lo
 
+    available = frozenset(rows)
+
     # constant rows decide themselves; v >= lo rows fold into the shift
     kept: list[LinConstraint] = []
     lo_row_of: dict[Var, LinConstraint] = {}
@@ -271,7 +273,7 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
                 continue
             direction = "ge" if (row.rel is Relation.GE or (row.rel is Relation.EQ and row.rhs > 0)) else "le"
             proof = FarkasProof(((row, direction, Fraction(1)),))
-            check_farkas(proof, frozenset(rows))
+            check_farkas(proof, available)
             return LpInfeasible(proof)
         terms = row.lhs.terms
         if (
@@ -361,8 +363,6 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
     status, _ = sx.run(enterable)
     if status != "optimal":
         raise InvariantError("phase 1 of the simplex went unbounded")
-
-    available = frozenset(rows)
 
     def dual_entries(costs: list[int]) -> list[ComboEntry]:
         entries: list[ComboEntry] = []
@@ -543,7 +543,8 @@ def derive_gomory_cuts(t: Tableau) -> list[tuple[LinConstraint, CGCut]]:
         else:
             tight.append((dict(row.lhs.terms), row.rhs, row, "eq" if row.rel is Relation.EQ else "ge"))
 
-    existing = set(t.rows)
+    available = frozenset(t.rows)
+    existing = set(available)
     out: list[tuple[LinConstraint, CGCut, Fraction]] = []
     for v in fractional:
         lam = _solve_combination([(coeffs, rhs, 0) for coeffs, rhs, _, _ in tight], v)
@@ -587,7 +588,7 @@ def derive_gomory_cuts(t: Tableau) -> list[tuple[LinConstraint, CGCut]]:
         if violation <= 0:
             continue
         cert = CGCut(tuple(entries))
-        check_cg(cert, frozenset(t.rows), cut)
+        check_cg(cert, available, cut)
         out.append((cut, cert, violation))
         existing.add(cut)
     out.sort(key=lambda item: (-item[2], item[0].render()))
@@ -643,11 +644,21 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> P
     def hi_row(v: Var) -> LinConstraint:
         return LinConstraint(LinExpr.var(v), Relation.LE, work[v][1])
 
-    def record(cut: LinConstraint, entries: list[ComboEntry]) -> None:
+    def record(cut: LinConstraint, coeffs: dict[Var, int], row: LinConstraint, direction: str, v: Var) -> None:
+        """Admit the bound on ``v`` that ``row`` gives from the other variables' current bounds."""
         if cut in available:
             return
+        scale = abs(coeffs[v])
+        entries: list[ComboEntry] = [(row, direction, Fraction(1, scale))]
+        for u, a_u in coeffs.items():
+            if u == v:
+                continue
+            if a_u > 0:
+                entries.append((hi_row(u), "le", Fraction(a_u, scale)))
+            else:
+                entries.append((lo_row(u), "ge", Fraction(-a_u, scale)))
         cert = CGCut(tuple(entries))
-        check_cg(cert, frozenset(available), cut)
+        check_cg(cert, available, cut)
         derived.append((cut, cert))
         available.add(cut)
 
@@ -659,7 +670,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> P
             ):
                 direction = "le" if (row.rel is Relation.LE or (row.rel is Relation.EQ and row.rhs < 0)) else "ge"
                 proof = FarkasProof(((row, direction, Fraction(1)),))
-                check_farkas(proof, frozenset(available))
+                check_farkas(proof, available)
                 return PropagationResult(bounds, [], derived, proof)
             continue
         if row.rel in (Relation.GE, Relation.EQ):
@@ -677,45 +688,33 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> P
         improved = False
         for coeffs, rhs, row, direction in oriented:
             for v, a_v in coeffs.items():
-                rest = Fraction(0)
-                feasible = True
-                entries: list[ComboEntry] = [(row, direction, Fraction(1, abs(a_v)))]
+                # the bound on v when every other variable sits at its worst end
+                limit = rhs
                 for u, a_u in coeffs.items():
-                    if u == v:
-                        continue
-                    if a_u > 0:
-                        if work[u][1] is None:
-                            feasible = False
+                    if u != v:
+                        end = work[u][1] if a_u > 0 else work[u][0]
+                        if end is None:
                             break
-                        rest += a_u * work[u][1]
-                        entries.append((hi_row(u), "le", Fraction(a_u, abs(a_v))))
-                    else:
-                        if work[u][0] is None:
-                            feasible = False
-                            break
-                        rest += a_u * work[u][0]
-                        entries.append((lo_row(u), "ge", Fraction(-a_u, abs(a_v))))
-                if not feasible:
-                    continue
-                limit = Fraction(rhs) - rest
-                if a_v > 0:
-                    cand = frac_ceil(limit / a_v)
-                    if work[v][0] is None or cand > work[v][0]:
-                        work[v][0] = cand
-                        record(LinConstraint(LinExpr.var(v), Relation.GE, cand), entries)
-                        improved = True
+                        limit -= a_u * end
                 else:
-                    cand = frac_floor(limit / a_v)
-                    if work[v][1] is None or cand < work[v][1]:
-                        work[v][1] = cand
-                        record(LinConstraint(LinExpr.var(v), Relation.LE, cand), entries)
-                        improved = True
-                lo, hi = work[v]
-                if lo is not None and hi is not None and lo > hi:
-                    proof = FarkasProof(((lo_row(v), "ge", Fraction(1)), (hi_row(v), "le", Fraction(1))))
-                    check_farkas(proof, frozenset(available))
-                    # the tightened box is empty; report the original one
-                    return PropagationResult(bounds, [], derived, proof)
+                    if a_v > 0:
+                        cand = -(-limit // a_v)
+                        if work[v][0] is None or cand > work[v][0]:
+                            work[v][0] = cand
+                            record(LinConstraint(LinExpr.var(v), Relation.GE, cand), coeffs, row, direction, v)
+                            improved = True
+                    else:
+                        cand = limit // a_v
+                        if work[v][1] is None or cand < work[v][1]:
+                            work[v][1] = cand
+                            record(LinConstraint(LinExpr.var(v), Relation.LE, cand), coeffs, row, direction, v)
+                            improved = True
+                    lo, hi = work[v]
+                    if lo is not None and hi is not None and lo > hi:
+                        proof = FarkasProof(((lo_row(v), "ge", Fraction(1)), (hi_row(v), "le", Fraction(1))))
+                        check_farkas(proof, available)
+                        # the tightened box is empty; report the original one
+                        return PropagationResult(bounds, [], derived, proof)
         if not improved:
             break
 

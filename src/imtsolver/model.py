@@ -6,9 +6,10 @@ All arithmetic is exact. Integers are unbounded Python ints; rationals are
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 Var = str
@@ -35,19 +36,27 @@ def frac_ceil(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinExpr:
     """Sparse linear expression with integer coefficients.
 
     Terms are stored sorted by variable and never carry a zero coefficient,
-    so syntactic equality coincides with structural equality.
+    so syntactic equality coincides with structural equality. The hash is
+    computed once, at construction.
     """
 
     terms: tuple[tuple[Var, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.terms,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(items: Mapping[Var, int] | Iterable[tuple[Var, int]]) -> LinExpr:
-        if isinstance(items, Mapping):
+        if hasattr(items, "items"):
             items = items.items()
         acc: dict[Var, int] = {}
         for v, c in items:
@@ -56,7 +65,8 @@ class LinExpr:
 
     @staticmethod
     def var(v: Var, coeff: int = 1) -> LinExpr:
-        return LinExpr.of({v: coeff})
+        coeff = int(coeff)
+        return LinExpr(((v, coeff),) if coeff else ())
 
     @staticmethod
     def zero() -> LinExpr:
@@ -119,17 +129,25 @@ class Relation(Enum):
     GE = ">="
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinConstraint:
     """Relation between a linear expression and an integer constant.
 
     The left side may be empty only for trivial or sentinel rows such as the
-    learned contradiction ``0 <= -1``.
+    learned contradiction ``0 <= -1``. The hash is computed once, at
+    construction.
     """
 
     lhs: LinExpr
     rel: Relation
     rhs: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rel, self.rhs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def render(self) -> str:
         return f"{self.lhs.render()} {self.rel.value} {self.rhs}"
@@ -542,8 +560,17 @@ class ImtInstance:
             lines.append(f"atom {a.render()}")
         return "\n".join(lines) + "\n"
 
-    def digest(self) -> str:
+    @cached_property
+    def box_rows(self) -> tuple[LinConstraint, ...]:
+        """One row per finite bound end, in variable order; built on first use."""
+        return tuple(self.bounds.rows(self.vars))
+
+    @cached_property
+    def _digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+
+    def digest(self) -> str:
+        return self._digest
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ImtInstance):

@@ -7,12 +7,22 @@ the declared functions agrees with every interface atom.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .euf import functional_consistency
-from .model import ImtError, ImtInstance, Var
+from .model import ImtError, ImtInstance, Relation, Var
 
 DEFAULT_POINT_LIMIT = 2_000_000
+
+_HOLDS = {
+    Relation.LE: operator.le,
+    Relation.GE: operator.ge,
+    Relation.EQ: operator.eq,
+    Relation.LT: operator.lt,
+    Relation.GT: operator.gt,
+}
 
 
 class BoxTooLarge(ImtError):
@@ -39,47 +49,40 @@ def brute_force_solve(
     if volume > point_limit:
         raise BoxTooLarge(f"box holds {volume} points, limit is {point_limit}")
 
-    # precompile rows to (coeff vector over names, relation, rhs) for speed
+    # each row becomes sparse (position, coefficient) terms with its comparison
+    # chosen once; a one-variable equality pins its variable instead, since
+    # every other value of that variable fails the row
     index = {v: i for i, v in enumerate(names)}
+    ranges = []
+    for v in names:
+        lo, hi = instance.bounds.interval(v)
+        ranges.append(range(lo, hi + 1))
     compiled = []
     for c in instance.constraints:
-        vec = [0] * len(names)
-        for v, k in c.lhs.terms:
-            vec[index[v]] = k
-        compiled.append((vec, c.rel, c.rhs))
-    obj_vec = [0] * len(names)
-    for v, k in instance.objective.terms:
-        obj_vec[index[v]] = k
+        terms = tuple((index[v], k) for v, k in c.lhs.terms)
+        if c.rel is Relation.EQ and len(terms) == 1:
+            i, k = terms[0]
+            pin = c.rhs // k
+            ranges[i] = range(pin, pin + 1) if c.rhs % k == 0 and pin in ranges[i] else range(0)
+            continue
+        compiled.append((terms, _HOLDS[c.rel], c.rhs))
+    obj_terms = tuple((index[v], k) for v, k in instance.objective.terms)
 
     atoms = tuple(instance.atoms)
     best_value: int | None = None
     best_point: tuple[int, ...] | None = None
     feasible = 0
-    for point in instance.bounds.iter_box(names):
-        vals = tuple(point[v] for v in names)
-        ok = True
-        for vec, rel, rhs in compiled:
-            s = sum(a * b for a, b in zip(vec, vals))
-            if rel.value == "<=":
-                ok = s <= rhs
-            elif rel.value == ">=":
-                ok = s >= rhs
-            elif rel.value == "=":
-                ok = s == rhs
-            elif rel.value == "<":
-                ok = s < rhs
-            else:
-                ok = s > rhs
-            if not ok:
+    for vals in itertools.product(*ranges):
+        for terms, holds, rhs in compiled:
+            if not holds(sum([k * vals[i] for i, k in terms]), rhs):
                 break
-        if not ok:
-            continue
-        if atoms and not functional_consistency(atoms, point):
-            continue
-        feasible += 1
-        value = sum(a * b for a, b in zip(obj_vec, vals))
-        if best_value is None or value < best_value or (value == best_value and vals < best_point):
-            best_value, best_point = value, vals
+        else:
+            if atoms and not functional_consistency(atoms, dict(zip(names, vals))):
+                continue
+            feasible += 1
+            value = sum([k * vals[i] for i, k in obj_terms])
+            if best_value is None or value < best_value or (value == best_value and vals < best_point):
+                best_value, best_point = value, vals
 
     if best_point is None:
         return OracleResult("infeasible", None, None, 0)

@@ -90,33 +90,34 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+# The encoder walks a form recursively; its deepest shape, nested function
+# applications, takes four Python frames per level, so 150 levels stay well
+# under the default recursion limit of 1000.
+MAX_DEPTH = 150
+
+
 def parse_sexps(text: str) -> list:
-    """All top-level forms in the text."""
-    tokens = tokenize(text)
-    pos = 0
+    """All top-level forms in the text.
 
-    def parse_one():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise SmtError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    Parentheses nested deeper than ``MAX_DEPTH`` are rejected, which also
+    bounds the recursion of the encoder that walks the forms.
+    """
+    stack: list[list] = [[]]  # the top-level forms, then each open list
+    for tok in tokenize(text):
         if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(parse_one())
-            if pos >= len(tokens):
-                raise SmtError("missing closing parenthesis")
-            pos += 1
-            return items
-        if tok == ")":
-            raise SmtError("unbalanced closing parenthesis")
-        return tok
-
-    out = []
-    while pos < len(tokens):
-        out.append(parse_one())
-    return out
+            if len(stack) > MAX_DEPTH:
+                raise SmtError(f"parentheses nested deeper than {MAX_DEPTH} levels")
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise SmtError("unbalanced closing parenthesis")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise SmtError("missing closing parenthesis")
+    return stack[0]
 
 
 def _strip(symbol: str) -> str:

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cert_reference
 from imtsolver.certificates import (
     BoundFix,
     CGCut,
@@ -18,7 +21,7 @@ from imtsolver.certificates import (
     combo_aggregate,
     identity_cut,
 )
-from imtsolver.model import LinConstraint, LinExpr, ObjValue, Relation
+from imtsolver.model import LinConstraint, LinExpr, ObjValue, Relation, frac_ceil
 
 
 def row(terms, rel, rhs):
@@ -33,16 +36,18 @@ ROWS = frozenset({GE_X1, LE_X4, EQ_XY5, LE_2X3})
 
 
 def test_combo_aggregate_orients_to_ge():
-    agg, rhs = combo_aggregate(((GE_X1, "ge", Fraction(2)), (LE_X4, "le", Fraction(1))), ROWS)
-    assert agg == {"x": Fraction(1)}
-    assert rhs == Fraction(-2)
+    # the aggregate is agg / den with right side rhs / den
+    agg, rhs, den = combo_aggregate(((GE_X1, "ge", Fraction(2)), (LE_X4, "le", Fraction(1))), ROWS)
+    assert agg == {"x": 1}
+    assert rhs == -2
+    assert den == 1
 
 
 def test_combo_aggregate_allows_both_directions_on_equalities():
-    agg_ge, rhs_ge = combo_aggregate(((EQ_XY5, "ge", Fraction(1)),), ROWS)
-    agg_le, rhs_le = combo_aggregate(((EQ_XY5, "le", Fraction(1)),), ROWS)
-    assert agg_ge == {"x": Fraction(1), "y": Fraction(1)} and rhs_ge == 5
-    assert agg_le == {"x": Fraction(-1), "y": Fraction(-1)} and rhs_le == -5
+    agg_ge, rhs_ge, den_ge = combo_aggregate(((EQ_XY5, "ge", Fraction(1)),), ROWS)
+    agg_le, rhs_le, den_le = combo_aggregate(((EQ_XY5, "le", Fraction(1)),), ROWS)
+    assert agg_ge == {"x": 1, "y": 1} and rhs_ge == 5 and den_ge == 1
+    assert agg_le == {"x": -1, "y": -1} and rhs_le == -5 and den_le == 1
 
 
 @pytest.mark.parametrize(
@@ -197,3 +202,93 @@ def test_literal_evidence_rejects_wrong_shape():
         check_literal_evidence(TheoryLiteral.var_eq("x", "y"), identity_cut(on, "ge"), have)
     with pytest.raises(CheckFailed):
         check_literal_evidence(TheoryLiteral.var_diseq("x", "y"), identity_cut(on, "ge"), have)
+
+
+# --- the integer checks against a dense Fraction reference --------------------
+
+CERT_VARS = ("x", "y", "z")
+RELS_3 = (Relation.LE, Relation.GE, Relation.EQ)
+pool_rows = st.builds(
+    lambda terms, rel, rhs: LinConstraint(LinExpr.of(terms), rel, rhs),
+    st.lists(st.tuples(st.sampled_from(CERT_VARS), st.integers(-4, 4)), max_size=3),
+    st.sampled_from(RELS_3),
+    st.integers(-6, 6),
+)
+multipliers = st.one_of(
+    st.integers(0, 4),  # plain ints go through the Fraction conversion
+    st.fractions(min_value=0, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(0, 10**20), st.integers(1, 10**18)),  # large denominators
+    st.fractions(min_value=-3, max_value=0, max_denominator=6),  # negative or zero
+)
+directions = st.sampled_from(("ge", "le", "ge", "le", "sideways"))
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except CheckFailed as exc:
+        return ("rejected", str(exc))
+    return ("accepted", None)
+
+
+@st.composite
+def combinations(draw):
+    """Rows, an available subset (the rest are foreign), and entries over all of them."""
+    pool = draw(st.lists(pool_rows, min_size=1, max_size=6, unique=True))
+    available = frozenset(r for r in pool if draw(st.integers(0, 5)) > 0)
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        r = draw(st.sampled_from(pool))
+        legal = {Relation.GE: "ge", Relation.LE: "le"}.get(r.rel) or draw(st.sampled_from(("ge", "le")))
+        direction = legal if draw(st.integers(0, 4)) else draw(directions)
+        entries.append((r, direction, draw(multipliers)))
+    return pool, available, tuple(entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(combinations(), st.data())
+def test_integer_checks_match_dense_fraction_reference(combo, data):
+    pool, available, entries = combo
+    try:
+        agg, rhs = cert_reference.combo_aggregate(entries, available)
+        integral = all(c.denominator == 1 for c in agg.values())
+    except CheckFailed:
+        agg, rhs, integral = {}, Fraction(0), True
+
+    assert _verdict(check_farkas, FarkasProof(entries), available) == _verdict(
+        cert_reference.check_farkas, entries, available
+    )
+
+    # claimed cut: the reference aggregate (either orientation, rounded rhs
+    # nudged by -1..1) when it is integral, otherwise any pool row
+    if integral and data.draw(st.booleans()):
+        lhs = LinExpr.of({v: int(c) for v, c in agg.items()})
+        target = frac_ceil(rhs) + data.draw(st.integers(-1, 1))
+        if data.draw(st.booleans()):
+            claimed = LinConstraint(lhs, Relation.GE, target)
+        else:
+            claimed = LinConstraint(-lhs, Relation.LE, -target)
+    else:
+        claimed = data.draw(st.sampled_from(pool))
+    assert _verdict(check_cg, CGCut(entries), available, claimed) == _verdict(
+        cert_reference.check_cg, entries, available, claimed
+    )
+
+    kind = data.draw(st.sampled_from((-1, 0, 0, 1)))
+    if integral and data.draw(st.booleans()):
+        objective = LinExpr.of({v: int(c) for v, c in agg.items()})
+    else:
+        objective = data.draw(st.sampled_from(pool)).lhs
+    value = frac_ceil(rhs) + data.draw(st.integers(-1, 1))
+    bound = {-1: ObjValue.neg_inf(), 0: ObjValue.finite(value), 1: ObjValue.pos_inf()}[kind]
+    assert _verdict(check_lb_dual, LbDual(bound, entries), available, objective) == _verdict(
+        cert_reference.check_lb_dual, kind, value, entries, available, objective
+    )
+
+
+def test_combo_aggregate_keeps_one_common_denominator():
+    a = row([("x", 1)], Relation.GE, 1)
+    b = row([("x", 1), ("y", 1)], Relation.LE, 2)
+    agg, rhs, den = combo_aggregate(((a, "ge", Fraction(1, 6)), (b, "le", Fraction(3, 4))), frozenset({a, b}))
+    # x/6 - 3x/4 - 3y/4 >= 1/6 - 3/2, over the denominator 12
+    assert (agg, rhs, den) == ({"x": -7, "y": -9}, -16, 12)

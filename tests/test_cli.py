@@ -285,3 +285,12 @@ def test_runs_are_deterministic(tmp_path, capsys):
     _, out1, _ = run(capsys, str(p), "--seed", "1")
     _, out2, _ = run(capsys, str(p), "--seed", "2")
     assert out1 == out2
+
+
+def test_deeply_nested_smt_script_is_an_error(tmp_path, capsys):
+    p = tmp_path / "deep.smt2"
+    p.write_text("(declare-const p Bool)\n(assert " + "(not " * 5000 + "p" + ")" * 5000 + ")\n(check-sat)\n")
+    code, out, err = run(capsys, str(p))
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "nested deeper" in err
+    assert "Traceback" not in err and not out

@@ -40,9 +40,12 @@ from imtsolver.model import (
     ObjValue,
     Relation,
     SimpleEquality,
+    Subproblem,
     satisfies_all,
     sentinel_contradiction,
 )
+
+from gen import random_instance
 
 
 def row(terms, rel, rhs):
@@ -495,3 +498,50 @@ def test_idents_are_fresh_across_steps():
     for s in info.created:
         assert s.ident not in seen
         seen.add(s.ident)
+
+
+def _rows_of_by_sets(instance, sub):
+    """The row set built the plain way: C, then D as rows, then every box row."""
+    rows = set(sub.cons)
+    for d in sub.eqs:
+        rows.add(d.as_constraint())
+    rows.update(instance.bounds.rows(instance.vars))
+    return frozenset(rows)
+
+
+def test_rows_of_matches_plain_set_construction():
+    rng = random.Random(7)
+    for _ in range(200):
+        inst = random_instance(rng)
+        names = sorted(inst.vars)
+        cons = [c for c in inst.constraints if rng.random() < 0.7]
+        for _ in range(rng.randint(0, 3)):
+            v = rng.choice(names)
+            cons.append(row([(v, 1)], rng.choice([Relation.LE, Relation.GE]), rng.randint(-5, 5)))
+        eqs = set()
+        for _ in range(rng.randint(0, 3)):
+            if len(names) > 1 and rng.random() < 0.5:
+                x, y = rng.sample(names, 2)
+                eqs.add(SimpleEquality.diff(x, y, rng.randint(-3, 3)))
+            else:
+                eqs.add(SimpleEquality.fix(rng.choice(names), rng.randint(-5, 5)))
+        sub = Subproblem(rng.randint(0, 9), frozenset(cons), frozenset(eqs))
+        assert rows_of(inst, sub) == _rows_of_by_sets(inst, sub)
+        assert rows_of(inst, sub) == _rows_of_by_sets(inst, sub)  # again, from the cached box rows
+
+
+def test_box_rows_do_not_carry_over_between_instances():
+    cons = [row([("x", 1), ("y", 1)], Relation.GE, 1)]
+    wide = ImtInstance(["x", "y"], Bounds({"x": (0, 5), "y": (0, 5)}), cons)
+    narrow = ImtInstance(["x", "y"], Bounds({"x": (0, 3), "y": (0, 5)}), cons)
+    narrow_hi = narrow.bounds.row_hi("x")  # x <= 3
+    cut = row([("x", 1), ("y", 1)], Relation.LE, 8)
+    # on the narrow instance, x <= 3 and y <= 5 certify x + y <= 8; its box rows are built first
+    cert = CGCut(((narrow_hi, "le", Fraction(1)), (narrow.bounds.row_hi("y"), "le", Fraction(1))))
+    k = Kernel(narrow)
+    k.apply(Step("learn", target=0, row=cut, cert=cert))
+    # the wide instance, with the same variables, has no row x <= 3
+    assert narrow_hi in rows_of(narrow, Subproblem.root(cons))
+    assert narrow_hi not in rows_of(wide, Subproblem.root(cons))
+    with pytest.raises(RuleViolation, match="outside the subproblem: x <= 3"):
+        Kernel(wide).apply(Step("learn", target=0, row=cut, cert=cert))

@@ -1,3 +1,4 @@
+import hashlib
 import pytest
 from fractions import Fraction
 
@@ -180,3 +181,44 @@ def test_satisfies_exact_on_fractions():
     c = LinConstraint(LinExpr.of([("x", 3)]), Relation.LE, 1)
     assert satisfies(c, {"x": Fraction(1, 3)})
     assert not satisfies(c, {"x": Fraction(1, 3) + Fraction(1, 10**12)})
+
+
+term_lists = st.lists(st.tuples(names, st.integers(-9, 9)), max_size=5)
+
+
+@given(term_lists)
+def test_expressions_built_three_ways_are_one_row(terms):
+    acc = {}
+    for v, c in terms:
+        acc[v] = acc.get(v, 0) + c
+    from_list = LinExpr.of(terms)
+    from_dict = LinExpr.of(acc)
+    from_sum = sum((LinExpr.var(v, c) for v, c in terms), LinExpr.zero())
+    for e in (from_dict, from_sum):
+        assert e == from_list and hash(e) == hash(from_list)
+        assert e in frozenset({from_list}) and from_list in frozenset({e})
+    rows = [LinConstraint(e, Relation.LE, 3) for e in (from_list, from_dict, from_sum)]
+    assert len(frozenset(rows)) == 1
+    assert all(r in frozenset(rows[i:i + 1]) for r in rows for i in range(3))
+    # the cached hash is the one the fields give
+    assert hash(from_list) == hash((from_list.terms,))
+    assert hash(rows[0]) == hash((from_list, Relation.LE, 3))
+
+
+def test_var_builds_a_single_term():
+    assert LinExpr.var("x") == LinExpr.of({"x": 1}) == LinExpr.of([("x", 1)])
+    assert LinExpr.var("x", -3).terms == (("x", -3),)
+    assert LinExpr.var("x", 0) == LinExpr.zero()
+    assert hash(LinExpr.var("x", 0)) == hash(LinExpr.zero())
+
+
+def test_instance_box_rows_and_digest_are_its_own():
+    a = ImtInstance(["x", "y"], Bounds({"x": (0, 5), "y": (None, 2)}), [])
+    b = ImtInstance(["x", "y"], Bounds({"x": (0, 3), "y": (None, 2)}), [])
+    assert a.box_rows == tuple(a.bounds.rows(a.vars))
+    assert b.box_rows == tuple(b.bounds.rows(b.vars))
+    assert a.bounds.row_hi("x") in a.box_rows and a.bounds.row_hi("x") not in b.box_rows
+    assert a.box_rows is a.box_rows  # built once
+    assert a.digest() != b.digest()
+    assert a.digest() == hashlib.sha256(a.canonical_text().encode()).hexdigest()
+

@@ -5,6 +5,7 @@ import pytest
 from imtsolver.model import LinExpr, Relation, satisfies_all
 from imtsolver.oracle import brute_force_solve
 from imtsolver.smtlib import (
+    MAX_DEPTH,
     SmtError,
     UnboundedForEncoding,
     encode_script,
@@ -32,6 +33,51 @@ def test_tokenizer_handles_comments_pipes_and_strings():
     assert toks.count("(") == 2
     forms = parse_sexps(text)
     assert forms[0][0] == "assert"
+
+
+def test_parse_sexps_nesting_cap():
+    at_cap = "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH
+    form = parse_sexps(at_cap)[0]
+    for _ in range(MAX_DEPTH - 1):
+        (form,) = form
+    assert form == ["p"]
+    with pytest.raises(SmtError, match="nested deeper"):
+        parse_sexps("(" + at_cap + ")")
+    with pytest.raises(SmtError, match="unbalanced"):
+        parse_sexps("(a b))")
+    with pytest.raises(SmtError, match="missing closing"):
+        parse_sexps("(a (b c)")
+    assert parse_sexps("a (b (c) d) e") == ["a", ["b", ["c"], "d"], "e"]
+
+
+def _max_nesting(text: str) -> int:
+    depth = deepest = 0
+    for tok in tokenize(text):
+        depth += {"(": 1, ")": -1}.get(tok, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@pytest.mark.parametrize(
+    "wrap, leaf, outer",
+    [
+        ("(not {})", "p", "{}"),  # one encoder frame per level
+        ("(or q {})", "p", "{}"),  # two frames per level
+        ("(f {})", "x", "(or p (= {} 0))"),  # nested applications: the deepest recursion per level
+    ],
+)
+def test_encoding_at_the_nesting_cap_does_not_overflow(wrap, leaf, outer):
+    prelude = "(declare-fun f (Int) Int) (declare-const x Int) (declare-const p Bool) (declare-const q Bool)"
+
+    def script(term):
+        return f"{prelude} (assert {outer.format(term)})"
+
+    term = leaf
+    while _max_nesting(script(wrap.format(term))) <= MAX_DEPTH:
+        term = wrap.format(term)
+    assert _max_nesting(script(term)) == MAX_DEPTH
+    enc = encode_script(script(term), default_bound=4)
+    assert enc.instance.vars
 
 
 def test_unsupported_command_is_rejected():
