@@ -5,7 +5,7 @@ small rule kernel; each change carries a certificate the kernel re-checks,
 and the accepted step log replays independently. Uninterpreted functions
 over the integers are the bundled background theory.
 """
-from .engine import Config, EngineLimit, SolveResult, solve
+from .engine import Config, EngineLimit, SolveResult, UnsupportedShape, solve
 from .euf import EufAdapter, EufSession, functional_consistency
 from .kernel import (
     ApplyInfo,
@@ -76,6 +76,7 @@ __all__ = [
     "Subproblem",
     "TraceError",
     "UnboundedForEncoding",
+    "UnsupportedShape",
     "brute_force_solve",
     "encode_script",
     "functional_consistency",

@@ -12,7 +12,8 @@ queries and report sat rather than optimal 0. Search statistics go to
 stderr so stdout stays byte-stable across runs.
 
 Exit codes: 0 optimal or sat, 10 infeasible, 20 unbounded, 30 budget
-exhausted (status unknown), 1 bad input or rejected trace.
+exhausted (status unknown), 1 bad input, an instance shape the engine cannot
+decide with a certificate, or a rejected trace.
 """
 from __future__ import annotations
 

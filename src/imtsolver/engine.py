@@ -60,6 +60,10 @@ class EngineLimit(ImtError):
     """The search gave up before reaching a verdict."""
 
 
+class UnsupportedShape(ImtError):
+    """The instance has a shape the engine cannot decide with a certificate."""
+
+
 @dataclass
 class Config:
     max_cut_rounds: int = 10
@@ -397,7 +401,7 @@ class _Search:
         ray = _integralize_ray(out.ray)
         moved = sorted(v for v in ray if v in self.theory_frozen)
         if moved:
-            raise EngineLimit(
+            raise UnsupportedShape(
                 f"unbounded direction moves interface variables {moved[:3]}; "
                 "bound them to proceed"
             )

@@ -46,7 +46,6 @@ from .model import (
     Subproblem,
     Var,
     frac_ceil,
-    frac_floor,
     normalize,
 )
 
@@ -95,8 +94,9 @@ def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr(
         rows.add(normalize(c))
         relevant.update(c.lhs.vars())
     for d in sub.eqs:
-        rows.add(d.as_constraint())
-        relevant.update(d.as_constraint().lhs.vars())
+        row = d.as_constraint()
+        rows.add(row)
+        relevant.update(row.lhs.vars())
     for v in relevant:
         lo, hi = bounds.interval(v)
         if lo is not None:
@@ -451,37 +451,30 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
     return LpOptimal(x_star, value, dual, tableau)
 
 
-def lower_bound(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> tuple[ObjValue, LbDual]:
-    """Certified objective lower bound over the subproblem's integer points."""
-    out = lp_solve(sub, objective, bounds)
-    if isinstance(out, LpInfeasible):
-        bound = ObjValue.pos_inf()
-        return bound, LbDual(bound, out.farkas.entries)
-    if isinstance(out, LpUnbounded):
-        bound = ObjValue.neg_inf()
-        return bound, LbDual(bound, ())
-    bound = ObjValue.finite(frac_ceil(out.value))
-    return bound, LbDual(bound, out.dual)
+def _solve_combinations(rows: list[dict[Var, int]], targets: list[Var]) -> list[tuple[list[int], int] | None]:
+    """Find multipliers expressing the unit vector of each target over row vectors.
 
-
-def _solve_combination(rows: list[tuple[dict[Var, int], int, int]], target: Var) -> list[Fraction] | None:
-    """Find multipliers expressing the unit vector of ``target`` over row vectors.
-
-    Rows are (coefficients, rhs, tag); only coefficients matter here.
-    Gauss-Jordan elimination over the simplex's integer rows, pivoting in
-    each column on the first remaining equation that has it; returns None
-    when the unit vector is outside the row space.
+    One Gauss-Jordan elimination over the simplex's integer rows, pivoting in
+    each column on the first remaining equation that has it, carries one
+    right-hand column per target. The pivots depend only on the rows, so every
+    target gets the multipliers an elimination of its own would give. Each
+    target's entry is ``(nums, den)``, the multipliers ``nums[j] / den``, or
+    None when its unit vector is outside the row space.
     """
-    vars_all = sorted({v for coeffs, _, _ in rows for v in coeffs} | {target})
-    n = len(vars_all)
     m = len(rows)
-    # columns of the system are the row multipliers; one equation per variable
+    vars_all = sorted({v for coeffs in rows for v in coeffs})
+    n = len(vars_all)
+    # one equation per variable; columns below m are the row multipliers,
+    # column m + t is target t's right side
     at = {v: i for i, v in enumerate(vars_all)}
-    eqs: list[Row] = [({}, 1 if v == target else 0, 1) for v in vars_all]
-    for j, (coeffs, _, _) in enumerate(rows):
+    eqs: list[Row] = [({}, 0, 1) for _ in vars_all]
+    for j, coeffs in enumerate(rows):
         for v, a in coeffs.items():
             if a:
                 eqs[at[v]][0][j] = a
+    for t, v in enumerate(targets):
+        if v in at:
+            eqs[at[v]][0][m + t] = 1
     piv_of_col: list[int | None] = [None] * m
     r = 0
     for j in range(m):
@@ -498,25 +491,31 @@ def _solve_combination(rows: list[tuple[dict[Var, int], int, int]], target: Var)
         r += 1
         if r == n:
             break
-    # consistency: all-zero rows must carry zero right sides
-    if any(rhs != 0 and not nums for nums, rhs, _ in eqs):
-        return None
-    sol = [Fraction(0)] * m
-    for j, p in enumerate(piv_of_col):
-        if p is not None:
-            sol[j] = Fraction(eqs[p][1], eqs[p][2])
-    # verify, over the common denominator: guards against rank deficiencies
-    # interacting with free columns
-    scale = math.lcm(*(q.denominator for q in sol))
-    total: dict[Var, int] = {}
-    for q, (coeffs, _, _) in zip(sol, rows):
-        if q:
-            k = q.numerator * (scale // q.denominator)
-            for v, a in coeffs.items():
-                total[v] = total.get(v, 0) + k * a
-    if any(total.get(v, 0) != (scale if v == target else 0) for v in vars_all):
-        return None
-    return sol
+    # consistency: equations left without a multiplier must carry zero right sides
+    leftover = {k for nums, _, _ in eqs if all(k >= m for k in nums) for k in nums}
+    out: list[tuple[list[int], int] | None] = []
+    for t, target in enumerate(targets):
+        key = m + t
+        if target not in at or key in leftover:
+            out.append(None)
+            continue
+        pivots = [(j, eqs[p]) for j, p in enumerate(piv_of_col) if p is not None and key in eqs[p][0]]
+        den = math.lcm(*(row_den for _, (_, _, row_den) in pivots))
+        sol = [0] * m
+        for j, (nums, _, row_den) in pivots:
+            sol[j] = nums[key] * (den // row_den)
+        # verify, over the common denominator: guards against rank deficiencies
+        # interacting with free columns
+        total: dict[Var, int] = {}
+        for k, coeffs in zip(sol, rows):
+            if k:
+                for v, a in coeffs.items():
+                    total[v] = total.get(v, 0) + k * a
+        if any(total.get(v, 0) != (den if v == target else 0) for v in vars_all):
+            out.append(None)
+        else:
+            out.append((sol, den))
+    return out
 
 
 def derive_gomory_cuts(t: Tableau) -> list[tuple[LinConstraint, CGCut]]:
@@ -525,18 +524,22 @@ def derive_gomory_cuts(t: Tableau) -> list[tuple[LinConstraint, CGCut]]:
     Each cut is produced with the nonnegative-combination certificate that
     the kernel checks: take the multipliers expressing the fractional
     coordinate over the tight rows, keep the fractional parts on inequality
-    rows, and round the aggregated right side up.
+    rows, and round the aggregated right side up. Tightness, aggregation and
+    violation are computed on ``int`` numerators over common denominators;
+    ``Fraction`` multipliers are built only for a cut that is kept.
     """
     fractional = sorted(v for v, q in t.x_star.items() if q.denominator != 1)
     if not fractional:
         raise NoFractionalRow("optimum is integral")
+    # the vertex as integers over one denominator
+    scale = math.lcm(*(q.denominator for q in t.x_star.values()))
+    point = {v: q.numerator * (scale // q.denominator) for v, q in t.x_star.items()}
 
     tight: list[tuple[dict[Var, int], int, LinConstraint, str]] = []
     for row in t.rows:
         if not row.lhs.terms:
             continue
-        val = sum(Fraction(c) * t.x_star.get(v, Fraction(0)) for v, c in row.lhs.terms)
-        if val != row.rhs:
+        if sum(c * point.get(v, 0) for v, c in row.lhs.terms) != row.rhs * scale:
             continue
         if row.rel is Relation.LE:
             tight.append(({v: -c for v, c in row.lhs.terms}, -row.rhs, row, "le"))
@@ -545,48 +548,44 @@ def derive_gomory_cuts(t: Tableau) -> list[tuple[LinConstraint, CGCut]]:
 
     available = frozenset(t.rows)
     existing = set(available)
-    out: list[tuple[LinConstraint, CGCut, Fraction]] = []
-    for v in fractional:
-        lam = _solve_combination([(coeffs, rhs, 0) for coeffs, rhs, _, _ in tight], v)
+    out: list[tuple[LinConstraint, CGCut, int]] = []
+    for lam in _solve_combinations([coeffs for coeffs, _, _, _ in tight], fractional):
         if lam is None:
             continue
-        agg: dict[Var, Fraction] = {}
-        rhs_total = Fraction(0)
-        entries: list[ComboEntry] = []
-        for mult, (coeffs, rhs, row, sense) in zip(lam, tight):
-            use = mult if sense == "eq" else mult - frac_floor(mult)
+        mults, den = lam
+        agg: dict[Var, int] = {}
+        rhs_total = 0
+        used: list[tuple[LinConstraint, str, int]] = []
+        for k, (coeffs, rhs, row, sense) in zip(mults, tight):
+            # fractional part of k / den on inequality rows, over den
+            use = k if sense == "eq" else k % den
             if use == 0:
                 continue
             for name, c in coeffs.items():
-                agg[name] = agg.get(name, Fraction(0)) + use * c
+                agg[name] = agg.get(name, 0) + use * c
             rhs_total += use * rhs
-            if sense == "eq":
-                entries.append((row, "ge" if use > 0 else "le", abs(use)))
-            else:
-                entries.append((row, sense, use))
-        agg = {name: c for name, c in agg.items() if c != 0}
-        if any(c.denominator != 1 for c in agg.values()):
+            used.append((row, sense, use))
+        if any(c % den for c in agg.values()):
             continue
-        coeff_ints = {name: int(c) for name, c in agg.items()}
-        if not coeff_ints:
-            if frac_ceil(rhs_total) <= 0:
-                continue
-            cut = LinConstraint(LinExpr.zero(), Relation.GE, frac_ceil(rhs_total))
+        coeff_ints = {name: c // den for name, c in agg.items() if c}
+        g = math.gcd(*coeff_ints.values()) if coeff_ints else 1
+        if coeff_ints:
+            lhs = LinExpr.of({name: c // g for name, c in coeff_ints.items()})
+        elif rhs_total <= 0:
+            continue
         else:
-            g = 0
-            for c in coeff_ints.values():
-                g = math.gcd(g, abs(c))
-            if g > 1:
-                coeff_ints = {name: c // g for name, c in coeff_ints.items()}
-                entries = [(row, d, m / g) for row, d, m in entries]
-                rhs_total = rhs_total / g
-            cut = LinConstraint(LinExpr.of(coeff_ints), Relation.GE, frac_ceil(rhs_total))
+            lhs = LinExpr.zero()
+        cut = LinConstraint(lhs, Relation.GE, -(-rhs_total // (den * g)))
         if cut in existing:
             continue
-        cut_at_star = sum(Fraction(c) * t.x_star.get(name, Fraction(0)) for name, c in cut.lhs.terms)
-        violation = cut.rhs - cut_at_star
+        violation = cut.rhs * scale - sum(c * point.get(name, 0) for name, c in cut.lhs.terms)
         if violation <= 0:
             continue
+        entries: list[ComboEntry] = []
+        for row, sense, use in used:
+            if sense == "eq":
+                sense = "ge" if use > 0 else "le"
+            entries.append((row, sense, Fraction(abs(use), den * g)))
         cert = CGCut(tuple(entries))
         check_cg(cert, available, cut)
         out.append((cut, cert, violation))

@@ -221,6 +221,10 @@ class SimpleEquality:
         return self.y is None
 
     def as_constraint(self) -> LinConstraint:
+        return self._row
+
+    @cached_property
+    def _row(self) -> LinConstraint:
         if self.y is None:
             return LinConstraint(LinExpr.var(self.x), Relation.EQ, self.c)
         return LinConstraint(LinExpr.of({self.x: 1, self.y: -1}), Relation.EQ, self.c)
@@ -246,6 +250,9 @@ class Bounds:
                 continue
             clean[v] = (lo, hi)
         self._table = clean
+        # one row per finite end, built on first use; the table never changes
+        self._lo_rows: dict[Var, LinConstraint] = {}
+        self._hi_rows: dict[Var, LinConstraint] = {}
 
     def lo(self, v: Var) -> int | None:
         return self._table.get(v, (None, None))[0]
@@ -260,16 +267,22 @@ class Bounds:
         return all(self.lo(v) is not None and self.hi(v) is not None for v in vars)
 
     def row_lo(self, v: Var) -> LinConstraint:
-        lo = self.lo(v)
-        if lo is None:
-            raise InvariantError(f"{v} has no lower bound")
-        return LinConstraint(LinExpr.var(v), Relation.GE, lo)
+        row = self._lo_rows.get(v)
+        if row is None:
+            lo = self.lo(v)
+            if lo is None:
+                raise InvariantError(f"{v} has no lower bound")
+            row = self._lo_rows[v] = LinConstraint(LinExpr.var(v), Relation.GE, lo)
+        return row
 
     def row_hi(self, v: Var) -> LinConstraint:
-        hi = self.hi(v)
-        if hi is None:
-            raise InvariantError(f"{v} has no upper bound")
-        return LinConstraint(LinExpr.var(v), Relation.LE, hi)
+        row = self._hi_rows.get(v)
+        if row is None:
+            hi = self.hi(v)
+            if hi is None:
+                raise InvariantError(f"{v} has no upper bound")
+            row = self._hi_rows[v] = LinConstraint(LinExpr.var(v), Relation.LE, hi)
+        return row
 
     def rows(self, vars: Iterable[Var]) -> list[LinConstraint]:
         out = []

@@ -62,12 +62,43 @@ def _row_back(obj: dict) -> LinConstraint:
     )
 
 
+class _Memo:
+    """Rows and multipliers already decoded by one ``read_trace`` call.
+
+    Box rows and common multipliers recur in entry after entry. A value that
+    cannot serve as a key is decoded afresh, so it fails as it would unmemoised.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[tuple, LinConstraint] = {}
+        self.mults: dict[object, Fraction] = {}
+
+    def row(self, obj) -> LinConstraint:
+        try:
+            key = (tuple(map(tuple, obj["lhs"])), obj["rel"], obj["rhs"])
+            row = self.rows.get(key)
+        except (KeyError, TypeError, ValueError):
+            return _row_back(obj)
+        if row is None:
+            row = self.rows[key] = _row_back(obj)
+        return row
+
+    def mult(self, text) -> Fraction:
+        try:
+            q = self.mults.get(text)
+        except TypeError:
+            return Fraction(text)
+        if q is None:
+            q = self.mults[text] = Fraction(text)
+        return q
+
+
 def _entries_json(entries) -> list:
     return [[_row_json(row), direction, str(Fraction(mult))] for row, direction, mult in entries]
 
 
-def _entries_back(items) -> tuple:
-    return tuple((_row_back(row), direction, Fraction(mult)) for row, direction, mult in items)
+def _entries_back(items, memo: _Memo) -> tuple:
+    return tuple((memo.row(row), direction, memo.mult(mult)) for row, direction, mult in items)
 
 
 def _lit_json(lit: TheoryLiteral) -> dict:
@@ -142,23 +173,23 @@ def _cert_json(cert) -> dict:
     raise TraceError(f"unserializable certificate {type(cert).__name__}")
 
 
-def _cert_back(obj: dict):
+def _cert_back(obj: dict, memo: _Memo):
     kind = obj["kind"]
     if kind == "cg":
-        return CGCut(_entries_back(obj["entries"]))
+        return CGCut(_entries_back(obj["entries"], memo))
     if kind == "farkas":
-        return FarkasProof(_entries_back(obj["entries"]))
+        return FarkasProof(_entries_back(obj["entries"], memo))
     if kind == "bound_fix":
-        return BoundFix(_cert_back(obj["lower"]), _cert_back(obj["upper"]))
+        return BoundFix(_cert_back(obj["lower"], memo), _cert_back(obj["upper"], memo))
     if kind == "side":
-        return SideCut(obj["side"], _cert_back(obj["cut"]))
+        return SideCut(obj["side"], _cert_back(obj["cut"], memo))
     if kind == "lb":
-        return LbDual(_obj_value_back(obj["bound"]), _entries_back(obj["entries"]))
+        return LbDual(_obj_value_back(obj["bound"]), _entries_back(obj["entries"], memo))
     if kind == "tlemma":
         return TLemma(
             tuple(_lit_back(l) for l in obj["asserted"]),
-            _row_back(obj["lemma"]),
-            tuple(_cert_back(e) for e in obj["evidence"]),
+            memo.row(obj["lemma"]),
+            tuple(_cert_back(e, memo) for e in obj["evidence"]),
             _token_back(obj["token"]),
         )
     if kind == "dichotomy":
@@ -170,7 +201,7 @@ def _cert_back(obj: dict):
     if kind == "retire":
         return RetireEvidence(
             tuple((v, int(c)) for v, c in obj["assignment"]),
-            _cert_back(obj["lb"]),
+            _cert_back(obj["lb"], memo),
             _token_back(obj["token"]),
         )
     if kind == "ray":
@@ -207,14 +238,16 @@ def step_to_json(step: Step) -> dict:
     return out
 
 
-def step_from_json(obj: dict) -> Step:
+def step_from_json(obj: dict, memo: _Memo | None = None) -> Step:
+    if memo is None:
+        memo = _Memo()
     return Step(
         rule=obj["rule"],
         target=obj.get("target"),
         other=obj.get("other"),
-        row=_row_back(obj["row"]) if "row" in obj else None,
+        row=memo.row(obj["row"]) if "row" in obj else None,
         eq=_eq_back(obj["eq"]) if "eq" in obj else None,
-        cert=_cert_back(obj["cert"]) if "cert" in obj else None,
+        cert=_cert_back(obj["cert"], memo) if "cert" in obj else None,
     )
 
 
@@ -250,9 +283,10 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
     if instance is not None and digest != instance.digest():
         raise DigestMismatch("trace was recorded for a different instance")
     steps = []
+    memo = _Memo()
     for i, line in enumerate(lines[1:], start=2):
         try:
-            steps.append(step_from_json(json.loads(line)))
+            steps.append(step_from_json(json.loads(line), memo))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise TraceError(f"line {i}: {exc}") from exc
     return digest, steps

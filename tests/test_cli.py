@@ -279,6 +279,34 @@ def test_parse_error_is_an_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_unbounded_ray_through_interface_vars_is_an_error(tmp_path, capsys):
+    # not a budget running out: no budget would let the engine certify it
+    p = tmp_path / "ray.imt"
+    p.write_text(
+        """
+[vars]
+x int * *
+r int * *
+
+[funs]
+f 1
+
+[objective]
+min x
+
+[constraints]
+x <= 5
+
+[atoms]
+r = f(x)
+"""
+    )
+    code, out, err = run(capsys, str(p))
+    assert code == EXIT_ERROR
+    assert out.strip() != "unknown"
+    assert "error:" in err and "interface variables" in err
+
+
 def test_runs_are_deterministic(tmp_path, capsys):
     p = tmp_path / "opt.imt"
     p.write_text(OPT)

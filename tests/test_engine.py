@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gen import random_instance
-from imtsolver.engine import Config, EngineLimit, Stats, arrangement_literals, solve
+from imtsolver.engine import Config, EngineLimit, Stats, UnsupportedShape, arrangement_literals, solve
 from imtsolver.kernel import replay_trace
 from imtsolver.model import (
     Bounds,
@@ -88,8 +88,9 @@ def test_unbounded_ray_through_interface_vars_is_refused():
         expr(x=1),
         funs={"f": 1},
     )
-    with pytest.raises(EngineLimit):
+    with pytest.raises(UnsupportedShape) as info:
         solve(instance)
+    assert not isinstance(info.value, EngineLimit)
 
 
 def test_node_budget_raises_engine_limit():

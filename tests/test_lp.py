@@ -14,10 +14,9 @@ from imtsolver.lp import (
     LpUnbounded,
     NoFractionalRow,
     _Simplex,
-    _solve_combination,
+    _solve_combinations,
     assemble_rows,
     derive_gomory_cuts,
-    lower_bound,
     lp_solve,
     propagate_bounds,
 )
@@ -65,9 +64,8 @@ def test_lp_matches_vertex_enumeration_on_random_instances():
             assert isinstance(out, LpOptimal)
             assert out.value == value
             assert satisfies_all(have, out.x_star)
-            bound, dual = lower_bound(sub, obj, bounds)
-            assert bound == ObjValue.finite(-(-value.numerator // value.denominator))
-            check_lb_dual(dual, have, obj)
+            bound = ObjValue.finite(-(-value.numerator // value.denominator))
+            check_lb_dual(LbDual(bound, out.dual), have, obj)
     # the generator must exercise both outcomes
     assert optimal > 30 and infeasible > 10
 
@@ -233,15 +231,28 @@ def test_degenerate_beale_lp_reaches_its_exact_optimum():
     check_lb_dual(LbDual(ObjValue.finite(-5), out.dual), have, obj)
 
 
+def as_fractions(sol):
+    """One target's multipliers from ``_solve_combinations`` as ``Fraction`` values."""
+    if sol is None:
+        return None
+    nums, den = sol
+    return [Fraction(k, den) for k in nums]
+
+
 def test_solve_combination_rejects_a_target_outside_the_row_space():
-    rows = [({"x": 1, "y": 1}, 0, 0), ({"x": 2, "y": 2}, 3, 0)]
-    assert _solve_combination(rows, "x") is None
+    rows = [{"x": 1, "y": 1}, {"x": 2, "y": 2}]
+    assert _solve_combinations(rows, ["x"]) == [None]
+    # a variable no row mentions, beside one inside the row space
+    assert _solve_combinations([{"x": 2}], ["w", "x"]) == [None, ([1], 2)]
 
 
 def test_solve_combination_is_exact_on_rank_deficient_rows():
-    rows = [({"x": 1, "y": 1}, 0, 0), ({"x": 1, "y": 1}, 0, 0), ({"y": 2}, 0, 0), ({"x": 3, "y": 3}, 0, 0)]
-    assert _solve_combination(rows, "x") == [Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(0)]
-    assert _solve_combination(rows, "y") == [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(0)]
+    rows = [{"x": 1, "y": 1}, {"x": 1, "y": 1}, {"y": 2}, {"x": 3, "y": 3}]
+    got = [as_fractions(sol) for sol in _solve_combinations(rows, ["x", "y"])]
+    assert got == [
+        [Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(0)],
+    ]
 
 
 def dense_solve_combination(rows, target):
@@ -283,11 +294,14 @@ small_ints = st.integers(-4, 4)
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.dictionaries(st.sampled_from("abcd"), small_ints, max_size=4), min_size=1, max_size=6),
-    st.sampled_from("abcd"),
+    st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True),
 )
-def test_solve_combination_matches_dense_fractions(coeff_rows, target):
+def test_solve_combination_matches_dense_fractions(coeff_rows, targets):
+    # one batched elimination gives each target what a dense elimination of
+    # its own gives, "e" (in no row) and rank-deficient targets included
     rows = [(coeffs, 0, 0) for coeffs in coeff_rows]
-    assert _solve_combination(rows, target) == dense_solve_combination(rows, target)
+    got = [as_fractions(sol) for sol in _solve_combinations(coeff_rows, targets)]
+    assert got == [dense_solve_combination(rows, target) for target in targets]
 
 
 def assert_integer_row(nums, rhs, den):
