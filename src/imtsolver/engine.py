@@ -79,6 +79,7 @@ class Config:
 class Stats:
     nodes: int = 0
     lp_solves: int = 0
+    pivots: int = 0
     cuts: int = 0
     branches: int = 0
     propagations: int = 0
@@ -89,7 +90,7 @@ class Stats:
 
     def summary(self) -> str:
         return (
-            f"nodes={self.nodes} lp={self.lp_solves} cuts={self.cuts} "
+            f"nodes={self.nodes} lp={self.lp_solves} pivots={self.pivots} cuts={self.cuts} "
             f"branches={self.branches} theory={self.theory_checks} conflicts={self.conflicts}"
         )
 
@@ -279,9 +280,11 @@ class _Search:
             current = info.created[0]
 
         rounds = 0
+        prev: LpOptimal | None = None  # re-optimised after each cut round
         while True:
-            out = lp_solve(current, self.instance.objective, self.instance.bounds)
+            out = lp_solve(current, self.instance.objective, self.instance.bounds, prev)
             self.stats.lp_solves += 1
+            self.stats.pivots += out.pivots
             if isinstance(out, LpInfeasible):
                 self.kernel.apply(Step("drop", current.ident, cert=out.farkas))
                 return
@@ -309,6 +312,7 @@ class _Search:
                     rounds += 1
                     if len(current.cons) > self.config.tidy_threshold:
                         current = self._tidy(current)
+                    prev = out
                     continue
             v, k = select_branch(out.x_star, fractional)
             info = self.kernel.apply(Step("branch", current.ident, cert=BranchDichotomy(v, k)))

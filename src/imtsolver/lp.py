@@ -1,13 +1,18 @@
 """Exact rational relaxation: simplex, dual certificates, rounding cuts, propagation.
 
-The solver is a two-phase primal simplex with Bland's rule, so it terminates
-on every input, and its answers are exact. The tableau is sparse and
-integer-preserving: each row stores only its nonzero entries, as ``int``
-numerators over one positive row denominator, and is divided by the gcd of
-its numbers after every update (Edmonds' fraction-free elimination). No
-``Fraction`` is built inside a pivot; values become ``Fraction`` only when
-they leave the tableau. The Gaussian elimination that recovers Gomory
-multipliers uses the same rows. Box bounds participate as explicit rows;
+The solver is a two-phase primal simplex, then a dual simplex re-optimising
+after each cut round, both with Bland's rule, so it terminates on every
+input, and its answers are exact. Within one node's cut loop the previous
+optimum's simplex is kept: each cut is appended with its slack basic and
+rewritten in the current basis, the dual simplex restores feasibility, and
+rows forgotten as dominated leave with their basic slacks. Any other change
+is solved from scratch. The tableau is sparse and integer-preserving: each
+row stores only its nonzero entries, as ``int`` numerators over one positive
+row denominator, and is divided by the gcd of its numbers after every update
+(Edmonds' fraction-free elimination). No ``Fraction`` is built inside a
+pivot; values become ``Fraction`` only when they leave the tableau. The
+Gaussian elimination that recovers Gomory multipliers uses the same rows,
+once for all fractional targets. Box bounds participate as explicit rows;
 lower-bound rows of the form v >= lo are folded into column nonnegativity by
 shifting, and the matching dual multiplier is read off the column's reduced
 cost.
@@ -20,7 +25,7 @@ improving ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certificates import (
@@ -66,21 +71,28 @@ class Tableau:
 
 @dataclass(frozen=True)
 class LpOptimal:
+    """An optimal vertex; ``pivots`` counts this solve's simplex pivots."""
+
     x_star: dict[Var, Fraction]
     value: Fraction
     dual: tuple[ComboEntry, ...]
     tableau: Tableau
+    pivots: int = 0
+    # the live simplex, which the node's next cut round re-optimises in place
+    state: _Relaxation | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class LpInfeasible:
     farkas: FarkasProof
+    pivots: int = 0
 
 
 @dataclass(frozen=True)
 class LpUnbounded:
     point: dict[Var, Fraction]
     ray: dict[Var, Fraction]
+    pivots: int = 0
 
 
 LpOutcome = LpOptimal | LpInfeasible | LpUnbounded
@@ -169,14 +181,19 @@ class _Simplex:
         self.cost: dict[int, int] = {}
         self.costval = 0
         self.cost_den = 1
+        self.pivots = 0
 
-    def add_row(self, coeffs: dict[int, int], rhs: int) -> int:
+    def add_row(self, coeffs: dict[int, int], rhs: int, den: int = 1) -> int:
         self.nums.append({j: a for j, a in coeffs.items() if a})
         self.rhs.append(rhs)
-        self.den.append(1)
+        self.den.append(den)
         self.basis.append(-1)
         self.alive.append(True)
         return len(self.nums) - 1
+
+    def remove_row(self, r: int) -> None:
+        for table in (self.nums, self.rhs, self.den, self.basis, self.alive):
+            del table[r]
 
     def row(self, r: int) -> Row:
         return self.nums[r], self.rhs[r], self.den[r]
@@ -193,6 +210,7 @@ class _Simplex:
         self.cost, self.costval, self.cost_den = cost
 
     def pivot(self, r: int, j: int) -> None:
+        self.pivots += 1
         src = _unit_row(self.nums[r], self.rhs[r], j)
         self.nums[r], self.rhs[r], self.den[r] = src
         for i, other in enumerate(self.nums):
@@ -232,6 +250,40 @@ class _Simplex:
                 return ("unbounded", enter)
             self.pivot(leave, enter)
 
+    def run_dual(self, enterable: list[bool]) -> int:
+        """Bland's dual simplex from a dual-feasible basis to primal feasibility.
+
+        Returns -1 once every right side is nonnegative, or a row with a
+        negative right side and no negative enterable entry, which proves the
+        rows infeasible.
+        """
+        guard = 0
+        while True:
+            guard += 1
+            if guard > 200000:
+                raise ImtError("pivot limit exceeded")
+            # the infeasible row with the lowest basic column leaves
+            leave = -1
+            for r, rhs in enumerate(self.rhs):
+                if rhs < 0 and self.alive[r] and (leave < 0 or self.basis[r] < self.basis[leave]):
+                    leave = r
+            if leave < 0:
+                return -1
+            # ratio cost/-a per column, compared by cross-multiplying; ties go to the lowest column
+            enter = -1
+            best_cost = best_a = 0
+            for j, a in self.nums[leave].items():
+                if a >= 0 or not enterable[j]:
+                    continue
+                cost = self.cost.get(j, 0)
+                if enter < 0 or cost * best_a > best_cost * a or (
+                    cost * best_a == best_cost * a and j < enter
+                ):
+                    enter, best_cost, best_a = j, cost, a
+            if enter < 0:
+                return leave
+            self.pivot(leave, enter)
+
     def entry(self, r: int, j: int) -> Fraction:
         return Fraction(self.nums[r].get(j, 0), self.den[r])
 
@@ -242,10 +294,198 @@ class _Simplex:
         return Fraction(0)
 
 
-def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
-    """Solve the rational relaxation of the subproblem inside its box."""
-    rows = assemble_rows(sub, bounds, objective)
+class _Relaxation:
+    """A solved simplex and the map from its columns and rows back to variables and constraints.
 
+    Each variable with a lower bound is shifted onto one nonnegative column,
+    and a free variable is split into a ``pos``/``neg`` column pair.
+    ``specs[i]`` is ``(row, sigma, ref, slack)`` for the i-th tableau
+    constraint: ``sigma`` times the row is in ``<=`` or ``=`` form, ``ref`` is
+    the column that has coefficient +1 in that constraint alone (its slack,
+    else its artificial), so its reduced cost gives the row's multiplier, and
+    ``slack`` is the slack column or -1. ``lo_row_of`` maps a shifted variable
+    to the ``v >= lo`` row folded into its column's nonnegativity.
+    """
+
+    def __init__(
+        self, objective: LinExpr, names: list[Var], shifts: dict[Var, int], lo_row_of: dict[Var, LinConstraint]
+    ):
+        self.objective = objective
+        self.names = names
+        self.shifts = shifts
+        self.lo_row_of = lo_row_of
+        self.pos_col: dict[Var, int] = {}
+        self.neg_col: dict[Var, int] = {}
+        for v in names:
+            self.pos_col[v] = len(self.pos_col) + len(self.neg_col)
+            if v not in shifts:
+                self.neg_col[v] = len(self.pos_col) + len(self.neg_col)
+        self.specs: list[tuple[LinConstraint, int, int, int]] = []
+        self.enterable: list[bool] = []
+        self.costs: list[int] = []  # phase-2 column costs
+        self.sx = _Simplex()
+        self.retired = False  # phase 1 retired a dependent row
+        # the rows of the latest optimum, which the next re-optimisation starts from
+        self.rows: tuple[LinConstraint, ...] = ()
+        self.available: frozenset[LinConstraint] = frozenset()
+
+    def structural(self, coeffs: dict[Var, int]) -> dict[int, int]:
+        """A row's variable coefficients laid out over the structural columns."""
+        sparse: dict[int, int] = {}
+        for v, a in coeffs.items():
+            sparse[self.pos_col[v]] = a
+            if v in self.neg_col:
+                sparse[self.neg_col[v]] = -a
+        return sparse
+
+    def dual_entries(self, costs: list[int]) -> list[ComboEntry]:
+        """Row multipliers read off the reduced-cost row priced with ``costs``."""
+        sx = self.sx
+        entries: list[ComboEntry] = []
+        for row, sigma, ref, _ in self.specs:
+            # y = costs[ref] - reduced cost of ref, over the cost row's denominator
+            y = costs[ref] * sx.cost_den - sx.cost.get(ref, 0)
+            if y == 0:
+                continue
+            mu = Fraction(sigma * y, sx.cost_den)
+            if row.rel is Relation.GE:
+                if mu < 0:
+                    raise InvariantError("dual sign clash on a >= row")
+                entries.append((row, "ge", mu))
+            elif row.rel is Relation.LE:
+                if mu > 0:
+                    raise InvariantError("dual sign clash on a <= row")
+                entries.append((row, "le", -mu))
+            else:
+                entries.append((row, "ge" if mu > 0 else "le", abs(mu)))
+        for v, row in self.lo_row_of.items():
+            rc = sx.cost.get(self.pos_col[v], 0)
+            if rc != 0:
+                if rc < 0:
+                    raise InvariantError("reduced cost of a shifted column went negative")
+                entries.append((row, "ge", Fraction(rc, sx.cost_den)))
+        return entries
+
+    def point(self) -> dict[Var, Fraction]:
+        point = {}
+        for v in self.names:
+            val = self.sx.column_value(self.pos_col[v])
+            if v in self.neg_col:
+                val = val - self.sx.column_value(self.neg_col[v])
+            point[v] = val + self.shifts.get(v, 0)
+        return point
+
+    def ray(self, enter: int) -> dict[Var, Fraction]:
+        sx = self.sx
+        dz = {enter: Fraction(1)}
+        for r, row in enumerate(sx.nums):
+            if sx.alive[r] and enter in row:
+                dz[sx.basis[r]] = -sx.entry(r, enter)
+        ray = {}
+        for v in self.names:
+            d = dz.get(self.pos_col[v], Fraction(0))
+            if v in self.neg_col:
+                d = d - dz.get(self.neg_col[v], Fraction(0))
+            if d != 0:
+                ray[v] = d
+        return ray
+
+    def optimal(self, rows: list[LinConstraint], available: frozenset[LinConstraint], pivots: int) -> LpOptimal:
+        x_star = self.point()
+        value = Fraction(0)
+        for v, c in self.objective.terms:
+            value += c * x_star[v]
+        dual = tuple(self.dual_entries(self.costs))
+        bound = ObjValue.finite(frac_ceil(value))
+        check_lb_dual(LbDual(bound, dual), available, self.objective)
+        tableau = Tableau(tuple(rows), x_star, self.objective, value)
+        self.rows, self.available = tableau.rows, available
+        return LpOptimal(x_star, value, dual, tableau, pivots, self)
+
+    def reoptimize(self, prev: LpOptimal, rows: list[LinConstraint], objective: LinExpr) -> LpOutcome | None:
+        """Re-solve in place after one-sided rows were added and dominated rows forgotten.
+
+        Each added row gets a basic slack and is rewritten in the current
+        basis; the dual simplex then restores feasibility. A forgotten row is
+        dominated by a kept row with the same left side, so it is strictly
+        slack at the new optimum and leaves with its basic slack. Returns
+        None, for a solve from scratch, on any other change.
+        """
+        if prev.tableau.rows is not self.rows or objective != self.objective:
+            return None
+        available = frozenset(rows)
+        relevant: set[Var] = set(objective.vars())
+        for row in rows:
+            relevant.update(row.lhs.vars())
+        if relevant != set(self.names):
+            return None
+        added = [row for row in rows if row not in self.available]
+        removed = [row for row in self.rows if row not in available]
+        if any(not row.lhs.terms or row.rel is Relation.EQ for row in added):
+            return None
+        folded = set(self.lo_row_of.values())
+        if removed and (self.retired or any(row.rel is Relation.EQ or row in folded for row in removed)):
+            return None
+
+        sx = self.sx
+        start = sx.pivots
+        self.rows = ()  # from here the simplex no longer matches prev
+        basic_row ={b: r for r, b in enumerate(sx.basis) if sx.alive[r]}
+        for row in added:
+            sigma = -1 if row.rel is Relation.GE else 1
+            terms = dict(row.lhs.terms)
+            rhs = sigma * (row.rhs - sum(a * self.shifts.get(v, 0) for v, a in terms.items()))
+            slack = len(self.enterable)
+            self.enterable.append(True)
+            self.costs.append(0)
+            cut: Row = (self.structural({v: sigma * a for v, a in terms.items()}), rhs, 1)
+            cut[0][slack] = 1
+            for j in [j for j in cut[0] if j in basic_row]:
+                cut = _eliminate(*cut, cut[0][j], sx.row(basic_row[j]))
+            sx.basis[sx.add_row(*cut)] = slack
+            self.specs.append((row, sigma, slack, slack))
+
+        leave = sx.run_dual(self.enterable)
+        if leave >= 0:
+            # the row's multipliers, read as a reduced-cost row under zero costs
+            sx.cost, sx.costval, sx.cost_den = sx.row(leave)
+            proof = FarkasProof(tuple(self.dual_entries([0] * len(self.costs))))
+            if any(row not in available for row, _, _ in proof.entries):
+                return None
+            check_farkas(proof, available)
+            return LpInfeasible(proof, sx.pivots - start)
+
+        for row in removed:
+            at = next((i for i, spec in enumerate(self.specs) if spec[0] == row), None)
+            if at is None:  # a constant row, which has no tableau row
+                continue
+            slack = self.specs[at][3]
+            r = next((r for r, b in enumerate(sx.basis) if b == slack and sx.alive[r]), None)
+            if r is None:
+                return None
+            sx.remove_row(r)
+            del self.specs[at]
+        return self.optimal(rows, available, sx.pivots - start)
+
+
+def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptimal | None = None) -> LpOutcome:
+    """Solve the rational relaxation of the subproblem inside its box.
+
+    ``prev`` is the optimum of the same node's previous cut round. Its
+    simplex is re-optimised in place, so ``prev`` must not be passed again;
+    the solve starts from scratch when the change is not one the dual
+    simplex re-optimisation handles.
+    """
+    rows = assemble_rows(sub, bounds, objective)
+    if prev is not None and prev.state is not None:
+        out = prev.state.reoptimize(prev, rows, objective)
+        if out is not None:
+            return out
+    return _solve_cold(rows, objective, bounds)
+
+
+def _solve_cold(rows: list[LinConstraint], objective: LinExpr, bounds: Bounds) -> LpOutcome:
+    """Two-phase primal simplex from the slack and artificial basis."""
     relevant: set[Var] = set(objective.vars())
     for row in rows:
         relevant.update(row.lhs.vars())
@@ -288,17 +528,8 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
             continue
         kept.append(row)
 
-    # column layout: shifted vars get one nonnegative column, free vars a split pair
-    col_meta: list[tuple[str, Var | int]] = []
-    pos_col: dict[Var, int] = {}
-    neg_col: dict[Var, int] = {}
-    for v in names:
-        pos_col[v] = len(col_meta)
-        col_meta.append(("pos", v))
-        if v not in shifts:
-            neg_col[v] = len(col_meta)
-            col_meta.append(("neg", v))
-    n_struct = len(col_meta)
+    lp = _Relaxation(objective, names, shifts, lo_row_of)
+    n_struct = len(lp.pos_col) + len(lp.neg_col)
 
     # one pass to plan slack and artificial columns
     specs = []
@@ -318,137 +549,71 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome:
             rhs = -rhs
             sigma = -sigma
             slack_sign = -slack_sign
-        specs.append([row, coeffs, rhs, sigma, slack_sign])
+        specs.append((row, coeffs, rhs, sigma, slack_sign))
 
+    # structural columns, then slacks, then artificials
     slack_col: dict[int, int] = {}
     art_col: dict[int, int] = {}
     next_col = n_struct
-    for i, (_, _, _, _, slack_sign) in enumerate(specs):
-        if slack_sign != 0:
+    for i, spec in enumerate(specs):
+        if spec[4] != 0:
             slack_col[i] = next_col
-            col_meta.append(("slack", i))
             next_col += 1
-    for i, (_, _, _, _, slack_sign) in enumerate(specs):
-        if slack_sign != 1:
+    n_plain = next_col
+    for i, spec in enumerate(specs):
+        if spec[4] != 1:
             art_col[i] = next_col
-            col_meta.append(("art", i))
             next_col += 1
 
-    sx = _Simplex()
-    ref_col: list[int] = []
+    sx = lp.sx
     for i, (row, coeffs, rhs, sigma, slack_sign) in enumerate(specs):
-        sparse: dict[int, int] = {}
-        for v, a in coeffs.items():
-            sparse[pos_col[v]] = a
-            if v in neg_col:
-                sparse[neg_col[v]] = -a
+        sparse = lp.structural(coeffs)
         if slack_sign != 0:
             sparse[slack_col[i]] = slack_sign
         if i in art_col:
             sparse[art_col[i]] = 1
         r = sx.add_row(sparse, rhs)
-        if i in art_col:
-            sx.basis[r] = art_col[i]
-            ref_col.append(art_col[i])
-        else:
-            sx.basis[r] = slack_col[i]
-            ref_col.append(slack_col[i])
+        ref = art_col[i] if i in art_col else slack_col[i]
+        sx.basis[r] = ref
+        lp.specs.append((row, sigma, ref, slack_col.get(i, -1)))
 
-    is_art = [meta[0] == "art" for meta in col_meta]
-    enterable = [not a for a in is_art]
+    lp.enterable = [j < n_plain for j in range(next_col)]
 
     # phase 1: minimize the artificial total
-    phase1_costs = [1 if a else 0 for a in is_art]
+    phase1_costs = [0 if plain else 1 for plain in lp.enterable]
     sx.price(phase1_costs)
-    status, _ = sx.run(enterable)
+    status, _ = sx.run(lp.enterable)
     if status != "optimal":
         raise InvariantError("phase 1 of the simplex went unbounded")
 
-    def dual_entries(costs: list[int]) -> list[ComboEntry]:
-        entries: list[ComboEntry] = []
-        for i, (row, _, _, sigma, _) in enumerate(specs):
-            ref = ref_col[i]
-            # y = costs[ref] - reduced cost of ref, over the cost row's denominator
-            y = costs[ref] * sx.cost_den - sx.cost.get(ref, 0)
-            if y == 0:
-                continue
-            mu = Fraction(sigma * y, sx.cost_den)
-            if row.rel is Relation.GE:
-                if mu < 0:
-                    raise InvariantError("dual sign clash on a >= row")
-                entries.append((row, "ge", mu))
-            elif row.rel is Relation.LE:
-                if mu > 0:
-                    raise InvariantError("dual sign clash on a <= row")
-                entries.append((row, "le", -mu))
-            else:
-                entries.append((row, "ge" if mu > 0 else "le", abs(mu)))
-        for v, row in lo_row_of.items():
-            rc = sx.cost.get(pos_col[v], 0)
-            if rc != 0:
-                if rc < 0:
-                    raise InvariantError("reduced cost of a shifted column went negative")
-                entries.append((row, "ge", Fraction(rc, sx.cost_den)))
-        return entries
-
     # the phase 1 optimum -costval / cost_den is positive
     if sx.costval < 0:
-        proof = FarkasProof(tuple(dual_entries(phase1_costs)))
+        proof = FarkasProof(tuple(lp.dual_entries(phase1_costs)))
         check_farkas(proof, available)
-        return LpInfeasible(proof)
+        return LpInfeasible(proof, sx.pivots)
 
     # drive leftover artificials out of the basis; dependent rows are retired
-    n_plain = n_struct + len(slack_col)  # artificial columns come last
     for r, row in enumerate(sx.nums):
-        if not sx.alive[r] or not is_art[sx.basis[r]]:
+        if not sx.alive[r] or sx.basis[r] < n_plain:
             continue
         j = min((k for k in row if k < n_plain), default=-1)
         if j >= 0:
             sx.pivot(r, j)
         else:
             sx.alive[r] = False
+            lp.retired = True
 
     # phase 2: the real objective over structural columns
-    phase2_costs = [0] * next_col
+    lp.costs = [0] * next_col
     for v, c in objective.terms:
-        phase2_costs[pos_col[v]] += c
-        if v in neg_col:
-            phase2_costs[neg_col[v]] -= c
-    sx.price(phase2_costs)
-    status, enter = sx.run(enterable)
-
-    def current_point() -> dict[Var, Fraction]:
-        point = {}
-        for v in names:
-            val = sx.column_value(pos_col[v])
-            if v in neg_col:
-                val = val - sx.column_value(neg_col[v])
-            point[v] = val + shifts.get(v, 0)
-        return point
-
+        lp.costs[lp.pos_col[v]] += c
+        if v in lp.neg_col:
+            lp.costs[lp.neg_col[v]] -= c
+    sx.price(lp.costs)
+    status, enter = sx.run(lp.enterable)
     if status == "unbounded":
-        dz = {enter: Fraction(1)}
-        for r, row in enumerate(sx.nums):
-            if sx.alive[r] and enter in row:
-                dz[sx.basis[r]] = -sx.entry(r, enter)
-        ray = {}
-        for v in names:
-            d = dz.get(pos_col[v], Fraction(0))
-            if v in neg_col:
-                d = d - dz.get(neg_col[v], Fraction(0))
-            if d != 0:
-                ray[v] = d
-        return LpUnbounded(current_point(), ray)
-
-    x_star = current_point()
-    value = Fraction(0)
-    for v, c in objective.terms:
-        value += c * x_star[v]
-    dual = tuple(dual_entries(phase2_costs))
-    bound = ObjValue.finite(frac_ceil(value))
-    check_lb_dual(LbDual(bound, dual), available, objective)
-    tableau = Tableau(tuple(rows), x_star, objective, value)
-    return LpOptimal(x_star, value, dual, tableau)
+        return LpUnbounded(lp.point(), lp.ray(enter), sx.pivots)
+    return lp.optimal(rows, available, sx.pivots)
 
 
 def _solve_combinations(rows: list[dict[Var, int]], targets: list[Var]) -> list[tuple[list[int], int] | None]:

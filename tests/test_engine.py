@@ -122,7 +122,9 @@ def test_stats_count_work():
     assert res.status == "optimal"
     assert res.stats.nodes >= 1
     assert res.stats.lp_solves >= res.stats.nodes
+    assert res.stats.pivots > 0
     assert "nodes=" in res.stats.summary()
+    assert f"pivots={res.stats.pivots}" in res.stats.summary()
 
 
 def test_feasibility_mode_zero_objective():

@@ -341,3 +341,126 @@ def test_pivots_keep_rows_reduced_and_exact(data):
         assert_integer_row(sx.cost, sx.costval, sx.cost_den)
         cost_values = [Fraction(sx.cost.get(k, 0), sx.cost_den) for k in range(ncols)]
         assert cost_values + [Fraction(sx.costval, sx.cost_den)] == ref[-1]
+
+
+def row_of(terms, rel, rhs):
+    return LinConstraint(LinExpr.of(terms), rel, rhs)
+
+
+WARM_OBJ = LinExpr.of([("x", 1), ("y", 1)])
+WARM_BOX = Bounds({"x": (0, 5), "y": (0, 5), "z": (0, 5)})
+R1 = row_of([("x", 2), ("y", 2)], Relation.GE, 7)
+R2 = row_of([("x", 1), ("y", -1)], Relation.LE, 2)
+
+
+def test_cut_round_reoptimises_the_previous_simplex():
+    out0 = lp_solve(Subproblem.root([R1, R2]), WARM_OBJ, WARM_BOX)
+    assert isinstance(out0, LpOptimal) and out0.value == Fraction(7, 2)
+    # a cut, plus a tighter copy of R1 that lets R1 be forgotten
+    cut = row_of([("x", 1), ("y", 1)], Relation.GE, 4)
+    sub1 = Subproblem.root([R2, cut, row_of([("x", 2), ("y", 2)], Relation.GE, 9)])
+    out1 = lp_solve(sub1, WARM_OBJ, WARM_BOX, out0)
+    assert isinstance(out1, LpOptimal)
+    assert out1.state is out0.state
+    assert out1.value == 9 / Fraction(2) == lp_solve(sub1, WARM_OBJ, WARM_BOX).value
+    assert 0 < out1.pivots < out0.pivots
+    have = frozenset(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
+    assert out1.tableau.rows == tuple(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
+    assert R1 not in {row for row, _, _ in out1.dual}
+    check_lb_dual(LbDual(ObjValue.finite(5), out1.dual), have, WARM_OBJ)
+    # the simplex now belongs to out1: passing out0 again solves from scratch
+    again = lp_solve(sub1, WARM_OBJ, WARM_BOX, out0)
+    assert again.state is not out1.state and again.value == out1.value
+
+
+@pytest.mark.parametrize(
+    "base, later, later_box",
+    [
+        ([R1, R2], [R1, R2, row_of([("x", 1), ("z", 1)], Relation.GE, 4)], WARM_BOX),
+        ([R1, R2], [R1, R2, LinConstraint(LinExpr.zero(), Relation.GE, -1)], WARM_BOX),
+        ([R1, R2], [R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], WARM_BOX),
+        ([R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], [R1, R2], WARM_BOX),
+        ([R1, R2], [R1, R2], Bounds({"x": (1, 5), "y": (0, 5)})),
+        ([R1, R2], [R2], WARM_BOX),
+        (
+            [R1, R2, row_of([("x", 1), ("y", 1)], Relation.EQ, 4), row_of([("x", 2), ("y", 2)], Relation.EQ, 8)],
+            [row_of([("x", 2), ("y", 2)], Relation.GE, 8), R2]
+            + [row_of([("x", 1), ("y", 1)], Relation.EQ, 4), row_of([("x", 2), ("y", 2)], Relation.EQ, 8)],
+            WARM_BOX,
+        ),
+    ],
+    ids=[
+        "new_variable",
+        "constant_row_added",
+        "equality_added",
+        "equality_removed",
+        "folded_lower_bound_removed",
+        "removed_slack_nonbasic",
+        "removal_after_a_retired_row",
+    ],
+)
+def test_cut_round_falls_back_to_a_cold_solve(base, later, later_box):
+    sub0, sub1 = Subproblem.root(base), Subproblem.root(later)
+    out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
+    assert isinstance(out0, LpOptimal)
+    assert out0.state.reoptimize(out0, assemble_rows(sub1, later_box, WARM_OBJ), WARM_OBJ) is None
+    out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
+    warm = lp_solve(sub1, WARM_OBJ, later_box, out0)
+    cold = lp_solve(sub1, WARM_OBJ, later_box)
+    assert isinstance(warm, LpOptimal) and warm.state is not out0.state
+    assert (warm.value, warm.x_star, warm.dual) == (cold.value, cold.x_star, cold.dual)
+
+
+def test_farkas_proof_citing_a_forgotten_row_falls_back():
+    forgotten = row_of([("x", 1), ("y", 1)], Relation.GE, 2)
+    sub0 = Subproblem.root([forgotten])
+    sub1 = Subproblem.root([row_of([("x", 1), ("y", 1)], Relation.GE, 3), row_of([("x", 1), ("y", 1)], Relation.LE, 1)])
+    out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
+    assert out0.state.reoptimize(out0, assemble_rows(sub1, WARM_BOX, WARM_OBJ), WARM_OBJ) is None
+    out = lp_solve(sub1, WARM_OBJ, WARM_BOX, lp_solve(sub0, WARM_OBJ, WARM_BOX))
+    assert isinstance(out, LpInfeasible)
+    assert forgotten not in {row for row, _, _ in out.farkas.entries}
+    check_farkas(out.farkas, frozenset(assemble_rows(sub1, WARM_BOX, WARM_OBJ)))
+
+
+one_sided = st.sampled_from((Relation.GE, Relation.LE))
+warm_exprs = st.dictionaries(st.sampled_from("abc"), st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_rounds_reoptimised_in_place_match_cold_solves(data):
+    box = Bounds({v: (data.draw(st.integers(-4, 0)), data.draw(st.integers(1, 4))) for v in "abc"})
+    obj = LinExpr.of(data.draw(warm_exprs))
+    rels = st.sampled_from((Relation.GE, Relation.LE, Relation.EQ))
+    base = [
+        row_of(data.draw(warm_exprs), data.draw(rels), data.draw(st.integers(-6, 6)))
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    sub = Subproblem.root(base)
+    out = lp_solve(sub, obj, box)
+    for _ in range(3):
+        if not isinstance(out, LpOptimal):
+            break
+        cons = set(sub.cons)
+        # forget one-sided rows dominated by a tighter copy, as the engine's tidy does
+        for row in sorted(cons, key=lambda r: r.render()):
+            if row.rel is not Relation.EQ and data.draw(st.booleans()):
+                step = data.draw(st.integers(0, 2))
+                tighter = row.rhs + step if row.rel is Relation.GE else row.rhs - step
+                cons.discard(row)
+                cons.add(LinConstraint(row.lhs, row.rel, tighter))
+        for _ in range(data.draw(st.integers(0, 3))):
+            cons.add(row_of(data.draw(warm_exprs), data.draw(one_sided), data.draw(st.integers(-6, 6))))
+        sub = Subproblem(0, frozenset(cons), frozenset())
+        have = frozenset(assemble_rows(sub, box, obj))
+        cold = lp_solve(sub, obj, box)
+        out = lp_solve(sub, obj, box, out)
+        assert type(out) is type(cold)
+        if isinstance(out, LpInfeasible):
+            check_farkas(out.farkas, have)
+        else:
+            assert out.value == cold.value
+            assert satisfies_all(have, out.x_star)
+            bound = ObjValue.finite(-(-out.value.numerator // out.value.denominator))
+            check_lb_dual(LbDual(bound, out.dual), have, obj)
