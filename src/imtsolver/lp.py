@@ -414,10 +414,7 @@ class _Relaxation:
         if prev.tableau.rows is not self.rows or objective != self.objective:
             return None
         available = frozenset(rows)
-        relevant: set[Var] = set(objective.vars())
-        for row in rows:
-            relevant.update(row.lhs.vars())
-        if relevant != set(self.names):
+        if _relevant_vars(rows, objective) != set(self.names):
             return None
         added = [row for row in rows if row not in self.available]
         removed = [row for row in self.rows if row not in available]
@@ -430,7 +427,7 @@ class _Relaxation:
         sx = self.sx
         start = sx.pivots
         self.rows = ()  # from here the simplex no longer matches prev
-        basic_row ={b: r for r, b in enumerate(sx.basis) if sx.alive[r]}
+        basic_row = {b: r for r, b in enumerate(sx.basis) if sx.alive[r]}
         for row in added:
             sigma = -1 if row.rel is Relation.GE else 1
             terms = dict(row.lhs.terms)
@@ -468,13 +465,20 @@ class _Relaxation:
         return self.optimal(rows, available, sx.pivots - start)
 
 
+def _relevant_vars(rows: list[LinConstraint], objective: LinExpr) -> set[Var]:
+    relevant: set[Var] = set(objective.vars())
+    for row in rows:
+        relevant.update(row.lhs.vars())
+    return relevant
+
+
 def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptimal | None = None) -> LpOutcome:
     """Solve the rational relaxation of the subproblem inside its box.
 
     ``prev`` is the optimum of the same node's previous cut round. Its
-    simplex is re-optimised in place, so ``prev`` must not be passed again;
-    the solve starts from scratch when the change is not one the dual
-    simplex re-optimisation handles.
+    simplex is re-optimised in place and passes to the new optimum. The
+    solve starts from scratch when ``prev``'s simplex has already moved on,
+    or when the change is not one the dual simplex re-optimisation handles.
     """
     rows = assemble_rows(sub, bounds, objective)
     if prev is not None and prev.state is not None:
@@ -486,10 +490,7 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
 
 def _solve_cold(rows: list[LinConstraint], objective: LinExpr, bounds: Bounds) -> LpOutcome:
     """Two-phase primal simplex from the slack and artificial basis."""
-    relevant: set[Var] = set(objective.vars())
-    for row in rows:
-        relevant.update(row.lhs.vars())
-    names = sorted(relevant)
+    names = sorted(_relevant_vars(rows, objective))
 
     shifts: dict[Var, int] = {}
     for v in names:
