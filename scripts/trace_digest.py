@@ -6,9 +6,12 @@ seed in a range, solves each one in process, and prints one line per input:
 
     <workload> <seed> <index> <status> <sha256 of the trace file's bytes>
 
-then a last line ``combined <sha256>`` over all of those lines. Two source
-trees write byte-identical traces on these inputs exactly when their combined
-digests agree, so a change that must not alter any proof step is checked by
+then a line ``statuses <sha256>`` over ``<workload> <seed> <index> <status>``
+alone, and a last line ``combined <sha256>`` over all of the per-input lines.
+Two source trees write byte-identical traces on these inputs exactly when
+their combined digests agree, and reach the same verdict on every input
+exactly when their status digests agree. So a change that must not alter any
+proof step, or one that may alter proofs but no verdict, is checked by
 running this on both trees:
 
     python3 scripts/trace_digest.py --workload random-suite --seeds 1-4
@@ -63,13 +66,16 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--size", choices=workloads.SIZES, default="full")
     args = ap.parse_args(argv)
 
+    statuses = hashlib.sha256()
     combined = hashlib.sha256()
     for seed in args.seeds:
         for i, case in enumerate(workloads.generate(args.workload, seed, args.size)):
             status, digest = trace_digest(case)
-            line = f"{args.workload} {seed} {i} {status} {digest}"
-            print(line)
-            combined.update(line.encode() + b"\n")
+            verdict = f"{args.workload} {seed} {i} {status}"
+            print(f"{verdict} {digest}")
+            statuses.update(verdict.encode() + b"\n")
+            combined.update(f"{verdict} {digest}\n".encode())
+    print(f"statuses {statuses.hexdigest()}")
     print(f"combined {combined.hexdigest()}")
     return 0
 

@@ -1,26 +1,34 @@
-"""Exact rational relaxation: simplex, dual certificates, rounding cuts, propagation.
+"""Exact rational relaxation: bounded simplex, dual certificates, rounding cuts, propagation.
 
-The solver is a two-phase primal simplex, then a dual simplex re-optimising
-after each cut round, both with Bland's rule, so it terminates on every
-input, and its answers are exact. Within one node's cut loop the previous
-optimum's simplex is kept: each cut is appended with its slack basic and
-rewritten in the current basis, the dual simplex restores feasibility, and
-rows forgotten as dominated leave with their basic slacks. Any other change
-is solved from scratch. The tableau is sparse and integer-preserving: each
-row stores only its nonzero entries, as ``int`` numerators over one positive
-row denominator, and is divided by the gcd of its numbers after every update
-(Edmonds' fraction-free elimination). No ``Fraction`` is built inside a
-pivot; values become ``Fraction`` only when they leave the tableau. The
-Gaussian elimination that recovers Gomory multipliers uses the same rows,
-once for all fractional targets. Box bounds participate as explicit rows;
-lower-bound rows of the form v >= lo are folded into column nonnegativity by
-shifting, and the matching dual multiplier is read off the column's reduced
-cost.
+The solver keeps bounds on columns, not as rows (Dutertre and de Moura, "A
+Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006). A row whose left side
+is one variable with coefficient +1 or -1 bounds that variable's column; any
+other row bounds its slack column ``s = lhs``, shared by every row with that
+left side. Rows are homogeneous identities, nonbasic columns sit at integer
+values within their bounds, and each basic value is its row's ``rhs / den``,
+so there are no artificial columns and no phase-1 objective. A solve first
+moves every basic column into its bounds (Dutertre and de Moura's check),
+then runs a bounded primal simplex in which the entering column may flip to
+its other bound without a pivot. Both use Bland's rule over one fixed column
+order, slack columns before variables and the newest slack first, so they
+terminate on every input, and the answers are exact. Within one node's cut
+loop the previous optimum's tableau is kept: a cut tightens a column's bound
+or brings a new slack row, rewritten in the current basis, and a forgotten
+row loosens a bound. Any other change is solved from scratch.
+
+The tableau is sparse and integer-preserving: each row stores only its
+nonzero entries, as ``int`` numerators over one positive row denominator,
+and is divided by the gcd of its numbers after every update (Edmonds'
+fraction-free elimination). No ``Fraction`` is built inside a pivot; values
+become ``Fraction`` only when they leave the tableau. The Gaussian
+elimination that recovers Gomory multipliers uses the same rows, once for all
+fractional targets.
 
 Every outcome carries a certificate in the shared combination format:
-infeasibility yields Farkas multipliers, optimality yields dual multipliers
-reproducing the objective, and unboundedness yields a feasible point plus an
-improving ray.
+infeasibility yields Farkas multipliers on a stuck row's identity and the
+bounds that stop its columns, optimality yields dual multipliers, the reduced
+costs of the nonbasic columns at their bounds, reproducing the objective,
+and unboundedness yields a feasible point plus an improving ray.
 """
 from __future__ import annotations
 
@@ -78,8 +86,8 @@ class LpOptimal:
     dual: tuple[ComboEntry, ...]
     tableau: Tableau
     pivots: int = 0
-    # the live simplex, which the node's next cut round re-optimises in place
-    state: _Relaxation | None = field(default=None, repr=False, compare=False)
+    # the live tableau, which the node's next cut round re-optimises in place
+    state: _Simplex | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -98,8 +106,8 @@ class LpUnbounded:
 LpOutcome = LpOptimal | LpInfeasible | LpUnbounded
 
 
-def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr()) -> list[LinConstraint]:
-    """All rows visible to the relaxation: C, D rendered, finite bound ends."""
+def _rows_and_vars(sub: Subproblem, bounds: Bounds, objective: LinExpr) -> tuple[list[LinConstraint], set[Var]]:
+    """The relaxation's rows in a fixed order, and the variables they or the objective mention."""
     rows: set[LinConstraint] = set()
     relevant: set[Var] = set(objective.vars())
     for c in sub.cons:
@@ -115,7 +123,12 @@ def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr(
             rows.add(bounds.row_lo(v))
         if hi is not None:
             rows.add(bounds.row_hi(v))
-    return sorted(rows, key=lambda r: r.render())
+    return sorted(rows, key=lambda r: (r.lhs.terms, r.rel.value, r.rhs)), relevant
+
+
+def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr()) -> list[LinConstraint]:
+    """All rows visible to the relaxation: C, D rendered, finite bound ends."""
+    return _rows_and_vars(sub, bounds, objective)[0]
 
 
 Row = tuple[dict[int, int], int, int]
@@ -162,459 +175,377 @@ def _eliminate(nums: dict[int, int], rhs: int, den: int, f: int, src: Row) -> Ro
     return _reduce(nums, rhs - f * src_rhs, den)
 
 
-class _Simplex:
-    """Sparse integer-preserving tableau with Bland pivoting; columns are built by the caller.
+# a bound end of one column: (upper, value, direction, the row giving it)
+End = tuple[bool, int, str, LinConstraint]
 
-    Row ``r`` reads ``sum_j nums[r][j] / den[r] * x_j = rhs[r] / den[r]``.
-    ``nums[r]`` holds only nonzero ``int`` numerators, ``den[r]`` is positive,
-    and the numerators, right side and denominator of a row share no factor.
-    The reduced-cost row is stored the same way in ``cost``, ``costval`` and
-    ``cost_den``, with ``costval`` the negated objective value.
+
+def _bound_ends(row: LinConstraint, c: int) -> list[End]:
+    """The bounds a row puts on a column when its left side is ``c`` (+1 or -1) times that column.
+
+    The row taken in an end's direction reads ``column >= value`` for a
+    lower end, ``-column >= -value`` for an upper one.
+    """
+    ends = []
+    if row.rel is not Relation.LE:
+        ends.append((c < 0, c * row.rhs, "ge", row))
+    if row.rel is not Relation.GE:
+        ends.append((c > 0, c * row.rhs, "le", row))
+    return ends
+
+_PIVOT_LIMIT = 200000
+
+
+class _Simplex:
+    """Bounded exact simplex over sparse integer rows, with Bland's rule in one fixed column order.
+
+    Columns ``0 .. n-1`` are the variables in sorted order; each further
+    column is the slack ``s = lhs`` of every row with that left side. Row
+    ``r`` is the identity ``sum_j nums[r][j] * x_j = 0``, with the entry
+    ``den[r]`` on its basic column ``basis[r]``. Every nonbasic column sits
+    at the integer ``at[j]`` (0 when missing), and ``rhs[r] / den[r]`` is the
+    basic column's value there. The numerators, right side and denominator
+    of a row share no factor after a pivot. The reduced-cost row is stored
+    the same way in ``cost``, ``costval`` and ``cost_den``.
+
+    A row bounds one column: a variable when its left side is that variable
+    with coefficient +1 or -1, else its slack. ``ends[j]`` lists the bounds
+    put on column ``j``; the tightest give ``lo[j]``/``hi[j]``, and
+    ``lo_src[j]``/``hi_src[j]`` name the row and direction certifying each.
+    Bland's order ``rank`` puts every slack before every variable, the
+    newest slack first.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, objective: LinExpr, relevant: set[Var]):
+        self.objective = objective
+        self.relevant = relevant
+        self.names = sorted(relevant)
+        self.col = {v: j for j, v in enumerate(self.names)}
         self.nums: list[dict[int, int]] = []
         self.rhs: list[int] = []
         self.den: list[int] = []
         self.basis: list[int] = []
-        self.alive: list[bool] = []
-        self.cost: dict[int, int] = {}
+        self.at: dict[int, int] = {}
+        self.rank = list(range(len(self.names)))
+        self.lo: list[int | None] = [None] * len(self.names)
+        self.hi: list[int | None] = [None] * len(self.names)
+        self.lo_src: list[tuple[LinConstraint, str] | None] = [None] * len(self.names)
+        self.hi_src: list[tuple[LinConstraint, str] | None] = [None] * len(self.names)
+        self.ends: list[list[End]] = [[] for _ in self.names]
+        self.slack_of: dict[LinExpr, int] = {}
+        self.column_of: dict[LinConstraint, int] = {}
+        self.cost = {self.col[v]: c for v, c in objective.terms}
         self.costval = 0
         self.cost_den = 1
         self.pivots = 0
+        # the rows of the latest optimum, which the next re-optimisation starts from
+        self.rows: tuple[LinConstraint, ...] = ()
+        self.available: frozenset[LinConstraint] = frozenset()
 
     def add_row(self, coeffs: dict[int, int], rhs: int, den: int = 1) -> int:
         self.nums.append({j: a for j, a in coeffs.items() if a})
         self.rhs.append(rhs)
         self.den.append(den)
         self.basis.append(-1)
-        self.alive.append(True)
         return len(self.nums) - 1
 
     def remove_row(self, r: int) -> None:
-        for table in (self.nums, self.rhs, self.den, self.basis, self.alive):
+        for table in (self.nums, self.rhs, self.den, self.basis):
             del table[r]
 
     def row(self, r: int) -> Row:
         return self.nums[r], self.rhs[r], self.den[r]
 
-    def price(self, costs: list[int]) -> None:
-        """Rebuild the reduced-cost row for the given integer column costs."""
-        cost: Row = ({j: c for j, c in enumerate(costs) if c}, 0, 1)
-        for r, alive in enumerate(self.alive):
-            if not alive:
-                continue
-            cb = costs[self.basis[r]]
-            if cb:
-                cost = _eliminate(*cost, cb * cost[2], self.row(r))
-        self.cost, self.costval, self.cost_den = cost
-
     def pivot(self, r: int, j: int) -> None:
+        """Column ``j`` enters at row ``r``; the leaving column becomes nonbasic at its ``at`` value."""
         self.pivots += 1
-        src = _unit_row(self.nums[r], self.rhs[r], j)
+        vj = self.at.pop(j, 0)
+        nums = self.nums[r]
+        b = self.basis[r]
+        # measure j from 0 as a basic column, and the leaving column from its new value
+        src = _unit_row(nums, self.rhs[r] + nums[j] * vj - nums.get(b, 0) * self.at.get(b, 0), j)
         self.nums[r], self.rhs[r], self.den[r] = src
         for i, other in enumerate(self.nums):
-            if i == r or not self.alive[i]:
-                continue
             f = other.get(j)
-            if f:
-                self.nums[i], self.rhs[i], self.den[i] = _eliminate(other, self.rhs[i], self.den[i], f, src)
+            if f and i != r:
+                self.nums[i], self.rhs[i], self.den[i] = _eliminate(other, self.rhs[i] + f * vj, self.den[i], f, src)
         f = self.cost.get(j)
         if f:
-            self.cost, self.costval, self.cost_den = _eliminate(self.cost, self.costval, self.cost_den, f, src)
+            self.cost, self.costval, self.cost_den = _eliminate(self.cost, self.costval + f * vj, self.cost_den, f, src)
         self.basis[r] = j
 
-    def run(self, enterable: list[bool]) -> tuple[str, int]:
-        """Bland iteration to optimality; returns ("optimal", -1) or ("unbounded", col)."""
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 200000:
-                raise ImtError("pivot limit exceeded")
-            enter = min((j for j, c in self.cost.items() if c < 0 and enterable[j]), default=-1)
+    def shift(self, j: int, delta: int) -> None:
+        """Move nonbasic column ``j`` by ``delta``; the basic values follow."""
+        self.at[j] = self.at.get(j, 0) + delta
+        for i, other in enumerate(self.nums):
+            f = other.get(j)
+            if f:
+                self.rhs[i] -= f * delta
+        self.costval -= self.cost.get(j, 0) * delta
+
+    def admit(self, row: LinConstraint, basic_row: dict[int, int]) -> None:
+        """Add a row with variables as bounds on its column, making its slack column if it is new."""
+        terms = row.lhs.terms
+        if len(terms) == 1 and terms[0][1] in (1, -1):
+            j, c = self.col[terms[0][0]], terms[0][1]
+        else:
+            j, c = self.slack_of.get(row.lhs, -1), 1
+            if j < 0:
+                j = self.slack_of[row.lhs] = self._slack(row.lhs, basic_row)
+        self.column_of[row] = j
+        self.ends[j].extend(_bound_ends(row, c))
+        self._settle(j)
+
+    def _slack(self, lhs: LinExpr, basic_row: dict[int, int]) -> int:
+        """A new basic slack column ``s = lhs``, its row rewritten over the nonbasic columns."""
+        s = len(self.lo)
+        self.rank.append(len(self.names) - 1 - s)
+        for table in (self.lo, self.hi, self.lo_src, self.hi_src):
+            table.append(None)
+        self.ends.append([])
+        nums = {s: 1}
+        rhs = 0
+        for v, a in lhs.terms:
+            nums[self.col[v]] = -a
+            rhs += a * self.at.get(self.col[v], 0)
+        row: Row = (nums, rhs, 1)
+        for j in [j for j in nums if j in basic_row]:
+            row = _eliminate(*row, row[0][j], self.row(basic_row[j]))
+        self.basis[self.add_row(*row)] = s
+        return s
+
+    def drop(self, row: LinConstraint) -> None:
+        """Forget a row's bound; a slack left with no bound and a basic row leaves with that row."""
+        j = self.column_of.pop(row)
+        self.ends[j] = [end for end in self.ends[j] if end[3] != row]
+        self._settle(j)
+        if j >= len(self.names) and not self.ends[j] and j in self.basis:
+            self.remove_row(self.basis.index(j))
+            del self.slack_of[row.lhs]
+
+    def _settle(self, j: int) -> None:
+        """Recompute a column's bounds from its ends; the first of equally tight ends certifies."""
+        lo = hi = None
+        lo_src = hi_src = None
+        for upper, value, direction, row in self.ends[j]:
+            if upper and (hi is None or value < hi):
+                hi, hi_src = value, (row, direction)
+            elif not upper and (lo is None or value > lo):
+                lo, lo_src = value, (row, direction)
+        self.lo[j], self.hi[j], self.lo_src[j], self.hi_src[j] = lo, hi, lo_src, hi_src
+
+    def place(self) -> None:
+        """Put every nonbasic column with a bound on one of its bounds."""
+        basic = set(self.basis)
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            if j in basic or (lo is None and hi is None):
+                continue
+            v = self.at.get(j, 0)
+            target = hi if hi is not None and (lo is None or v >= hi) else lo
+            if target != v:
+                self.shift(j, target - v)
+
+    def repair(self) -> tuple[int, bool] | None:
+        """Dutertre and de Moura's check: move each basic column into its bounds.
+
+        The violated basic column first in Bland's order leaves at its bound.
+        Returns None once every basic column is within its bounds, else a row
+        and whether its basic column must rise, when no column of that row
+        can move to help.
+        """
+        rank, lo, hi, at = self.rank, self.lo, self.hi, self.at
+        start = self.pivots
+        while self.pivots - start < _PIVOT_LIMIT:
+            leave, up = -1, False
+            for r, b in enumerate(self.basis):
+                if leave >= 0 and rank[b] > rank[self.basis[leave]]:
+                    continue
+                if lo[b] is not None and self.rhs[r] < lo[b] * self.den[r]:
+                    leave, up = r, True
+                elif hi[b] is not None and self.rhs[r] > hi[b] * self.den[r]:
+                    leave, up = r, False
+            if leave < 0:
+                return None
+            b = self.basis[leave]
+            # the basic column rises with x_k when its entry in column k is negative
+            enter = -1
+            for k, a in self.nums[leave].items():
+                if k == b or (enter >= 0 and rank[k] > rank[enter]):
+                    continue
+                if (a < 0) == up:
+                    if hi[k] is None or at.get(k, 0) < hi[k]:
+                        enter = k
+                elif lo[k] is None or at.get(k, 0) > lo[k]:
+                    enter = k
             if enter < 0:
-                return ("optimal", -1)
-            # ratio rhs/a per row, compared by cross-multiplying; ties go to the lowest basic column
+                return leave, up
+            at[b] = lo[b] if up else hi[b]
+            self.pivot(leave, enter)
+        raise ImtError("pivot limit exceeded")
+
+    def optimise(self) -> tuple[int, bool] | None:
+        """Bland's bounded primal simplex from a feasible basis.
+
+        An entering column that reaches its own other bound first flips
+        there, which is not a pivot. Returns None at an optimum, else the
+        entering column and its direction along an improving ray.
+        """
+        rank, lo, hi, at = self.rank, self.lo, self.hi, self.at
+        start = self.pivots
+        while self.pivots - start < _PIVOT_LIMIT:
+            enter, up = -1, False
+            for k, c in self.cost.items():
+                if enter >= 0 and rank[k] > rank[enter]:
+                    continue
+                if c < 0:
+                    if hi[k] is None or at.get(k, 0) < hi[k]:
+                        enter, up = k, True
+                elif lo[k] is None or at.get(k, 0) > lo[k]:
+                    enter, up = k, False
+            if enter < 0:
+                return None
+            # the step p / q each basic column allows before it meets a bound,
+            # compared by cross-multiplying; ties go to the column first in order
             leave = -1
-            best_rhs = best_a = 0
+            best_p, best_q, bound = 0, 1, 0
             for r, row in enumerate(self.nums):
                 a = row.get(enter)
-                if a is None or a < 0 or not self.alive[r]:
+                if a is None:
                     continue
-                rhs = self.rhs[r]
-                if leave < 0 or rhs * best_a < best_rhs * a or (
-                    rhs * best_a == best_rhs * a and self.basis[r] < self.basis[leave]
+                b = self.basis[r]
+                if (a > 0) == up:
+                    if lo[b] is None:
+                        continue
+                    end, p = lo[b], self.rhs[r] - lo[b] * self.den[r]
+                else:
+                    if hi[b] is None:
+                        continue
+                    end, p = hi[b], hi[b] * self.den[r] - self.rhs[r]
+                q = abs(a)
+                if leave < 0 or p * best_q < best_p * q or (
+                    p * best_q == best_p * q and rank[b] < rank[self.basis[leave]]
                 ):
-                    leave, best_rhs, best_a = r, rhs, a
-            if leave < 0:
-                return ("unbounded", enter)
-            self.pivot(leave, enter)
-
-    def run_dual(self, enterable: list[bool]) -> int:
-        """Bland's dual simplex from a dual-feasible basis to primal feasibility.
-
-        Returns -1 once every right side is nonnegative, or a row with a
-        negative right side and no negative enterable entry, which proves the
-        rows infeasible.
-        """
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 200000:
-                raise ImtError("pivot limit exceeded")
-            # the infeasible row with the lowest basic column leaves
-            leave = -1
-            for r, rhs in enumerate(self.rhs):
-                if rhs < 0 and self.alive[r] and (leave < 0 or self.basis[r] < self.basis[leave]):
-                    leave = r
-            if leave < 0:
-                return -1
-            # ratio cost/-a per column, compared by cross-multiplying; ties go to the lowest column
-            enter = -1
-            best_cost = best_a = 0
-            for j, a in self.nums[leave].items():
-                if a >= 0 or not enterable[j]:
+                    leave, best_p, best_q, bound = r, p, q, end
+            if lo[enter] is not None and hi[enter] is not None:
+                span = hi[enter] - lo[enter]
+                if leave < 0 or span * best_q <= best_p:
+                    self.shift(enter, span if up else -span)
                     continue
-                cost = self.cost.get(j, 0)
-                if enter < 0 or cost * best_a > best_cost * a or (
-                    cost * best_a == best_cost * a and j < enter
-                ):
-                    enter, best_cost, best_a = j, cost, a
-            if enter < 0:
-                return leave
+            if leave < 0:
+                return enter, up
+            at[self.basis[leave]] = bound
             self.pivot(leave, enter)
+        raise ImtError("pivot limit exceeded")
 
-    def entry(self, r: int, j: int) -> Fraction:
-        return Fraction(self.nums[r].get(j, 0), self.den[r])
-
-    def column_value(self, j: int) -> Fraction:
-        for r, b in enumerate(self.basis):
-            if b == j and self.alive[r]:
-                return Fraction(self.rhs[r], self.den[r])
-        return Fraction(0)
-
-
-class _Relaxation:
-    """A solved simplex and the map from its columns and rows back to variables and constraints.
-
-    Each variable with a lower bound is shifted onto one nonnegative column,
-    and a free variable is split into a ``pos``/``neg`` column pair.
-    ``specs[i]`` is ``(row, sigma, ref, slack)`` for the i-th tableau
-    constraint: ``sigma`` times the row is in ``<=`` or ``=`` form, ``ref`` is
-    the column that has coefficient +1 in that constraint alone (its slack,
-    else its artificial), so its reduced cost gives the row's multiplier, and
-    ``slack`` is the slack column or -1. ``lo_row_of`` maps a shifted variable
-    to the ``v >= lo`` row folded into its column's nonnegativity.
-    """
-
-    def __init__(
-        self, objective: LinExpr, names: list[Var], shifts: dict[Var, int], lo_row_of: dict[Var, LinConstraint]
-    ):
-        self.objective = objective
-        self.names = names
-        self.shifts = shifts
-        self.lo_row_of = lo_row_of
-        self.pos_col: dict[Var, int] = {}
-        self.neg_col: dict[Var, int] = {}
-        for v in names:
-            self.pos_col[v] = len(self.pos_col) + len(self.neg_col)
-            if v not in shifts:
-                self.neg_col[v] = len(self.pos_col) + len(self.neg_col)
-        self.specs: list[tuple[LinConstraint, int, int, int]] = []
-        self.enterable: list[bool] = []
-        self.costs: list[int] = []  # phase-2 column costs
-        self.sx = _Simplex()
-        self.retired = False  # phase 1 retired a dependent row
-        # the rows of the latest optimum, which the next re-optimisation starts from
-        self.rows: tuple[LinConstraint, ...] = ()
-        self.available: frozenset[LinConstraint] = frozenset()
-
-    def structural(self, coeffs: dict[Var, int]) -> dict[int, int]:
-        """A row's variable coefficients laid out over the structural columns."""
-        sparse: dict[int, int] = {}
-        for v, a in coeffs.items():
-            sparse[self.pos_col[v]] = a
-            if v in self.neg_col:
-                sparse[self.neg_col[v]] = -a
-        return sparse
-
-    def dual_entries(self, costs: list[int]) -> list[ComboEntry]:
-        """Row multipliers read off the reduced-cost row priced with ``costs``."""
-        sx = self.sx
-        entries: list[ComboEntry] = []
-        for row, sigma, ref, _ in self.specs:
-            # y = costs[ref] - reduced cost of ref, over the cost row's denominator
-            y = costs[ref] * sx.cost_den - sx.cost.get(ref, 0)
-            if y == 0:
-                continue
-            mu = Fraction(sigma * y, sx.cost_den)
-            if row.rel is Relation.GE:
-                if mu < 0:
-                    raise InvariantError("dual sign clash on a >= row")
-                entries.append((row, "ge", mu))
-            elif row.rel is Relation.LE:
-                if mu > 0:
-                    raise InvariantError("dual sign clash on a <= row")
-                entries.append((row, "le", -mu))
-            else:
-                entries.append((row, "ge" if mu > 0 else "le", abs(mu)))
-        for v, row in self.lo_row_of.items():
-            rc = sx.cost.get(self.pos_col[v], 0)
-            if rc != 0:
-                if rc < 0:
-                    raise InvariantError("reduced cost of a shifted column went negative")
-                entries.append((row, "ge", Fraction(rc, sx.cost_den)))
-        return entries
-
-    def point(self) -> dict[Var, Fraction]:
-        point = {}
-        for v in self.names:
-            val = self.sx.column_value(self.pos_col[v])
-            if v in self.neg_col:
-                val = val - self.sx.column_value(self.neg_col[v])
-            point[v] = val + self.shifts.get(v, 0)
-        return point
-
-    def ray(self, enter: int) -> dict[Var, Fraction]:
-        sx = self.sx
-        dz = {enter: Fraction(1)}
-        for r, row in enumerate(sx.nums):
-            if sx.alive[r] and enter in row:
-                dz[sx.basis[r]] = -sx.entry(r, enter)
-        ray = {}
-        for v in self.names:
-            d = dz.get(self.pos_col[v], Fraction(0))
-            if v in self.neg_col:
-                d = d - dz.get(self.neg_col[v], Fraction(0))
-            if d != 0:
-                ray[v] = d
-        return ray
-
-    def optimal(self, rows: list[LinConstraint], available: frozenset[LinConstraint], pivots: int) -> LpOptimal:
+    def solve(self, rows: list[LinConstraint], available: frozenset[LinConstraint]) -> LpOutcome:
+        """Check the bounds, then optimise; ``rows`` are the tableau's rows and ``available`` their set."""
+        start = self.pivots
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            if lo is not None and hi is not None and lo > hi:
+                proof = FarkasProof(((*self.lo_src[j], Fraction(1)), (*self.hi_src[j], Fraction(1))))
+                check_farkas(proof, available)
+                return LpInfeasible(proof)
+        self.place()
+        stuck = self.repair()
+        if stuck is not None:
+            r, up = stuck
+            # the row's identity, each column taken at the bound that stops it
+            entries: list[ComboEntry] = []
+            for k, a in self.nums[r].items():
+                row, direction = self.hi_src[k] if (a < 0) == up else self.lo_src[k]
+                entries.append((row, direction, Fraction(abs(a), self.den[r])))
+            proof = FarkasProof(tuple(entries))
+            check_farkas(proof, available)
+            return LpInfeasible(proof, self.pivots - start)
+        ray = self.optimise()
+        if ray is not None:
+            return LpUnbounded(self.point(), self.ray(*ray), self.pivots - start)
         x_star = self.point()
         value = Fraction(0)
         for v, c in self.objective.terms:
             value += c * x_star[v]
-        dual = tuple(self.dual_entries(self.costs))
-        bound = ObjValue.finite(frac_ceil(value))
-        check_lb_dual(LbDual(bound, dual), available, self.objective)
+        # the objective is sum_k cost_k * x_k over nonbasic columns, each at the bound it presses
+        dual: list[ComboEntry] = []
+        for k, c in self.cost.items():
+            row, direction = self.lo_src[k] if c > 0 else self.hi_src[k]
+            dual.append((row, direction, Fraction(abs(c), self.cost_den)))
+        check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), tuple(dual)), available, self.objective)
         tableau = Tableau(tuple(rows), x_star, self.objective, value)
         self.rows, self.available = tableau.rows, available
-        return LpOptimal(x_star, value, dual, tableau, pivots, self)
+        return LpOptimal(x_star, value, tuple(dual), tableau, self.pivots - start, self)
 
-    def reoptimize(self, prev: LpOptimal, rows: list[LinConstraint], objective: LinExpr) -> LpOutcome | None:
-        """Re-solve in place after one-sided rows were added and dominated rows forgotten.
+    def point(self) -> dict[Var, Fraction]:
+        basic_row = {b: r for r, b in enumerate(self.basis)}
+        point = {}
+        for j, v in enumerate(self.names):
+            r = basic_row.get(j)
+            point[v] = Fraction(self.at.get(j, 0)) if r is None else Fraction(self.rhs[r], self.den[r])
+        return point
 
-        Each added row gets a basic slack and is rewritten in the current
-        basis; the dual simplex then restores feasibility. A forgotten row is
-        dominated by a kept row with the same left side, so it is strictly
-        slack at the new optimum and leaves with its basic slack. Returns
-        None, for a solve from scratch, on any other change.
+    def ray(self, enter: int, up: bool) -> dict[Var, Fraction]:
+        d = 1 if up else -1
+        dz = {enter: Fraction(d)}
+        for r, row in enumerate(self.nums):
+            if enter in row:
+                dz[self.basis[r]] = Fraction(-d * row[enter], self.den[r])
+        return {v: dz[j] for j, v in enumerate(self.names) if j in dz}
+
+    def reoptimize(
+        self, prev: LpOptimal, rows: list[LinConstraint], relevant: set[Var], objective: LinExpr
+    ) -> LpOutcome | None:
+        """Re-solve in place after rows were added to or forgotten from the previous optimum's.
+
+        A new row tightens a column's bounds, or brings a new slack column
+        with its row rewritten in the current basis; a forgotten row loosens
+        them. The check then restores feasibility and the primal simplex
+        optimality. Returns None, for a solve from scratch, when ``prev`` is
+        not this tableau's latest optimum, the objective or variables
+        changed, or a row without variables was added.
         """
-        if prev.tableau.rows is not self.rows or objective != self.objective:
+        if prev.tableau.rows is not self.rows or objective != self.objective or relevant != self.relevant:
             return None
         available = frozenset(rows)
-        if _relevant_vars(rows, objective) != set(self.names):
-            return None
         added = [row for row in rows if row not in self.available]
-        removed = [row for row in self.rows if row not in available]
-        if any(not row.lhs.terms or row.rel is Relation.EQ for row in added):
+        if any(not row.lhs.terms for row in added):
             return None
-        folded = set(self.lo_row_of.values())
-        if removed and (self.retired or any(row.rel is Relation.EQ or row in folded for row in removed)):
-            return None
-
-        sx = self.sx
-        start = sx.pivots
-        self.rows = ()  # from here the simplex no longer matches prev
-        basic_row = {b: r for r, b in enumerate(sx.basis) if sx.alive[r]}
+        self.rows = ()  # from here the tableau no longer matches prev
+        basic_row = {b: r for r, b in enumerate(self.basis)}
         for row in added:
-            sigma = -1 if row.rel is Relation.GE else 1
-            terms = dict(row.lhs.terms)
-            rhs = sigma * (row.rhs - sum(a * self.shifts.get(v, 0) for v, a in terms.items()))
-            slack = len(self.enterable)
-            self.enterable.append(True)
-            self.costs.append(0)
-            cut: Row = (self.structural({v: sigma * a for v, a in terms.items()}), rhs, 1)
-            cut[0][slack] = 1
-            for j in [j for j in cut[0] if j in basic_row]:
-                cut = _eliminate(*cut, cut[0][j], sx.row(basic_row[j]))
-            sx.basis[sx.add_row(*cut)] = slack
-            self.specs.append((row, sigma, slack, slack))
-
-        leave = sx.run_dual(self.enterable)
-        if leave >= 0:
-            # the row's multipliers, read as a reduced-cost row under zero costs
-            sx.cost, sx.costval, sx.cost_den = sx.row(leave)
-            proof = FarkasProof(tuple(self.dual_entries([0] * len(self.costs))))
-            if any(row not in available for row, _, _ in proof.entries):
-                return None
-            check_farkas(proof, available)
-            return LpInfeasible(proof, sx.pivots - start)
-
-        for row in removed:
-            at = next((i for i, spec in enumerate(self.specs) if spec[0] == row), None)
-            if at is None:  # a constant row, which has no tableau row
-                continue
-            slack = self.specs[at][3]
-            r = next((r for r, b in enumerate(sx.basis) if b == slack and sx.alive[r]), None)
-            if r is None:
-                return None
-            sx.remove_row(r)
-            del self.specs[at]
-        return self.optimal(rows, available, sx.pivots - start)
-
-
-def _relevant_vars(rows: list[LinConstraint], objective: LinExpr) -> set[Var]:
-    relevant: set[Var] = set(objective.vars())
-    for row in rows:
-        relevant.update(row.lhs.vars())
-    return relevant
+            self.admit(row, basic_row)
+        for row in prev.tableau.rows:
+            if row not in available and row in self.column_of:
+                self.drop(row)
+        return self.solve(rows, available)
 
 
 def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptimal | None = None) -> LpOutcome:
     """Solve the rational relaxation of the subproblem inside its box.
 
     ``prev`` is the optimum of the same node's previous cut round. Its
-    simplex is re-optimised in place and passes to the new optimum. The
-    solve starts from scratch when ``prev``'s simplex has already moved on,
-    or when the change is not one the dual simplex re-optimisation handles.
+    tableau is re-optimised in place and passes to the new optimum. The
+    solve starts from scratch when ``prev``'s tableau has already moved on,
+    or when the change is not one the re-optimisation handles.
     """
-    rows = assemble_rows(sub, bounds, objective)
+    rows, relevant = _rows_and_vars(sub, bounds, objective)
     if prev is not None and prev.state is not None:
-        out = prev.state.reoptimize(prev, rows, objective)
+        out = prev.state.reoptimize(prev, rows, relevant, objective)
         if out is not None:
             return out
-    return _solve_cold(rows, objective, bounds)
-
-
-def _solve_cold(rows: list[LinConstraint], objective: LinExpr, bounds: Bounds) -> LpOutcome:
-    """Two-phase primal simplex from the slack and artificial basis."""
-    names = sorted(_relevant_vars(rows, objective))
-
-    shifts: dict[Var, int] = {}
-    for v in names:
-        lo = bounds.lo(v)
-        if lo is not None:
-            shifts[v] = lo
-
     available = frozenset(rows)
-
-    # constant rows decide themselves; v >= lo rows fold into the shift
-    kept: list[LinConstraint] = []
-    lo_row_of: dict[Var, LinConstraint] = {}
+    sx = _Simplex(objective, relevant)
     for row in rows:
-        if not row.lhs.terms:
-            ok = (
-                (row.rel is Relation.GE and 0 >= row.rhs)
-                or (row.rel is Relation.LE and 0 <= row.rhs)
-                or (row.rel is Relation.EQ and row.rhs == 0)
-            )
-            if ok:
-                continue
+        if row.lhs.terms:
+            sx.admit(row, {})
+        elif not (
+            (row.rel is Relation.GE and 0 >= row.rhs)
+            or (row.rel is Relation.LE and 0 <= row.rhs)
+            or (row.rel is Relation.EQ and row.rhs == 0)
+        ):
+            # a row without variables that fails decides the relaxation alone
             direction = "ge" if (row.rel is Relation.GE or (row.rel is Relation.EQ and row.rhs > 0)) else "le"
             proof = FarkasProof(((row, direction, Fraction(1)),))
             check_farkas(proof, available)
             return LpInfeasible(proof)
-        terms = row.lhs.terms
-        if (
-            len(terms) == 1
-            and terms[0][1] == 1
-            and row.rel is Relation.GE
-            and terms[0][0] in shifts
-            and row.rhs == shifts[terms[0][0]]
-            and terms[0][0] not in lo_row_of
-        ):
-            lo_row_of[terms[0][0]] = row
-            continue
-        kept.append(row)
-
-    lp = _Relaxation(objective, names, shifts, lo_row_of)
-    n_struct = len(lp.pos_col) + len(lp.neg_col)
-
-    # one pass to plan slack and artificial columns
-    specs = []
-    for row in kept:
-        coeffs: dict[Var, int] = dict(row.lhs.terms)
-        rhs = row.rhs - sum(a * shifts.get(v, 0) for v, a in coeffs.items())
-        sigma = 1
-        sense = row.rel
-        if sense is Relation.GE:
-            coeffs = {v: -a for v, a in coeffs.items()}
-            rhs = -rhs
-            sigma = -1
-            sense = Relation.LE
-        slack_sign = 1 if sense is Relation.LE else 0
-        if rhs < 0:
-            coeffs = {v: -a for v, a in coeffs.items()}
-            rhs = -rhs
-            sigma = -sigma
-            slack_sign = -slack_sign
-        specs.append((row, coeffs, rhs, sigma, slack_sign))
-
-    # structural columns, then slacks, then artificials
-    slack_col: dict[int, int] = {}
-    art_col: dict[int, int] = {}
-    next_col = n_struct
-    for i, spec in enumerate(specs):
-        if spec[4] != 0:
-            slack_col[i] = next_col
-            next_col += 1
-    n_plain = next_col
-    for i, spec in enumerate(specs):
-        if spec[4] != 1:
-            art_col[i] = next_col
-            next_col += 1
-
-    sx = lp.sx
-    for i, (row, coeffs, rhs, sigma, slack_sign) in enumerate(specs):
-        sparse = lp.structural(coeffs)
-        if slack_sign != 0:
-            sparse[slack_col[i]] = slack_sign
-        if i in art_col:
-            sparse[art_col[i]] = 1
-        r = sx.add_row(sparse, rhs)
-        ref = art_col[i] if i in art_col else slack_col[i]
-        sx.basis[r] = ref
-        lp.specs.append((row, sigma, ref, slack_col.get(i, -1)))
-
-    lp.enterable = [j < n_plain for j in range(next_col)]
-
-    # phase 1: minimize the artificial total
-    phase1_costs = [0 if plain else 1 for plain in lp.enterable]
-    sx.price(phase1_costs)
-    status, _ = sx.run(lp.enterable)
-    if status != "optimal":
-        raise InvariantError("phase 1 of the simplex went unbounded")
-
-    # the phase 1 optimum -costval / cost_den is positive
-    if sx.costval < 0:
-        proof = FarkasProof(tuple(lp.dual_entries(phase1_costs)))
-        check_farkas(proof, available)
-        return LpInfeasible(proof, sx.pivots)
-
-    # drive leftover artificials out of the basis; dependent rows are retired
-    for r, row in enumerate(sx.nums):
-        if not sx.alive[r] or sx.basis[r] < n_plain:
-            continue
-        j = min((k for k in row if k < n_plain), default=-1)
-        if j >= 0:
-            sx.pivot(r, j)
-        else:
-            sx.alive[r] = False
-            lp.retired = True
-
-    # phase 2: the real objective over structural columns
-    lp.costs = [0] * next_col
-    for v, c in objective.terms:
-        lp.costs[lp.pos_col[v]] += c
-        if v in lp.neg_col:
-            lp.costs[lp.neg_col[v]] -= c
-    sx.price(lp.costs)
-    status, enter = sx.run(lp.enterable)
-    if status == "unbounded":
-        return LpUnbounded(lp.point(), lp.ray(enter), sx.pivots)
-    return lp.optimal(rows, available, sx.pivots)
+    return sx.solve(rows, available)
 
 
 def _solve_combinations(rows: list[dict[Var, int]], targets: list[Var]) -> list[tuple[list[int], int] | None]:

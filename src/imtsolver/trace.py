@@ -287,6 +287,6 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
     for i, line in enumerate(lines[1:], start=2):
         try:
             steps.append(step_from_json(json.loads(line), memo))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise TraceError(f"line {i}: {exc}") from exc
     return digest, steps

@@ -14,6 +14,7 @@ from imtsolver.lp import (
     LpUnbounded,
     NoFractionalRow,
     _Simplex,
+    _rows_and_vars,
     _solve_combinations,
     assemble_rows,
     derive_gomory_cuts,
@@ -28,6 +29,7 @@ from imtsolver.model import (
     Relation,
     SimpleEquality,
     Subproblem,
+    frac_ceil,
     satisfies,
     satisfies_all,
 )
@@ -318,7 +320,7 @@ def test_pivots_keep_rows_reduced_and_exact(data):
     table = [data.draw(st.lists(small_ints, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     rhs = data.draw(st.lists(small_ints, min_size=nrows, max_size=nrows))
     costs = data.draw(st.lists(small_ints, min_size=ncols, max_size=ncols))
-    sx = _Simplex()
+    sx = _Simplex(LinExpr(), set())
     for coeffs, b in zip(table, rhs):
         sx.add_row(dict(enumerate(coeffs)), b)
     sx.cost, sx.costval, sx.cost_den = {j: c for j, c in enumerate(costs) if c}, 0, 1
@@ -337,7 +339,8 @@ def test_pivots_keep_rows_reduced_and_exact(data):
                 ref[i] = [a - other[j] * b for a, b in zip(other, ref[r])]
         for i in range(nrows):
             assert_integer_row(*sx.row(i))
-            assert [sx.entry(i, k) for k in range(ncols)] + [Fraction(sx.rhs[i], sx.den[i])] == ref[i]
+            nums, rhs, den = sx.row(i)
+            assert [Fraction(nums.get(k, 0), den) for k in range(ncols)] + [Fraction(rhs, den)] == ref[i]
         assert_integer_row(sx.cost, sx.costval, sx.cost_den)
         cost_values = [Fraction(sx.cost.get(k, 0), sx.cost_den) for k in range(ncols)]
         assert cost_values + [Fraction(sx.costval, sx.cost_den)] == ref[-1]
@@ -359,39 +362,54 @@ def test_cut_round_reoptimises_the_previous_simplex():
     # a cut, plus a tighter copy of R1 that lets R1 be forgotten
     cut = row_of([("x", 1), ("y", 1)], Relation.GE, 4)
     sub1 = Subproblem.root([R2, cut, row_of([("x", 2), ("y", 2)], Relation.GE, 9)])
+    cold1 = lp_solve(sub1, WARM_OBJ, WARM_BOX)
     out1 = lp_solve(sub1, WARM_OBJ, WARM_BOX, out0)
     assert isinstance(out1, LpOptimal)
     assert out1.state is out0.state
-    assert out1.value == 9 / Fraction(2) == lp_solve(sub1, WARM_OBJ, WARM_BOX).value
-    assert 0 < out1.pivots < out0.pivots
+    assert out1.value == 9 / Fraction(2) == cold1.value
+    # the tighter copy only moves the bound of R1's slack column
+    assert out1.pivots < cold1.pivots
     have = frozenset(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
     assert out1.tableau.rows == tuple(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
     assert R1 not in {row for row, _, _ in out1.dual}
     check_lb_dual(LbDual(ObjValue.finite(5), out1.dual), have, WARM_OBJ)
-    # the simplex now belongs to out1: passing out0 again solves from scratch
+    # a second round whose cut needs pivots on the same tableau
+    sub2 = Subproblem.root([*sub1.cons, row_of([("x", 1), ("y", -2)], Relation.LE, 0)])
+    cold2 = lp_solve(sub2, WARM_OBJ, WARM_BOX)
+    out2 = lp_solve(sub2, WARM_OBJ, WARM_BOX, out1)
+    assert isinstance(out2, LpOptimal) and out2.state is out0.state
+    assert out2.value == cold2.value
+    assert 0 < out2.pivots < cold2.pivots
+    check_lb_dual(LbDual(ObjValue.finite(5), out2.dual), frozenset(assemble_rows(sub2, WARM_BOX, WARM_OBJ)), WARM_OBJ)
+    # the tableau now belongs to out2: passing out0 again solves from scratch
     again = lp_solve(sub1, WARM_OBJ, WARM_BOX, out0)
-    assert again.state is not out1.state and again.value == out1.value
+    assert again.state is not out2.state
+    assert (again.value, again.x_star, again.dual) == (cold1.value, cold1.x_star, cold1.dual)
 
 
 @pytest.mark.parametrize(
-    "base, later, later_box",
+    "base, later, later_box, later_obj, warm",
     [
-        ([R1, R2], [R1, R2, row_of([("x", 1), ("z", 1)], Relation.GE, 4)], WARM_BOX),
-        ([R1, R2], [R1, R2, LinConstraint(LinExpr.zero(), Relation.GE, -1)], WARM_BOX),
-        ([R1, R2], [R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], WARM_BOX),
-        ([R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], [R1, R2], WARM_BOX),
-        ([R1, R2], [R1, R2], Bounds({"x": (1, 5), "y": (0, 5)})),
-        ([R1, R2], [R2], WARM_BOX),
+        ([R1, R2], [R1, R2, row_of([("x", 1), ("z", 1)], Relation.GE, 4)], WARM_BOX, WARM_OBJ, False),
+        ([R1, R2], [R1, R2, LinConstraint(LinExpr.zero(), Relation.GE, -1)], WARM_BOX, WARM_OBJ, False),
+        ([R1, R2], [R1, R2], WARM_BOX, LinExpr.of([("x", 1), ("y", 2)]), False),
+        ([R1, R2], [R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], WARM_BOX, WARM_OBJ, True),
+        ([R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], [R1, R2], WARM_BOX, WARM_OBJ, True),
+        ([R1, R2], [R1, R2], Bounds({"x": (1, 5), "y": (0, 5)}), WARM_OBJ, True),
+        ([R1, R2], [R2], WARM_BOX, WARM_OBJ, True),
         (
             [R1, R2, row_of([("x", 1), ("y", 1)], Relation.EQ, 4), row_of([("x", 2), ("y", 2)], Relation.EQ, 8)],
             [row_of([("x", 2), ("y", 2)], Relation.GE, 8), R2]
             + [row_of([("x", 1), ("y", 1)], Relation.EQ, 4), row_of([("x", 2), ("y", 2)], Relation.EQ, 8)],
             WARM_BOX,
+            WARM_OBJ,
+            True,
         ),
     ],
     ids=[
         "new_variable",
         "constant_row_added",
+        "changed_objective",
         "equality_added",
         "equality_removed",
         "folded_lower_bound_removed",
@@ -399,28 +417,38 @@ def test_cut_round_reoptimises_the_previous_simplex():
         "removal_after_a_retired_row",
     ],
 )
-def test_cut_round_falls_back_to_a_cold_solve(base, later, later_box):
+def test_cut_round_falls_back_to_a_cold_solve(base, later, later_box, later_obj, warm):
+    # a new variable, a row without variables or a new objective still solves
+    # from scratch; equalities, bound rows and forgotten rows now stay warm
     sub0, sub1 = Subproblem.root(base), Subproblem.root(later)
     out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
     assert isinstance(out0, LpOptimal)
-    assert out0.state.reoptimize(out0, assemble_rows(sub1, later_box, WARM_OBJ), WARM_OBJ) is None
+    rows, relevant = _rows_and_vars(sub1, later_box, later_obj)
+    assert (out0.state.reoptimize(out0, rows, relevant, later_obj) is None) != warm
     out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
-    warm = lp_solve(sub1, WARM_OBJ, later_box, out0)
-    cold = lp_solve(sub1, WARM_OBJ, later_box)
-    assert isinstance(warm, LpOptimal) and warm.state is not out0.state
-    assert (warm.value, warm.x_star, warm.dual) == (cold.value, cold.x_star, cold.dual)
+    out = lp_solve(sub1, later_obj, later_box, out0)
+    cold = lp_solve(sub1, later_obj, later_box)
+    assert isinstance(out, LpOptimal) and (out.state is out0.state) == warm
+    # the same vertex and multipliers; a warm tableau may list them in another order
+    assert (out.value, out.x_star) == (cold.value, cold.x_star)
+    assert len(out.dual) == len(cold.dual) and set(out.dual) == set(cold.dual)
+    check_lb_dual(LbDual(ObjValue.finite(frac_ceil(out.value)), out.dual), frozenset(rows), later_obj)
 
 
 def test_farkas_proof_citing_a_forgotten_row_falls_back():
+    # the forgotten row's bound leaves its column before the proof is read,
+    # so the re-solve stays warm and cites only rows still present
     forgotten = row_of([("x", 1), ("y", 1)], Relation.GE, 2)
     sub0 = Subproblem.root([forgotten])
     sub1 = Subproblem.root([row_of([("x", 1), ("y", 1)], Relation.GE, 3), row_of([("x", 1), ("y", 1)], Relation.LE, 1)])
     out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
-    assert out0.state.reoptimize(out0, assemble_rows(sub1, WARM_BOX, WARM_OBJ), WARM_OBJ) is None
-    out = lp_solve(sub1, WARM_OBJ, WARM_BOX, lp_solve(sub0, WARM_OBJ, WARM_BOX))
+    rows, relevant = _rows_and_vars(sub1, WARM_BOX, WARM_OBJ)
+    out = out0.state.reoptimize(out0, rows, relevant, WARM_OBJ)
     assert isinstance(out, LpInfeasible)
     assert forgotten not in {row for row, _, _ in out.farkas.entries}
-    check_farkas(out.farkas, frozenset(assemble_rows(sub1, WARM_BOX, WARM_OBJ)))
+    check_farkas(out.farkas, frozenset(rows))
+    cold = lp_solve(sub1, WARM_OBJ, WARM_BOX)
+    assert isinstance(cold, LpInfeasible) and out.farkas == cold.farkas
 
 
 one_sided = st.sampled_from((Relation.GE, Relation.LE))
@@ -464,3 +492,56 @@ def test_cut_rounds_reoptimised_in_place_match_cold_solves(data):
             assert satisfies_all(have, out.x_star)
             bound = ObjValue.finite(-(-out.value.numerator // out.value.denominator))
             check_lb_dual(LbDual(bound, out.dual), have, obj)
+
+
+@pytest.mark.parametrize(
+    "lo_row, hi_row",
+    [
+        (row_of([("x", 1)], Relation.GE, 2), row_of([("x", 1)], Relation.LE, 1)),
+        (row_of([("x", -1)], Relation.LE, -2), row_of([("x", -1)], Relation.GE, -1)),
+    ],
+    ids=["plain", "negated"],
+)
+def test_contradictory_bound_rows_give_a_two_entry_farkas_proof(lo_row, hi_row):
+    sub, box, obj = Subproblem.root([lo_row, hi_row]), Bounds({"x": (0, 5)}), LinExpr.var("x")
+    out = lp_solve(sub, obj, box)
+    assert isinstance(out, LpInfeasible) and out.pivots == 0
+    assert out.farkas.entries == ((lo_row, lo_row.rel.name.lower(), 1), (hi_row, hi_row.rel.name.lower(), 1))
+    check_farkas(out.farkas, frozenset(assemble_rows(sub, box, obj)))
+
+
+flipped = {Relation.GE: Relation.LE, Relation.LE: Relation.GE, Relation.EQ: Relation.EQ}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bounded_columns_match_vertex_enumeration(data):
+    # box ends, +-1 and other single-variable rows, equalities, and variables
+    # with no box that only rows bound
+    table, rows = {}, []
+    for v in "abc":
+        lo, hi = data.draw(st.integers(-4, 0)), data.draw(st.integers(0, 4))
+        if data.draw(st.booleans()):
+            table[v] = (lo, hi)
+            continue
+        for end, rel in ((lo, Relation.GE), (hi, Relation.LE)):
+            c = data.draw(st.sampled_from((1, -1, 2, -3)))
+            rows.append(row_of([(v, c)], rel if c > 0 else flipped[rel], c * end))
+    for _ in range(data.draw(st.integers(0, 4))):
+        v = data.draw(st.sampled_from("abc"))
+        terms = data.draw(
+            st.sampled_from(([(v, 1)], [(v, -1)], [(v, 2)], [(v, -3)]))
+            | warm_exprs.filter(lambda e: len(e) > 1).map(lambda e: list(e.items()))
+        )
+        rows.append(row_of(terms, data.draw(st.sampled_from(tuple(flipped))), data.draw(st.integers(-6, 6))))
+    sub, box, obj = Subproblem.root(rows), Bounds(table), LinExpr.of(data.draw(warm_exprs))
+    have = frozenset(assemble_rows(sub, box, obj))
+    status, value = vertex_optimum(sub, obj, box)
+    out = lp_solve(sub, obj, box)
+    if status == "infeasible":
+        assert isinstance(out, LpInfeasible)
+        check_farkas(out.farkas, have)
+    else:
+        assert isinstance(out, LpOptimal) and out.value == value
+        assert satisfies_all(have, out.x_star)
+        check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), out.dual), have, obj)

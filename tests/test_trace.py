@@ -152,8 +152,10 @@ def test_read_trace_rejects_garbage(tmp_path):
         # values that cannot key the decoding memo are decoded, and rejected, afresh
         {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 0}, "ge", [1]]]},
         {"kind": "farkas", "entries": [[{"lhs": [[{"x": 1}, 1]], "rel": ">=", "rhs": 0}, "ge", "1"]]},
+        # JSON reads 1e400 as an infinite float, which no int holds
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1e400}, "ge", "1"]]},
     ],
-    ids=["non_list_entries", "zero_denominator", "unhashable_multiplier", "unhashable_variable"],
+    ids=["non_list_entries", "zero_denominator", "unhashable_multiplier", "unhashable_variable", "infinite_rhs"],
 )
 def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, cert):
     text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
