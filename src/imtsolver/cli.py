@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import Config, EngineLimit, SolveResult, solve
-from .kernel import ReplayError, replay_trace
-from .model import ImtError, ImtInstance, Incumbent, ObjValue, Var, obj_value
+from .kernel import ReplayError, replay_trace, verdict
+from .model import ImtError, ImtInstance, ObjValue, Var
 from .native import parse_instance, quote_name
 from .oracle import BoxTooLarge, brute_force_solve
 from .smtlib import encode_script
@@ -140,17 +140,9 @@ def _replay(args: argparse.Namespace, job: Job) -> int:
         return EXIT_ERROR
     print("trace accepted")
     if rep.final:
-        line, _ = _status_exit(job, *_verdict(job.instance, rep.state.incumbent))
+        line, _ = _status_exit(job, *verdict(job.instance, rep.state))
         print(line)
     return EXIT_OK
-
-
-def _verdict(instance: ImtInstance, inc: Incumbent) -> tuple[str, ObjValue]:
-    if inc.kind == "none":
-        return "infeasible", ObjValue.pos_inf()
-    if inc.kind == "unbounded":
-        return "unbounded", ObjValue.neg_inf()
-    return "optimal", obj_value(instance.objective, inc)
 
 
 def _solve(args: argparse.Namespace, job: Job) -> int:

@@ -13,7 +13,7 @@ turns into a case split whose contradicted region is learned away.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -32,8 +32,8 @@ from .certificates import (
     TLemma,
     UnboundedEvidence,
 )
-from .euf import EufAdapter, EufSession, TheoryConflict, functional_consistency
-from .kernel import Budgets, Kernel, Step, conflict_split_arms, replay_trace, rows_of
+from .euf import EufAdapter, EufSession, TheoryConflict
+from .kernel import Kernel, Step, conflict_split_arms, rows_of, true_arms, verdict
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, derive_gomory_cuts, lp_solve, propagate_bounds
 from .model import (
     Bounds,
@@ -42,7 +42,6 @@ from .model import (
     InterfaceAtom,
     InvariantError,
     LinConstraint,
-    LinExpr,
     ObjValue,
     Relation,
     SimpleEquality,
@@ -64,15 +63,16 @@ class UnsupportedShape(ImtError):
     """The instance has a shape the engine cannot decide with a certificate."""
 
 
+# cuts learned per round, best violation first, and the row count above
+# which a cut round forgets dominated rows
+CUTS_PER_ROUND = 4
+TIDY_THRESHOLD = 12
+
+
 @dataclass
 class Config:
     max_cut_rounds: int = 10
-    cuts_per_round: int = 4
-    tidy_threshold: int = 12
-    branch_limit: int | None = None
-    rewrite_run_limit: int | None = None
     node_limit: int | None = None
-    validate_trace: bool = False
 
 
 @dataclass
@@ -86,7 +86,6 @@ class Stats:
     forgets: int = 0
     theory_checks: int = 0
     conflicts: int = 0
-    gomory_steps: list[int] = field(default_factory=list)
 
     def summary(self) -> str:
         return (
@@ -156,10 +155,6 @@ def arrangement_literals(atoms: frozenset[InterfaceAtom] | tuple[InterfaceAtom, 
     return lits
 
 
-def _diff_row(x: Var, y: Var, rel: Relation, rhs: int) -> LinConstraint:
-    return LinConstraint(LinExpr.of({x: 1, y: -1}), rel, rhs)
-
-
 def _eq_evidence(lit: TheoryLiteral, row: LinConstraint) -> BoundFix:
     # orientation must match the canonical form of the pinned equality
     d = SimpleEquality.diff(lit.x, lit.y, lit.offset)
@@ -171,33 +166,21 @@ def _eq_evidence(lit: TheoryLiteral, row: LinConstraint) -> BoundFix:
 def syntactic_evidence(
     core: tuple[TheoryLiteral, ...], rows: frozenset[LinConstraint]
 ) -> tuple[LiteralEvidence, ...] | None:
-    """Row-identity evidence for each core literal, or None if one is missing."""
+    """Row-identity evidence for each core literal, or None if one is missing.
+
+    The evidence cites the first of the literal's true-arm rows present.
+    """
     out: list[LiteralEvidence] = []
     for lit in core:
+        row = next((r for r in true_arms(lit) if r in rows), None)
+        if row is None:
+            return None
         if lit.kind == "eq":
-            row = _diff_row(lit.x, lit.y, Relation.EQ, lit.offset)
-            if row not in rows:
-                return None
             out.append(_eq_evidence(lit, row))
-        elif lit.kind == "diseq":
-            low = _diff_row(lit.x, lit.y, Relation.LE, lit.offset - 1)
-            high = _diff_row(lit.x, lit.y, Relation.GE, lit.offset + 1)
-            if low in rows:
-                out.append(SideCut("le", CGCut(((low, "le", Fraction(1)),))))
-            elif high in rows:
-                out.append(SideCut("ge", CGCut(((high, "ge", Fraction(1)),))))
-            else:
-                return None
-        elif lit.kind == "atom_true":
-            row = LinConstraint(LinExpr.var(lit.var), Relation.GE, 1)
-            if row not in rows:
-                return None
-            out.append(CGCut(((row, "ge", Fraction(1)),)))
-        else:
-            row = LinConstraint(LinExpr.var(lit.var), Relation.LE, 0)
-            if row not in rows:
-                return None
-            out.append(CGCut(((row, "le", Fraction(1)),)))
+            continue
+        direction = "le" if row.rel is Relation.LE else "ge"
+        cut = CGCut(((row, direction, Fraction(1)),))
+        out.append(SideCut(direction, cut) if lit.kind == "diseq" else cut)
     return tuple(out)
 
 
@@ -221,11 +204,7 @@ class _Search:
         self.instance = instance
         self.config = config
         self.adapter = EufAdapter.for_instance(instance)
-        self.kernel = Kernel(
-            instance,
-            adapter=self.adapter,
-            budgets=Budgets(config.branch_limit, config.rewrite_run_limit),
-        )
+        self.kernel = Kernel(instance, adapter=self.adapter)
         self.stats = Stats()
         self.hints: dict[int, tuple[int, int]] = {0: ObjValue.neg_inf().sort_key()}
         self.theory_frozen: frozenset[Var] = frozenset(
@@ -243,18 +222,9 @@ class _Search:
             )
             self.stats.nodes += 1
             self._process(sub)
-        status, value = self.kernel.verdict()
+        status, value = verdict(self.instance, self.kernel.state)
         inc = self.kernel.state.incumbent
         assignment = None if inc.is_none else inc.assignment()
-        if cfg.validate_trace:
-            rep = replay_trace(
-                self.instance,
-                self.kernel.log,
-                adapter=self.adapter,
-                budgets=self.kernel.budgets,
-            )
-            if not rep.final or rep.state.incumbent != inc:
-                raise InvariantError("trace replay disagrees with the live run")
         return SolveResult(
             status, value, assignment, self.stats, tuple(self.kernel.log), self.instance
         )
@@ -301,16 +271,15 @@ class _Search:
                 self._handle_integral(current, out)
                 return
             if rounds < self.config.max_cut_rounds:
-                cuts = derive_gomory_cuts(out.tableau)[: self.config.cuts_per_round]
+                cuts = derive_gomory_cuts(out)[:CUTS_PER_ROUND]
                 fresh = [(cut, cert) for cut, cert in cuts if cut not in current.cons]
                 if fresh:
                     for cut, cert in fresh:
                         info = self.kernel.apply(Step("learn", current.ident, row=cut, cert=cert))
-                        self.stats.gomory_steps.append(len(self.kernel.log) - 1)
                         self.stats.cuts += 1
                         current = info.created[0]
                     rounds += 1
-                    if len(current.cons) > self.config.tidy_threshold:
+                    if len(current.cons) > TIDY_THRESHOLD:
                         current = self._tidy(current)
                     prev = out
                     continue
@@ -327,12 +296,14 @@ class _Search:
         for row in current.cons:
             if row.rel in (Relation.GE, Relation.LE):
                 by_lhs.setdefault((row.lhs.terms, row.rel), []).append(row)
-        for (_, rel), group in sorted(by_lhs.items(), key=lambda kv: repr(kv[0])):
+        # groups in the order of repr((terms, rel)) and a group's rows, which differ
+        # only in rhs, in the order of render(), without formatting a Relation or a row
+        for (_, rel), group in sorted(by_lhs.items(), key=lambda kv: (repr(kv[0][0]), kv[0][1].name)):
             if len(group) < 2:
                 continue
             keep = max(group, key=lambda r: r.rhs) if rel is Relation.GE else min(group, key=lambda r: r.rhs)
             direction = "ge" if rel is Relation.GE else "le"
-            for row in sorted(group, key=lambda r: r.render()):
+            for row in sorted(group, key=lambda r: str(r.rhs)):
                 if row == keep:
                     continue
                 cert = CGCut(((keep, direction, Fraction(1)),))
@@ -348,18 +319,26 @@ class _Search:
                 point[v] = fill_value(self.instance.bounds, v)
         return point
 
+    def _theory_conflict(self, point: dict[Var, int]) -> tuple[TheoryLiteral, ...] | None:
+        """Check the point's atom arrangement in a theory session; the conflict core, or None."""
+        if not self.instance.atoms:
+            return None
+        self.stats.theory_checks += 1
+        session = EufSession(self.instance.atoms)
+        for lit in arrangement_literals(self.instance.atoms, point):
+            session.assert_literal(lit)
+        res = session.check()
+        if not isinstance(res, TheoryConflict):
+            return None
+        self.stats.conflicts += 1
+        return res.core
+
     def _handle_integral(self, current: Subproblem, out: LpOptimal) -> None:
         point = self._complete(out.x_star)
-        if self.instance.atoms:
-            self.stats.theory_checks += 1
-            session = EufSession(self.instance.atoms)
-            for lit in arrangement_literals(self.instance.atoms, point):
-                session.assert_literal(lit)
-            res = session.check()
-            if isinstance(res, TheoryConflict):
-                self.stats.conflicts += 1
-                self._handle_conflict(current, res.core, ObjValue.finite(frac_ceil(out.value)))
-                return
+        core = self._theory_conflict(point)
+        if core is not None:
+            self._handle_conflict(current, core, ObjValue.finite(frac_ceil(out.value)))
+            return
         value = int(out.value)
         ev = RetireEvidence(
             tuple(sorted(point.items())),
@@ -426,16 +405,9 @@ class _Search:
             for child in info.created:
                 self.hints[child.ident] = ObjValue.neg_inf().sort_key()
             return
-        if self.instance.atoms and not functional_consistency(self.instance.atoms, point):
-            self.stats.theory_checks += 1
-            session = EufSession(self.instance.atoms)
-            for lit in arrangement_literals(self.instance.atoms, point):
-                session.assert_literal(lit)
-            res = session.check()
-            if not isinstance(res, TheoryConflict):
-                raise InvariantError("direct check and session disagree on the assignment")
-            self.stats.conflicts += 1
-            self._handle_conflict(current, res.core, ObjValue.neg_inf())
+        core = self._theory_conflict(point)
+        if core is not None:
+            self._handle_conflict(current, core, ObjValue.neg_inf())
             return
         ev = UnboundedEvidence(
             tuple(sorted(point.items())),

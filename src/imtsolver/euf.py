@@ -5,10 +5,10 @@ and atom sign literals against the instance's interface atoms. Internally it
 is a congruence closure whose union-find stores an integer offset per edge,
 so a class tracks exact value differences, not just equality.
 
-The closure is rebuilt from the literal trail on every ``check``; push/pop
-are trail marks. At our problem sizes rebuilding is cheaper than maintaining
-a proof forest, and it keeps conflict-core extraction trivial: delete one
-literal at a time and re-check.
+The closure is rebuilt from the literal trail on every ``check``. At our
+problem sizes rebuilding is cheaper than maintaining a proof forest, and it
+keeps conflict-core extraction trivial: delete one literal at a time and
+re-check.
 """
 from __future__ import annotations
 
@@ -187,20 +187,11 @@ def _build_closure(atoms: tuple[InterfaceAtom, ...], literals: Iterable[TheoryLi
 
 
 class EufSession:
-    """Incremental literal trail with restart-based checking."""
+    """A literal trail, decided by rebuilding the closure on each check."""
 
     def __init__(self, atoms: Iterable[InterfaceAtom]):
         self.atoms = tuple(sorted(atoms, key=lambda a: a.render()))
         self.trail: list[TheoryLiteral] = []
-        self._marks: list[int] = []
-
-    def push(self) -> None:
-        self._marks.append(len(self.trail))
-
-    def pop(self) -> None:
-        if not self._marks:
-            raise ImtError("pop without matching push")
-        del self.trail[self._marks.pop():]
 
     def assert_literal(self, lit: TheoryLiteral) -> None:
         self.trail.append(lit)
@@ -221,42 +212,6 @@ class EufSession:
             else:
                 i += 1
         return TheoryConflict(tuple(core), TheoryToken("conflict", tuple(core)))
-
-    def implied_equalities(self) -> list[TheoryLiteral]:
-        """Variable equalities the closure entails beyond the asserted ones."""
-        if not self.consistent():
-            return []
-        activation: dict[Var, bool] = {}
-        for lit in self.trail:
-            if lit.kind == "atom_true":
-                activation[lit.var] = True
-            elif lit.kind == "atom_false":
-                activation[lit.var] = False
-        cl = _Closure()
-        for atom in self.atoms:
-            active = True if atom.annotation is None else activation.get(atom.annotation)
-            if active is not True:
-                continue
-            if atom.kind == "fun":
-                cl.union(cl.var(atom.result), cl.app(atom.fun, tuple(cl.var(a) for a in atom.args)), 0)
-            else:
-                cl.union(cl.var(atom.x), cl.var(atom.y), 0)
-        for lit in self.trail:
-            if lit.kind == "eq":
-                cl.union(cl.var(lit.x), cl.var(lit.y), lit.offset)
-        cl.run()
-        asserted = {(lit.x, lit.y, lit.offset) for lit in self.trail if lit.kind == "eq"}
-        out = []
-        names = sorted(cl.var_node)
-        for i, u in enumerate(names):
-            ru, du = cl.find(cl.var_node[u])
-            for w in names[i + 1 :]:
-                rw, dw = cl.find(cl.var_node[w])
-                if ru == rw:
-                    off = du - dw  # value(u) = value(w) + off
-                    if (u, w, off) not in asserted:
-                        out.append(TheoryLiteral.var_eq(u, w, off))
-        return out
 
 
 def functional_consistency(atoms: Iterable[InterfaceAtom], assignment: Mapping[Var, int]) -> bool:

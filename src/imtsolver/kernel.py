@@ -134,30 +134,23 @@ def _diff_row(x: Var, y: Var, rel: Relation, rhs: int) -> LinConstraint:
     return LinConstraint(LinExpr.of({x: 1, y: -1}), rel, rhs)
 
 
-def _true_arms(lit: TheoryLiteral) -> list[list[LinConstraint]]:
-    if lit.kind == "eq":
-        return [[_diff_row(lit.x, lit.y, Relation.EQ, lit.offset)]]
-    if lit.kind == "diseq":
+def _arms(lit: TheoryLiteral, holds: bool) -> list[LinConstraint]:
+    """The rows, one per arm, under which the literal holds (or fails)."""
+    if lit.kind in ("eq", "diseq"):
+        if (lit.kind == "eq") == holds:
+            return [_diff_row(lit.x, lit.y, Relation.EQ, lit.offset)]
         return [
-            [_diff_row(lit.x, lit.y, Relation.LE, lit.offset - 1)],
-            [_diff_row(lit.x, lit.y, Relation.GE, lit.offset + 1)],
+            _diff_row(lit.x, lit.y, Relation.LE, lit.offset - 1),
+            _diff_row(lit.x, lit.y, Relation.GE, lit.offset + 1),
         ]
-    if lit.kind == "atom_true":
-        return [[LinConstraint(LinExpr.var(lit.var), Relation.GE, 1)]]
-    return [[LinConstraint(LinExpr.var(lit.var), Relation.LE, 0)]]
+    if (lit.kind == "atom_true") == holds:
+        return [LinConstraint(LinExpr.var(lit.var), Relation.GE, 1)]
+    return [LinConstraint(LinExpr.var(lit.var), Relation.LE, 0)]
 
 
-def _false_arms(lit: TheoryLiteral) -> list[list[LinConstraint]]:
-    if lit.kind == "eq":
-        return [
-            [_diff_row(lit.x, lit.y, Relation.LE, lit.offset - 1)],
-            [_diff_row(lit.x, lit.y, Relation.GE, lit.offset + 1)],
-        ]
-    if lit.kind == "diseq":
-        return [[_diff_row(lit.x, lit.y, Relation.EQ, lit.offset)]]
-    if lit.kind == "atom_true":
-        return [[LinConstraint(LinExpr.var(lit.var), Relation.LE, 0)]]
-    return [[LinConstraint(LinExpr.var(lit.var), Relation.GE, 1)]]
+def true_arms(lit: TheoryLiteral) -> list[LinConstraint]:
+    """The rows, one per arm, under which the literal holds; a core literal's evidence cites one."""
+    return _arms(lit, True)
 
 
 def conflict_split_arms(core: tuple[TheoryLiteral, ...]) -> list[tuple[tuple[LinConstraint, ...], bool]]:
@@ -174,10 +167,10 @@ def conflict_split_arms(core: tuple[TheoryLiteral, ...]) -> list[tuple[tuple[Lin
             out.append((acc, True))
             return
         lit = core[i]
-        for arm in _false_arms(lit):
-            out.append((acc + tuple(arm), False))
-        for arm in _true_arms(lit):
-            rec(i + 1, acc + tuple(arm))
+        for row in _arms(lit, False):
+            out.append((acc + (row,), False))
+        for row in true_arms(lit):
+            rec(i + 1, acc + (row,))
 
     rec(0, ())
     return out
@@ -505,16 +498,15 @@ class Kernel:
     def final(self) -> bool:
         return self.state.final
 
-    def verdict(self) -> tuple[str, ObjValue]:
-        """Outcome of a finished run: (status, objective value)."""
-        if not self.final:
-            raise ImtError("search is not finished")
-        inc = self.state.incumbent
-        if inc.kind == "none":
-            return ("infeasible", ObjValue.pos_inf())
-        if inc.kind == "unbounded":
-            return ("unbounded", ObjValue.neg_inf())
-        return ("optimal", obj_value(self.instance.objective, inc))
+
+_STATUS = {"none": "infeasible", "unbounded": "unbounded", "feasible": "optimal"}
+
+
+def verdict(instance: ImtInstance, state: KernelState) -> tuple[str, ObjValue]:
+    """Outcome of a finished derivation: (status, objective value)."""
+    if not state.final:
+        raise ImtError("search is not finished")
+    return _STATUS[state.incumbent.kind], obj_value(instance.objective, state.incumbent)
 
 
 @dataclass
@@ -545,7 +537,7 @@ def replay_trace(
     for i, step in enumerate(steps):
         try:
             info = kernel.apply(step)
-        except (RuleViolation, CheckFailed, BudgetExceeded, ImtError) as exc:
+        except ImtError as exc:
             raise ReplayError(i, str(exc)) from exc
         if on_state is not None:
             on_state(i, kernel.state, step, info)

@@ -28,7 +28,10 @@ Every outcome carries a certificate in the shared combination format:
 infeasibility yields Farkas multipliers on a stuck row's identity and the
 bounds that stop its columns, optimality yields dual multipliers, the reduced
 costs of the nonbasic columns at their bounds, reproducing the objective,
-and unboundedness yields a feasible point plus an improving ray.
+and unboundedness yields a feasible point plus an improving ray. Cuts and
+propagated bounds carry rounding multipliers. Nothing here checks a
+certificate: this module is part of the untrusted engine, and the kernel
+checks each one when the step that cites it is applied.
 """
 from __future__ import annotations
 
@@ -41,24 +44,17 @@ from .certificates import (
     CGCut,
     ComboEntry,
     FarkasProof,
-    LbDual,
-    check_cg,
-    check_farkas,
-    check_lb_dual,
     identity_cut,
 )
 from .model import (
     Bounds,
     ImtError,
-    InvariantError,
     LinConstraint,
     LinExpr,
-    ObjValue,
     Relation,
     SimpleEquality,
     Subproblem,
     Var,
-    frac_ceil,
     normalize,
 )
 
@@ -68,23 +64,13 @@ class NoFractionalRow(ImtError):
 
 
 @dataclass(frozen=True)
-class Tableau:
-    """Snapshot of an optimal relaxation, sufficient to derive rounding cuts."""
-
-    rows: tuple[LinConstraint, ...]
-    x_star: dict[Var, Fraction]
-    objective: LinExpr
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class LpOptimal:
-    """An optimal vertex; ``pivots`` counts this solve's simplex pivots."""
+    """An optimal vertex over ``rows``, the relaxation's rows; ``pivots`` counts this solve's simplex pivots."""
 
     x_star: dict[Var, Fraction]
     value: Fraction
     dual: tuple[ComboEntry, ...]
-    tableau: Tableau
+    rows: tuple[LinConstraint, ...]
     pivots: int = 0
     # the live tableau, which the node's next cut round re-optimises in place
     state: _Simplex | None = field(default=None, repr=False, compare=False)
@@ -437,13 +423,11 @@ class _Simplex:
         raise ImtError("pivot limit exceeded")
 
     def solve(self, rows: list[LinConstraint], available: frozenset[LinConstraint]) -> LpOutcome:
-        """Check the bounds, then optimise; ``rows`` are the tableau's rows and ``available`` their set."""
+        """Check the bounds, then optimise; ``rows`` and their set ``available`` are kept for the next re-solve."""
         start = self.pivots
         for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             if lo is not None and hi is not None and lo > hi:
-                proof = FarkasProof(((*self.lo_src[j], Fraction(1)), (*self.hi_src[j], Fraction(1))))
-                check_farkas(proof, available)
-                return LpInfeasible(proof)
+                return LpInfeasible(FarkasProof(((*self.lo_src[j], Fraction(1)), (*self.hi_src[j], Fraction(1)))))
         self.place()
         stuck = self.repair()
         if stuck is not None:
@@ -453,9 +437,7 @@ class _Simplex:
             for k, a in self.nums[r].items():
                 row, direction = self.hi_src[k] if (a < 0) == up else self.lo_src[k]
                 entries.append((row, direction, Fraction(abs(a), self.den[r])))
-            proof = FarkasProof(tuple(entries))
-            check_farkas(proof, available)
-            return LpInfeasible(proof, self.pivots - start)
+            return LpInfeasible(FarkasProof(tuple(entries)), self.pivots - start)
         ray = self.optimise()
         if ray is not None:
             return LpUnbounded(self.point(), self.ray(*ray), self.pivots - start)
@@ -468,10 +450,8 @@ class _Simplex:
         for k, c in self.cost.items():
             row, direction = self.lo_src[k] if c > 0 else self.hi_src[k]
             dual.append((row, direction, Fraction(abs(c), self.cost_den)))
-        check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), tuple(dual)), available, self.objective)
-        tableau = Tableau(tuple(rows), x_star, self.objective, value)
-        self.rows, self.available = tableau.rows, available
-        return LpOptimal(x_star, value, tuple(dual), tableau, self.pivots - start, self)
+        self.rows, self.available = tuple(rows), available
+        return LpOptimal(x_star, value, tuple(dual), self.rows, self.pivots - start, self)
 
     def point(self) -> dict[Var, Fraction]:
         basic_row = {b: r for r, b in enumerate(self.basis)}
@@ -501,7 +481,7 @@ class _Simplex:
         not this tableau's latest optimum, the objective or variables
         changed, or a row without variables was added.
         """
-        if prev.tableau.rows is not self.rows or objective != self.objective or relevant != self.relevant:
+        if prev.rows is not self.rows or objective != self.objective or relevant != self.relevant:
             return None
         available = frozenset(rows)
         added = [row for row in rows if row not in self.available]
@@ -511,7 +491,7 @@ class _Simplex:
         basic_row = {b: r for r, b in enumerate(self.basis)}
         for row in added:
             self.admit(row, basic_row)
-        for row in prev.tableau.rows:
+        for row in prev.rows:
             if row not in available and row in self.column_of:
                 self.drop(row)
         return self.solve(rows, available)
@@ -530,7 +510,6 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
         out = prev.state.reoptimize(prev, rows, relevant, objective)
         if out is not None:
             return out
-    available = frozenset(rows)
     sx = _Simplex(objective, relevant)
     for row in rows:
         if row.lhs.terms:
@@ -542,10 +521,8 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
         ):
             # a row without variables that fails decides the relaxation alone
             direction = "ge" if (row.rel is Relation.GE or (row.rel is Relation.EQ and row.rhs > 0)) else "le"
-            proof = FarkasProof(((row, direction, Fraction(1)),))
-            check_farkas(proof, available)
-            return LpInfeasible(proof)
-    return sx.solve(rows, available)
+            return LpInfeasible(FarkasProof(((row, direction, Fraction(1)),)))
+    return sx.solve(rows, frozenset(rows))
 
 
 def _solve_combinations(rows: list[dict[Var, int]], targets: list[Var]) -> list[tuple[list[int], int] | None]:
@@ -615,7 +592,7 @@ def _solve_combinations(rows: list[dict[Var, int]], targets: list[Var]) -> list[
     return out
 
 
-def derive_gomory_cuts(t: Tableau) -> list[tuple[LinConstraint, CGCut]]:
+def derive_gomory_cuts(t: LpOptimal) -> list[tuple[LinConstraint, CGCut]]:
     """Rounding cuts for the fractional coordinates of an optimal vertex.
 
     Each cut is produced with the nonnegative-combination certificate that
@@ -643,8 +620,7 @@ def derive_gomory_cuts(t: Tableau) -> list[tuple[LinConstraint, CGCut]]:
         else:
             tight.append((dict(row.lhs.terms), row.rhs, row, "eq" if row.rel is Relation.EQ else "ge"))
 
-    available = frozenset(t.rows)
-    existing = set(available)
+    existing = set(t.rows)
     out: list[tuple[LinConstraint, CGCut, int]] = []
     for lam in _solve_combinations([coeffs for coeffs, _, _, _ in tight], fractional):
         if lam is None:
@@ -683,9 +659,7 @@ def derive_gomory_cuts(t: Tableau) -> list[tuple[LinConstraint, CGCut]]:
             if sense == "eq":
                 sense = "ge" if use > 0 else "le"
             entries.append((row, sense, Fraction(abs(use), den * g)))
-        cert = CGCut(tuple(entries))
-        check_cg(cert, available, cut)
-        out.append((cut, cert, violation))
+        out.append((cut, CGCut(tuple(entries)), violation))
         existing.add(cut)
     out.sort(key=lambda item: (-item[2], item[0].render()))
     return [(cut, cert) for cut, cert, _ in out]
@@ -700,7 +674,6 @@ class PropagationResult:
     the augmented row set. ``farkas`` set means the subproblem is empty.
     """
 
-    bounds: Bounds
     fixes: list[tuple[SimpleEquality, BoundFix]]
     derived: list[tuple[LinConstraint, CGCut]]
     farkas: FarkasProof | None = None
@@ -753,9 +726,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> P
                 entries.append((hi_row(u), "le", Fraction(a_u, scale)))
             else:
                 entries.append((lo_row(u), "ge", Fraction(-a_u, scale)))
-        cert = CGCut(tuple(entries))
-        check_cg(cert, available, cut)
-        derived.append((cut, cert))
+        derived.append((cut, CGCut(tuple(entries))))
         available.add(cut)
 
     oriented: list[tuple[dict[Var, int], int, LinConstraint, str]] = []
@@ -765,20 +736,12 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> P
                 row.rel is Relation.EQ and row.rhs != 0
             ):
                 direction = "le" if (row.rel is Relation.LE or (row.rel is Relation.EQ and row.rhs < 0)) else "ge"
-                proof = FarkasProof(((row, direction, Fraction(1)),))
-                check_farkas(proof, available)
-                return PropagationResult(bounds, [], derived, proof)
+                return PropagationResult([], derived, FarkasProof(((row, direction, Fraction(1)),)))
             continue
         if row.rel in (Relation.GE, Relation.EQ):
             oriented.append((dict(row.lhs.terms), row.rhs, row, "ge"))
         if row.rel in (Relation.LE, Relation.EQ):
             oriented.append(({v: -a for v, a in row.lhs.terms}, -row.rhs, row, "le"))
-
-    def result_bounds() -> Bounds:
-        table = {v: (iv[0], iv[1]) for v, iv in work.items() if (iv[0], iv[1]) != (None, None)}
-        merged = dict(bounds.items())
-        merged.update(table)
-        return Bounds(merged)
 
     for _ in range(max_rounds):
         improved = False
@@ -808,9 +771,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> P
                     lo, hi = work[v]
                     if lo is not None and hi is not None and lo > hi:
                         proof = FarkasProof(((lo_row(v), "ge", Fraction(1)), (hi_row(v), "le", Fraction(1))))
-                        check_farkas(proof, available)
-                        # the tightened box is empty; report the original one
-                        return PropagationResult(bounds, [], derived, proof)
+                        return PropagationResult([], derived, proof)
         if not improved:
             break
 
@@ -867,4 +828,4 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> P
             )
         )
 
-    return PropagationResult(result_bounds(), fixes, derived, None)
+    return PropagationResult(fixes, derived)

@@ -153,11 +153,6 @@ class LinConstraint:
         return f"{self.lhs.render()} {self.rel.value} {self.rhs}"
 
 
-def eval_expr(e: LinExpr, assignment: Mapping[Var, int | Fraction]):
-    """Exact value of ``e`` under ``assignment``; raises MissingVariable."""
-    return e.eval(assignment)
-
-
 def satisfies(c: LinConstraint, assignment: Mapping[Var, int | Fraction]) -> bool:
     """Truth of ``c`` under a total assignment, exact arithmetic."""
     lhs = c.lhs.eval(assignment)
@@ -263,9 +258,6 @@ class Bounds:
     def interval(self, v: Var) -> tuple[int | None, int | None]:
         return self._table.get(v, (None, None))
 
-    def is_finite_on(self, vars: Iterable[Var]) -> bool:
-        return all(self.lo(v) is not None and self.hi(v) is not None for v in vars)
-
     def row_lo(self, v: Var) -> LinConstraint:
         row = self._lo_rows.get(v)
         if row is None:
@@ -306,14 +298,6 @@ class Bounds:
                     hi = default
             table[v] = (lo, hi)
         return Bounds({v: iv for v, iv in table.items() if iv != (None, None)})
-
-    def tightened(self, v: Var, lo: int | None = None, hi: int | None = None) -> Bounds:
-        old_lo, old_hi = self.interval(v)
-        new_lo = old_lo if lo is None else (lo if old_lo is None else max(lo, old_lo))
-        new_hi = old_hi if hi is None else (hi if old_hi is None else min(hi, old_hi))
-        table = dict(self._table)
-        table[v] = (new_lo, new_hi)
-        return Bounds(table)
 
     def volume(self, vars: Iterable[Var]) -> int | None:
         """Number of integer points in the box, None if some side is infinite."""
@@ -360,12 +344,6 @@ class Subproblem:
     @staticmethod
     def root(cons: Iterable[LinConstraint], ident: int = 0) -> Subproblem:
         return Subproblem(ident, frozenset(normalize(c) for c in cons), frozenset())
-
-    def shape(self) -> tuple[frozenset[LinConstraint], frozenset[SimpleEquality]]:
-        return (self.cons, self.eqs)
-
-    def all_rows(self) -> list[LinConstraint]:
-        return list(self.cons) + [d.as_constraint() for d in self.eqs]
 
 
 @dataclass(frozen=True)
@@ -541,23 +519,6 @@ class ImtInstance:
             if atom.annotation is not None:
                 if self.bounds.interval(atom.annotation) != (0, 1):
                     raise InvariantError(f"annotation {atom.annotation} must have bounds 0..1")
-
-    def atom_vars(self) -> frozenset[Var]:
-        """Variables occurring in theory atoms, annotations excluded."""
-        out: set[Var] = set()
-        for atom in self.atoms:
-            out.update(atom.core_vars())
-        return frozenset(out)
-
-    def interface_vars(self) -> frozenset[Var]:
-        """Variables shared between the linear constraints and the theory atoms."""
-        in_c: set[Var] = set()
-        for c in self.constraints:
-            in_c.update(c.lhs.vars())
-        return self.atom_vars() & in_c
-
-    def theory_free(self) -> bool:
-        return not self.atoms
 
     def canonical_text(self) -> str:
         lines = ["imt-instance v1"]

@@ -17,7 +17,7 @@ in both directions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     Bounds,

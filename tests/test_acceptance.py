@@ -29,7 +29,7 @@ from imtsolver.certificates import (
     check_farkas,
     check_lb_dual,
 )
-from imtsolver.engine import Config, solve
+from imtsolver.engine import CUTS_PER_ROUND, Config, solve
 from imtsolver.euf import EufSession, TheoryConflict, functional_consistency
 from imtsolver.kernel import (
     Budgets,
@@ -399,7 +399,7 @@ def test_criterion_6_clause_encoding():
 
 def test_criterion_7_termination_discipline(suite):
     runs, _ = suite
-    cap = Config().max_cut_rounds * Config().cuts_per_round
+    cap = Config().max_cut_rounds * CUTS_PER_ROUND
     worst_run = 0
     worst_branches = 0
     for instance, _, res in runs:

@@ -1,5 +1,9 @@
 import pytest
 
+from imtsolver import engine
+from imtsolver.certificates import CGCut
+from imtsolver.kernel import RuleViolation
+from imtsolver.native import parse_instance
 from imtsolver.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -153,19 +157,46 @@ def test_explicit_format_overrides_suffix(tmp_path, capsys):
     assert code == EXIT_OK and out.startswith("optimal 3")
 
 
-def test_trace_then_replay(tmp_path, capsys):
-    p = tmp_path / "opt.imt"
-    p.write_text(OPT)
+@pytest.mark.parametrize(
+    "text, solve_code, line",
+    [
+        (OPT, EXIT_OK, "optimal 4"),
+        (INFEASIBLE, EXIT_INFEASIBLE, "infeasible"),
+        (UNBOUNDED, EXIT_UNBOUNDED, "unbounded"),
+    ],
+    ids=["optimal", "infeasible", "unbounded"],
+)
+def test_trace_then_replay(tmp_path, capsys, text, solve_code, line):
+    p = tmp_path / "inst.imt"
+    p.write_text(text)
     t = tmp_path / "run.trace"
     code, _, _ = run(capsys, str(p), "--trace", str(t))
-    assert code == EXIT_OK
+    assert code == solve_code
     assert t.exists()
 
     code, out, _ = run(capsys, str(p), "--replay", str(t))
     assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[0] == "trace accepted"
-    assert lines[1] == "optimal 4"
+    assert out.splitlines() == ["trace accepted", line]
+
+
+def test_a_corrupted_cut_certificate_is_an_error(tmp_path, capsys, monkeypatch):
+    # the engine does not check its own cuts; the kernel refuses the step
+    real = engine.derive_gomory_cuts
+
+    def corrupted(out):
+        (cut, cert), *rest = real(out)
+        (row, direction, mult), *entries = cert.entries
+        return [(cut, CGCut(((row, direction, mult + 1), *entries))), *rest]
+
+    monkeypatch.setattr(engine, "derive_gomory_cuts", corrupted)
+    with pytest.raises(RuleViolation, match="learn"):
+        engine.solve(parse_instance(OPT))
+    p = tmp_path / "opt.imt"
+    p.write_text(OPT)
+    code, out, err = run(capsys, str(p))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: learn:") and "Traceback" not in err
 
 
 def test_replay_rejects_tampering(tmp_path, capsys):

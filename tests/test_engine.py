@@ -3,8 +3,9 @@ import random
 import pytest
 
 from gen import random_instance
-from imtsolver.engine import Config, EngineLimit, Stats, UnsupportedShape, arrangement_literals, solve
-from imtsolver.kernel import replay_trace
+from imtsolver import engine, lp
+from imtsolver.engine import Config, EngineLimit, UnsupportedShape, arrangement_literals, solve
+from imtsolver.kernel import replay_trace, verdict
 from imtsolver.model import (
     Bounds,
     ImtInstance,
@@ -51,14 +52,19 @@ def test_every_run_replays_from_its_own_steps():
         assert state.final
 
 
-def test_validate_trace_config_checks_each_step_inline():
+def test_replayed_steps_give_the_live_verdict():
     rng = random.Random(11)
     for _ in range(10):
         instance = random_instance(rng)
-        a = solve(instance)
-        b = solve(instance, Config(validate_trace=True))
-        assert a.status == b.status
-        assert a.value == b.value
+        res = solve(instance)
+        rep = replay_trace(instance, res.steps)
+        assert verdict(instance, rep.state) == (res.status, res.value)
+
+
+def test_the_engine_binds_no_certificate_check():
+    # the kernel is the one certificate checker; the engine never re-runs it
+    for module in (lp, engine):
+        assert [name for name in vars(module) if name.startswith("check_")] == []
 
 
 def test_unbounded_instance_reports_a_direction():

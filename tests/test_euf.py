@@ -62,40 +62,24 @@ def test_disequality_with_offset():
     assert isinstance(s2.check(), TheorySat)
 
 
-def test_push_pop_restores_the_trail():
-    s = EufSession(fun_atoms())
-    s.assert_literal(TheoryLiteral.var_eq("x", "y"))
-    s.push()
-    s.assert_literal(TheoryLiteral.var_diseq("r1", "r2"))
-    assert isinstance(s.check(), TheoryConflict)
-    s.pop()
-    assert isinstance(s.check(), TheorySat)
-
-
 def test_annotated_atom_only_binds_when_activated():
     atoms = [
         InterfaceAtom.fun_def("r1", "f", ["x"], "a"),
         InterfaceAtom.fun_def("r2", "f", ["y"], "b"),
     ]
-    s = EufSession(atoms)
-    s.assert_literal(TheoryLiteral.var_eq("x", "y"))
-    s.assert_literal(TheoryLiteral.var_diseq("r1", "r2"))
-    s.assert_literal(TheoryLiteral.atom_true("a"))
-    s.push()
-    s.assert_literal(TheoryLiteral.atom_false("b"))
-    assert isinstance(s.check(), TheorySat)  # f(y) need not be r2
-    s.pop()
-    s.assert_literal(TheoryLiteral.atom_true("b"))
-    assert isinstance(s.check(), TheoryConflict)
-
-
-def test_implied_equalities_come_from_congruence():
-    s = EufSession(fun_atoms())
-    s.assert_literal(TheoryLiteral.var_eq("x", "y"))
-    implied = s.implied_equalities()
-    assert TheoryLiteral.var_eq("r1", "r2") in implied
-    # asserted literals are not echoed back
-    assert TheoryLiteral.var_eq("x", "y") not in implied
+    shared = [
+        TheoryLiteral.var_eq("x", "y"),
+        TheoryLiteral.var_diseq("r1", "r2"),
+        TheoryLiteral.atom_true("a"),
+    ]
+    off, on = EufSession(atoms), EufSession(atoms)
+    for lit in shared:
+        off.assert_literal(lit)
+        on.assert_literal(lit)
+    off.assert_literal(TheoryLiteral.atom_false("b"))
+    assert isinstance(off.check(), TheorySat)  # f(y) need not be r2
+    on.assert_literal(TheoryLiteral.atom_true("b"))
+    assert isinstance(on.check(), TheoryConflict)
 
 
 def test_functional_consistency_basic():

@@ -29,6 +29,7 @@ from imtsolver.kernel import (
     conflict_split_arms,
     initial_state,
     rows_of,
+    verdict,
 )
 from imtsolver.model import (
     Bounds,
@@ -321,7 +322,7 @@ def test_drop_discharges_by_farkas():
     )
     k.apply(Step("drop", target=0, cert=proof))
     assert k.final
-    assert k.verdict() == ("infeasible", ObjValue.pos_inf())
+    assert verdict(inst, k.state) == ("infeasible", ObjValue.pos_inf())
 
 
 def test_retire_then_prune():
@@ -340,7 +341,7 @@ def test_retire_then_prune():
     prune_cert = LbDual(ObjValue.finite(3), ((branch_row, "ge", Fraction(1)),))
     k.apply(Step("prune", target=2, cert=prune_cert))
     assert k.final
-    assert k.verdict() == ("optimal", ObjValue.finite(0))
+    assert verdict(inst, k.state) == ("optimal", ObjValue.finite(0))
 
 
 def test_prune_requires_incumbent_and_domination():
@@ -393,7 +394,7 @@ def test_unbounded_accepts_a_valid_ray():
     k = Kernel(inst)
     ev = UnboundedEvidence((("x", 0), ("y", 0)), (("x", -1),), TheoryToken("model"))
     k.apply(Step("unbounded", target=0, cert=ev))
-    assert k.verdict() == ("unbounded", ObjValue.neg_inf())
+    assert verdict(inst, k.state) == ("unbounded", ObjValue.neg_inf())
 
 
 def test_unbounded_rejections():
@@ -481,9 +482,10 @@ def test_budgets_enforced():
 
 
 def test_verdict_requires_final_state():
-    k = Kernel(plain_instance())
+    inst = plain_instance()
+    k = Kernel(inst)
     with pytest.raises(ImtError):
-        k.verdict()
+        verdict(inst, k.state)
 
 
 def test_idents_are_fresh_across_steps():

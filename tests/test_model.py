@@ -163,20 +163,6 @@ def test_instance_digest_ignores_declaration_order():
     assert a.digest() == b.digest()
 
 
-def test_interface_vars():
-    inst = ImtInstance(
-        ["x", "y", "r"],
-        Bounds({"x": (0, 3), "y": (0, 3), "r": (0, 3)}),
-        [LinConstraint(LinExpr.of([("x", 1), ("r", 1)]), Relation.LE, 4)],
-        [InterfaceAtom.fun_def("r", "f", ["y"])],
-        LinExpr.zero(),
-        {"f": 1},
-    )
-    assert inst.atom_vars() == frozenset({"r", "y"})
-    assert inst.interface_vars() == frozenset({"r"})
-    assert not inst.theory_free()
-
-
 def test_satisfies_exact_on_fractions():
     c = LinConstraint(LinExpr.of([("x", 3)]), Relation.LE, 1)
     assert satisfies(c, {"x": Fraction(1, 3)})
