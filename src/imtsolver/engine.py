@@ -80,6 +80,7 @@ class Stats:
     nodes: int = 0
     lp_solves: int = 0
     pivots: int = 0
+    lp_rows: int = 0  # tableau rows, summed over the LP solves
     cuts: int = 0
     branches: int = 0
     propagations: int = 0
@@ -89,8 +90,8 @@ class Stats:
 
     def summary(self) -> str:
         return (
-            f"nodes={self.nodes} lp={self.lp_solves} pivots={self.pivots} cuts={self.cuts} "
-            f"branches={self.branches} theory={self.theory_checks} conflicts={self.conflicts}"
+            f"nodes={self.nodes} lp={self.lp_solves} pivots={self.pivots} lp_rows={self.lp_rows} "
+            f"cuts={self.cuts} branches={self.branches} theory={self.theory_checks} conflicts={self.conflicts}"
         )
 
 
@@ -255,6 +256,7 @@ class _Search:
             out = lp_solve(current, self.instance.objective, self.instance.bounds, prev)
             self.stats.lp_solves += 1
             self.stats.pivots += out.pivots
+            self.stats.lp_rows += out.tableau_rows
             if isinstance(out, LpInfeasible):
                 self.kernel.apply(Step("drop", current.ident, cert=out.farkas))
                 return

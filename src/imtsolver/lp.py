@@ -4,17 +4,27 @@ The solver keeps bounds on columns, not as rows (Dutertre and de Moura, "A
 Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006). A row whose left side
 is one variable with coefficient +1 or -1 bounds that variable's column; any
 other row bounds its slack column ``s = lhs``, shared by every row with that
-left side. Rows are homogeneous identities, nonbasic columns sit at integer
-values within their bounds, and each basic value is its row's ``rhs / den``,
-so there are no artificial columns and no phase-1 objective. A solve first
-moves every basic column into its bounds (Dutertre and de Moura's check),
-then runs a bounded primal simplex in which the entering column may flip to
-its other bound without a pivot. Both use Bland's rule over one fixed column
-order, slack columns before variables and the newest slack first, so they
-terminate on every input, and the answers are exact. Within one node's cut
-loop the previous optimum's tableau is kept: a cut tightens a column's bound
-or brings a new slack row, rewritten in the current basis, and a forgotten
-row loosens a bound. Any other change is solved from scratch.
+left side. A row of the second kind that its activity range over the
+variables' bounds already implies, such as ``g - p >= 0`` once ``g >= 1`` and
+``p <= 1`` bound their columns, is parked: it stays among the solve's rows but
+gets no slack column and no tableau row, since it holds wherever the
+variables' bounds hold (activity-based redundancy detection, as in
+Achterberg, Bixby, Gu, Rothberg and Weninger, "Presolve reductions in mixed
+integer programming", 2020).
+
+Rows are homogeneous identities, nonbasic columns sit at integer values
+within their bounds, and each basic value is its row's ``rhs / den``, so
+there are no artificial columns and no phase-1 objective. A solve first moves
+every basic column into its bounds (Dutertre and de Moura's check), then runs
+a bounded primal simplex in which the entering column may flip to its other
+bound without a pivot. Both use Bland's rule over one fixed column order,
+slack columns before variables and the newest slack first, so they terminate
+on every input, and the answers are exact. Within one node's cut loop the
+previous optimum's tableau is kept: a cut tightens a column's bound, is
+parked, or brings a new slack row, rewritten in the current basis, and a
+forgotten row loosens a bound. When that loosens a variable's bound, each
+parked row the bounds no longer imply is admitted the same way. Any other
+change is solved from scratch.
 
 The tableau is sparse and integer-preserving: each row stores only its
 nonzero entries, as ``int`` numerators over one positive row denominator,
@@ -28,10 +38,12 @@ Every outcome carries a certificate in the shared combination format:
 infeasibility yields Farkas multipliers on a stuck row's identity and the
 bounds that stop its columns, optimality yields dual multipliers, the reduced
 costs of the nonbasic columns at their bounds, reproducing the objective,
-and unboundedness yields a feasible point plus an improving ray. Cuts and
-propagated bounds carry rounding multipliers. Nothing here checks a
-certificate: this module is part of the untrusted engine, and the kernel
-checks each one when the step that cites it is applied.
+and unboundedness yields a feasible point plus an improving ray. These cite
+only admitted rows; a parked row holds at the point and along the ray,
+because both stay within the variables' bounds. Cuts and propagated bounds
+carry rounding multipliers. Nothing here checks a certificate: this module is
+part of the untrusted engine, and the kernel checks each one when the step
+that cites it is applied.
 """
 from __future__ import annotations
 
@@ -65,13 +77,18 @@ class NoFractionalRow(ImtError):
 
 @dataclass(frozen=True)
 class LpOptimal:
-    """An optimal vertex over ``rows``, the relaxation's rows; ``pivots`` counts this solve's simplex pivots."""
+    """An optimal vertex over ``rows``, the relaxation's rows.
+
+    ``pivots`` counts this solve's simplex pivots, and ``tableau_rows`` the
+    tableau rows it solved over, as in every outcome.
+    """
 
     x_star: dict[Var, Fraction]
     value: Fraction
     dual: tuple[ComboEntry, ...]
     rows: tuple[LinConstraint, ...]
     pivots: int = 0
+    tableau_rows: int = 0
     # the live tableau, which the node's next cut round re-optimises in place
     state: _Simplex | None = field(default=None, repr=False, compare=False)
 
@@ -80,6 +97,7 @@ class LpOptimal:
 class LpInfeasible:
     farkas: FarkasProof
     pivots: int = 0
+    tableau_rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,7 @@ class LpUnbounded:
     point: dict[Var, Fraction]
     ray: dict[Var, Fraction]
     pivots: int = 0
+    tableau_rows: int = 0
 
 
 LpOutcome = LpOptimal | LpInfeasible | LpUnbounded
@@ -199,6 +218,12 @@ class _Simplex:
     ``lo_src[j]``/``hi_src[j]`` name the row and direction certifying each.
     Bland's order ``rank`` puts every slack before every variable, the
     newest slack first.
+
+    A row for a slack that the variable columns' bounds imply over its
+    whole activity range is kept in ``parked`` instead: it has no column,
+    no tableau row and no end. Variable bounds are admitted before the rows
+    tested against them, and a row is tested again only when a forgotten
+    row loosens a variable's bound, when it may be admitted after all.
     """
 
     def __init__(self, objective: LinExpr, relevant: set[Var]):
@@ -219,6 +244,7 @@ class _Simplex:
         self.ends: list[list[End]] = [[] for _ in self.names]
         self.slack_of: dict[LinExpr, int] = {}
         self.column_of: dict[LinConstraint, int] = {}
+        self.parked: set[LinConstraint] = set()
         self.cost = {self.col[v]: c for v, c in objective.terms}
         self.costval = 0
         self.cost_den = 1
@@ -268,18 +294,55 @@ class _Simplex:
                 self.rhs[i] -= f * delta
         self.costval -= self.cost.get(j, 0) * delta
 
-    def admit(self, row: LinConstraint, basic_row: dict[int, int]) -> None:
-        """Add a row with variables as bounds on its column, making its slack column if it is new."""
-        terms = row.lhs.terms
-        if len(terms) == 1 and terms[0][1] in (1, -1):
-            j, c = self.col[terms[0][0]], terms[0][1]
-        else:
-            j, c = self.slack_of.get(row.lhs, -1), 1
-            if j < 0:
-                j = self.slack_of[row.lhs] = self._slack(row.lhs, basic_row)
+    def admit(self, rows: list[LinConstraint], basic_row: dict[int, int]) -> None:
+        """Add rows with variables: variable bounds first, then each other row unless they imply it."""
+        rest = []
+        for row in rows:
+            terms = row.lhs.terms
+            if len(terms) == 1 and terms[0][1] in (1, -1):
+                self._bound(row, self.col[terms[0][0]], terms[0][1])
+            else:
+                rest.append(row)
+        for row in rest:
+            if self._implied(row):
+                self.parked.add(row)
+            else:
+                self._bound(row, self._slack_column(row.lhs, basic_row), 1)
+
+    def _unpark(self, rows: list[LinConstraint]) -> None:
+        """Admit each parked row, in ``rows`` order, that the variables' bounds no longer imply."""
+        basic_row = {b: r for r, b in enumerate(self.basis)}
+        for row in rows:
+            if row in self.parked and not self._implied(row):
+                self.parked.remove(row)
+                self._bound(row, self._slack_column(row.lhs, basic_row), 1)
+
+    def _implied(self, row: LinConstraint) -> bool:
+        """Whether the row holds over the whole box the variable columns' bounds span."""
+        low: int | None = 0
+        high: int | None = 0
+        lo, hi, col = self.lo, self.hi, self.col
+        for v, a in row.lhs.terms:
+            j = col[v]
+            least, most = (lo[j], hi[j]) if a > 0 else (hi[j], lo[j])
+            low = None if low is None or least is None else low + a * least
+            high = None if high is None or most is None else high + a * most
+        if row.rel is not Relation.LE and (low is None or low < row.rhs):
+            return False
+        return row.rel is Relation.GE or (high is not None and high <= row.rhs)
+
+    def _bound(self, row: LinConstraint, j: int, c: int) -> None:
+        """Put the bounds of a row whose left side is ``c`` times column ``j`` on that column."""
         self.column_of[row] = j
         self.ends[j].extend(_bound_ends(row, c))
         self._settle(j)
+
+    def _slack_column(self, lhs: LinExpr, basic_row: dict[int, int]) -> int:
+        """The slack column of ``lhs``, made if it is new."""
+        j = self.slack_of.get(lhs, -1)
+        if j < 0:
+            j = self.slack_of[lhs] = self._slack(lhs, basic_row)
+        return j
 
     def _slack(self, lhs: LinExpr, basic_row: dict[int, int]) -> int:
         """A new basic slack column ``s = lhs``, its row rewritten over the nonbasic columns."""
@@ -300,8 +363,14 @@ class _Simplex:
         return s
 
     def drop(self, row: LinConstraint) -> None:
-        """Forget a row's bound; a slack left with no bound and a basic row leaves with that row."""
-        j = self.column_of.pop(row)
+        """Forget a row's bound; a slack left with no bound and a basic row leaves with that row.
+
+        A parked row, or a row without variables, has nothing to forget.
+        """
+        j = self.column_of.pop(row, None)
+        if j is None:
+            self.parked.discard(row)
+            return
         self.ends[j] = [end for end in self.ends[j] if end[3] != row]
         self._settle(j)
         if j >= len(self.names) and not self.ends[j] and j in self.basis:
@@ -425,9 +494,11 @@ class _Simplex:
     def solve(self, rows: list[LinConstraint], available: frozenset[LinConstraint]) -> LpOutcome:
         """Check the bounds, then optimise; ``rows`` and their set ``available`` are kept for the next re-solve."""
         start = self.pivots
+        size = len(self.nums)
         for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             if lo is not None and hi is not None and lo > hi:
-                return LpInfeasible(FarkasProof(((*self.lo_src[j], Fraction(1)), (*self.hi_src[j], Fraction(1)))))
+                proof = FarkasProof(((*self.lo_src[j], Fraction(1)), (*self.hi_src[j], Fraction(1))))
+                return LpInfeasible(proof, tableau_rows=size)
         self.place()
         stuck = self.repair()
         if stuck is not None:
@@ -437,10 +508,10 @@ class _Simplex:
             for k, a in self.nums[r].items():
                 row, direction = self.hi_src[k] if (a < 0) == up else self.lo_src[k]
                 entries.append((row, direction, Fraction(abs(a), self.den[r])))
-            return LpInfeasible(FarkasProof(tuple(entries)), self.pivots - start)
+            return LpInfeasible(FarkasProof(tuple(entries)), self.pivots - start, size)
         ray = self.optimise()
         if ray is not None:
-            return LpUnbounded(self.point(), self.ray(*ray), self.pivots - start)
+            return LpUnbounded(self.point(), self.ray(*ray), self.pivots - start, size)
         x_star = self.point()
         value = Fraction(0)
         for v, c in self.objective.terms:
@@ -451,7 +522,7 @@ class _Simplex:
             row, direction = self.lo_src[k] if c > 0 else self.hi_src[k]
             dual.append((row, direction, Fraction(abs(c), self.cost_den)))
         self.rows, self.available = tuple(rows), available
-        return LpOptimal(x_star, value, tuple(dual), self.rows, self.pivots - start, self)
+        return LpOptimal(x_star, value, tuple(dual), self.rows, self.pivots - start, size, self)
 
     def point(self) -> dict[Var, Fraction]:
         basic_row = {b: r for r, b in enumerate(self.basis)}
@@ -474,12 +545,14 @@ class _Simplex:
     ) -> LpOutcome | None:
         """Re-solve in place after rows were added to or forgotten from the previous optimum's.
 
-        A new row tightens a column's bounds, or brings a new slack column
-        with its row rewritten in the current basis; a forgotten row loosens
-        them. The check then restores feasibility and the primal simplex
-        optimality. Returns None, for a solve from scratch, when ``prev`` is
-        not this tableau's latest optimum, the objective or variables
-        changed, or a row without variables was added.
+        A new row tightens a column's bounds, is parked, or brings a new
+        slack column with its row rewritten in the current basis; a forgotten
+        row loosens them. A parked row that a loosened variable bound no
+        longer implies is admitted like a new row. The check then restores
+        feasibility and the primal simplex optimality. Returns None, for a
+        solve from scratch, when ``prev`` is not this tableau's latest
+        optimum, the objective or variables changed, or a row without
+        variables was added.
         """
         if prev.rows is not self.rows or objective != self.objective or relevant != self.relevant:
             return None
@@ -488,12 +561,14 @@ class _Simplex:
         if any(not row.lhs.terms for row in added):
             return None
         self.rows = ()  # from here the tableau no longer matches prev
-        basic_row = {b: r for r, b in enumerate(self.basis)}
-        for row in added:
-            self.admit(row, basic_row)
+        self.admit(added, {b: r for r, b in enumerate(self.basis)})
+        n = len(self.names)
+        box = self.lo[:n], self.hi[:n]
         for row in prev.rows:
-            if row not in available and row in self.column_of:
+            if row not in available:
                 self.drop(row)
+        if self.parked and box != (self.lo[:n], self.hi[:n]):
+            self._unpark(rows)
         return self.solve(rows, available)
 
 
@@ -510,11 +585,8 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
         out = prev.state.reoptimize(prev, rows, relevant, objective)
         if out is not None:
             return out
-    sx = _Simplex(objective, relevant)
     for row in rows:
-        if row.lhs.terms:
-            sx.admit(row, {})
-        elif not (
+        if not row.lhs.terms and not (
             (row.rel is Relation.GE and 0 >= row.rhs)
             or (row.rel is Relation.LE and 0 <= row.rhs)
             or (row.rel is Relation.EQ and row.rhs == 0)
@@ -522,6 +594,8 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
             # a row without variables that fails decides the relaxation alone
             direction = "ge" if (row.rel is Relation.GE or (row.rel is Relation.EQ and row.rhs > 0)) else "le"
             return LpInfeasible(FarkasProof(((row, direction, Fraction(1)),)))
+    sx = _Simplex(objective, relevant)
+    sx.admit([row for row in rows if row.lhs.terms], {})
     return sx.solve(rows, frozenset(rows))
 
 

@@ -50,15 +50,22 @@ class DigestMismatch(ImtError):
     """The trace was recorded for a different instance."""
 
 
+def _int(x) -> int:
+    """An integer field's value; ``int()`` would turn 1.5, "5" or true into an integer silently."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def _row_json(row: LinConstraint) -> dict:
     return {"lhs": [[v, c] for v, c in row.lhs.terms], "rel": row.rel.value, "rhs": row.rhs}
 
 
 def _row_back(obj: dict) -> LinConstraint:
     return LinConstraint(
-        LinExpr.of([(v, int(c)) for v, c in obj["lhs"]]),
+        LinExpr.of([(v, _int(c)) for v, c in obj["lhs"]]),
         Relation(obj["rel"]),
-        int(obj["rhs"]),
+        _int(obj["rhs"]),
     )
 
 
@@ -67,6 +74,8 @@ class _Memo:
 
     Box rows and common multipliers recur in entry after entry. A value that
     cannot serve as a key is decoded afresh, so it fails as it would unmemoised.
+    A row's numbers must be integers before its lookup, since 1.0 and true
+    find the row keyed by 1.
     """
 
     def __init__(self) -> None:
@@ -76,6 +85,8 @@ class _Memo:
     def row(self, obj) -> LinConstraint:
         try:
             key = (tuple(map(tuple, obj["lhs"])), obj["rel"], obj["rhs"])
+            if type(key[2]) is not int or any(type(c) is not int for _, c in key[0]):
+                return _row_back(obj)
             row = self.rows.get(key)
         except (KeyError, TypeError, ValueError):
             return _row_back(obj)
@@ -109,7 +120,7 @@ def _lit_json(lit: TheoryLiteral) -> dict:
 
 def _lit_back(obj: dict) -> TheoryLiteral:
     if obj["kind"] in ("eq", "diseq"):
-        return TheoryLiteral(obj["kind"], obj["x"], obj["y"], int(obj["offset"]))
+        return TheoryLiteral(obj["kind"], obj["x"], obj["y"], _int(obj["offset"]))
     return TheoryLiteral(obj["kind"], var=obj["var"])
 
 
@@ -126,7 +137,7 @@ def _obj_value_json(v: ObjValue) -> dict:
 
 
 def _obj_value_back(obj: dict) -> ObjValue:
-    return ObjValue(int(obj["kind"]), None if obj["value"] is None else int(obj["value"]))
+    return ObjValue(_int(obj["kind"]), None if obj["value"] is None else _int(obj["value"]))
 
 
 def _cert_json(cert) -> dict:
@@ -193,21 +204,21 @@ def _cert_back(obj: dict, memo: _Memo):
             _token_back(obj["token"]),
         )
     if kind == "dichotomy":
-        return BranchDichotomy(obj["var"], int(obj["k"]))
+        return BranchDichotomy(obj["var"], _int(obj["k"]))
     if kind == "trichotomy":
-        return BranchTrichotomy(obj["x"], obj["y"], int(obj["c"]))
+        return BranchTrichotomy(obj["x"], obj["y"], _int(obj["c"]))
     if kind == "conflict_split":
         return BranchConflictSplit(tuple(_lit_back(l) for l in obj["core"]))
     if kind == "retire":
         return RetireEvidence(
-            tuple((v, int(c)) for v, c in obj["assignment"]),
+            tuple((v, _int(c)) for v, c in obj["assignment"]),
             _cert_back(obj["lb"], memo),
             _token_back(obj["token"]),
         )
     if kind == "ray":
         return UnboundedEvidence(
-            tuple((v, int(c)) for v, c in obj["assignment"]),
-            tuple((v, int(c)) for v, c in obj["ray"]),
+            tuple((v, _int(c)) for v, c in obj["assignment"]),
+            tuple((v, _int(c)) for v, c in obj["ray"]),
             _token_back(obj["token"]),
         )
     if kind == "subsume":
@@ -220,7 +231,7 @@ def _eq_json(d: SimpleEquality) -> dict:
 
 
 def _eq_back(obj: dict) -> SimpleEquality:
-    return SimpleEquality(obj["x"], obj["y"], int(obj["c"]))
+    return SimpleEquality(obj["x"], obj["y"], _int(obj["c"]))
 
 
 def step_to_json(step: Step) -> dict:

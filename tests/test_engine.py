@@ -129,8 +129,11 @@ def test_stats_count_work():
     assert res.stats.nodes >= 1
     assert res.stats.lp_solves >= res.stats.nodes
     assert res.stats.pivots > 0
+    # the box implies neither row, so both stay in the tableau through the cut rounds
+    assert res.stats.lp_rows >= 2 * res.stats.lp_solves
     assert "nodes=" in res.stats.summary()
     assert f"pivots={res.stats.pivots}" in res.stats.summary()
+    assert f"lp_rows={res.stats.lp_rows}" in res.stats.summary()
 
 
 def test_feasibility_mode_zero_objective():

@@ -33,9 +33,11 @@ from imtsolver.model import (
     satisfies,
     satisfies_all,
 )
+from imtsolver.smtlib import encode_script
 
 from gen import random_lp_instance
 from lp_oracle import vertex_optimum
+from test_acceptance import _cnf_script, _random_cnf
 
 
 def lp_parts(instance):
@@ -528,6 +530,17 @@ def test_bounded_columns_match_vertex_enumeration(data):
             | warm_exprs.filter(lambda e: len(e) > 1).map(lambda e: list(e.items()))
         )
         rows.append(row_of(terms, data.draw(st.sampled_from(tuple(flipped))), data.draw(st.integers(-6, 6))))
+    # rows the drawn box implies, which the simplex parks
+    boxed = sorted(table)
+    for _ in range(data.draw(st.integers(0, 2)) if boxed else 0):
+        terms = data.draw(st.dictionaries(st.sampled_from(boxed), st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+        low = sum(a * table[v][0 if a > 0 else 1] for v, a in terms.items())
+        high = sum(a * table[v][1 if a > 0 else 0] for v, a in terms.items())
+        gap = data.draw(st.integers(0, 2))
+        if data.draw(st.booleans()):
+            rows.append(row_of(list(terms.items()), Relation.GE, low - gap))
+        else:
+            rows.append(row_of(list(terms.items()), Relation.LE, high + gap))
     sub, box, obj = Subproblem.root(rows), Bounds(table), LinExpr.of(data.draw(warm_exprs))
     have = frozenset(assemble_rows(sub, box, obj))
     status, value = vertex_optimum(sub, obj, box)
@@ -539,3 +552,72 @@ def test_bounded_columns_match_vertex_enumeration(data):
         assert isinstance(out, LpOptimal) and out.value == value
         assert satisfies_all(have, out.x_star)
         check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), out.dual), have, obj)
+
+
+def slack_lhs(rows):
+    """The left sides that get a slack column when no row is parked."""
+    return {r.lhs for r in rows if r.lhs.terms and not (len(r.lhs.terms) == 1 and r.lhs.terms[0][1] in (1, -1))}
+
+
+PARK_BOX = Bounds({"g": (0, 1), "x": (0, 2), "y": (0, 2)})
+# g >= 1 with the box implies the next three rows; the last two need the tableau
+PARKED = [
+    row_of([("g", 1)], Relation.GE, 1),
+    row_of([("g", 1), ("x", -1)], Relation.GE, -1),
+    row_of([("g", 1), ("y", 1)], Relation.GE, 1),
+    row_of([("x", 2)], Relation.LE, 5),
+    row_of([("x", 1), ("y", 1)], Relation.GE, 1),
+    row_of([("x", 2), ("y", -2)], Relation.LE, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "extra, status",
+    [([], "optimal"), ([row_of([("x", 1), ("y", 1)], Relation.LE, 0)], "infeasible")],
+    ids=["optimal", "infeasible"],
+)
+def test_rows_the_box_implies_get_no_tableau_row(extra, status):
+    sub, obj = Subproblem.root(PARKED + extra), LinExpr.of([("x", 1), ("y", 3)])
+    rows = assemble_rows(sub, PARK_BOX, obj)
+    have = frozenset(rows)
+    out = lp_solve(sub, obj, PARK_BOX)
+    assert out.tableau_rows == len(slack_lhs(rows)) - 3
+    want, value = vertex_optimum(sub, obj, PARK_BOX)
+    assert want == status
+    if status == "infeasible":
+        assert isinstance(out, LpInfeasible)
+        check_farkas(out.farkas, have)
+    else:
+        assert isinstance(out, LpOptimal) and out.value == value == Fraction(3, 2)
+        assert out.rows == tuple(rows)
+        assert satisfies_all(have, out.x_star)
+        check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), out.dual), have, obj)
+
+
+def test_a_forgotten_bound_readmits_a_parked_row_warm():
+    box, obj = Bounds({"x": (0, 4), "y": (0, 2)}), LinExpr.of([("x", -2), ("y", -1)])
+    joint = row_of([("x", 1), ("y", 1)], Relation.LE, 3)
+    sub0 = Subproblem.root([row_of([("x", 1)], Relation.LE, 1), joint])
+    out0 = lp_solve(sub0, obj, box)
+    assert isinstance(out0, LpOptimal) and out0.tableau_rows == 0 and out0.value == -4
+    # the round forgets x <= 1, which made the joint row implied, for a looser cut x <= 2
+    sub1 = Subproblem.root([row_of([("x", 1)], Relation.LE, 2), joint])
+    rows, relevant = _rows_and_vars(sub1, box, obj)
+    out1 = out0.state.reoptimize(out0, rows, relevant, obj)
+    assert isinstance(out1, LpOptimal) and out1.state is out0.state
+    assert out1.tableau_rows == 1
+    cold = lp_solve(sub1, obj, box)
+    assert (out1.value, out1.x_star) == (cold.value, cold.x_star) == (-5, {"x": 2, "y": 1})
+    assert joint in {row for row, _, _ in out1.dual}
+    check_lb_dual(LbDual(ObjValue.finite(-5), out1.dual), frozenset(rows), obj)
+
+
+def test_the_clause_encodings_root_lp_has_one_tableau_row_per_clause():
+    # each clause brings a gate g >= 1 and four more rows, three of which
+    # the box then implies
+    clauses = _random_cnf(random.Random(6), 6, 25)
+    instance = encode_script(_cnf_script(clauses, 6)).instance
+    sub, obj, bounds = lp_parts(instance)
+    assert len(slack_lhs(assemble_rows(sub, bounds, obj))) > 3 * len(clauses)
+    out = lp_solve(sub, obj, bounds)
+    assert 0 < out.tableau_rows <= len(clauses)

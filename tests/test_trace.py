@@ -154,8 +154,32 @@ def test_read_trace_rejects_garbage(tmp_path):
         {"kind": "farkas", "entries": [[{"lhs": [[{"x": 1}, 1]], "rel": ">=", "rhs": 0}, "ge", "1"]]},
         # JSON reads 1e400 as an infinite float, which no int holds
         {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1e400}, "ge", "1"]]},
+        # int() would read these as 1, 5, 1 and a coefficient 1
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.5}, "ge", "1"]]},
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": "5"}, "ge", "1"]]},
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": True}, "ge", "1"]]},
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1.9]], "rel": ">=", "rhs": 1}, "ge", "1"]]},
+        # 1.0 hashes like 1, so the memoised row must not answer for it
+        {
+            "kind": "farkas",
+            "entries": [
+                [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
+                [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"],
+            ],
+        },
     ],
-    ids=["non_list_entries", "zero_denominator", "unhashable_multiplier", "unhashable_variable", "infinite_rhs"],
+    ids=[
+        "non_list_entries",
+        "zero_denominator",
+        "unhashable_multiplier",
+        "unhashable_variable",
+        "infinite_rhs",
+        "float_rhs",
+        "string_rhs",
+        "bool_rhs",
+        "float_coefficient",
+        "float_rhs_after_its_integer",
+    ],
 )
 def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, cert):
     text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
@@ -169,6 +193,40 @@ def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, cert):
         read_trace(trace)
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+# (index into STEPS, path to an integer field of its JSON form)
+INTEGER_FIELDS = [
+    (0, ("cert", "k")),
+    (1, ("cert", "c")),
+    (2, ("cert", "core", 0, "offset")),
+    (3, ("row", "rhs")),
+    (3, ("row", "lhs", 0, 1)),
+    (5, ("eq", "c")),
+    (9, ("cert", "bound", "kind")),
+    (9, ("cert", "bound", "value")),
+    (12, ("cert", "assignment", 0, 1)),
+    (13, ("cert", "ray", 0, 1)),
+]
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize(
+    "index, path", INTEGER_FIELDS, ids=[f"{STEPS[i].rule}:{'/'.join(map(str, path))}" for i, path in INTEGER_FIELDS]
+)
+def test_integer_fields_accept_only_json_integers(tmp_path, index, path, bad):
+    obj = step_to_json(STEPS[index])
+    *head, last = path
+    field = obj
+    for key in head:
+        field = field[key]
+    field[last] = bad
+    inst = small_instance()
+    header = {"format": "bct-trace", "version": 1, "instance": inst.digest()}
+    trace = tmp_path / "bad.trace"
+    trace.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(TraceError, match="expected an integer"):
+        read_trace(trace, inst)
 
 
 def test_replay_rejects_a_tampered_step(tmp_path):
