@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the engine on a ladder of mid-size random 3-CNF formulas.
 
-For each size in ``--sizes`` (variables), draws ``--draws`` formulas from
-``random.Random(nvars)`` with ``round(--ratio * nvars)`` clauses, using the
-acceptance suite's ``_random_cnf`` and ``_cnf_script``, encodes each through
+For each size in ``SIZES`` (variables), draws ``DRAWS`` formulas from
+``random.Random(nvars)`` with ``round(RATIO * nvars)`` clauses, using
+``tests/gen.py``'s ``random_cnf`` and ``cnf_script``, encodes each through
 SMT-LIB and solves it in process. One line per formula:
 
     <vars>/<clauses> #<draw> <status> nodes=.. lp=.. pivots=.. lp_rows=.. cuts=.. <seconds>s
@@ -17,7 +17,6 @@ trees one after the other, not at once, so that they do not share the cores:
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import random
 import sys
@@ -27,26 +26,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_acceptance import _cnf_script, _random_cnf  # noqa: E402
+from gen import cnf_script, random_cnf  # noqa: E402
 
 from imtsolver.engine import solve  # noqa: E402
 from imtsolver.smtlib import encode_script  # noqa: E402
 
+SIZES = (14, 16, 18)
+DRAWS = 3
+RATIO = 4.5  # clauses per variable
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[14, 16, 18], help="variable counts (default 14 16 18)")
-    ap.add_argument("--draws", type=int, default=3, help="formulas per size (default 3)")
-    ap.add_argument("--ratio", type=float, default=4.5, help="clauses per variable (default 4.5)")
-    args = ap.parse_args(argv)
 
+def main() -> int:
     statuses = hashlib.sha256()
     total = 0.0
-    for nvars in args.sizes:
+    for nvars in SIZES:
         rng = random.Random(nvars)
-        nclauses = round(args.ratio * nvars)
-        for draw in range(args.draws):
-            script = _cnf_script(_random_cnf(rng, nvars, nclauses), nvars)
+        nclauses = round(RATIO * nvars)
+        for draw in range(DRAWS):
+            script = cnf_script(random_cnf(rng, nvars, nclauses), nvars)
             start = time.perf_counter()
             result = solve(encode_script(script).instance)
             seconds = time.perf_counter() - start

@@ -57,6 +57,15 @@ def _int(x) -> int:
     return x
 
 
+def _no_float(text: str):
+    raise ValueError(f"expected an integer, got {text}")
+
+
+# Decodes one step line. No field of a step holds a JSON float, so the decoder
+# rejects every float and no float reaches the decoding memo.
+_decode_step = json.JSONDecoder(parse_float=_no_float).decode
+
+
 def _row_json(row: LinConstraint) -> dict:
     return {"lhs": [[v, c] for v, c in row.lhs.terms], "rel": row.rel.value, "rhs": row.rhs}
 
@@ -75,17 +84,20 @@ class _Memo:
     Box rows and common multipliers recur in entry after entry. A value that
     cannot serve as a key is decoded afresh, so it fails as it would unmemoised.
     A row's numbers must be integers before its lookup, since 1.0 and true
-    find the row keyed by 1.
+    find the row keyed by 1. ``read_trace`` rejects floats while decoding, and
+    sets ``no_bools`` for a line without the words true and false; only rows
+    of other lines are scanned.
     """
 
     def __init__(self) -> None:
         self.rows: dict[tuple, LinConstraint] = {}
-        self.mults: dict[object, Fraction] = {}
+        self.mults: dict[str, Fraction] = {}
+        self.no_bools = False
 
     def row(self, obj) -> LinConstraint:
         try:
             key = (tuple(map(tuple, obj["lhs"])), obj["rel"], obj["rhs"])
-            if type(key[2]) is not int or any(type(c) is not int for _, c in key[0]):
+            if not self.no_bools and (type(key[2]) is not int or any(type(c) is not int for _, c in key[0])):
                 return _row_back(obj)
             row = self.rows.get(key)
         except (KeyError, TypeError, ValueError):
@@ -95,10 +107,9 @@ class _Memo:
         return row
 
     def mult(self, text) -> Fraction:
-        try:
-            q = self.mults.get(text)
-        except TypeError:
-            return Fraction(text)
+        if type(text) is not str:
+            raise ValueError(f"expected a rational string, got {text!r}")
+        q = self.mults.get(text)
         if q is None:
             q = self.mults[text] = Fraction(text)
         return q
@@ -296,8 +307,9 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
     steps = []
     memo = _Memo()
     for i, line in enumerate(lines[1:], start=2):
+        memo.no_bools = "true" not in line and "false" not in line
         try:
-            steps.append(step_from_json(json.loads(line), memo))
+            steps.append(step_from_json(_decode_step(line), memo))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise TraceError(f"line {i}: {exc}") from exc
     return digest, steps

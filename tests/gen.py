@@ -3,7 +3,8 @@
 Shapes follow the oracle-equivalence suite: at most 4 variables boxed in
 [-5, 5], at most 6 rows, at most 2 unary uninterpreted functions, a random
 linear objective, and optional annotated atoms. Everything stays inside the
-enumeration oracle's comfort zone.
+enumeration oracle's comfort zone. ``random_cnf`` and ``cnf_script`` draw
+3-CNF formulas and encode them as SMT-LIB scripts.
 """
 from __future__ import annotations
 
@@ -88,3 +89,23 @@ def random_instance(
 def random_lp_instance(rng: random.Random, max_vars: int = 3) -> ImtInstance:
     """Theory-free, fully boxed; for relaxation-level checks."""
     return random_instance(rng, max_vars=max_vars, with_atoms=False)
+
+
+def random_cnf(rng: random.Random, nvars: int, nclauses: int) -> list[list[tuple[int, bool]]]:
+    """``nclauses`` clauses over ``nvars`` variables, each on 3 distinct variables
+    (all of them when fewer), as (variable index, positive) literals."""
+    clauses = []
+    for _ in range(nclauses):
+        picked = rng.sample(range(nvars), min(3, nvars))
+        clauses.append([(i, rng.random() < 0.5) for i in picked])
+    return clauses
+
+
+def cnf_script(clauses: list[list[tuple[int, bool]]], nvars: int) -> str:
+    """The SMT-LIB script asserting ``clauses`` over Boolean constants p0, p1, ..."""
+    lines = [f"(declare-const p{i} Bool)" for i in range(nvars)]
+    for cl in clauses:
+        lits = " ".join(f"p{i}" if pos else f"(not p{i})" for i, pos in cl)
+        lines.append(f"(assert (or {lits}))")
+    lines.append("(check-sat)")
+    return "\n".join(lines)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from gen import random_instance, random_lp_instance
+from gen import cnf_script, random_cnf, random_instance, random_lp_instance
 from lp_oracle import vertex_optimum
 from imtsolver.certificates import (
     BoundFix,
@@ -347,28 +347,11 @@ def test_criterion_5_indicator_linking():
 # --- 6: clause encodings match truth tables ----------------------------------
 
 
-def _random_cnf(rng, nvars, nclauses):
-    clauses = []
-    for _ in range(nclauses):
-        picked = rng.sample(range(nvars), min(3, nvars))
-        clauses.append([(i, rng.random() < 0.5) for i in picked])
-    return clauses
-
-
 def _cnf_truth(clauses, nvars) -> bool:
     for bits in itertools.product((False, True), repeat=nvars):
         if all(any(bits[i] == pos for i, pos in cl) for cl in clauses):
             return True
     return False
-
-
-def _cnf_script(clauses, nvars) -> str:
-    lines = [f"(declare-const p{i} Bool)" for i in range(nvars)]
-    for cl in clauses:
-        lits = " ".join(f"p{i}" if pos else f"(not p{i})" for i, pos in cl)
-        lines.append(f"(assert (or {lits}))")
-    lines.append("(check-sat)")
-    return "\n".join(lines)
 
 
 def test_criterion_6_clause_encoding():
@@ -382,12 +365,12 @@ def test_criterion_6_clause_encoding():
             nclauses = rng.randint(6 * nvars, 8 * nvars)
         else:
             nclauses = rng.randint(1, int(2.3 * nvars))
-        clauses = _random_cnf(rng, nvars, nclauses)
+        clauses = random_cnf(rng, nvars, nclauses)
         want = _cnf_truth(clauses, nvars)
-        enc = encode_script(_cnf_script(clauses, nvars))
+        enc = encode_script(cnf_script(clauses, nvars))
         res = solve(enc.instance)
         got = res.status == "optimal"
-        assert got == want, _cnf_script(clauses, nvars)
+        assert got == want, cnf_script(clauses, nvars)
         checked += 1
         sat_n += want
     assert checked >= 100 and sat_n >= 20 and checked - sat_n >= 8

@@ -35,9 +35,8 @@ from imtsolver.model import (
 )
 from imtsolver.smtlib import encode_script
 
-from gen import random_lp_instance
+from gen import cnf_script, random_cnf, random_lp_instance
 from lp_oracle import vertex_optimum
-from test_acceptance import _cnf_script, _random_cnf
 
 
 def lp_parts(instance):
@@ -615,8 +614,8 @@ def test_a_forgotten_bound_readmits_a_parked_row_warm():
 def test_the_clause_encodings_root_lp_has_one_tableau_row_per_clause():
     # each clause brings a gate g >= 1 and four more rows, three of which
     # the box then implies
-    clauses = _random_cnf(random.Random(6), 6, 25)
-    instance = encode_script(_cnf_script(clauses, 6)).instance
+    clauses = random_cnf(random.Random(6), 6, 25)
+    instance = encode_script(cnf_script(clauses, 6)).instance
     sub, obj, bounds = lp_parts(instance)
     assert len(slack_lhs(assemble_rows(sub, bounds, obj))) > 3 * len(clauses)
     out = lp_solve(sub, obj, bounds)

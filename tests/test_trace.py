@@ -149,8 +149,12 @@ def test_read_trace_rejects_garbage(tmp_path):
     [
         {"kind": "farkas", "entries": 5},
         {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 0}, "ge", "1/0"]]},
-        # values that cannot key the decoding memo are decoded, and rejected, afresh
+        # multipliers are rational strings; 0.5, true and 1 are not
         {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 0}, "ge", [1]]]},
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", 0.5]]},
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", True]]},
+        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", 1]]},
+        # values that cannot key the decoding memo are decoded, and rejected, afresh
         {"kind": "farkas", "entries": [[{"lhs": [[{"x": 1}, 1]], "rel": ">=", "rhs": 0}, "ge", "1"]]},
         # JSON reads 1e400 as an infinite float, which no int holds
         {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1e400}, "ge", "1"]]},
@@ -167,11 +171,29 @@ def test_read_trace_rejects_garbage(tmp_path):
                 [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"],
             ],
         },
+        # true keys like 1, so the line's rows are scanned before their lookup
+        {
+            "kind": "farkas",
+            "entries": [
+                [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
+                [{"lhs": [["x", 1]], "rel": ">=", "rhs": True}, "ge", "1"],
+            ],
+        },
+        {
+            "kind": "farkas",
+            "entries": [
+                [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
+                [{"lhs": [["x", True]], "rel": ">=", "rhs": 1}, "ge", "1"],
+            ],
+        },
     ],
     ids=[
         "non_list_entries",
         "zero_denominator",
         "unhashable_multiplier",
+        "float_multiplier",
+        "bool_multiplier",
+        "int_multiplier",
         "unhashable_variable",
         "infinite_rhs",
         "float_rhs",
@@ -179,6 +201,8 @@ def test_read_trace_rejects_garbage(tmp_path):
         "bool_rhs",
         "float_coefficient",
         "float_rhs_after_its_integer",
+        "bool_rhs_after_its_integer",
+        "bool_coefficient_after_its_integer",
     ],
 )
 def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, cert):
@@ -193,6 +217,14 @@ def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, cert):
         read_trace(trace)
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_step_from_json_checks_a_row_before_its_memoised_twin():
+    entry = [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"]
+    twin = [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"]
+    obj = {"rule": "drop", "target": 0, "cert": {"kind": "farkas", "entries": [entry, twin]}}
+    with pytest.raises(ValueError, match="expected an integer"):
+        step_from_json(obj)
 
 
 # (index into STEPS, path to an integer field of its JSON form)
