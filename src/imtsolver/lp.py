@@ -1,49 +1,42 @@
 """Exact rational relaxation: bounded simplex, dual certificates, rounding cuts, propagation.
 
-The solver keeps bounds on columns, not as rows (Dutertre and de Moura, "A
-Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006). A row whose left side
-is one variable with coefficient +1 or -1 bounds that variable's column; any
+Bounds live on columns, not rows (Dutertre and de Moura, "A Fast
+Linear-Arithmetic Solver for DPLL(T)", CAV 2006). A row whose left side is
+one variable with coefficient +1 or -1 bounds that variable's column; any
 other row bounds its slack column ``s = lhs``, shared by every row with that
-left side. A row of the second kind that its activity range over the
-variables' bounds already implies, such as ``g - p >= 0`` once ``g >= 1`` and
-``p <= 1`` bound their columns, is parked: it stays among the solve's rows but
-gets no slack column and no tableau row, since it holds wherever the
-variables' bounds hold (activity-based redundancy detection, as in
-Achterberg, Bixby, Gu, Rothberg and Weninger, "Presolve reductions in mixed
-integer programming", 2020).
+left side. A column keeps only its tightest bounds and the rows certifying
+them. A slack row that the variables' bounds imply over its whole activity
+range, such as ``g - p >= 0`` once ``g >= 1`` and ``p <= 1``, gets no column
+and no tableau row (activity-based redundancy detection, as in Achterberg,
+Bixby, Gu, Rothberg and Weninger, "Presolve reductions in mixed integer
+programming", 2020).
 
-Rows are homogeneous identities, nonbasic columns sit at integer values
-within their bounds, and each basic value is its row's ``rhs / den``, so
-there are no artificial columns and no phase-1 objective. A solve first moves
-every basic column into its bounds (Dutertre and de Moura's check), then runs
-a bounded primal simplex in which the entering column may flip to its other
-bound without a pivot. Both use Bland's rule over one fixed column order,
-slack columns before variables and the newest slack first, so they terminate
-on every input, and the answers are exact. Within one node's cut loop the
-previous optimum's tableau is kept: a cut tightens a column's bound, is
-parked, or brings a new slack row, rewritten in the current basis, and a
-forgotten row loosens a bound. When that loosens a variable's bound, each
-parked row the bounds no longer imply is admitted the same way. Any other
-change is solved from scratch.
+A solve first moves every basic column into its bounds (Dutertre and de
+Moura's check), then runs a bounded primal simplex in which the entering
+column may flip to its other bound without a pivot, so there are no
+artificial columns and no phase-1 objective. Both use Bland's rule over one
+fixed column order, slack columns before variables and the newest slack
+first, so they terminate on every input. Within one node's cut loop the
+previous optimum's tableau is kept and its bounds only tighten: a cut
+tightens a bound, is implied, or brings a new slack row rewritten in the
+current basis. Forgetting a row that certifies a bound, like any other
+change, is solved from scratch.
 
-The tableau is sparse and integer-preserving: each row stores only its
-nonzero entries, as ``int`` numerators over one positive row denominator,
-and is divided by the gcd of its numbers after every update (Edmonds'
-fraction-free elimination). No ``Fraction`` is built inside a pivot; values
-become ``Fraction`` only when they leave the tableau. The Gaussian
-elimination that recovers Gomory multipliers uses the same rows, once for all
-fractional targets.
+The tableau is sparse and integer-preserving: each row stores its nonzero
+entries as ``int`` numerators over one positive denominator and is divided by
+the gcd of its numbers after every update (Edmonds' fraction-free
+elimination); values become ``Fraction`` only when they leave the tableau.
+The elimination that recovers Gomory multipliers uses the same rows, once for
+all fractional targets.
 
-Every outcome carries a certificate in the shared combination format:
-infeasibility yields Farkas multipliers on a stuck row's identity and the
-bounds that stop its columns, optimality yields dual multipliers, the reduced
-costs of the nonbasic columns at their bounds, reproducing the objective,
-and unboundedness yields a feasible point plus an improving ray. These cite
-only admitted rows; a parked row holds at the point and along the ray,
-because both stay within the variables' bounds. Cuts and propagated bounds
-carry rounding multipliers. Nothing here checks a certificate: this module is
-part of the untrusted engine, and the kernel checks each one when the step
-that cites it is applied.
+Infeasibility yields Farkas multipliers on a stuck row's identity and the
+bounds that stop its columns; optimality yields dual multipliers, the reduced
+costs of the nonbasic columns at their bounds; unboundedness yields a feasible
+point and an improving ray. Both stay within the variables' bounds, so a row
+left out of the tableau holds at the point and along the ray. Cuts and
+propagated bounds carry rounding multipliers. Nothing here checks a
+certificate: this module is part of the untrusted engine, and the kernel
+checks each one when the step citing it is applied.
 """
 from __future__ import annotations
 
@@ -180,24 +173,9 @@ def _eliminate(nums: dict[int, int], rhs: int, den: int, f: int, src: Row) -> Ro
     return _reduce(nums, rhs - f * src_rhs, den)
 
 
-# a bound end of one column: (upper, value, direction, the row giving it)
-End = tuple[bool, int, str, LinConstraint]
-
-
-def _bound_ends(row: LinConstraint, c: int) -> list[End]:
-    """The bounds a row puts on a column when its left side is ``c`` (+1 or -1) times that column.
-
-    The row taken in an end's direction reads ``column >= value`` for a
-    lower end, ``-column >= -value`` for an upper one.
-    """
-    ends = []
-    if row.rel is not Relation.LE:
-        ends.append((c < 0, c * row.rhs, "ge", row))
-    if row.rel is not Relation.GE:
-        ends.append((c > 0, c * row.rhs, "le", row))
-    return ends
-
 _PIVOT_LIMIT = 200000
+# the most rounds of interval propagation over all rows in one call
+_PROPAGATION_ROUNDS = 64
 
 
 class _Simplex:
@@ -213,17 +191,12 @@ class _Simplex:
     the same way in ``cost``, ``costval`` and ``cost_den``.
 
     A row bounds one column: a variable when its left side is that variable
-    with coefficient +1 or -1, else its slack. ``ends[j]`` lists the bounds
-    put on column ``j``; the tightest give ``lo[j]``/``hi[j]``, and
-    ``lo_src[j]``/``hi_src[j]`` name the row and direction certifying each.
-    Bland's order ``rank`` puts every slack before every variable, the
-    newest slack first.
-
-    A row for a slack that the variable columns' bounds imply over its
-    whole activity range is kept in ``parked`` instead: it has no column,
-    no tableau row and no end. Variable bounds are admitted before the rows
-    tested against them, and a row is tested again only when a forgotten
-    row loosens a variable's bound, when it may be admitted after all.
+    with coefficient +1 or -1, else its slack. Column ``j`` keeps only its
+    tightest bounds ``lo[j]``/``hi[j]``, and ``lo_src[j]``/``hi_src[j]``
+    name the row and direction certifying each. Variable bounds are admitted
+    first, and a slack row they imply is not admitted at all; bounds only
+    tighten, so it stays implied. Bland's order ``rank`` puts every slack
+    before every variable, the newest slack first.
     """
 
     def __init__(self, objective: LinExpr, relevant: set[Var]):
@@ -241,10 +214,7 @@ class _Simplex:
         self.hi: list[int | None] = [None] * len(self.names)
         self.lo_src: list[tuple[LinConstraint, str] | None] = [None] * len(self.names)
         self.hi_src: list[tuple[LinConstraint, str] | None] = [None] * len(self.names)
-        self.ends: list[list[End]] = [[] for _ in self.names]
         self.slack_of: dict[LinExpr, int] = {}
-        self.column_of: dict[LinConstraint, int] = {}
-        self.parked: set[LinConstraint] = set()
         self.cost = {self.col[v]: c for v, c in objective.terms}
         self.costval = 0
         self.cost_den = 1
@@ -259,10 +229,6 @@ class _Simplex:
         self.den.append(den)
         self.basis.append(-1)
         return len(self.nums) - 1
-
-    def remove_row(self, r: int) -> None:
-        for table in (self.nums, self.rhs, self.den, self.basis):
-            del table[r]
 
     def row(self, r: int) -> Row:
         return self.nums[r], self.rhs[r], self.den[r]
@@ -294,7 +260,7 @@ class _Simplex:
                 self.rhs[i] -= f * delta
         self.costval -= self.cost.get(j, 0) * delta
 
-    def admit(self, rows: list[LinConstraint], basic_row: dict[int, int]) -> None:
+    def admit(self, rows: list[LinConstraint]) -> None:
         """Add rows with variables: variable bounds first, then each other row unless they imply it."""
         rest = []
         for row in rows:
@@ -303,18 +269,9 @@ class _Simplex:
                 self._bound(row, self.col[terms[0][0]], terms[0][1])
             else:
                 rest.append(row)
-        for row in rest:
-            if self._implied(row):
-                self.parked.add(row)
-            else:
-                self._bound(row, self._slack_column(row.lhs, basic_row), 1)
-
-    def _unpark(self, rows: list[LinConstraint]) -> None:
-        """Admit each parked row, in ``rows`` order, that the variables' bounds no longer imply."""
         basic_row = {b: r for r, b in enumerate(self.basis)}
-        for row in rows:
-            if row in self.parked and not self._implied(row):
-                self.parked.remove(row)
+        for row in rest:
+            if not self._implied(row):
                 self._bound(row, self._slack_column(row.lhs, basic_row), 1)
 
     def _implied(self, row: LinConstraint) -> bool:
@@ -332,25 +289,31 @@ class _Simplex:
         return row.rel is Relation.GE or (high is not None and high <= row.rhs)
 
     def _bound(self, row: LinConstraint, j: int, c: int) -> None:
-        """Put the bounds of a row whose left side is ``c`` times column ``j`` on that column."""
-        self.column_of[row] = j
-        self.ends[j].extend(_bound_ends(row, c))
-        self._settle(j)
+        """Tighten column ``j`` by a row whose left side is ``c`` (+1 or -1) times it.
+
+        A bound moves only when strictly tighter, so the first of equally
+        tight rows certifies it.
+        """
+        value = c * row.rhs
+        # taken as ge the row reads c * column >= rhs, a lower bound when c is +1
+        for direction, upper, other in (("ge", c < 0, Relation.LE), ("le", c > 0, Relation.GE)):
+            if row.rel is other:
+                continue
+            if upper:
+                if self.hi[j] is None or value < self.hi[j]:
+                    self.hi[j], self.hi_src[j] = value, (row, direction)
+            elif self.lo[j] is None or value > self.lo[j]:
+                self.lo[j], self.lo_src[j] = value, (row, direction)
 
     def _slack_column(self, lhs: LinExpr, basic_row: dict[int, int]) -> int:
-        """The slack column of ``lhs``, made if it is new."""
-        j = self.slack_of.get(lhs, -1)
-        if j < 0:
-            j = self.slack_of[lhs] = self._slack(lhs, basic_row)
-        return j
-
-    def _slack(self, lhs: LinExpr, basic_row: dict[int, int]) -> int:
-        """A new basic slack column ``s = lhs``, its row rewritten over the nonbasic columns."""
-        s = len(self.lo)
+        """The slack column ``s = lhs``; a new one is basic, its row rewritten over the nonbasic columns."""
+        s = self.slack_of.get(lhs, -1)
+        if s >= 0:
+            return s
+        s = self.slack_of[lhs] = len(self.lo)
         self.rank.append(len(self.names) - 1 - s)
         for table in (self.lo, self.hi, self.lo_src, self.hi_src):
             table.append(None)
-        self.ends.append([])
         nums = {s: 1}
         rhs = 0
         for v, a in lhs.terms:
@@ -361,32 +324,6 @@ class _Simplex:
             row = _eliminate(*row, row[0][j], self.row(basic_row[j]))
         self.basis[self.add_row(*row)] = s
         return s
-
-    def drop(self, row: LinConstraint) -> None:
-        """Forget a row's bound; a slack left with no bound and a basic row leaves with that row.
-
-        A parked row, or a row without variables, has nothing to forget.
-        """
-        j = self.column_of.pop(row, None)
-        if j is None:
-            self.parked.discard(row)
-            return
-        self.ends[j] = [end for end in self.ends[j] if end[3] != row]
-        self._settle(j)
-        if j >= len(self.names) and not self.ends[j] and j in self.basis:
-            self.remove_row(self.basis.index(j))
-            del self.slack_of[row.lhs]
-
-    def _settle(self, j: int) -> None:
-        """Recompute a column's bounds from its ends; the first of equally tight ends certifies."""
-        lo = hi = None
-        lo_src = hi_src = None
-        for upper, value, direction, row in self.ends[j]:
-            if upper and (hi is None or value < hi):
-                hi, hi_src = value, (row, direction)
-            elif not upper and (lo is None or value > lo):
-                lo, lo_src = value, (row, direction)
-        self.lo[j], self.hi[j], self.lo_src[j], self.hi_src[j] = lo, hi, lo_src, hi_src
 
     def place(self) -> None:
         """Put every nonbasic column with a bound on one of its bounds."""
@@ -545,14 +482,13 @@ class _Simplex:
     ) -> LpOutcome | None:
         """Re-solve in place after rows were added to or forgotten from the previous optimum's.
 
-        A new row tightens a column's bounds, is parked, or brings a new
+        A new row tightens a column's bounds, is implied, or brings a new
         slack column with its row rewritten in the current basis; a forgotten
-        row loosens them. A parked row that a loosened variable bound no
-        longer implies is admitted like a new row. The check then restores
+        row that then certifies no bound changes nothing. The check restores
         feasibility and the primal simplex optimality. Returns None, for a
         solve from scratch, when ``prev`` is not this tableau's latest
-        optimum, the objective or variables changed, or a row without
-        variables was added.
+        optimum, the objective or variables changed, a row without variables
+        was added, or a forgotten row certifies a bound.
         """
         if prev.rows is not self.rows or objective != self.objective or relevant != self.relevant:
             return None
@@ -561,24 +497,29 @@ class _Simplex:
         if any(not row.lhs.terms for row in added):
             return None
         self.rows = ()  # from here the tableau no longer matches prev
-        self.admit(added, {b: r for r, b in enumerate(self.basis)})
-        n = len(self.names)
-        box = self.lo[:n], self.hi[:n]
-        for row in prev.rows:
-            if row not in available:
-                self.drop(row)
-        if self.parked and box != (self.lo[:n], self.hi[:n]):
-            self._unpark(rows)
+        self.admit(added)
+        if len(available) != len(self.available) + len(added):
+            certifying = {src[0] for src in (*self.lo_src, *self.hi_src) if src is not None}
+            if not certifying.isdisjoint(self.available - available):
+                return None
         return self.solve(rows, available)
+
+
+def _constant_row_proof(row: LinConstraint) -> FarkasProof | None:
+    """The one-entry Farkas proof that a row without variables fails, or None when it holds."""
+    if row.rhs > 0 and row.rel is not Relation.LE:
+        return FarkasProof(((row, "ge", Fraction(1)),))
+    if row.rhs < 0 and row.rel is not Relation.GE:
+        return FarkasProof(((row, "le", Fraction(1)),))
+    return None
 
 
 def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptimal | None = None) -> LpOutcome:
     """Solve the rational relaxation of the subproblem inside its box.
 
-    ``prev`` is the optimum of the same node's previous cut round. Its
-    tableau is re-optimised in place and passes to the new optimum. The
-    solve starts from scratch when ``prev``'s tableau has already moved on,
-    or when the change is not one the re-optimisation handles.
+    ``prev``, the optimum of the same node's previous cut round, passes its
+    tableau on to the new optimum when ``_Simplex.reoptimize`` can re-solve
+    it in place; otherwise the solve starts from scratch.
     """
     rows, relevant = _rows_and_vars(sub, bounds, objective)
     if prev is not None and prev.state is not None:
@@ -586,16 +527,11 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
         if out is not None:
             return out
     for row in rows:
-        if not row.lhs.terms and not (
-            (row.rel is Relation.GE and 0 >= row.rhs)
-            or (row.rel is Relation.LE and 0 <= row.rhs)
-            or (row.rel is Relation.EQ and row.rhs == 0)
-        ):
-            # a row without variables that fails decides the relaxation alone
-            direction = "ge" if (row.rel is Relation.GE or (row.rel is Relation.EQ and row.rhs > 0)) else "le"
-            return LpInfeasible(FarkasProof(((row, direction, Fraction(1)),)))
+        proof = None if row.lhs.terms else _constant_row_proof(row)
+        if proof is not None:
+            return LpInfeasible(proof)
     sx = _Simplex(objective, relevant)
-    sx.admit([row for row in rows if row.lhs.terms], {})
+    sx.admit([row for row in rows if row.lhs.terms])
     return sx.solve(rows, frozenset(rows))
 
 
@@ -757,14 +693,9 @@ class PropagationResult:
         return self.farkas is not None
 
 
-def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> PropagationResult:
+def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     """Tighten per-variable intervals; detect fixed variables, differences, emptiness."""
-    base_rows: list[LinConstraint] = []
-    for c in sub.cons:
-        base_rows.append(normalize(c))
-    for d in sub.eqs:
-        base_rows.append(d.as_constraint())
-    base_rows.sort(key=lambda r: r.render())
+    base_rows = sorted([*map(normalize, sub.cons), *(d.as_constraint() for d in sub.eqs)], key=lambda r: r.render())
 
     relevant: set[Var] = set()
     for row in base_rows:
@@ -806,18 +737,16 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds, max_rounds: int = 64) -> P
     oriented: list[tuple[dict[Var, int], int, LinConstraint, str]] = []
     for row in base_rows:
         if not row.lhs.terms:
-            if (row.rel is Relation.GE and row.rhs > 0) or (row.rel is Relation.LE and row.rhs < 0) or (
-                row.rel is Relation.EQ and row.rhs != 0
-            ):
-                direction = "le" if (row.rel is Relation.LE or (row.rel is Relation.EQ and row.rhs < 0)) else "ge"
-                return PropagationResult([], derived, FarkasProof(((row, direction, Fraction(1)),)))
+            proof = _constant_row_proof(row)
+            if proof is not None:
+                return PropagationResult([], derived, proof)
             continue
         if row.rel in (Relation.GE, Relation.EQ):
             oriented.append((dict(row.lhs.terms), row.rhs, row, "ge"))
         if row.rel in (Relation.LE, Relation.EQ):
             oriented.append(({v: -a for v, a in row.lhs.terms}, -row.rhs, row, "le"))
 
-    for _ in range(max_rounds):
+    for _ in range(_PROPAGATION_ROUNDS):
         improved = False
         for coeffs, rhs, row, direction in oriented:
             for v, a_v in coeffs.items():

@@ -57,6 +57,13 @@ def _int(x) -> int:
     return x
 
 
+def _str(x) -> str:
+    """A name field's value; a list or object would reach the kernel and fail there as unhashable."""
+    if type(x) is not str:
+        raise ValueError(f"expected a string, got {x!r}")
+    return x
+
+
 def _no_float(text: str):
     raise ValueError(f"expected an integer, got {text}")
 
@@ -131,8 +138,8 @@ def _lit_json(lit: TheoryLiteral) -> dict:
 
 def _lit_back(obj: dict) -> TheoryLiteral:
     if obj["kind"] in ("eq", "diseq"):
-        return TheoryLiteral(obj["kind"], obj["x"], obj["y"], _int(obj["offset"]))
-    return TheoryLiteral(obj["kind"], var=obj["var"])
+        return TheoryLiteral(obj["kind"], _str(obj["x"]), _str(obj["y"]), _int(obj["offset"]))
+    return TheoryLiteral(obj["kind"], var=_str(obj["var"]))
 
 
 def _token_json(token: TheoryToken) -> dict:
@@ -215,21 +222,21 @@ def _cert_back(obj: dict, memo: _Memo):
             _token_back(obj["token"]),
         )
     if kind == "dichotomy":
-        return BranchDichotomy(obj["var"], _int(obj["k"]))
+        return BranchDichotomy(_str(obj["var"]), _int(obj["k"]))
     if kind == "trichotomy":
-        return BranchTrichotomy(obj["x"], obj["y"], _int(obj["c"]))
+        return BranchTrichotomy(_str(obj["x"]), _str(obj["y"]), _int(obj["c"]))
     if kind == "conflict_split":
         return BranchConflictSplit(tuple(_lit_back(l) for l in obj["core"]))
     if kind == "retire":
         return RetireEvidence(
-            tuple((v, _int(c)) for v, c in obj["assignment"]),
+            tuple((_str(v), _int(c)) for v, c in obj["assignment"]),
             _cert_back(obj["lb"], memo),
             _token_back(obj["token"]),
         )
     if kind == "ray":
         return UnboundedEvidence(
-            tuple((v, _int(c)) for v, c in obj["assignment"]),
-            tuple((v, _int(c)) for v, c in obj["ray"]),
+            tuple((_str(v), _int(c)) for v, c in obj["assignment"]),
+            tuple((_str(v), _int(c)) for v, c in obj["ray"]),
             _token_back(obj["token"]),
         )
     if kind == "subsume":
@@ -242,7 +249,8 @@ def _eq_json(d: SimpleEquality) -> dict:
 
 
 def _eq_back(obj: dict) -> SimpleEquality:
-    return SimpleEquality(obj["x"], obj["y"], _int(obj["c"]))
+    y = obj["y"]
+    return SimpleEquality(_str(obj["x"]), None if y is None else _str(y), _int(obj["c"]))
 
 
 def step_to_json(step: Step) -> dict:
@@ -264,9 +272,9 @@ def step_from_json(obj: dict, memo: _Memo | None = None) -> Step:
     if memo is None:
         memo = _Memo()
     return Step(
-        rule=obj["rule"],
-        target=obj.get("target"),
-        other=obj.get("other"),
+        rule=_str(obj["rule"]),
+        target=_int(obj["target"]) if "target" in obj else None,
+        other=_int(obj["other"]) if "other" in obj else None,
         row=memo.row(obj["row"]) if "row" in obj else None,
         eq=_eq_back(obj["eq"]) if "eq" in obj else None,
         cert=_cert_back(obj["cert"], memo) if "cert" in obj else None,

@@ -136,6 +136,26 @@ def test_stats_count_work():
     assert f"lp_rows={res.stats.lp_rows}" in res.stats.summary()
 
 
+def test_the_engines_forgets_keep_cut_rounds_warm(monkeypatch):
+    # _tidy forgets a row only when a strictly tighter one stays, so a
+    # forgotten row never certifies a bound and no re-solve falls back
+    results = []
+    reoptimize = lp._Simplex.reoptimize
+
+    def recording(self, *args):
+        out = reoptimize(self, *args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(lp._Simplex, "reoptimize", recording)
+    rng = random.Random(2)
+    forgets = 0
+    for _ in range(500):
+        forgets += solve(random_instance(rng)).stats.forgets
+    assert forgets >= 1 and results
+    assert all(out is not None for out in results)
+
+
 def test_feasibility_mode_zero_objective():
     instance = ImtInstance(
         frozenset({"x"}),

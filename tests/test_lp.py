@@ -389,9 +389,9 @@ def test_cut_round_reoptimises_the_previous_simplex():
         ([R1, R2], [R1, R2, LinConstraint(LinExpr.zero(), Relation.GE, -1)], WARM_BOX, WARM_OBJ, False),
         ([R1, R2], [R1, R2], WARM_BOX, LinExpr.of([("x", 1), ("y", 2)]), False),
         ([R1, R2], [R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], WARM_BOX, WARM_OBJ, True),
-        ([R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], [R1, R2], WARM_BOX, WARM_OBJ, True),
+        ([R1, R2, row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], [R1, R2], WARM_BOX, WARM_OBJ, False),
         ([R1, R2], [R1, R2], Bounds({"x": (1, 5), "y": (0, 5)}), WARM_OBJ, True),
-        ([R1, R2], [R2], WARM_BOX, WARM_OBJ, True),
+        ([R1, R2], [R2], WARM_BOX, WARM_OBJ, False),
         (
             [R1, R2, row_of([("x", 1), ("y", 1)], Relation.EQ, 4), row_of([("x", 2), ("y", 2)], Relation.EQ, 8)],
             [row_of([("x", 2), ("y", 2)], Relation.GE, 8), R2]
@@ -413,8 +413,9 @@ def test_cut_round_reoptimises_the_previous_simplex():
     ],
 )
 def test_cut_round_falls_back_to_a_cold_solve(base, later, later_box, later_obj, warm):
-    # a new variable, a row without variables or a new objective still solves
-    # from scratch; equalities, bound rows and forgotten rows now stay warm
+    # a new variable, a row without variables, a new objective or a forgotten
+    # row that certified a bound solves from scratch; added equalities, tighter
+    # bound rows and forgotten rows that certify no bound stay warm
     sub0, sub1 = Subproblem.root(base), Subproblem.root(later)
     out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
     assert isinstance(out0, LpOptimal)
@@ -593,20 +594,23 @@ def test_rows_the_box_implies_get_no_tableau_row(extra, status):
         check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), out.dual), have, obj)
 
 
-def test_a_forgotten_bound_readmits_a_parked_row_warm():
+def test_forgetting_a_certifying_bound_solves_from_scratch():
     box, obj = Bounds({"x": (0, 4), "y": (0, 2)}), LinExpr.of([("x", -2), ("y", -1)])
     joint = row_of([("x", 1), ("y", 1)], Relation.LE, 3)
     sub0 = Subproblem.root([row_of([("x", 1)], Relation.LE, 1), joint])
     out0 = lp_solve(sub0, obj, box)
     assert isinstance(out0, LpOptimal) and out0.tableau_rows == 0 and out0.value == -4
-    # the round forgets x <= 1, which made the joint row implied, for a looser cut x <= 2
+    # the round forgets x <= 1, which bounds x and made the joint row implied,
+    # for a looser cut x <= 2; bounds only tighten, so this re-solves cold
     sub1 = Subproblem.root([row_of([("x", 1)], Relation.LE, 2), joint])
     rows, relevant = _rows_and_vars(sub1, box, obj)
-    out1 = out0.state.reoptimize(out0, rows, relevant, obj)
-    assert isinstance(out1, LpOptimal) and out1.state is out0.state
-    assert out1.tableau_rows == 1
+    assert out0.state.reoptimize(out0, rows, relevant, obj) is None
+    out0 = lp_solve(sub0, obj, box)
+    out1 = lp_solve(sub1, obj, box, out0)
     cold = lp_solve(sub1, obj, box)
-    assert (out1.value, out1.x_star) == (cold.value, cold.x_star) == (-5, {"x": 2, "y": 1})
+    assert isinstance(out1, LpOptimal) and out1.state is not out0.state
+    assert (out1.value, out1.x_star, out1.dual) == (cold.value, cold.x_star, cold.dual)
+    assert (out1.value, out1.x_star) == (-5, {"x": 2, "y": 1})
     assert joint in {row for row, _, _ in out1.dual}
     check_lb_dual(LbDual(ObjValue.finite(-5), out1.dual), frozenset(rows), obj)
 

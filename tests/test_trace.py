@@ -144,47 +144,71 @@ def test_read_trace_rejects_garbage(tmp_path):
         read_trace(path)
 
 
+def drop(cert):
+    return {"rule": "drop", "target": 0, "cert": cert}
+
+
+FARKAS = {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"]]}
+RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
+MODEL = {"kind": "model", "literals": []}
+
+
 @pytest.mark.parametrize(
-    "cert",
+    "step",
     [
-        {"kind": "farkas", "entries": 5},
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 0}, "ge", "1/0"]]},
-        # multipliers are rational strings; 0.5, true and 1 are not
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 0}, "ge", [1]]]},
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", 0.5]]},
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", True]]},
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", 1]]},
-        # values that cannot key the decoding memo are decoded, and rejected, afresh
-        {"kind": "farkas", "entries": [[{"lhs": [[{"x": 1}, 1]], "rel": ">=", "rhs": 0}, "ge", "1"]]},
-        # JSON reads 1e400 as an infinite float, which no int holds
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1e400}, "ge", "1"]]},
-        # int() would read these as 1, 5, 1 and a coefficient 1
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.5}, "ge", "1"]]},
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": "5"}, "ge", "1"]]},
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": True}, "ge", "1"]]},
-        {"kind": "farkas", "entries": [[{"lhs": [["x", 1.9]], "rel": ">=", "rhs": 1}, "ge", "1"]]},
-        # 1.0 hashes like 1, so the memoised row must not answer for it
-        {
-            "kind": "farkas",
-            "entries": [
-                [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
-                [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"],
+        *map(
+            drop,
+            [
+                {"kind": "farkas", "entries": 5},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 0}, "ge", "1/0"]]},
+                # multipliers are rational strings; 0.5, true and 1 are not
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 0}, "ge", [1]]]},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", 0.5]]},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", True]]},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", 1]]},
+                # values that cannot key the decoding memo are decoded, and rejected, afresh
+                {"kind": "farkas", "entries": [[{"lhs": [[{"x": 1}, 1]], "rel": ">=", "rhs": 0}, "ge", "1"]]},
+                # JSON reads 1e400 as an infinite float, which no int holds
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1e400}, "ge", "1"]]},
+                # int() would read these as 1, 5, 1 and a coefficient 1
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.5}, "ge", "1"]]},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": "5"}, "ge", "1"]]},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": True}, "ge", "1"]]},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1.9]], "rel": ">=", "rhs": 1}, "ge", "1"]]},
+                # 1.0 hashes like 1, so the memoised row must not answer for it
+                {
+                    "kind": "farkas",
+                    "entries": [
+                        [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
+                        [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"],
+                    ],
+                },
+                # true keys like 1, so the line's rows are scanned before their lookup
+                {
+                    "kind": "farkas",
+                    "entries": [
+                        [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
+                        [{"lhs": [["x", 1]], "rel": ">=", "rhs": True}, "ge", "1"],
+                    ],
+                },
+                {
+                    "kind": "farkas",
+                    "entries": [
+                        [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
+                        [{"lhs": [["x", True]], "rel": ">=", "rhs": 1}, "ge", "1"],
+                    ],
+                },
             ],
-        },
-        # true keys like 1, so the line's rows are scanned before their lookup
+        ),
+        # names and node indices would reach the kernel as keys; lists and objects cannot be
+        {"rule": ["drop"], "target": 0, "cert": FARKAS},
+        {"rule": "drop", "target": [0], "cert": FARKAS},
+        {"rule": "branch", "target": 0, "cert": {"kind": "dichotomy", "var": ["x"], "k": 1}},
+        {"rule": "subsume", "target": 0, "other": {"a": 1}, "cert": {"kind": "subsume"}},
         {
-            "kind": "farkas",
-            "entries": [
-                [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
-                [{"lhs": [["x", 1]], "rel": ">=", "rhs": True}, "ge", "1"],
-            ],
-        },
-        {
-            "kind": "farkas",
-            "entries": [
-                [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"],
-                [{"lhs": [["x", True]], "rel": ">=", "rhs": 1}, "ge", "1"],
-            ],
+            "rule": "retire",
+            "target": 0,
+            "cert": {"kind": "retire", "assignment": [[["x"], 1]], "lb": RETIRE_LB, "token": MODEL},
         },
     ],
     ids=[
@@ -203,14 +227,18 @@ def test_read_trace_rejects_garbage(tmp_path):
         "float_rhs_after_its_integer",
         "bool_rhs_after_its_integer",
         "bool_coefficient_after_its_integer",
+        "list_rule",
+        "list_target",
+        "list_branch_variable",
+        "object_other",
+        "list_assignment_name",
     ],
 )
-def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, cert):
+def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, step):
     text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
     instance = tmp_path / "inst.imt"
     instance.write_text(text)
     header = {"format": "bct-trace", "version": 1, "instance": parse_instance(text).digest()}
-    step = {"rule": "drop", "target": 0, "cert": cert}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
     with pytest.raises(TraceError):
