@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,7 +34,7 @@ import workloads  # noqa: E402
 from imtsolver.engine import solve  # noqa: E402
 from imtsolver.native import parse_instance  # noqa: E402
 from imtsolver.smtlib import encode_script  # noqa: E402
-from imtsolver.trace import trace_lines  # noqa: E402
+from imtsolver.trace import write_trace  # noqa: E402
 
 
 def seed_range(text: str) -> range:
@@ -48,15 +49,15 @@ def seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def trace_digest(case: workloads.Case) -> tuple[str, str]:
-    """Status of the solve and the sha256 of the trace file ``write_trace`` would write."""
+def trace_digest(case: workloads.Case, path: Path) -> tuple[str, str]:
+    """Status of the solve and the sha256 of the trace file ``write_trace`` writes to ``path``."""
     if case.fmt == "smt":
         instance = encode_script(case.text).instance
     else:
         instance = parse_instance(case.text)
     result = solve(instance)
-    text = "".join(line + "\n" for line in trace_lines(instance, result.steps))
-    return result.status, hashlib.sha256(text.encode()).hexdigest()
+    write_trace(path, instance, result.steps)
+    return result.status, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,13 +69,15 @@ def main(argv: list[str] | None = None) -> int:
 
     statuses = hashlib.sha256()
     combined = hashlib.sha256()
-    for seed in args.seeds:
-        for i, case in enumerate(workloads.generate(args.workload, seed, args.size)):
-            status, digest = trace_digest(case)
-            verdict = f"{args.workload} {seed} {i} {status}"
-            print(f"{verdict} {digest}")
-            statuses.update(verdict.encode() + b"\n")
-            combined.update(f"{verdict} {digest}\n".encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trace"
+        for seed in args.seeds:
+            for i, case in enumerate(workloads.generate(args.workload, seed, args.size)):
+                status, digest = trace_digest(case, path)
+                verdict = f"{args.workload} {seed} {i} {status}"
+                print(f"{verdict} {digest}")
+                statuses.update(verdict.encode() + b"\n")
+                combined.update(f"{verdict} {digest}\n".encode())
     print(f"statuses {statuses.hexdigest()}")
     print(f"combined {combined.hexdigest()}")
     return 0

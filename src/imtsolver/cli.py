@@ -97,7 +97,10 @@ def _sniff(path: str, text: str) -> str:
 
 
 def _load(path: str, fmt: str, default_bound: int | None) -> Job:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ImtError(f"{path}: not UTF-8 text: {exc}") from exc
     if fmt == "auto":
         fmt = _sniff(path, text)
     if fmt == "smt":

@@ -135,13 +135,14 @@ class LinConstraint:
 
     The left side may be empty only for trivial or sentinel rows such as the
     learned contradiction ``0 <= -1``. The hash is computed once, at
-    construction.
+    construction; the rendered text once, on first use (rows are sorted by it).
     """
 
     lhs: LinExpr
     rel: Relation
     rhs: int
     _hash: int = field(init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.lhs, self.rel, self.rhs)))
@@ -150,7 +151,11 @@ class LinConstraint:
         return self._hash
 
     def render(self) -> str:
-        return f"{self.lhs.render()} {self.rel.value} {self.rhs}"
+        text = self._text
+        if text is None:
+            text = f"{self.lhs.render()} {self.rel.value} {self.rhs}"
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def satisfies(c: LinConstraint, assignment: Mapping[Var, int | Fraction]) -> bool:
@@ -528,10 +533,8 @@ class ImtInstance:
         for f in sorted(self.funs):
             lines.append(f"fun {f} {self.funs[f]}")
         lines.append(f"min {self.objective.render()}")
-        for c in sorted(self.constraints, key=lambda c: c.render()):
-            lines.append(f"con {c.render()}")
-        for a in sorted(self.atoms, key=lambda a: a.render()):
-            lines.append(f"atom {a.render()}")
+        lines += sorted(["con " + c.render() for c in self.constraints])
+        lines += sorted(["atom " + a.render() for a in self.atoms])
         return "\n".join(lines) + "\n"
 
     @cached_property

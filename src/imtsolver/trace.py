@@ -3,6 +3,7 @@
 The first line is a header naming the format version and the sha256 digest
 of the instance's canonical text; each following line is one kernel step.
 Rational multipliers are strings ("2/3"), so a trace is exact and diffable.
+A written trace is ASCII: names are escaped as ``json.dumps`` escapes them.
 """
 from __future__ import annotations
 
@@ -73,10 +74,6 @@ def _no_float(text: str):
 _decode_step = json.JSONDecoder(parse_float=_no_float).decode
 
 
-def _row_json(row: LinConstraint) -> dict:
-    return {"lhs": [[v, c] for v, c in row.lhs.terms], "rel": row.rel.value, "rhs": row.rhs}
-
-
 def _row_back(obj: dict) -> LinConstraint:
     return LinConstraint(
         LinExpr.of([(v, _int(c)) for v, c in obj["lhs"]]),
@@ -122,18 +119,8 @@ class _Memo:
         return q
 
 
-def _entries_json(entries) -> list:
-    return [[_row_json(row), direction, str(Fraction(mult))] for row, direction, mult in entries]
-
-
 def _entries_back(items, memo: _Memo) -> tuple:
     return tuple((memo.row(row), direction, memo.mult(mult)) for row, direction, mult in items)
-
-
-def _lit_json(lit: TheoryLiteral) -> dict:
-    if lit.kind in ("eq", "diseq"):
-        return {"kind": lit.kind, "x": lit.x, "y": lit.y, "offset": lit.offset}
-    return {"kind": lit.kind, "var": lit.var}
 
 
 def _lit_back(obj: dict) -> TheoryLiteral:
@@ -142,64 +129,12 @@ def _lit_back(obj: dict) -> TheoryLiteral:
     return TheoryLiteral(obj["kind"], var=_str(obj["var"]))
 
 
-def _token_json(token: TheoryToken) -> dict:
-    return {"kind": token.kind, "literals": [_lit_json(l) for l in token.literals]}
-
-
 def _token_back(obj: dict) -> TheoryToken:
     return TheoryToken(obj["kind"], tuple(_lit_back(l) for l in obj["literals"]))
 
 
-def _obj_value_json(v: ObjValue) -> dict:
-    return {"kind": v.kind, "value": v.value}
-
-
 def _obj_value_back(obj: dict) -> ObjValue:
     return ObjValue(_int(obj["kind"]), None if obj["value"] is None else _int(obj["value"]))
-
-
-def _cert_json(cert) -> dict:
-    if isinstance(cert, CGCut):
-        return {"kind": "cg", "entries": _entries_json(cert.entries)}
-    if isinstance(cert, FarkasProof):
-        return {"kind": "farkas", "entries": _entries_json(cert.entries)}
-    if isinstance(cert, BoundFix):
-        return {"kind": "bound_fix", "lower": _cert_json(cert.lower), "upper": _cert_json(cert.upper)}
-    if isinstance(cert, SideCut):
-        return {"kind": "side", "side": cert.side, "cut": _cert_json(cert.cut)}
-    if isinstance(cert, LbDual):
-        return {"kind": "lb", "bound": _obj_value_json(cert.bound), "entries": _entries_json(cert.entries)}
-    if isinstance(cert, TLemma):
-        return {
-            "kind": "tlemma",
-            "asserted": [_lit_json(l) for l in cert.asserted],
-            "lemma": _row_json(cert.lemma),
-            "evidence": [_cert_json(e) for e in cert.evidence],
-            "token": _token_json(cert.token),
-        }
-    if isinstance(cert, BranchDichotomy):
-        return {"kind": "dichotomy", "var": cert.var, "k": cert.k}
-    if isinstance(cert, BranchTrichotomy):
-        return {"kind": "trichotomy", "x": cert.x, "y": cert.y, "c": cert.c}
-    if isinstance(cert, BranchConflictSplit):
-        return {"kind": "conflict_split", "core": [_lit_json(l) for l in cert.core]}
-    if isinstance(cert, RetireEvidence):
-        return {
-            "kind": "retire",
-            "assignment": [[v, int(c)] for v, c in cert.assignment],
-            "lb": _cert_json(cert.lb_match),
-            "token": _token_json(cert.token),
-        }
-    if isinstance(cert, UnboundedEvidence):
-        return {
-            "kind": "ray",
-            "assignment": [[v, int(c)] for v, c in cert.assignment],
-            "ray": [[v, int(c)] for v, c in cert.ray],
-            "token": _token_json(cert.token),
-        }
-    if isinstance(cert, SubsumeSyntactic):
-        return {"kind": "subsume"}
-    raise TraceError(f"unserializable certificate {type(cert).__name__}")
 
 
 def _cert_back(obj: dict, memo: _Memo):
@@ -244,28 +179,9 @@ def _cert_back(obj: dict, memo: _Memo):
     raise TraceError(f"unknown certificate kind {kind!r}")
 
 
-def _eq_json(d: SimpleEquality) -> dict:
-    return {"x": d.x, "y": d.y, "c": d.c}
-
-
 def _eq_back(obj: dict) -> SimpleEquality:
     y = obj["y"]
     return SimpleEquality(_str(obj["x"]), None if y is None else _str(y), _int(obj["c"]))
-
-
-def step_to_json(step: Step) -> dict:
-    out: dict = {"rule": step.rule}
-    if step.target is not None:
-        out["target"] = step.target
-    if step.other is not None:
-        out["other"] = step.other
-    if step.row is not None:
-        out["row"] = _row_json(step.row)
-    if step.eq is not None:
-        out["eq"] = _eq_json(step.eq)
-    if step.cert is not None:
-        out["cert"] = _cert_json(step.cert)
-    return out
 
 
 def step_from_json(obj: dict, memo: _Memo | None = None) -> Step:
@@ -281,15 +197,120 @@ def step_from_json(obj: dict, memo: _Memo | None = None) -> Step:
     )
 
 
+# The escaper ``json.dumps`` itself uses (``ensure_ascii``), so names are
+# escaped exactly as a JSON encoder would and every trace file is ASCII.
+_quote = json.encoder.encode_basestring_ascii
+
+_HEADER = f'{{"format":{_quote(FORMAT_NAME)},"version":{FORMAT_VERSION},"instance":'
+_REL = {rel: f',"rel":{_quote(rel.value)},"rhs":' for rel in Relation}
+
+
+def _mult(m) -> str:
+    return str(m) if type(m) is Fraction or type(m) is int else str(Fraction(m))
+
+
+def _pairs(pairs) -> str:
+    return "[" + ",".join([f"[{_quote(v)},{int(c)}]" for v, c in pairs]) + "]"
+
+
+def _lit(lit: TheoryLiteral) -> str:
+    if lit.kind in ("eq", "diseq"):
+        return f'{{"kind":{_quote(lit.kind)},"x":{_quote(lit.x)},"y":{_quote(lit.y)},"offset":{lit.offset}}}'
+    return f'{{"kind":{_quote(lit.kind)},"var":{_quote(lit.var)}}}'
+
+
+def _lits(lits) -> str:
+    return "[" + ",".join(map(_lit, lits)) + "]"
+
+
+def _token(token: TheoryToken) -> str:
+    return f'{{"kind":{_quote(token.kind)},"literals":{_lits(token.literals)}}}'
+
+
+class _Encoder:
+    """Step lines of one ``trace_lines`` call, written as JSON text directly.
+
+    The text equals ``json.dumps(..., separators=(",", ":"))`` of the step's
+    JSON object, key for key. Box rows and instance rows recur in entry
+    after entry, so each distinct row's text is built once.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[LinConstraint, str] = {}
+
+    def row(self, row: LinConstraint) -> str:
+        text = self.rows.get(row)
+        if text is None:
+            lhs = ",".join([f"[{_quote(v)},{c}]" for v, c in row.lhs.terms])
+            text = self.rows[row] = f'{{"lhs":[{lhs}]{_REL[row.rel]}{row.rhs}}}'
+        return text
+
+    def entries(self, entries) -> str:
+        row = self.row
+        return "[" + ",".join([f'[{row(r)},{_quote(d)},"{_mult(m)}"]' for r, d, m in entries]) + "]"
+
+    def cert(self, cert) -> str:
+        if isinstance(cert, CGCut):
+            return f'{{"kind":"cg","entries":{self.entries(cert.entries)}}}'
+        if isinstance(cert, FarkasProof):
+            return f'{{"kind":"farkas","entries":{self.entries(cert.entries)}}}'
+        if isinstance(cert, BoundFix):
+            return f'{{"kind":"bound_fix","lower":{self.cert(cert.lower)},"upper":{self.cert(cert.upper)}}}'
+        if isinstance(cert, SideCut):
+            return f'{{"kind":"side","side":{_quote(cert.side)},"cut":{self.cert(cert.cut)}}}'
+        if isinstance(cert, LbDual):
+            bound = f'{{"kind":{cert.bound.kind},"value":{"null" if cert.bound.value is None else cert.bound.value}}}'
+            return f'{{"kind":"lb","bound":{bound},"entries":{self.entries(cert.entries)}}}'
+        if isinstance(cert, TLemma):
+            evidence = ",".join(map(self.cert, cert.evidence))
+            return (
+                f'{{"kind":"tlemma","asserted":{_lits(cert.asserted)},"lemma":{self.row(cert.lemma)},'
+                f'"evidence":[{evidence}],"token":{_token(cert.token)}}}'
+            )
+        if isinstance(cert, BranchDichotomy):
+            return f'{{"kind":"dichotomy","var":{_quote(cert.var)},"k":{cert.k}}}'
+        if isinstance(cert, BranchTrichotomy):
+            return f'{{"kind":"trichotomy","x":{_quote(cert.x)},"y":{_quote(cert.y)},"c":{cert.c}}}'
+        if isinstance(cert, BranchConflictSplit):
+            return f'{{"kind":"conflict_split","core":{_lits(cert.core)}}}'
+        if isinstance(cert, RetireEvidence):
+            return (
+                f'{{"kind":"retire","assignment":{_pairs(cert.assignment)},"lb":{self.cert(cert.lb_match)},'
+                f'"token":{_token(cert.token)}}}'
+            )
+        if isinstance(cert, UnboundedEvidence):
+            return (
+                f'{{"kind":"ray","assignment":{_pairs(cert.assignment)},"ray":{_pairs(cert.ray)},'
+                f'"token":{_token(cert.token)}}}'
+            )
+        if isinstance(cert, SubsumeSyntactic):
+            return '{"kind":"subsume"}'
+        raise TraceError(f"unserializable certificate {type(cert).__name__}")
+
+    def step(self, step: Step) -> str:
+        parts = ['{"rule":', _quote(step.rule)]
+        if step.target is not None:
+            parts.append(f',"target":{step.target}')
+        if step.other is not None:
+            parts.append(f',"other":{step.other}')
+        if step.row is not None:
+            parts += (',"row":', self.row(step.row))
+        if step.eq is not None:
+            eq = step.eq
+            parts.append(f',"eq":{{"x":{_quote(eq.x)},"y":{"null" if eq.y is None else _quote(eq.y)},"c":{eq.c}}}')
+        if step.cert is not None:
+            parts += (',"cert":', self.cert(step.cert))
+        parts.append("}")
+        return "".join(parts)
+
+
 def trace_lines(instance: ImtInstance, steps: Iterable[Step]) -> Iterator[str]:
-    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "instance": instance.digest()}
-    yield json.dumps(header, separators=(",", ":"))
-    for step in steps:
-        yield json.dumps(step_to_json(step), separators=(",", ":"))
+    yield f"{_HEADER}{_quote(instance.digest())}}}"
+    yield from map(_Encoder().step, steps)
 
 
 def write_trace(path: str | Path, instance: ImtInstance, steps: Iterable[Step]) -> None:
-    Path(path).write_text("".join(line + "\n" for line in trace_lines(instance, steps)))
+    Path(path).write_bytes(("\n".join(trace_lines(instance, steps)) + "\n").encode("ascii"))
 
 
 def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[str, list[Step]]:
@@ -297,7 +318,10 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
 
     When ``instance`` is given, its digest must match the header.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"not UTF-8 text: {exc}") from exc
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise TraceError("empty trace file")
@@ -307,9 +331,12 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
         raise TraceError(f"bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceError(f"not a {FORMAT_NAME} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise TraceError(f"unsupported version {header.get('version')}")
-    digest = header.get("instance", "")
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise TraceError(f"unsupported version {version!r}")
+    digest = header.get("instance")
+    if type(digest) is not str:
+        raise TraceError(f"expected the instance digest as a string, got {digest!r}")
     if instance is not None and digest != instance.digest():
         raise DigestMismatch("trace was recorded for a different instance")
     steps = []

@@ -231,6 +231,24 @@ def test_replay_against_wrong_instance_fails(tmp_path, capsys):
     assert "error:" in err or "trace rejected" in err
 
 
+def test_a_trace_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    p = tmp_path / "opt.imt"
+    p.write_text(OPT)
+    t = tmp_path / "bad.trace"
+    t.write_bytes(b'\xff{"format":"bct-trace","version":1}\n')
+    code, _, err = run(capsys, str(p), "--replay", str(t))
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")
+
+
+def test_an_instance_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    p = tmp_path / "bad.imt"
+    p.write_bytes(OPT.encode() + b"\xff\n")
+    code, _, err = run(capsys, str(p))
+    assert code == EXIT_ERROR
+    assert err.startswith("error:")
+
+
 def test_node_budget_exit(tmp_path, capsys):
     p = tmp_path / "opt.imt"
     p.write_text(

@@ -208,3 +208,28 @@ def test_instance_box_rows_and_digest_are_its_own():
     assert a.digest() != b.digest()
     assert a.digest() == hashlib.sha256(a.canonical_text().encode()).hexdigest()
 
+
+
+@given(term_lists, st.sampled_from(Relation), st.integers(-9, 9))
+def test_a_rows_text_is_rendered_once_and_not_compared(terms, rel, rhs):
+    a = LinConstraint(LinExpr.of(terms), rel, rhs)
+    b = LinConstraint(LinExpr.of(terms), rel, rhs)
+    text = a.render()
+    assert a.render() is text
+    assert text == f"{a.lhs.render()} {rel.value} {rhs}"
+    assert a == b and hash(a) == hash(b) and b in {a}
+
+
+def test_canonical_text_sorts_constraints_and_atoms_by_their_text():
+    rows = [
+        LinConstraint(LinExpr.of([("y", 1), ("x", -2)]), Relation.LE, 5),
+        LinConstraint(LinExpr.var("x"), Relation.GE, 1),
+        LinConstraint(LinExpr.var("x", 3), Relation.EQ, 3),
+    ]
+    atoms = [InterfaceAtom.eq_atom("x", "y"), InterfaceAtom.fun_def("y", "f", ["x"])]
+    inst = ImtInstance(["x", "y"], Bounds({}), rows, atoms, funs={"f": 1})
+    lines = inst.canonical_text().splitlines()
+    by_text = sorted(rows, key=lambda r: r.render())
+    assert [l for l in lines if l.startswith("con ")] == [f"con {r.render()}" for r in by_text]
+    by_text = sorted(atoms, key=lambda a: a.render())
+    assert [l for l in lines if l.startswith("atom ")] == [f"atom {a.render()}" for a in by_text]

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imtsolver.certificates import (
     BoundFix,
@@ -38,9 +40,10 @@ from imtsolver.trace import (
     TraceError,
     read_trace,
     step_from_json,
-    step_to_json,
+    trace_lines,
     write_trace,
 )
+from trace_reference import step_to_json
 
 
 def row(terms, rel, rhs):
@@ -106,6 +109,110 @@ def small_instance():
     )
 
 
+def reference_line(step):
+    return json.dumps(step_to_json(step), separators=(",", ":"))
+
+
+def written_lines(steps):
+    return list(trace_lines(small_instance(), steps))[1:]
+
+
+@pytest.mark.parametrize("step", STEPS, ids=lambda s: s.rule)
+def test_writer_matches_the_reference_encoder(step):
+    assert written_lines([step]) == [reference_line(step)]
+
+
+# a quote, a backslash, a non-ASCII letter, a control character and a pipe-quoted name
+ODD_NAMES = ['a"b', "a\\b", "caf\u00e9", "x\x01y", "|a b|"]
+BIG = 2**64 + 3
+
+
+def odd_steps(name):
+    r = row([(name, -BIG), ("y", 2)], Relation.LE, -BIG)
+    cut = CGCut(((r, "le", 2), (R1, "ge", Fraction(3, 4)), (R2, "le", Fraction(-BIG, -7))))
+    lit = TheoryLiteral.var_eq(name, "y", -BIG)
+    return [
+        Step("branch", target=BIG, cert=BranchDichotomy(name, -BIG)),
+        Step("branch", target=0, cert=BranchTrichotomy(name, "y", BIG)),
+        Step("branch", target=0, cert=BranchConflictSplit((lit, TheoryLiteral.atom_true(name)))),
+        Step("learn", target=1, row=r, cert=cut),
+        Step("propagate", target=2, eq=SimpleEquality.fix(name, -BIG), cert=BoundFix(cut, cut)),
+        Step("propagate", target=2, eq=SimpleEquality.diff(name, "y", BIG), cert=BoundFix(cut, cut)),
+        Step("prune", target=3, cert=LbDual(ObjValue.finite(-BIG), cut.entries)),
+        Step("prune", target=3, cert=LbDual(ObjValue.pos_inf(), cut.entries)),
+        Step(
+            "retire",
+            target=4,
+            cert=RetireEvidence(((name, -BIG),), LbDual(ObjValue.neg_inf()), TheoryToken("model", (lit,))),
+        ),
+        Step("unbounded", target=5, cert=UnboundedEvidence(((name, 0),), ((name, -1),), TheoryToken("model"))),
+        Step(name, target=6, other=-BIG, cert=SubsumeSyntactic()),
+    ]
+
+
+@pytest.mark.parametrize("name", ODD_NAMES)
+def test_writer_escapes_names_and_writes_big_numbers_as_the_reference_does(name):
+    steps = odd_steps(name)
+    assert written_lines(steps) == [reference_line(s) for s in steps]
+
+
+def test_write_trace_writes_the_reference_lines_in_ascii(tmp_path):
+    inst = small_instance()
+    steps = STEPS + odd_steps("caf\u00e9")
+    path = tmp_path / "run.trace"
+    write_trace(path, inst, steps)
+    header = json.dumps({"format": "bct-trace", "version": 1, "instance": inst.digest()}, separators=(",", ":"))
+    expected = "".join(line + "\n" for line in [header, *map(reference_line, steps)])
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+names = st.text(max_size=4)
+ints = st.integers(-(2**70), 2**70)
+rows = st.builds(row, st.lists(st.tuples(names, ints), max_size=3), st.sampled_from(Relation), ints)
+mults = st.one_of(st.integers(0, 2**70), st.fractions(min_value=0))
+entries = st.lists(st.tuples(rows, st.sampled_from(["ge", "le"]), mults), max_size=3).map(tuple)
+cg_cuts = entries.map(CGCut)
+lits = st.one_of(
+    st.builds(TheoryLiteral, st.sampled_from(["eq", "diseq"]), names, names, ints),
+    st.builds(lambda kind, v: TheoryLiteral(kind, var=v), st.sampled_from(["atom_true", "atom_false"]), names),
+)
+lit_tuples = st.lists(lits, max_size=3).map(tuple)
+tokens = st.builds(TheoryToken, st.sampled_from(["model", "conflict"]), lit_tuples)
+obj_values = st.one_of(st.builds(ObjValue.finite, ints), st.sampled_from([ObjValue.pos_inf(), ObjValue.neg_inf()]))
+lb_duals = st.builds(LbDual, obj_values, entries)
+pairs = st.lists(st.tuples(names, ints), max_size=3).map(tuple)
+bound_fixes = st.builds(BoundFix, cg_cuts, cg_cuts)
+side_cuts = st.builds(SideCut, st.sampled_from(["le", "ge"]), cg_cuts)
+evidence = st.one_of(cg_cuts, bound_fixes, side_cuts)
+certs = st.one_of(
+    cg_cuts,
+    entries.map(FarkasProof),
+    bound_fixes,
+    side_cuts,
+    lb_duals,
+    st.builds(TLemma, lit_tuples, rows, st.lists(evidence, max_size=3).map(tuple), tokens),
+    st.builds(BranchDichotomy, names, ints),
+    st.builds(BranchTrichotomy, names, names, ints),
+    st.builds(BranchConflictSplit, lit_tuples),
+    st.builds(RetireEvidence, pairs, lb_duals, tokens),
+    st.builds(UnboundedEvidence, pairs, pairs, tokens),
+    st.just(SubsumeSyntactic()),
+)
+eqs = st.one_of(
+    st.builds(SimpleEquality.fix, names, ints),
+    st.builds(lambda xy, c: SimpleEquality.diff(*xy, c), st.lists(names, min_size=2, max_size=2, unique=True), ints),
+)
+any_steps = st.builds(
+    Step, names, st.none() | ints, st.none() | ints, st.none() | rows, st.none() | eqs, st.none() | certs
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(any_steps, max_size=4))
+def test_writer_matches_the_reference_encoder_on_generated_steps(steps):
+    assert written_lines(steps) == [reference_line(s) for s in steps]
+
+
 def test_trace_file_round_trip(tmp_path):
     inst = small_instance()
     result = solve(inst)
@@ -141,6 +248,22 @@ def test_read_trace_rejects_garbage(tmp_path):
         read_trace(path)
     path.write_text("[1]\n")
     with pytest.raises(TraceError):
+        read_trace(path)
+    # the version is the JSON integer 1, which true and 1.0 equal in Python
+    for version in ("true", "1.0"):
+        path.write_text(f'{{"format": "bct-trace", "version": {version}, "instance": "abc"}}\n')
+        with pytest.raises(TraceError, match="unsupported version"):
+            read_trace(path)
+    # the digest is a JSON string, also when no instance is given to compare it with
+    for digest in ("[1]", "null", "7"):
+        path.write_text(f'{{"format": "bct-trace", "version": 1, "instance": {digest}}}\n')
+        with pytest.raises(TraceError, match="instance digest"):
+            read_trace(path)
+    path.write_text('{"format": "bct-trace", "version": 1}\n')
+    with pytest.raises(TraceError, match="instance digest"):
+        read_trace(path)
+    path.write_bytes(b'\xff{"format": "bct-trace", "version": 1, "instance": "abc"}\n')
+    with pytest.raises(TraceError, match="UTF-8"):
         read_trace(path)
 
 
