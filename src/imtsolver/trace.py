@@ -205,10 +205,6 @@ _HEADER = f'{{"format":{_quote(FORMAT_NAME)},"version":{FORMAT_VERSION},"instanc
 _REL = {rel: f',"rel":{_quote(rel.value)},"rhs":' for rel in Relation}
 
 
-def _mult(m) -> str:
-    return str(m) if type(m) is Fraction or type(m) is int else str(Fraction(m))
-
-
 def _pairs(pairs) -> str:
     return "[" + ",".join([f"[{_quote(v)},{int(c)}]" for v, c in pairs]) + "]"
 
@@ -227,86 +223,79 @@ def _token(token: TheoryToken) -> str:
     return f'{{"kind":{_quote(token.kind)},"literals":{_lits(token.literals)}}}'
 
 
-class _Encoder:
-    """Step lines of one ``trace_lines`` call, written as JSON text directly.
+# Each step line is written as JSON text directly. It equals
+# ``json.dumps(..., separators=(",", ":"))`` of the step's JSON object, key
+# for key.
 
-    The text equals ``json.dumps(..., separators=(",", ":"))`` of the step's
-    JSON object, key for key. Box rows and instance rows recur in entry
-    after entry, so each distinct row's text is built once.
-    """
 
-    def __init__(self) -> None:
-        self.rows: dict[LinConstraint, str] = {}
+def _row(row: LinConstraint) -> str:
+    lhs = ",".join([f"[{_quote(v)},{c}]" for v, c in row.lhs.terms])
+    return f'{{"lhs":[{lhs}]{_REL[row.rel]}{row.rhs}}}'
 
-    def row(self, row: LinConstraint) -> str:
-        text = self.rows.get(row)
-        if text is None:
-            lhs = ",".join([f"[{_quote(v)},{c}]" for v, c in row.lhs.terms])
-            text = self.rows[row] = f'{{"lhs":[{lhs}]{_REL[row.rel]}{row.rhs}}}'
-        return text
 
-    def entries(self, entries) -> str:
-        row = self.row
-        return "[" + ",".join([f'[{row(r)},{_quote(d)},"{_mult(m)}"]' for r, d, m in entries]) + "]"
+def _entries(entries) -> str:
+    return "[" + ",".join([f'[{_row(r)},{_quote(d)},"{m!s}"]' for r, d, m in entries]) + "]"
 
-    def cert(self, cert) -> str:
-        if isinstance(cert, CGCut):
-            return f'{{"kind":"cg","entries":{self.entries(cert.entries)}}}'
-        if isinstance(cert, FarkasProof):
-            return f'{{"kind":"farkas","entries":{self.entries(cert.entries)}}}'
-        if isinstance(cert, BoundFix):
-            return f'{{"kind":"bound_fix","lower":{self.cert(cert.lower)},"upper":{self.cert(cert.upper)}}}'
-        if isinstance(cert, SideCut):
-            return f'{{"kind":"side","side":{_quote(cert.side)},"cut":{self.cert(cert.cut)}}}'
-        if isinstance(cert, LbDual):
-            bound = f'{{"kind":{cert.bound.kind},"value":{"null" if cert.bound.value is None else cert.bound.value}}}'
-            return f'{{"kind":"lb","bound":{bound},"entries":{self.entries(cert.entries)}}}'
-        if isinstance(cert, TLemma):
-            evidence = ",".join(map(self.cert, cert.evidence))
-            return (
-                f'{{"kind":"tlemma","asserted":{_lits(cert.asserted)},"lemma":{self.row(cert.lemma)},'
-                f'"evidence":[{evidence}],"token":{_token(cert.token)}}}'
-            )
-        if isinstance(cert, BranchDichotomy):
-            return f'{{"kind":"dichotomy","var":{_quote(cert.var)},"k":{cert.k}}}'
-        if isinstance(cert, BranchTrichotomy):
-            return f'{{"kind":"trichotomy","x":{_quote(cert.x)},"y":{_quote(cert.y)},"c":{cert.c}}}'
-        if isinstance(cert, BranchConflictSplit):
-            return f'{{"kind":"conflict_split","core":{_lits(cert.core)}}}'
-        if isinstance(cert, RetireEvidence):
-            return (
-                f'{{"kind":"retire","assignment":{_pairs(cert.assignment)},"lb":{self.cert(cert.lb_match)},'
-                f'"token":{_token(cert.token)}}}'
-            )
-        if isinstance(cert, UnboundedEvidence):
-            return (
-                f'{{"kind":"ray","assignment":{_pairs(cert.assignment)},"ray":{_pairs(cert.ray)},'
-                f'"token":{_token(cert.token)}}}'
-            )
-        if isinstance(cert, SubsumeSyntactic):
-            return '{"kind":"subsume"}'
-        raise TraceError(f"unserializable certificate {type(cert).__name__}")
 
-    def step(self, step: Step) -> str:
-        parts = ['{"rule":', _quote(step.rule)]
-        if step.target is not None:
-            parts.append(f',"target":{step.target}')
-        if step.other is not None:
-            parts.append(f',"other":{step.other}')
-        if step.row is not None:
-            parts += (',"row":', self.row(step.row))
-        if step.eq is not None:
-            eq = step.eq
-            parts.append(f',"eq":{{"x":{_quote(eq.x)},"y":{"null" if eq.y is None else _quote(eq.y)},"c":{eq.c}}}')
-        if step.cert is not None:
-            parts += (',"cert":', self.cert(step.cert))
-        parts.append("}")
-        return "".join(parts)
+def _cert(cert) -> str:
+    if isinstance(cert, CGCut):
+        return f'{{"kind":"cg","entries":{_entries(cert.entries)}}}'
+    if isinstance(cert, FarkasProof):
+        return f'{{"kind":"farkas","entries":{_entries(cert.entries)}}}'
+    if isinstance(cert, BoundFix):
+        return f'{{"kind":"bound_fix","lower":{_cert(cert.lower)},"upper":{_cert(cert.upper)}}}'
+    if isinstance(cert, SideCut):
+        return f'{{"kind":"side","side":{_quote(cert.side)},"cut":{_cert(cert.cut)}}}'
+    if isinstance(cert, LbDual):
+        bound = f'{{"kind":{cert.bound.kind},"value":{"null" if cert.bound.value is None else cert.bound.value}}}'
+        return f'{{"kind":"lb","bound":{bound},"entries":{_entries(cert.entries)}}}'
+    if isinstance(cert, TLemma):
+        evidence = ",".join(map(_cert, cert.evidence))
+        return (
+            f'{{"kind":"tlemma","asserted":{_lits(cert.asserted)},"lemma":{_row(cert.lemma)},'
+            f'"evidence":[{evidence}],"token":{_token(cert.token)}}}'
+        )
+    if isinstance(cert, BranchDichotomy):
+        return f'{{"kind":"dichotomy","var":{_quote(cert.var)},"k":{cert.k}}}'
+    if isinstance(cert, BranchTrichotomy):
+        return f'{{"kind":"trichotomy","x":{_quote(cert.x)},"y":{_quote(cert.y)},"c":{cert.c}}}'
+    if isinstance(cert, BranchConflictSplit):
+        return f'{{"kind":"conflict_split","core":{_lits(cert.core)}}}'
+    if isinstance(cert, RetireEvidence):
+        return (
+            f'{{"kind":"retire","assignment":{_pairs(cert.assignment)},"lb":{_cert(cert.lb_match)},'
+            f'"token":{_token(cert.token)}}}'
+        )
+    if isinstance(cert, UnboundedEvidence):
+        return (
+            f'{{"kind":"ray","assignment":{_pairs(cert.assignment)},"ray":{_pairs(cert.ray)},'
+            f'"token":{_token(cert.token)}}}'
+        )
+    if isinstance(cert, SubsumeSyntactic):
+        return '{"kind":"subsume"}'
+    raise TraceError(f"unserializable certificate {type(cert).__name__}")
+
+
+def _step(step: Step) -> str:
+    parts = ['{"rule":', _quote(step.rule)]
+    if step.target is not None:
+        parts.append(f',"target":{step.target}')
+    if step.other is not None:
+        parts.append(f',"other":{step.other}')
+    if step.row is not None:
+        parts += (',"row":', _row(step.row))
+    if step.eq is not None:
+        eq = step.eq
+        parts.append(f',"eq":{{"x":{_quote(eq.x)},"y":{"null" if eq.y is None else _quote(eq.y)},"c":{eq.c}}}')
+    if step.cert is not None:
+        parts += (',"cert":', _cert(step.cert))
+    parts.append("}")
+    return "".join(parts)
 
 
 def trace_lines(instance: ImtInstance, steps: Iterable[Step]) -> Iterator[str]:
     yield f"{_HEADER}{_quote(instance.digest())}}}"
-    yield from map(_Encoder().step, steps)
+    yield from map(_step, steps)
 
 
 def write_trace(path: str | Path, instance: ImtInstance, steps: Iterable[Step]) -> None:
