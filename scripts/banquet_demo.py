@@ -10,10 +10,13 @@ propagation; pass --oracle to confirm the optimum by enumerating the box.
 
 import argparse
 import sys
+from pathlib import Path
 
-from imtsolver.engine import solve
-from imtsolver.oracle import brute_force_solve
-from imtsolver.seating import banquet_instance, describe
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from imtsolver.engine import solve  # noqa: E402
+from imtsolver.oracle import brute_force_solve  # noqa: E402
+from imtsolver.seating import banquet_instance, describe  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

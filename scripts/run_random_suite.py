@@ -14,15 +14,16 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from gen import random_instance  # noqa: E402
 
-from imtsolver.engine import solve
-from imtsolver.kernel import replay_trace
-from imtsolver.model import ObjValue
-from imtsolver.native import render_instance
-from imtsolver.oracle import brute_force_solve
+from imtsolver.engine import solve  # noqa: E402
+from imtsolver.kernel import replay_trace  # noqa: E402
+from imtsolver.model import ObjValue  # noqa: E402
+from imtsolver.native import render_instance  # noqa: E402
+from imtsolver.oracle import brute_force_solve  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

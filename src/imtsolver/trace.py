@@ -74,10 +74,20 @@ def _no_float(text: str):
 _decode_step = json.JSONDecoder(parse_float=_no_float).decode
 
 
+_RELATIONS = {rel.value: rel for rel in Relation}
+
+
+def _relation(text) -> Relation:
+    try:
+        return _RELATIONS[text]
+    except (KeyError, TypeError):
+        return Relation(text)  # raises the ValueError that names the bad relation
+
+
 def _row_back(obj: dict) -> LinConstraint:
     return LinConstraint(
-        LinExpr.of([(v, _int(c)) for v, c in obj["lhs"]]),
-        Relation(obj["rel"]),
+        LinExpr.of([(_str(v), _int(c)) for v, c in obj["lhs"]]),
+        _relation(obj["rel"]),
         _int(obj["rhs"]),
     )
 
@@ -85,16 +95,22 @@ def _row_back(obj: dict) -> LinConstraint:
 class _Memo:
     """Rows and multipliers already decoded by one ``read_trace`` call.
 
-    Box rows and common multipliers recur in entry after entry. A value that
-    cannot serve as a key is decoded afresh, so it fails as it would unmemoised.
-    A row's numbers must be integers before its lookup, since 1.0 and true
-    find the row keyed by 1. ``read_trace`` rejects floats while decoding, and
-    sets ``no_bools`` for a line without the words true and false; only rows
-    of other lines are scanned.
+    The row memo starts with the instance's constraints and box rows, so a
+    step that cites one gets the instance's own object back. Box rows and
+    common multipliers recur in entry after entry. A value that cannot serve
+    as a key is decoded afresh, so it fails as it would unmemoised. A row's
+    numbers must be integers before its lookup, since 1.0 and true find the
+    row keyed by 1. ``read_trace`` rejects floats while decoding, and sets
+    ``no_bools`` for a line without the words true and false; only rows of
+    other lines are scanned.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, instance: ImtInstance | None = None) -> None:
+        # keyed as a written row decodes: (terms, relation text, rhs)
         self.rows: dict[tuple, LinConstraint] = {}
+        if instance is not None:
+            for rows in (instance.constraints, instance.box_rows):
+                self.rows.update(((row.lhs.terms, row.rel.value, row.rhs), row) for row in rows)
         self.mults: dict[str, Fraction] = {}
         self.no_bools = False
 
@@ -115,7 +131,14 @@ class _Memo:
             raise ValueError(f"expected a rational string, got {text!r}")
         q = self.mults.get(text)
         if q is None:
-            q = self.mults[text] = Fraction(text)
+            # The writer emits "n" or "n/d". int() reads any digits there as
+            # Fraction() does, and rejects what it rejects (a superscript two).
+            num, slash, den = text.partition("/")
+            if num.isdigit() and (not slash or den.isdigit()):
+                q = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            else:
+                q = Fraction(text)
+            self.mults[text] = q
         return q
 
 
@@ -134,7 +157,12 @@ def _token_back(obj: dict) -> TheoryToken:
 
 
 def _obj_value_back(obj: dict) -> ObjValue:
-    return ObjValue(_int(obj["kind"]), None if obj["value"] is None else _int(obj["value"]))
+    kind, value = _int(obj["kind"]), obj["value"]
+    if kind == 0:
+        return ObjValue.finite(_int(value))
+    if kind not in (-1, 1) or value is not None:
+        raise ValueError(f"expected a finite value or an infinity, got {obj!r}")
+    return ObjValue(kind)
 
 
 def _cert_back(obj: dict, memo: _Memo):
@@ -307,8 +335,10 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
 
     When ``instance`` is given, its digest must match the header.
     """
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceError(f"not UTF-8 text: {exc}") from exc
     lines = [line for line in text.splitlines() if line.strip()]
@@ -329,7 +359,7 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
     if instance is not None and digest != instance.digest():
         raise DigestMismatch("trace was recorded for a different instance")
     steps = []
-    memo = _Memo()
+    memo = _Memo(instance)
     for i, line in enumerate(lines[1:], start=2):
         memo.no_bools = "true" not in line and "false" not in line
         try:

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imtsolver.certificates import (
@@ -38,6 +38,7 @@ from imtsolver.model import (
 from imtsolver.trace import (
     DigestMismatch,
     TraceError,
+    _Memo,
     read_trace,
     step_from_json,
     trace_lines,
@@ -291,6 +292,8 @@ MODEL = {"kind": "model", "literals": []}
                 {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", 1]]},
                 # values that cannot key the decoding memo are decoded, and rejected, afresh
                 {"kind": "farkas", "entries": [[{"lhs": [[{"x": 1}, 1]], "rel": ">=", "rhs": 0}, "ge", "1"]]},
+                # a variable name is a string; a number would fail only when the kernel renders the row
+                {"kind": "farkas", "entries": [[{"lhs": [[0, 1]], "rel": ">=", "rhs": 0}, "ge", "1"]]},
                 # JSON reads 1e400 as an infinite float, which no int holds
                 {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1e400}, "ge", "1"]]},
                 # int() would read these as 1, 5, 1 and a coefficient 1
@@ -321,6 +324,15 @@ MODEL = {"kind": "model", "literals": []}
                         [{"lhs": [["x", True]], "rel": ">=", "rhs": 1}, "ge", "1"],
                     ],
                 },
+                # a finite bound has an integer value and an infinity none
+                {"kind": "lb", "bound": {"kind": 0, "value": None}, "entries": []},
+                {"kind": "lb", "bound": {"kind": 1, "value": 5}, "entries": []},
+                {"kind": "lb", "bound": {"kind": 2, "value": None}, "entries": []},
+                # twins of the instance's row x >= 1 and box row x >= 0, which
+                # seed the decoding memo when the instance is given
+                {"kind": "farkas", "entries": [[{"lhs": [["x", True]], "rel": ">=", "rhs": 1}, "ge", "1"]]},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"]]},
+                {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": False}, "ge", "1"]]},
             ],
         ),
         # names and node indices would reach the kernel as keys; lists and objects cannot be
@@ -342,6 +354,7 @@ MODEL = {"kind": "model", "literals": []}
         "bool_multiplier",
         "int_multiplier",
         "unhashable_variable",
+        "integer_variable_name",
         "infinite_rhs",
         "float_rhs",
         "string_rhs",
@@ -350,6 +363,12 @@ MODEL = {"kind": "model", "literals": []}
         "float_rhs_after_its_integer",
         "bool_rhs_after_its_integer",
         "bool_coefficient_after_its_integer",
+        "finite_bound_without_value",
+        "infinite_bound_with_value",
+        "unknown_bound_kind",
+        "bool_coefficient_of_an_instance_row",
+        "float_rhs_of_an_instance_row",
+        "bool_rhs_of_a_box_row",
         "list_rule",
         "list_target",
         "list_branch_variable",
@@ -364,8 +383,9 @@ def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, step):
     header = {"format": "bct-trace", "version": 1, "instance": parse_instance(text).digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
-    with pytest.raises(TraceError):
-        read_trace(trace)
+    for given_instance in (None, parse_instance(text)):
+        with pytest.raises(TraceError):
+            read_trace(trace, given_instance)
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
 
@@ -408,8 +428,65 @@ def test_integer_fields_accept_only_json_integers(tmp_path, index, path, bad):
     header = {"format": "bct-trace", "version": 1, "instance": inst.digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
-    with pytest.raises(TraceError, match="expected an integer"):
-        read_trace(trace, inst)
+    for given_instance in (inst, None):
+        with pytest.raises(TraceError, match="expected an integer"):
+            read_trace(trace, given_instance)
+
+
+def test_an_instance_row_is_read_back_as_the_instance_own_object(tmp_path):
+    inst = small_instance()
+    cited = [*inst.constraints, *inst.box_rows]
+    step = Step("drop", target=0, cert=FarkasProof(tuple((r, "ge", Fraction(1)) for r in cited)))
+    path = tmp_path / "run.trace"
+    write_trace(path, inst, [step])
+    _, (got,) = read_trace(path, inst)
+    assert got == step
+    assert all(r is want for (r, _, _), want in zip(got.cert.entries, cited))
+    # without the instance they are equal rows built afresh
+    _, (plain,) = read_trace(path)
+    assert plain == step
+    assert not any(r is want for (r, _, _), want in zip(plain.cert.entries, cited))
+
+
+@pytest.mark.parametrize(
+    "lhs",
+    [[["y", 3], ["x", 2]], [["x", 2], ["z", 0], ["y", 3]], [["x", 1], ["y", 3], ["x", 1]]],
+    ids=["unsorted", "zero_coefficient", "repeated_variable"],
+)
+def test_a_non_canonical_row_decodes_to_the_canonical_row(tmp_path, lhs):
+    inst = small_instance()
+    (con,) = inst.constraints  # 2x + 3y >= 12
+    rows = [{"lhs": lhs, "rel": ">=", "rhs": 12}, {"lhs": [["x", 2], ["y", 3]], "rel": ">=", "rhs": 12}]
+    header = {"format": "bct-trace", "version": 1, "instance": inst.digest()}
+    path = tmp_path / "run.trace"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(drop({"kind": "farkas", "entries": [[r, "ge", "1"] for r in rows]})) + "\n")
+    for given_instance in (inst, None):
+        _, (step,) = read_trace(path, given_instance)
+        spelled, canonical = (r for r, _, _ in step.cert.entries)
+        assert spelled == canonical == con
+        assert spelled.lhs.terms == (("x", 2), ("y", 3))
+
+
+# the writer's "n" and "n/d" take a fast path; every string must read as Fraction reads it
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/+-._ e\u0663\u00b2", max_size=8))
+@example("3/6")
+@example("007/010")
+@example("1/0")
+@example("\u0663/4")
+@example("\u00b2")
+@example("1_0/2")
+@example("1/2/3")
+@example("/2")
+@example("2/")
+def test_a_multiplier_reads_as_fraction_reads_it(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            _Memo().mult(text)
+    else:
+        assert _Memo().mult(text) == want
 
 
 def test_replay_rejects_a_tampered_step(tmp_path):
