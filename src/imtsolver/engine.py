@@ -298,11 +298,10 @@ class _Search:
         for row in current.cons:
             if row.rel in (Relation.GE, Relation.LE):
                 by_lhs.setdefault((row.lhs.terms, row.rel), []).append(row)
-        # groups in the order of repr((terms, rel)) and a group's rows, which differ
-        # only in rhs, in the order of render(), without formatting a Relation or a row
-        for (_, rel), group in sorted(by_lhs.items(), key=lambda kv: (repr(kv[0][0]), kv[0][1].name)):
-            if len(group) < 2:
-                continue
+        # groups of two or more rows in the order of repr((terms, rel)) and a group's rows,
+        # which differ only in rhs, in the order of render(), without formatting a Relation or a row
+        groups = [kv for kv in by_lhs.items() if len(kv[1]) > 1]
+        for (_, rel), group in sorted(groups, key=lambda kv: (repr(kv[0][0]), kv[0][1].name)):
             keep = max(group, key=lambda r: r.rhs) if rel is Relation.GE else min(group, key=lambda r: r.rhs)
             direction = "ge" if rel is Relation.GE else "le"
             for row in sorted(group, key=lambda r: str(r.rhs)):

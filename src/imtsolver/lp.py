@@ -19,8 +19,9 @@ fixed column order, slack columns before variables and the newest slack
 first, so they terminate on every input. Within one node's cut loop the
 previous optimum's tableau is kept and its bounds only tighten: a cut
 tightens a bound, is implied, or brings a new slack row rewritten in the
-current basis. Forgetting a row that certifies a bound, like any other
-change, is solved from scratch.
+current basis; a round's added rows are merged into the previous ones.
+Forgetting a row that certifies a bound, like any other change, is solved
+from scratch.
 
 The tableau is sparse and integer-preserving: each row stores its nonzero
 entries as ``int`` numerators over one positive denominator and is divided by
@@ -40,6 +41,7 @@ checks each one when the step citing it is applied.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -104,6 +106,10 @@ class LpUnbounded:
 LpOutcome = LpOptimal | LpInfeasible | LpUnbounded
 
 
+def _order(row: LinConstraint) -> tuple:  # the relaxation's fixed row order
+    return row.lhs.terms, row.rel.value, row.rhs
+
+
 def _rows_and_vars(sub: Subproblem, bounds: Bounds, objective: LinExpr) -> tuple[list[LinConstraint], set[Var]]:
     """The relaxation's rows in a fixed order, and the variables they or the objective mention."""
     rows: set[LinConstraint] = set()
@@ -121,7 +127,7 @@ def _rows_and_vars(sub: Subproblem, bounds: Bounds, objective: LinExpr) -> tuple
             rows.add(bounds.row_lo(v))
         if hi is not None:
             rows.add(bounds.row_hi(v))
-    return sorted(rows, key=lambda r: (r.lhs.terms, r.rel.value, r.rhs)), relevant
+    return sorted(rows, key=_order), relevant
 
 
 def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr()) -> list[LinConstraint]:
@@ -219,9 +225,10 @@ class _Simplex:
         self.costval = 0
         self.cost_den = 1
         self.pivots = 0
-        # the rows of the latest optimum, which the next re-optimisation starts from
+        # the latest optimum's rows, which the next re-optimisation starts from, and their source
         self.rows: tuple[LinConstraint, ...] = ()
         self.available: frozenset[LinConstraint] = frozenset()
+        self.source: tuple[frozenset[LinConstraint], frozenset[SimpleEquality], Bounds] | None = None
 
     def add_row(self, coeffs: dict[int, int], rhs: int, den: int = 1) -> int:
         self.nums.append({j: a for j, a in coeffs.items() if a})
@@ -477,8 +484,24 @@ class _Simplex:
                 dz[self.basis[r]] = Fraction(-d * row[enter], self.den[r])
         return {v: dz[j] for j, v in enumerate(self.names) if j in dz}
 
+    def added_rows(self, prev: LpOptimal, sub: Subproblem, objective: LinExpr, bounds: Bounds) -> list | None:
+        """The rows ``sub`` adds to ``prev``, this tableau's latest optimum, in order.
+
+        None unless ``sub`` only gained rows with variables, all of them this
+        tableau's, and has the same equalities, box and objective.
+        """
+        if self.source is None or prev.rows is not self.rows or objective != self.objective:
+            return None
+        cons, eqs, box = self.source
+        if box is not bounds or eqs != sub.eqs or not cons <= sub.cons:
+            return None
+        added = {normalize(c) for c in sub.cons - cons}.difference(self.available)
+        if all(row.lhs.terms and all(v in self.col for v, _ in row.lhs.terms) for row in added):
+            return sorted(added, key=_order)
+        return None
+
     def reoptimize(
-        self, prev: LpOptimal, rows: list[LinConstraint], relevant: set[Var], objective: LinExpr
+        self, prev: LpOptimal, rows: list[LinConstraint], relevant: set[Var], objective: LinExpr, added: list | None = None
     ) -> LpOutcome | None:
         """Re-solve in place after rows were added to or forgotten from the previous optimum's.
 
@@ -488,15 +511,17 @@ class _Simplex:
         feasibility and the primal simplex optimality. Returns None, for a
         solve from scratch, when ``prev`` is not this tableau's latest
         optimum, the objective or variables changed, a row without variables
-        was added, or a forgotten row certifies a bound.
+        was added, or a forgotten row certifies a bound. ``added``, if given,
+        lists the new rows in order; then none was forgotten.
         """
         if prev.rows is not self.rows or objective != self.objective or relevant != self.relevant:
             return None
-        available = frozenset(rows)
-        added = [row for row in rows if row not in self.available]
+        available = frozenset(rows) if added is None else self.available.union(added)
+        if added is None:
+            added = [row for row in rows if row not in self.available]
         if any(not row.lhs.terms for row in added):
             return None
-        self.rows = ()  # from here the tableau no longer matches prev
+        self.rows, self.source = (), None  # from here the tableau no longer matches prev
         self.admit(added)
         if len(available) != len(self.available) + len(added):
             certifying = {src[0] for src in (*self.lo_src, *self.hi_src) if src is not None}
@@ -519,20 +544,29 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
 
     ``prev``, the optimum of the same node's previous cut round, passes its
     tableau on to the new optimum when ``_Simplex.reoptimize`` can re-solve
-    it in place; otherwise the solve starts from scratch.
+    it in place; otherwise the solve starts from scratch. Rows that the node
+    only added are merged into ``prev``'s rows, not all collected again.
     """
-    rows, relevant = _rows_and_vars(sub, bounds, objective)
-    if prev is not None and prev.state is not None:
-        out = prev.state.reoptimize(prev, rows, relevant, objective)
-        if out is not None:
-            return out
-    for row in rows:
-        proof = None if row.lhs.terms else _constant_row_proof(row)
-        if proof is not None:
-            return LpInfeasible(proof)
-    sx = _Simplex(objective, relevant)
-    sx.admit([row for row in rows if row.lhs.terms])
-    return sx.solve(rows, frozenset(rows))
+    sx = None if prev is None else prev.state
+    added = None if sx is None else sx.added_rows(prev, sub, objective, bounds)
+    if added is None:
+        rows, relevant = _rows_and_vars(sub, bounds, objective)
+    else:
+        rows, relevant = list(prev.rows), sx.relevant
+        for row in added:
+            bisect.insort(rows, row, key=_order)
+    out = None if sx is None else sx.reoptimize(prev, rows, relevant, objective, added)
+    if out is None:
+        for row in rows:
+            proof = None if row.lhs.terms else _constant_row_proof(row)
+            if proof is not None:
+                return LpInfeasible(proof)
+        sx = _Simplex(objective, relevant)
+        sx.admit([row for row in rows if row.lhs.terms])
+        out = sx.solve(rows, frozenset(rows))
+    if isinstance(out, LpOptimal):
+        sx.source = (sub.cons, sub.eqs, bounds)
+    return out
 
 
 def _solve_combinations(rows: list[dict[Var, int]], targets: list[Var]) -> list[tuple[list[int], int] | None]:
@@ -695,20 +729,15 @@ class PropagationResult:
 
 def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     """Tighten per-variable intervals; detect fixed variables, differences, emptiness."""
-    base_rows = sorted([*map(normalize, sub.cons), *(d.as_constraint() for d in sub.eqs)], key=lambda r: r.render())
+    base_rows = sorted([*map(normalize, sub.cons), *(d.as_constraint() for d in sub.eqs)], key=LinConstraint.render)
 
     relevant: set[Var] = set()
     for row in base_rows:
         relevant.update(row.lhs.vars())
 
     work: dict[Var, list[int | None]] = {v: [bounds.lo(v), bounds.hi(v)] for v in relevant}
+    # a derived bound is strictly tighter than the box end it started from, so never a box row
     available: set[LinConstraint] = set(base_rows)
-    for v in relevant:
-        lo, hi = bounds.interval(v)
-        if lo is not None:
-            available.add(bounds.row_lo(v))
-        if hi is not None:
-            available.add(bounds.row_hi(v))
 
     derived: list[tuple[LinConstraint, CGCut]] = []
 

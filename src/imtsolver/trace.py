@@ -341,11 +341,11 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceError(f"not UTF-8 text: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise TraceError("empty trace file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
     except json.JSONDecodeError as exc:
         raise TraceError(f"bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
@@ -360,7 +360,7 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
         raise DigestMismatch("trace was recorded for a different instance")
     steps = []
     memo = _Memo(instance)
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         memo.no_bools = "true" not in line and "false" not in line
         try:
             steps.append(step_from_json(_decode_step(line), memo))

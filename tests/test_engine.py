@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gen import random_instance
+from gen import cnf_script, random_cnf, random_instance
 from imtsolver import engine, lp
 from imtsolver.engine import Config, EngineLimit, UnsupportedShape, arrangement_literals, solve
 from imtsolver.kernel import replay_trace, verdict
@@ -17,6 +17,7 @@ from imtsolver.model import (
     satisfies_all,
 )
 from imtsolver.oracle import brute_force_solve
+from imtsolver.smtlib import encode_script
 
 
 def expr(**coeffs):
@@ -154,6 +155,45 @@ def test_the_engines_forgets_keep_cut_rounds_warm(monkeypatch):
         forgets += solve(random_instance(rng)).stats.forgets
     assert forgets >= 1 and results
     assert all(out is not None for out in results)
+
+
+def test_adds_only_cut_rounds_give_the_steps_of_the_general_re_solve(monkeypatch):
+    # merging a round's added rows into the previous rows changes no pivot,
+    # cut or step against collecting every row again
+    rng = random.Random(11)
+    instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
+    instances += [random_instance(rng) for _ in range(100)]
+    merged = []
+    added_rows = lp._Simplex.added_rows
+
+    def recording(self, *args):
+        out = added_rows(self, *args)
+        merged.append(out is not None)
+        return out
+
+    monkeypatch.setattr(lp._Simplex, "added_rows", recording)
+    fast = [solve(instance) for instance in instances]
+    assert sum(merged) >= 10
+    monkeypatch.setattr(lp._Simplex, "added_rows", lambda self, *args: None)
+    for instance, res in zip(instances, fast):
+        slow = solve(instance)
+        assert (slow.status, slow.steps, slow.stats) == (res.status, res.steps, res.stats)
+
+
+def test_tidy_applies_no_step_without_a_group_of_two_rows():
+    # one row per left side and relation: the same left side under GE and LE,
+    # and under GE and EQ, are different groups
+    rows = [
+        LinConstraint(expr(x=1, y=1), Relation.GE, 1),
+        LinConstraint(expr(x=1, y=1), Relation.LE, 5),
+        LinConstraint(expr(x=1, y=-1), Relation.GE, 0),
+        LinConstraint(expr(x=1, y=-1), Relation.EQ, 0),
+    ]
+    instance = ImtInstance(["x", "y"], Bounds({"x": (0, 5), "y": (0, 5)}), rows, objective=expr(x=1))
+    search = engine._Search(instance, Config())
+    (root,) = search.kernel.state.pending
+    assert search._tidy(root) is root
+    assert not search.kernel.log and search.stats.forgets == 0
 
 
 def test_feasibility_mode_zero_objective():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imtsolver import engine, lp
 from imtsolver.certificates import LbDual, check_bound_fix, check_cg, check_farkas, check_lb_dual
+from imtsolver.engine import solve
 from imtsolver.kernel import rows_of
 from imtsolver.lp import (
     LpInfeasible,
@@ -35,7 +37,7 @@ from imtsolver.model import (
 )
 from imtsolver.smtlib import encode_script
 
-from gen import cnf_script, random_cnf, random_lp_instance
+from gen import cnf_script, random_cnf, random_instance, random_lp_instance
 from lp_oracle import vertex_optimum
 
 
@@ -183,6 +185,30 @@ def test_propagation_is_sound_and_certified():
             for d, _ in res.fixes:
                 assert satisfies(d.as_constraint(), point)
     assert checked > 50
+
+
+def test_propagation_never_derives_a_box_row(monkeypatch):
+    # a derived bound is strictly tighter than the box end it started from,
+    # so propagation need not look its rows up among the box rows
+    seen = []
+
+    def recording(sub, bounds):
+        res = propagate_bounds(sub, bounds)
+        seen.append(res)
+        return res
+
+    monkeypatch.setattr(engine, "propagate_bounds", recording)
+    rng = random.Random(4007)
+    derived = 0
+    for _ in range(300):
+        instance = random_instance(rng)
+        seen.clear()
+        solve(instance)
+        box = set(instance.box_rows)
+        for res in seen:
+            assert box.isdisjoint(cut for cut, _ in res.derived)
+            derived += len(res.derived)
+    assert derived > 100
 
 
 def test_propagation_detects_emptiness_between_fractional_bounds():
@@ -429,6 +455,72 @@ def test_cut_round_falls_back_to_a_cold_solve(base, later, later_box, later_obj,
     assert (out.value, out.x_star) == (cold.value, cold.x_star)
     assert len(out.dual) == len(cold.dual) and set(out.dual) == set(cold.dual)
     check_lb_dual(LbDual(ObjValue.finite(frac_ceil(out.value)), out.dual), frozenset(rows), later_obj)
+
+
+# rows that successive cut rounds only add: a slack row, a second slack row
+# with a tighter variable bound, a row the box implies with a copy of a box
+# row, and an equality
+ADDED_ROUNDS = [
+    [row_of([("x", 1), ("y", 1)], Relation.GE, 4)],
+    [row_of([("x", 1), ("y", -2)], Relation.LE, 0), row_of([("y", 1)], Relation.GE, 1)],
+    [row_of([("x", 1), ("y", 1)], Relation.LE, 20), row_of([("x", 1)], Relation.LE, 5)],
+    [row_of([("x", 1), ("y", -1)], Relation.EQ, 1)],
+]
+
+
+def test_rounds_that_only_add_rows_merge_them_into_the_previous_rows(monkeypatch):
+    sub = Subproblem.root([R1, R2])
+    out = lp_solve(sub, WARM_OBJ, WARM_BOX)
+    ref = lp_solve(sub, WARM_OBJ, WARM_BOX)
+    pivots = 0
+    for added in ADDED_ROUNDS:
+        sub = Subproblem(sub.ident + 1, sub.cons | frozenset(added), sub.eqs)
+        rows, relevant = _rows_and_vars(sub, WARM_BOX, WARM_OBJ)
+        prev = out
+        with monkeypatch.context() as m:
+            # the round's rows come from the previous optimum's, not from collecting them again
+            m.setattr(lp, "_rows_and_vars", None)
+            out = lp_solve(sub, WARM_OBJ, WARM_BOX, prev)
+        # the general re-solve, on a tableau of its own, over all rows collected again
+        ref = ref.state.reoptimize(ref, rows, relevant, WARM_OBJ)
+        assert isinstance(out, LpOptimal) and out.state is prev.state
+        assert out.rows == tuple(assemble_rows(sub, WARM_BOX, WARM_OBJ))
+        assert (out.value, out.x_star, out.dual, out.pivots) == (ref.value, ref.x_star, ref.dual, ref.pivots)
+        pivots += out.pivots
+    assert pivots > 0
+
+
+def test_a_round_after_a_direct_re_solve_collects_its_rows_again():
+    # reoptimize is not told which constraints its rows came from, so the next
+    # round cannot tell what the node gained and collects every row
+    out0 = lp_solve(Subproblem.root([R1, R2]), WARM_OBJ, WARM_BOX)
+    tighter = row_of([("x", 2), ("y", 2)], Relation.GE, 9)
+    rows, relevant = _rows_and_vars(Subproblem.root([R2, tighter]), WARM_BOX, WARM_OBJ)
+    out1 = out0.state.reoptimize(out0, rows, relevant, WARM_OBJ)
+    sub2 = Subproblem.root([R1, R2, row_of([("x", 1), ("y", 1)], Relation.GE, 4)])
+    out2 = lp_solve(sub2, WARM_OBJ, WARM_BOX, out1)
+    assert out2.rows == tuple(assemble_rows(sub2, WARM_BOX, WARM_OBJ))
+    assert out2.value == lp_solve(sub2, WARM_OBJ, WARM_BOX).value
+
+
+@pytest.mark.parametrize(
+    "box, eqs",
+    [
+        (Bounds({"x": (3, 5), "y": (0, 5), "z": (0, 5)}), frozenset()),
+        (WARM_BOX, frozenset({SimpleEquality.fix("x", 3)})),
+    ],
+    ids=["moved_box", "added_equality"],
+)
+def test_the_same_rows_over_another_box_or_equalities_match_a_cold_solve(box, eqs):
+    sub0 = Subproblem.root([R1, R2])
+    out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
+    sub1 = Subproblem(1, sub0.cons, eqs)
+    cold = lp_solve(sub1, WARM_OBJ, box)
+    assert cold.value != out0.value
+    out = lp_solve(sub1, WARM_OBJ, box, out0)
+    # the same vertex and multipliers; a warm tableau may list them in another order
+    assert (out.value, out.x_star, set(out.dual)) == (cold.value, cold.x_star, set(cold.dual))
+    assert out.rows == cold.rows == tuple(assemble_rows(sub1, box, WARM_OBJ))
 
 
 def test_farkas_proof_citing_a_forgotten_row_falls_back():

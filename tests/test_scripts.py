@@ -10,7 +10,13 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.mark.parametrize(
-    "argv", [["run_random_suite.py", "--runs", "2"], ["banquet_demo.py"]], ids=["run_random_suite", "banquet_demo"]
+    "argv",
+    [
+        ["run_random_suite.py", "--runs", "2"],
+        ["banquet_demo.py"],
+        ["trace_digest.py", "--workload", "cnf-band", "--seeds", "1"],
+    ],
+    ids=["run_random_suite", "banquet_demo", "trace_digest"],
 )
 def test_a_script_runs_without_pythonpath(tmp_path, argv):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

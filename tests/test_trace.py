@@ -268,6 +268,16 @@ def test_read_trace_rejects_garbage(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "blank, line", [("", 2), ("\n\n", 4), ("   \n\n", 4), ("\r\n\n", 4)], ids=["none", "two", "spaces", "crlf"]
+)
+def test_a_reader_error_names_the_file_line_past_blank_lines(tmp_path, blank, line):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(f'{{"format": "bct-trace", "version": 1, "instance": "abc"}}\n{blank}{{"rule":5}}\n'.encode())
+    with pytest.raises(TraceError, match=f"^line {line}: expected a string, got 5$"):
+        read_trace(path)
+
+
 def drop(cert):
     return {"rule": "drop", "target": 0, "cert": cert}
 
