@@ -6,8 +6,10 @@ seed in a range, solves each one in process, and prints one line per input:
 
     <workload> <seed> <index> <status> <sha256 of the trace file's bytes>
 
-then a line ``statuses <sha256>`` over ``<workload> <seed> <index> <status>``
-alone, and a last line ``combined <sha256>`` over all of the per-input lines.
+then a line ``rules learn=<n> forget=<n> ... propagate=<n> ...`` with the
+number of trace steps of each kernel rule, summed over all inputs, a line
+``statuses <sha256>`` over ``<workload> <seed> <index> <status>`` alone, and a
+last line ``combined <sha256>`` over all of the per-input lines.
 Two source trees write byte-identical traces on these inputs exactly when
 their combined digests agree, and reach the same verdict on every input
 exactly when their status digests agree. So a change that must not alter any
@@ -15,6 +17,9 @@ proof step, or one that may alter proofs but no verdict, is checked by
 running this on both trees:
 
     python3 scripts/trace_digest.py --workload random-suite --seeds 1-4
+
+When proofs change but verdicts do not, the ``rules`` lines of the two trees
+show which kinds of step moved, without a traced benchmark run.
 
 Only the standard library and the sources under ``src/`` are used.
 """
@@ -24,6 +29,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +41,9 @@ from imtsolver.engine import solve  # noqa: E402
 from imtsolver.native import parse_instance  # noqa: E402
 from imtsolver.smtlib import encode_script  # noqa: E402
 from imtsolver.trace import write_trace  # noqa: E402
+
+# the kernel's rules, in the order the benchmark reports their step counts
+RULES = ("learn", "forget", "tlearn", "propagate", "branch", "drop", "prune", "retire", "unbounded", "subsume")
 
 
 def seed_range(text: str) -> range:
@@ -49,13 +58,17 @@ def seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def trace_digest(case: workloads.Case, path: Path) -> tuple[str, str]:
-    """Status of the solve and the sha256 of the trace file ``write_trace`` writes to ``path``."""
+def trace_digest(case: workloads.Case, path: Path, rules: Counter) -> tuple[str, str]:
+    """Status of the solve and the sha256 of the trace file ``write_trace`` writes to ``path``.
+
+    Adds the solve's step count per rule to ``rules``.
+    """
     if case.fmt == "smt":
         instance = encode_script(case.text).instance
     else:
         instance = parse_instance(case.text)
     result = solve(instance)
+    rules.update(step.rule for step in result.steps)
     write_trace(path, instance, result.steps)
     return result.status, hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -69,15 +82,17 @@ def main(argv: list[str] | None = None) -> int:
 
     statuses = hashlib.sha256()
     combined = hashlib.sha256()
+    rules: Counter = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace"
         for seed in args.seeds:
             for i, case in enumerate(workloads.generate(args.workload, seed, args.size)):
-                status, digest = trace_digest(case, path)
+                status, digest = trace_digest(case, path, rules)
                 verdict = f"{args.workload} {seed} {i} {status}"
                 print(f"{verdict} {digest}")
                 statuses.update(verdict.encode() + b"\n")
                 combined.update(f"{verdict} {digest}\n".encode())
+    print("rules " + " ".join(f"{rule}={rules[rule]}" for rule in RULES))
     print(f"statuses {statuses.hexdigest()}")
     print(f"combined {combined.hexdigest()}")
     return 0

@@ -91,7 +91,8 @@ class Stats:
     def summary(self) -> str:
         return (
             f"nodes={self.nodes} lp={self.lp_solves} pivots={self.pivots} lp_rows={self.lp_rows} "
-            f"cuts={self.cuts} branches={self.branches} theory={self.theory_checks} conflicts={self.conflicts}"
+            f"cuts={self.cuts} branches={self.branches} propagations={self.propagations} forgets={self.forgets} "
+            f"theory={self.theory_checks} conflicts={self.conflicts}"
         )
 
 

@@ -51,7 +51,6 @@ from .certificates import (
     CGCut,
     ComboEntry,
     FarkasProof,
-    identity_cut,
 )
 from .model import (
     Bounds,
@@ -715,7 +714,8 @@ class PropagationResult:
 
     ``derived`` lists newly certified single-variable bound rows in derivation
     order; once those rows are admitted, ``fixes`` and ``farkas`` check against
-    the augmented row set. ``farkas`` set means the subproblem is empty.
+    the augmented row set. ``fixes`` holds pinned differences ``x - y = c``
+    only. ``farkas`` set means the subproblem is empty.
     """
 
     fixes: list[tuple[SimpleEquality, BoundFix]]
@@ -728,7 +728,7 @@ class PropagationResult:
 
 
 def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
-    """Tighten per-variable intervals; detect fixed variables, differences, emptiness."""
+    """Tighten per-variable intervals; detect pinned differences and emptiness."""
     base_rows = sorted([*map(normalize, sub.cons), *(d.as_constraint() for d in sub.eqs)], key=LinConstraint.render)
 
     relevant: set[Var] = set()
@@ -807,16 +807,13 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
         if not improved:
             break
 
+    # Opposing difference bounds fix x - y = c. A pinned variable gets no fix:
+    # v >= c and v <= c are rows already (its interval starts at box rows and
+    # moves only through record, which finds the row among the base rows or
+    # derives it, learned first), and v = c would change no later step: same
+    # LP column bounds and pivots, Gomory multiplier 0 (the tight v <= c sorts
+    # first), no new propagated row, no literal's true arm; _tidy ignores eqs.
     fixes: list[tuple[SimpleEquality, BoundFix]] = []
-    for v in sorted(relevant):
-        lo, hi = work[v]
-        if lo is not None and lo == hi:
-            d = SimpleEquality.fix(v, lo)
-            if d in sub.eqs:
-                continue
-            fixes.append((d, BoundFix(identity_cut(lo_row(v), "ge"), identity_cut(hi_row(v), "le"))))
-
-    # opposing difference bounds force x - y = c
     diff_lo: dict[tuple[Var, Var], tuple[Fraction, LinConstraint, str, Fraction]] = {}
     diff_hi: dict[tuple[Var, Var], tuple[Fraction, LinConstraint, str, Fraction]] = {}
     for coeffs, rhs, row, direction in oriented:
@@ -848,7 +845,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
             continue
         x, y = pair
         d = SimpleEquality.diff(x, y, int(lo_val))
-        if d in sub.eqs or d.is_fix:
+        if d in sub.eqs:
             continue
         fixes.append(
             (

@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from gen import cnf_script, random_cnf, random_instance
 from imtsolver import engine, lp
+from imtsolver.certificates import BoundFix, identity_cut
 from imtsolver.engine import Config, EngineLimit, UnsupportedShape, arrangement_literals, solve
-from imtsolver.kernel import replay_trace, verdict
+from imtsolver.kernel import replay_trace, rows_of, verdict
 from imtsolver.model import (
     Bounds,
     ImtInstance,
@@ -14,6 +16,7 @@ from imtsolver.model import (
     LinExpr,
     ObjValue,
     Relation,
+    SimpleEquality,
     satisfies_all,
 )
 from imtsolver.oracle import brute_force_solve
@@ -135,6 +138,8 @@ def test_stats_count_work():
     assert "nodes=" in res.stats.summary()
     assert f"pivots={res.stats.pivots}" in res.stats.summary()
     assert f"lp_rows={res.stats.lp_rows}" in res.stats.summary()
+    assert f"propagations={res.stats.propagations}" in res.stats.summary()
+    assert f"forgets={res.stats.forgets}" in res.stats.summary()
 
 
 def test_the_engines_forgets_keep_cut_rounds_warm(monkeypatch):
@@ -178,6 +183,56 @@ def test_adds_only_cut_rounds_give_the_steps_of_the_general_re_solve(monkeypatch
     for instance, res in zip(instances, fast):
         slow = solve(instance)
         assert (slow.status, slow.steps, slow.stats) == (res.status, res.steps, res.stats)
+
+
+def test_single_variable_fixes_change_no_other_step(monkeypatch):
+    # a pinned variable's two unit rows are rows already, so the propagate
+    # steps that restated them as v = c change no verdict, count or other step
+    rng = random.Random(13)
+    instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
+    instances += [random_instance(rng) for _ in range(100)]
+    plain = [solve(instance) for instance in instances]
+    propagate_bounds = engine.propagate_bounds
+
+    def with_old_fixes(instance):
+        def propagate(sub, bounds):
+            res = propagate_bounds(sub, bounds)
+            if res.infeasible:
+                return res
+            rows = rows_of(instance, sub).union(cut for cut, _ in res.derived)
+            lo, hi = {}, {}
+            for r in rows:
+                if len(r.lhs.terms) == 1 and r.lhs.terms[0][1] == 1:
+                    v = r.lhs.terms[0][0]
+                    if r.rel is Relation.GE and (v not in lo or r.rhs > lo[v].rhs):
+                        lo[v] = r
+                    elif r.rel is Relation.LE and (v not in hi or r.rhs < hi[v].rhs):
+                        hi[v] = r
+            fixes = []
+            base = [*sub.cons, *(d.as_constraint() for d in sub.eqs)]
+            for v in sorted({v for r in base for v in r.lhs.vars()}):
+                if v in lo and v in hi and lo[v].rhs == hi[v].rhs:
+                    d = SimpleEquality.fix(v, lo[v].rhs)
+                    if d not in sub.eqs:
+                        fixes.append((d, BoundFix(identity_cut(lo[v], "ge"), identity_cut(hi[v], "le"))))
+            res.fixes[:0] = fixes
+            return res
+
+        return propagate
+
+    def key(steps):
+        return [(s.rule, s.row, s.eq) for s in steps if not (s.rule == "propagate" and s.eq.is_fix)]
+
+    restated = 0
+    for instance, res in zip(instances, plain):
+        assert not any(s.rule == "propagate" and s.eq.is_fix for s in res.steps)
+        monkeypatch.setattr(engine, "propagate_bounds", with_old_fixes(instance))
+        old = solve(instance)
+        assert (old.status, old.value, old.assignment) == (res.status, res.value, res.assignment)
+        assert replace(old.stats, propagations=0) == replace(res.stats, propagations=0)
+        assert key(old.steps) == key(res.steps)
+        restated += len(old.steps) - len(res.steps)
+    assert restated >= 100
 
 
 def test_tidy_applies_no_step_without_a_group_of_two_rows():

@@ -25,6 +25,7 @@ from imtsolver.lp import (
 )
 from imtsolver.model import (
     Bounds,
+    ImtInstance,
     LinConstraint,
     LinExpr,
     ObjValue,
@@ -222,18 +223,24 @@ def test_propagation_detects_emptiness_between_fractional_bounds():
     assert res.infeasible
 
 
-def test_propagation_fixes_pinned_variables_and_differences():
+def test_propagation_fixes_differences_and_leaves_pinned_variables_to_their_rows():
+    x_lo = LinConstraint(LinExpr.var("x"), Relation.GE, 2)
+    x_hi = LinConstraint(LinExpr.var("x"), Relation.LE, 2)
     rows = [
-        LinConstraint(LinExpr.var("x"), Relation.GE, 2),
-        LinConstraint(LinExpr.var("x"), Relation.LE, 2),
+        x_lo,
+        x_hi,
         LinConstraint(LinExpr.of([("y", 1), ("z", -1)]), Relation.LE, 3),
         LinConstraint(LinExpr.of([("y", 1), ("z", -1)]), Relation.GE, 3),
     ]
+    bounds = Bounds({"x": (0, 9), "y": (0, 9), "z": (0, 9)})
+    instance = ImtInstance(["x", "y", "z"], bounds, rows)
     sub = Subproblem.root(rows)
-    res = propagate_bounds(sub, Bounds({"x": (0, 9), "y": (0, 9), "z": (0, 9)}))
+    res = propagate_bounds(sub, bounds)
     fixed = {d for d, _ in res.fixes}
-    assert SimpleEquality.fix("x", 2) in fixed
     assert SimpleEquality.diff("y", "z", 3) in fixed
+    # x is pinned at 2, but its two unit rows already say so
+    assert not any(d.is_fix for d in fixed)
+    assert {x_lo, x_hi} <= rows_of(instance, sub)
 
 
 def test_degenerate_beale_lp_reaches_its_exact_optimum():
