@@ -14,7 +14,6 @@ from .kernel import (
     Kernel,
     KernelState,
     ReplayError,
-    ReplayResult,
     RuleViolation,
     Step,
     initial_state,
@@ -67,7 +66,6 @@ __all__ = [
     "ParseError",
     "Relation",
     "ReplayError",
-    "ReplayResult",
     "RuleViolation",
     "SimpleEquality",
     "SmtError",

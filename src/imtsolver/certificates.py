@@ -197,21 +197,6 @@ class SubsumeSyntactic:
     """Syntactic inclusion witness: the kept subproblem's rows are a subset."""
 
 
-Certificate = (
-    CGCut
-    | FarkasProof
-    | BoundFix
-    | LbDual
-    | TLemma
-    | BranchDichotomy
-    | BranchTrichotomy
-    | BranchConflictSplit
-    | RetireEvidence
-    | UnboundedEvidence
-    | SubsumeSyntactic
-)
-
-
 def combo_aggregate(
     entries: tuple[ComboEntry, ...], available: AbstractSet[LinConstraint]
 ) -> tuple[dict[Var, int], int, int]:
@@ -295,7 +280,7 @@ def check_cg(cut: CGCut, available: AbstractSet[LinConstraint], claimed: LinCons
 
 def check_bound_fix(fix: BoundFix, available: AbstractSet[LinConstraint], d: SimpleEquality) -> None:
     """Both directions of the simple equality must be derivable."""
-    expr = LinExpr.var(d.x) if d.y is None else LinExpr.of({d.x: 1, d.y: -1})
+    expr = d.as_constraint().lhs
     check_cg(fix.lower, available, LinConstraint(expr, Relation.GE, d.c))
     check_cg(fix.upper, available, LinConstraint(expr, Relation.LE, d.c))
 
@@ -333,14 +318,11 @@ def check_literal_evidence(
         else:
             raise CheckFailed(f"unknown disequality side {ev.side!r}")
         check_cg(ev.cut, available, target)
-    elif lit.kind == "atom_true":
+    elif lit.kind in ("atom_true", "atom_false"):
         if not isinstance(ev, CGCut):
             raise CheckFailed("atom literal needs a CGCut")
-        check_cg(ev, available, LinConstraint(LinExpr.var(lit.var), Relation.GE, 1))
-    elif lit.kind == "atom_false":
-        if not isinstance(ev, CGCut):
-            raise CheckFailed("atom literal needs a CGCut")
-        check_cg(ev, available, LinConstraint(LinExpr.var(lit.var), Relation.LE, 0))
+        rel, rhs = (Relation.GE, 1) if lit.kind == "atom_true" else (Relation.LE, 0)
+        check_cg(ev, available, LinConstraint(LinExpr.var(lit.var), rel, rhs))
     else:
         raise CheckFailed(f"unknown literal kind {lit.kind!r}")
 

@@ -21,7 +21,6 @@ from .certificates import (
     BoundFix,
     BranchConflictSplit,
     BranchDichotomy,
-    CGCut,
     FarkasProof,
     LbDual,
     LiteralEvidence,
@@ -31,6 +30,7 @@ from .certificates import (
     TheoryToken,
     TLemma,
     UnboundedEvidence,
+    identity_cut,
 )
 from .euf import EufAdapter, EufSession, TheoryConflict
 from .kernel import Kernel, Step, conflict_split_arms, rows_of, true_arms, verdict
@@ -160,8 +160,8 @@ def arrangement_literals(atoms: frozenset[InterfaceAtom] | tuple[InterfaceAtom, 
 def _eq_evidence(lit: TheoryLiteral, row: LinConstraint) -> BoundFix:
     # orientation must match the canonical form of the pinned equality
     d = SimpleEquality.diff(lit.x, lit.y, lit.offset)
-    ge = CGCut(((row, "ge", Fraction(1)),))
-    le = CGCut(((row, "le", Fraction(1)),))
+    ge = identity_cut(row, "ge")
+    le = identity_cut(row, "le")
     return BoundFix(ge, le) if d.x == lit.x else BoundFix(le, ge)
 
 
@@ -181,7 +181,7 @@ def syntactic_evidence(
             out.append(_eq_evidence(lit, row))
             continue
         direction = "le" if row.rel is Relation.LE else "ge"
-        cut = CGCut(((row, direction, Fraction(1)),))
+        cut = identity_cut(row, direction)
         out.append(SideCut(direction, cut) if lit.kind == "diseq" else cut)
     return tuple(out)
 
@@ -245,8 +245,6 @@ class _Search:
             self.kernel.apply(Step("drop", current.ident, cert=prop.farkas))
             return
         for d, fix in prop.fixes:
-            if d in current.eqs:
-                continue
             info = self.kernel.apply(Step("propagate", current.ident, eq=d, cert=fix))
             self.stats.propagations += 1
             current = info.created[0]
@@ -308,7 +306,7 @@ class _Search:
             for row in sorted(group, key=lambda r: str(r.rhs)):
                 if row == keep:
                     continue
-                cert = CGCut(((keep, direction, Fraction(1)),))
+                cert = identity_cut(keep, direction)
                 info = self.kernel.apply(Step("forget", current.ident, row=row, cert=cert))
                 self.stats.forgets += 1
                 current = info.created[0]

@@ -164,20 +164,14 @@ def _build_closure(atoms: tuple[InterfaceAtom, ...], literals: Iterable[TheoryLi
         if active is None:
             continue
         if atom.kind == "fun":
-            rn = cl.var(atom.result)
-            an = cl.app(atom.fun, tuple(cl.var(a) for a in atom.args))
-            if active:
-                if not cl.union(rn, an, 0):
-                    return False
-            else:
-                cl.diseq(rn, an, 0)
+            a = cl.var(atom.result)
+            b = cl.app(atom.fun, tuple(cl.var(v) for v in atom.args))
         else:
-            xn, yn = cl.var(atom.x), cl.var(atom.y)
-            if active:
-                if not cl.union(xn, yn, 0):
-                    return False
-            else:
-                cl.diseq(xn, yn, 0)
+            a, b = cl.var(atom.x), cl.var(atom.y)
+        if not active:
+            cl.diseq(a, b, 0)
+        elif not cl.union(a, b, 0):
+            return False
     for x, y, c in eqs:
         if not cl.union(cl.var(x), cl.var(y), c):
             return False

@@ -110,6 +110,9 @@ class Budgets:
     max_consecutive_rewrites: int | None = None
 
 
+_RULES = frozenset(
+    {"branch", "learn", "forget", "propagate", "tlearn", "drop", "prune", "retire", "unbounded", "subsume"}
+)
 _REWRITE_RULES = frozenset({"learn", "forget", "tlearn"})
 
 
@@ -207,34 +210,50 @@ def apply_step(
         raise RuleViolation(f"{step.rule}: {exc}") from exc
 
 
+def _check_witness(instance: ImtInstance, rows: frozenset[LinConstraint], point: dict[Var, int]) -> None:
+    missing = instance.vars - set(point)
+    if missing:
+        raise RuleViolation(f"assignment misses variables: {sorted(missing)[:3]}")
+    if not satisfies_all(rows, point):
+        raise RuleViolation("assignment violates the subproblem rows")
+
+
+def _check_model(step: Step, adapter: EufAdapter, point: dict[Var, int]) -> None:
+    if step.cert.token.kind != "model":
+        raise RuleViolation(f"{step.rule} needs a model token")
+    if not adapter.replay_model(point):
+        raise RuleViolation("theory replay rejects the assignment")
+
+
 def _apply_step(
     instance: ImtInstance,
     state: KernelState,
     step: Step,
     adapter: EufAdapter,
 ) -> tuple[KernelState, ApplyInfo]:
+    """Check one rule's side conditions, then perform the shared transition.
+
+    A rule replaces its target with children, given as (C, D) pairs, or
+    removes it; it may also change the incumbent. Only the checks differ.
+    """
+    rule, cert = step.rule, step.cert
+    if rule not in _RULES:
+        raise RuleViolation(f"unknown rule {rule!r}")
     by_ident = {s.ident: s for s in state.pending}
+    sub = by_ident.get(step.target)
+    if sub is None:
+        raise RuleViolation(f"no pending subproblem with ident {step.target}")
+    kids: list[tuple[frozenset[LinConstraint], frozenset[SimpleEquality]]] = []
+    removed: tuple[Subproblem, ...] = (sub,)
+    incumbent = state.incumbent
 
-    def need_target() -> Subproblem:
-        sub = by_ident.get(step.target)
-        if sub is None:
-            raise RuleViolation(f"no pending subproblem with ident {step.target}")
-        return sub
-
-    if step.rule == "branch":
-        sub = need_target()
-        cert = step.cert
-        nid = state.next_ident
+    if rule == "branch":
         if isinstance(cert, BranchDichotomy):
             if cert.var not in instance.vars:
                 raise RuleViolation(f"branch variable {cert.var} undeclared")
             lo = LinConstraint(LinExpr.var(cert.var), Relation.LE, cert.k)
             hi = LinConstraint(LinExpr.var(cert.var), Relation.GE, cert.k + 1)
-            children = (
-                Subproblem(nid, sub.cons | {lo}, sub.eqs),
-                Subproblem(nid + 1, sub.cons | {hi}, sub.eqs),
-            )
-            nid += 2
+            kids = [(sub.cons | {lo}, sub.eqs), (sub.cons | {hi}, sub.eqs)]
         elif isinstance(cert, BranchTrichotomy):
             for v in (cert.x, cert.y):
                 if v not in instance.vars:
@@ -244,30 +263,19 @@ def _apply_step(
             below = _diff_row(cert.x, cert.y, Relation.LE, cert.c - 1)
             above = _diff_row(cert.x, cert.y, Relation.GE, cert.c + 1)
             middle = SimpleEquality.diff(cert.x, cert.y, cert.c)
-            children = (
-                Subproblem(nid, sub.cons | {below}, sub.eqs),
-                Subproblem(nid + 1, sub.cons, sub.eqs | {middle}),
-                Subproblem(nid + 2, sub.cons | {above}, sub.eqs),
-            )
-            nid += 3
+            kids = [
+                (sub.cons | {below}, sub.eqs),
+                (sub.cons, sub.eqs | {middle}),
+                (sub.cons | {above}, sub.eqs),
+            ]
         elif isinstance(cert, BranchConflictSplit):
             _validate_core(instance, cert.core)
-            kids = []
-            for added, _ in conflict_split_arms(cert.core):
-                kids.append(Subproblem(nid, sub.cons | set(added), sub.eqs))
-                nid += 1
-            children = tuple(kids)
+            kids = [(sub.cons | set(added), sub.eqs) for added, _ in conflict_split_arms(cert.core)]
         else:
             raise RuleViolation(f"branch certificate type {type(cert).__name__} unsupported")
-        pending = (state.pending - {sub}) | set(children)
-        return (
-            KernelState(frozenset(pending), state.incumbent, nid),
-            ApplyInfo(children, (sub,)),
-        )
 
-    if step.rule == "learn":
-        sub = need_target()
-        cut, cert = step.row, step.cert
+    elif rule == "learn":
+        cut = step.row
         if not isinstance(cert, CGCut):
             raise RuleViolation("learn needs a rounding-cut certificate")
         if cut is None:
@@ -276,31 +284,20 @@ def _apply_step(
         if cut in sub.cons:
             raise RuleViolation("learned row already present")
         check_cg(cert, rows_of(instance, sub), cut)
-        child = Subproblem(state.next_ident, sub.cons | {cut}, sub.eqs)
-        pending = (state.pending - {sub}) | {child}
-        return (
-            KernelState(frozenset(pending), state.incumbent, state.next_ident + 1),
-            ApplyInfo((child,), (sub,)),
-        )
+        kids = [(sub.cons | {cut}, sub.eqs)]
 
-    if step.rule == "forget":
-        sub = need_target()
-        row, cert = step.row, step.cert
+    elif rule == "forget":
+        row = step.row
         if not isinstance(cert, CGCut):
             raise RuleViolation("forget needs a rederivation certificate")
         if row is None or row not in sub.cons:
             raise RuleViolation("forgotten row is not present")
-        child = Subproblem(state.next_ident, sub.cons - {row}, sub.eqs)
-        check_cg(cert, rows_of(instance, child), row)
-        pending = (state.pending - {sub}) | {child}
-        return (
-            KernelState(frozenset(pending), state.incumbent, state.next_ident + 1),
-            ApplyInfo((child,), (sub,)),
-        )
+        cons = sub.cons - {row}
+        check_cg(cert, rows_of(instance, Subproblem(sub.ident, cons, sub.eqs)), row)
+        kids = [(cons, sub.eqs)]
 
-    if step.rule == "propagate":
-        sub = need_target()
-        d, cert = step.eq, step.cert
+    elif rule == "propagate":
+        d = step.eq
         if not isinstance(cert, BoundFix):
             raise RuleViolation("propagate needs a two-sided bound certificate")
         if d is None:
@@ -311,16 +308,10 @@ def _apply_step(
         if d in sub.eqs:
             raise RuleViolation("equality already recorded")
         check_bound_fix(cert, rows_of(instance, sub), d)
-        child = Subproblem(state.next_ident, sub.cons, sub.eqs | {d})
-        pending = (state.pending - {sub}) | {child}
-        return (
-            KernelState(frozenset(pending), state.incumbent, state.next_ident + 1),
-            ApplyInfo((child,), (sub,)),
-        )
+        kids = [(sub.cons, sub.eqs | {d})]
 
-    if step.rule == "tlearn":
-        sub = need_target()
-        cut, cert = step.row, step.cert
+    elif rule == "tlearn":
+        cut = step.row
         if not isinstance(cert, TLemma):
             raise RuleViolation("tlearn needs a theory lemma certificate")
         if cut is None or cut != cert.lemma:
@@ -338,27 +329,14 @@ def _apply_step(
             raise RuleViolation("token does not endorse the asserted literals")
         if not adapter.replay_conflict(cert.asserted):
             raise RuleViolation("theory replay does not confirm the conflict")
-        child = Subproblem(state.next_ident, sub.cons | {cut}, sub.eqs)
-        pending = (state.pending - {sub}) | {child}
-        return (
-            KernelState(frozenset(pending), state.incumbent, state.next_ident + 1),
-            ApplyInfo((child,), (sub,)),
-        )
+        kids = [(sub.cons | {cut}, sub.eqs)]
 
-    if step.rule == "drop":
-        sub = need_target()
-        cert = step.cert
+    elif rule == "drop":
         if not isinstance(cert, FarkasProof):
             raise RuleViolation("drop needs a Farkas certificate")
         check_farkas(cert, rows_of(instance, sub))
-        return (
-            KernelState(state.pending - {sub}, state.incumbent, state.next_ident),
-            ApplyInfo((), (sub,)),
-        )
 
-    if step.rule == "prune":
-        sub = need_target()
-        cert = step.cert
+    elif rule == "prune":
         if not isinstance(cert, LbDual):
             raise RuleViolation("prune needs a lower-bound certificate")
         if state.incumbent.is_none:
@@ -366,49 +344,29 @@ def _apply_step(
         check_lb_dual(cert, rows_of(instance, sub), instance.objective)
         if cert.bound < obj_value(instance.objective, state.incumbent):
             raise RuleViolation("bound does not dominate the incumbent")
-        return (
-            KernelState(state.pending - {sub}, state.incumbent, state.next_ident),
-            ApplyInfo((), (sub,)),
-        )
 
-    if step.rule == "retire":
-        sub = need_target()
-        cert = step.cert
+    elif rule == "retire":
         if not isinstance(cert, RetireEvidence):
             raise RuleViolation("retire needs assignment evidence")
         point = cert.assignment_dict()
-        missing = instance.vars - set(point)
-        if missing:
-            raise RuleViolation(f"assignment misses variables: {sorted(missing)[:3]}")
-        if not satisfies_all(rows_of(instance, sub), point):
-            raise RuleViolation("assignment violates the subproblem rows")
+        rows = rows_of(instance, sub)
+        _check_witness(instance, rows, point)
         value = ObjValue.finite(instance.objective.eval(point))
         if not value < obj_value(instance.objective, state.incumbent):
             raise RuleViolation("assignment does not improve the incumbent")
-        check_lb_dual(cert.lb_match, rows_of(instance, sub), instance.objective)
+        check_lb_dual(cert.lb_match, rows, instance.objective)
         if cert.lb_match.bound != value:
             raise RuleViolation("lower bound does not pin the assignment's value")
-        if cert.token.kind != "model":
-            raise RuleViolation("retire needs a model token")
-        if not adapter.replay_model(point):
-            raise RuleViolation("theory replay rejects the assignment")
-        return (
-            KernelState(state.pending - {sub}, Incumbent.feasible(point), state.next_ident),
-            ApplyInfo((), (sub,)),
-        )
+        _check_model(step, adapter, point)
+        incumbent = Incumbent.feasible(point)
 
-    if step.rule == "unbounded":
-        sub = need_target()
-        cert = step.cert
+    elif rule == "unbounded":
         if not isinstance(cert, UnboundedEvidence):
             raise RuleViolation("unbounded needs a ray certificate")
         point = cert.assignment_dict()
         ray = cert.ray_dict()
-        missing = instance.vars - set(point)
-        if missing:
-            raise RuleViolation(f"assignment misses variables: {sorted(missing)[:3]}")
-        if not satisfies_all(rows_of(instance, sub), point):
-            raise RuleViolation("assignment violates the subproblem rows")
+        rows = rows_of(instance, sub)
+        _check_witness(instance, rows, point)
         if not any(ray.values()):
             raise RuleViolation("ray is zero")
         for v in ray:
@@ -417,7 +375,7 @@ def _apply_step(
         drift = sum(c * ray.get(v, 0) for v, c in instance.objective.terms)
         if drift >= 0:
             raise RuleViolation("ray does not improve the objective")
-        for row in rows_of(instance, sub):
+        for row in rows:
             along = sum(c * ray.get(v, 0) for v, c in row.lhs.terms)
             bad = (
                 (row.rel is Relation.GE and along < 0)
@@ -432,32 +390,28 @@ def _apply_step(
         moved = [v for v in frozen if ray.get(v, 0) != 0]
         if moved:
             raise RuleViolation(f"ray moves theory variables: {sorted(moved)[:3]}")
-        if cert.token.kind != "model":
-            raise RuleViolation("unbounded needs a model token")
-        if not adapter.replay_model(point):
-            raise RuleViolation("theory replay rejects the assignment")
-        return (
-            KernelState(frozenset(), Incumbent.unbounded(point), state.next_ident),
-            ApplyInfo((), tuple(sorted(state.pending, key=lambda s: s.ident))),
-        )
+        _check_model(step, adapter, point)
+        incumbent = Incumbent.unbounded(point)
+        removed = tuple(sorted(state.pending, key=lambda s: s.ident))
 
-    if step.rule == "subsume":
-        keeper = need_target()
+    else:  # subsume
         gone = by_ident.get(step.other)
         if gone is None:
             raise RuleViolation(f"no pending subproblem with ident {step.other}")
-        if keeper.ident == gone.ident:
+        if sub.ident == gone.ident:
             raise RuleViolation("subsume needs two distinct subproblems")
-        if not isinstance(step.cert, SubsumeSyntactic):
+        if not isinstance(cert, SubsumeSyntactic):
             raise RuleViolation("subsume needs its syntactic marker")
-        if not (keeper.cons <= gone.cons and keeper.eqs <= gone.eqs):
+        if not (sub.cons <= gone.cons and sub.eqs <= gone.eqs):
             raise RuleViolation("kept subproblem does not cover the removed one")
-        return (
-            KernelState(state.pending - {gone}, state.incumbent, state.next_ident),
-            ApplyInfo((), (gone,)),
-        )
+        removed = (gone,)
 
-    raise RuleViolation(f"unknown rule {step.rule!r}")
+    nid = state.next_ident
+    created = tuple(Subproblem(nid + i, cons, eqs) for i, (cons, eqs) in enumerate(kids))
+    pending = state.pending.difference(removed)
+    if created:
+        pending = pending.union(created)
+    return KernelState(pending, incumbent, nid + len(created)), ApplyInfo(created, removed)
 
 
 class Kernel:
@@ -509,31 +463,19 @@ def verdict(instance: ImtInstance, state: KernelState) -> tuple[str, ObjValue]:
     return _STATUS[state.incumbent.kind], obj_value(instance.objective, state.incumbent)
 
 
-@dataclass
-class ReplayResult:
-    state: KernelState
-    steps: int
-    branches: int
-
-    @property
-    def final(self) -> bool:
-        return self.state.final
-
-
 def replay_trace(
     instance: ImtInstance,
     steps: Iterable[Step],
     adapter: EufAdapter | None = None,
     budgets: Budgets | None = None,
     on_state: Callable[[int, KernelState, Step, ApplyInfo], None] | None = None,
-) -> ReplayResult:
-    """Re-check a recorded derivation from scratch.
+) -> Kernel:
+    """Re-check a recorded derivation from scratch; returns the kernel that accepted it.
 
     Every certificate is re-validated and every theory token re-played. Any
     failure raises ReplayError with the failing step index.
     """
     kernel = Kernel(instance, adapter=adapter, budgets=budgets)
-    count = 0
     for i, step in enumerate(steps):
         try:
             info = kernel.apply(step)
@@ -541,5 +483,4 @@ def replay_trace(
             raise ReplayError(i, str(exc)) from exc
         if on_state is not None:
             on_state(i, kernel.state, step, info)
-        count += 1
-    return ReplayResult(kernel.state, count, kernel.branches)
+    return kernel

@@ -216,10 +216,6 @@ class SimpleEquality:
     def diff(x: Var, y: Var, c: int) -> SimpleEquality:
         return SimpleEquality(x, y, c)
 
-    @property
-    def is_fix(self) -> bool:
-        return self.y is None
-
     def as_constraint(self) -> LinConstraint:
         return self._row
 

@@ -46,7 +46,6 @@ class UnboundedForEncoding(SmtError):
 
 
 _NUM_RE = re.compile(r"\d+\Z")
-_SYMBOL_OK = re.compile(r"[A-Za-z0-9_.$!'~!@%^&*+=<>?/-]+\Z")
 
 
 def tokenize(text: str) -> list[str]:

@@ -28,9 +28,11 @@ from imtsolver.kernel import (
     Step,
     conflict_split_arms,
     initial_state,
+    replay_trace,
     rows_of,
     verdict,
 )
+from imtsolver.engine import solve
 from imtsolver.model import (
     Bounds,
     ImtError,
@@ -547,3 +549,101 @@ def test_box_rows_do_not_carry_over_between_instances():
     assert narrow_hi not in rows_of(wide, Subproblem.root(cons))
     with pytest.raises(RuleViolation, match="outside the subproblem: x <= 3"):
         Kernel(wide).apply(Step("learn", target=0, row=cut, cert=cert))
+
+
+def _assert_one_transition(prev, new, step, info):
+    """The shared tail: fresh consecutive idents, removed out, created in, incumbent kept."""
+    assert [s.ident for s in info.created] == list(range(prev.next_ident, prev.next_ident + len(info.created)))
+    assert new.next_ident == prev.next_ident + len(info.created)
+    if step.rule == "unbounded":
+        assert info.removed == tuple(sorted(prev.pending, key=lambda s: s.ident))
+    else:
+        gone = step.other if step.rule == "subsume" else step.target
+        assert [s.ident for s in info.removed] == [gone]
+    assert new.pending == (prev.pending - set(info.removed)) | set(info.created)
+    assert (new.incumbent != prev.incumbent) == (step.rule in ("retire", "unbounded"))
+
+
+def _replay_checking_transitions(inst, steps):
+    prev = [initial_state(inst)]
+
+    def on_state(i, state, step, info):
+        _assert_one_transition(prev[0], state, step, info)
+        prev[0] = state
+
+    kernel = replay_trace(inst, steps, on_state=on_state)
+    assert kernel.log == list(steps)
+    assert kernel.branches == sum(step.rule == "branch" for step in steps)
+    return kernel
+
+
+def test_every_rule_shares_one_transition_on_solved_instances():
+    rng = random.Random(13)
+    rules = set()
+    for _ in range(60):
+        inst = random_instance(rng)
+        steps = solve(inst).steps
+        rules.update(step.rule for step in steps)
+        _replay_checking_transitions(inst, steps)
+    assert {"branch", "learn", "propagate", "tlearn", "drop", "retire"} <= rules
+
+
+def tail_instance():
+    """x is free below, y is pinned at 2 by two rows, and the objective is x."""
+    return ImtInstance(
+        ["x", "y"],
+        Bounds({"y": (0, 5)}),
+        [row([("x", 1)], Relation.LE, 5), row([("y", 1)], Relation.GE, 2), row([("y", 1)], Relation.LE, 2)],
+        objective=LinExpr.var("x"),
+    )
+
+
+def tail_steps():
+    """Trichotomy, a single-variable propagate, subsume and unbounded, by hand."""
+    y_lo, y_hi = row([("y", 1)], Relation.GE, 2), row([("y", 1)], Relation.LE, 2)
+    fix = BoundFix(identity_cut(y_lo, "ge"), identity_cut(y_hi, "le"))
+    ray = UnboundedEvidence((("x", 0), ("y", 2)), (("x", -1),), TheoryToken("model"))
+    return [
+        Step("branch", target=0, cert=BranchTrichotomy("x", "y", 1)),  # 1: x-y <= 0, 2: x-y = 1, 3: x-y >= 2
+        Step("propagate", target=2, eq=SimpleEquality.fix("y", 2), cert=fix),  # 4
+        Step("branch", target=1, cert=BranchDichotomy("x", 5)),  # 5 adds x <= 5, already a row; 6 adds x >= 6
+        Step("subsume", target=5, other=6, cert=SubsumeSyntactic()),
+        Step("unbounded", target=5, cert=ray),  # removes 3, 4 and 5
+    ]
+
+
+def test_hand_written_trace_takes_the_shared_transition():
+    inst = tail_instance()
+    kernel = _replay_checking_transitions(inst, tail_steps())
+    assert verdict(inst, kernel.state) == ("unbounded", ObjValue.neg_inf())
+
+
+def test_a_rejected_step_changes_nothing():
+    inst = tail_instance()
+    k = Kernel(inst)
+    for step in tail_steps()[:2]:  # pending 1, 3 and 4
+        k.apply(step)
+    x_le_5, y_lo, y_hi = row([("x", 1)], Relation.LE, 5), row([("y", 1)], Relation.GE, 2), row([("y", 1)], Relation.LE, 2)
+    fix = BoundFix(identity_cut(y_lo, "ge"), identity_cut(y_hi, "le"))
+    eq = TheoryLiteral.var_eq("x", "y")
+    lemma = TLemma((eq,), sentinel_contradiction(), (fix,), TheoryToken("conflict", (eq,)))
+    point = (("x", 0), ("y", 2))
+    lb = LbDual(ObjValue.finite(0), ((x_le_5, "le", Fraction(1)),))
+    bad = [
+        Step("branch", target=1, cert=BranchDichotomy("q", 0)),
+        Step("learn", target=1, row=row([("x", 1)], Relation.LE, 4), cert=identity_cut(x_le_5, "le")),
+        Step("forget", target=1, row=x_le_5, cert=identity_cut(x_le_5, "le")),
+        Step("propagate", target=1, eq=SimpleEquality.fix("y", 3), cert=fix),
+        Step("tlearn", target=1, row=sentinel_contradiction(), cert=lemma),
+        Step("drop", target=1, cert=FarkasProof(())),
+        Step("prune", target=1, cert=lb),
+        Step("retire", target=1, cert=RetireEvidence(point, lb, TheoryToken("model"))),
+        Step("unbounded", target=1, cert=UnboundedEvidence(point, (("x", -1),), TheoryToken("conflict"))),
+        Step("subsume", target=1, other=3, cert=SubsumeSyntactic()),
+    ]
+    assert len({step.rule for step in bad}) == 10
+    state, log = k.state, list(k.log)
+    for step in bad:
+        with pytest.raises(RuleViolation):
+            k.apply(step)
+        assert k.state is state and k.log == log

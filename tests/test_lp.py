@@ -239,7 +239,7 @@ def test_propagation_fixes_differences_and_leaves_pinned_variables_to_their_rows
     fixed = {d for d, _ in res.fixes}
     assert SimpleEquality.diff("y", "z", 3) in fixed
     # x is pinned at 2, but its two unit rows already say so
-    assert not any(d.is_fix for d in fixed)
+    assert not any(d.y is None for d in fixed)
     assert {x_lo, x_hi} <= rows_of(instance, sub)
 
 
