@@ -63,10 +63,8 @@ class UnsupportedShape(ImtError):
     """The instance has a shape the engine cannot decide with a certificate."""
 
 
-# cuts learned per round, best violation first, and the row count above
-# which a cut round forgets dominated rows
+# cuts learned per round, best violation first
 CUTS_PER_ROUND = 4
-TIDY_THRESHOLD = 12
 
 
 @dataclass
@@ -84,14 +82,13 @@ class Stats:
     cuts: int = 0
     branches: int = 0
     propagations: int = 0
-    forgets: int = 0
     theory_checks: int = 0
     conflicts: int = 0
 
     def summary(self) -> str:
         return (
             f"nodes={self.nodes} lp={self.lp_solves} pivots={self.pivots} lp_rows={self.lp_rows} "
-            f"cuts={self.cuts} branches={self.branches} propagations={self.propagations} forgets={self.forgets} "
+            f"cuts={self.cuts} branches={self.branches} propagations={self.propagations} "
             f"theory={self.theory_checks} conflicts={self.conflicts}"
         )
 
@@ -280,8 +277,6 @@ class _Search:
                         self.stats.cuts += 1
                         current = info.created[0]
                     rounds += 1
-                    if len(current.cons) > TIDY_THRESHOLD:
-                        current = self._tidy(current)
                     prev = out
                     continue
             v, k = select_branch(out.x_star, fractional)
@@ -290,27 +285,6 @@ class _Search:
             for child in info.created:
                 self.hints[child.ident] = lb.sort_key()
             return
-
-    def _tidy(self, current: Subproblem) -> Subproblem:
-        """Forget one-sided rows dominated by a strictly tighter same-expression row."""
-        by_lhs: dict[tuple, list[LinConstraint]] = {}
-        for row in current.cons:
-            if row.rel in (Relation.GE, Relation.LE):
-                by_lhs.setdefault((row.lhs.terms, row.rel), []).append(row)
-        # groups of two or more rows in the order of repr((terms, rel)) and a group's rows,
-        # which differ only in rhs, in the order of render(), without formatting a Relation or a row
-        groups = [kv for kv in by_lhs.items() if len(kv[1]) > 1]
-        for (_, rel), group in sorted(groups, key=lambda kv: (repr(kv[0][0]), kv[0][1].name)):
-            keep = max(group, key=lambda r: r.rhs) if rel is Relation.GE else min(group, key=lambda r: r.rhs)
-            direction = "ge" if rel is Relation.GE else "le"
-            for row in sorted(group, key=lambda r: str(r.rhs)):
-                if row == keep:
-                    continue
-                cert = identity_cut(keep, direction)
-                info = self.kernel.apply(Step("forget", current.ident, row=row, cert=cert))
-                self.stats.forgets += 1
-                current = info.created[0]
-        return current
 
     def _complete(self, x_star: dict[Var, Fraction]) -> dict[Var, int]:
         point = {v: int(q) for v, q in x_star.items() if v in self.instance.vars}

@@ -16,12 +16,12 @@ Moura's check), then runs a bounded primal simplex in which the entering
 column may flip to its other bound without a pivot, so there are no
 artificial columns and no phase-1 objective. Both use Bland's rule over one
 fixed column order, slack columns before variables and the newest slack
-first, so they terminate on every input. Within one node's cut loop the
-previous optimum's tableau is kept and its bounds only tighten: a cut
-tightens a bound, is implied, or brings a new slack row rewritten in the
-current basis; a round's added rows are merged into the previous ones.
-Forgetting a row that certifies a bound, like any other change, is solved
-from scratch.
+first, so they terminate on every input. A node's cut round only adds
+rows, so it keeps the previous optimum's tableau, whose bounds then only
+tighten: a cut tightens a bound, is implied, or brings a new slack row
+rewritten in the current basis, and the round's rows are merged into the
+previous ones. Any other change, a forgotten row among them, is solved from
+scratch.
 
 The tableau is sparse and integer-preserving: each row stores its nonzero
 entries as ``int`` numerators over one positive denominator and is divided by
@@ -206,7 +206,6 @@ class _Simplex:
 
     def __init__(self, objective: LinExpr, relevant: set[Var]):
         self.objective = objective
-        self.relevant = relevant
         self.names = sorted(relevant)
         self.col = {v: j for j, v in enumerate(self.names)}
         self.nums: list[dict[int, int]] = []
@@ -483,10 +482,14 @@ class _Simplex:
                 dz[self.basis[r]] = Fraction(-d * row[enter], self.den[r])
         return {v: dz[j] for j, v in enumerate(self.names) if j in dz}
 
-    def added_rows(self, prev: LpOptimal, sub: Subproblem, objective: LinExpr, bounds: Bounds) -> list | None:
-        """The rows ``sub`` adds to ``prev``, this tableau's latest optimum, in order.
+    def extend(self, prev: LpOptimal, sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome | None:
+        """Re-solve in place after a cut round that only added rows to ``prev``, this tableau's latest optimum.
 
-        None unless ``sub`` only gained rows with variables, all of them this
+        The added rows are merged into ``prev``'s rows. Each one tightens a
+        column's bounds, is implied, or brings a new slack column with its row
+        rewritten in the current basis; the check restores feasibility and the
+        primal simplex optimality. Returns None, for a solve from scratch,
+        unless ``sub`` only gained rows with variables, all of them this
         tableau's, and has the same equalities, box and objective.
         """
         if self.source is None or prev.rows is not self.rows or objective != self.objective:
@@ -494,39 +497,15 @@ class _Simplex:
         cons, eqs, box = self.source
         if box is not bounds or eqs != sub.eqs or not cons <= sub.cons:
             return None
-        added = {normalize(c) for c in sub.cons - cons}.difference(self.available)
-        if all(row.lhs.terms and all(v in self.col for v, _ in row.lhs.terms) for row in added):
-            return sorted(added, key=_order)
-        return None
-
-    def reoptimize(
-        self, prev: LpOptimal, rows: list[LinConstraint], relevant: set[Var], objective: LinExpr, added: list | None = None
-    ) -> LpOutcome | None:
-        """Re-solve in place after rows were added to or forgotten from the previous optimum's.
-
-        A new row tightens a column's bounds, is implied, or brings a new
-        slack column with its row rewritten in the current basis; a forgotten
-        row that then certifies no bound changes nothing. The check restores
-        feasibility and the primal simplex optimality. Returns None, for a
-        solve from scratch, when ``prev`` is not this tableau's latest
-        optimum, the objective or variables changed, a row without variables
-        was added, or a forgotten row certifies a bound. ``added``, if given,
-        lists the new rows in order; then none was forgotten.
-        """
-        if prev.rows is not self.rows or objective != self.objective or relevant != self.relevant:
+        added = sorted({normalize(c) for c in sub.cons - cons}.difference(self.available), key=_order)
+        if not all(row.lhs.terms and all(v in self.col for v, _ in row.lhs.terms) for row in added):
             return None
-        available = frozenset(rows) if added is None else self.available.union(added)
-        if added is None:
-            added = [row for row in rows if row not in self.available]
-        if any(not row.lhs.terms for row in added):
-            return None
+        rows = list(prev.rows)
+        for row in added:
+            bisect.insort(rows, row, key=_order)
         self.rows, self.source = (), None  # from here the tableau no longer matches prev
         self.admit(added)
-        if len(available) != len(self.available) + len(added):
-            certifying = {src[0] for src in (*self.lo_src, *self.hi_src) if src is not None}
-            if not certifying.isdisjoint(self.available - available):
-                return None
-        return self.solve(rows, available)
+        return self.solve(rows, self.available.union(added))
 
 
 def _constant_row_proof(row: LinConstraint) -> FarkasProof | None:
@@ -542,20 +521,13 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
     """Solve the rational relaxation of the subproblem inside its box.
 
     ``prev``, the optimum of the same node's previous cut round, passes its
-    tableau on to the new optimum when ``_Simplex.reoptimize`` can re-solve
-    it in place; otherwise the solve starts from scratch. Rows that the node
-    only added are merged into ``prev``'s rows, not all collected again.
+    tableau on to the new optimum when the round only added rows
+    (``_Simplex.extend``); otherwise the solve starts from scratch.
     """
     sx = None if prev is None else prev.state
-    added = None if sx is None else sx.added_rows(prev, sub, objective, bounds)
-    if added is None:
-        rows, relevant = _rows_and_vars(sub, bounds, objective)
-    else:
-        rows, relevant = list(prev.rows), sx.relevant
-        for row in added:
-            bisect.insort(rows, row, key=_order)
-    out = None if sx is None else sx.reoptimize(prev, rows, relevant, objective, added)
+    out = None if sx is None else sx.extend(prev, sub, objective, bounds)
     if out is None:
+        rows, relevant = _rows_and_vars(sub, bounds, objective)
         for row in rows:
             proof = None if row.lhs.terms else _constant_row_proof(row)
             if proof is not None:
@@ -812,7 +784,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     # moves only through record, which finds the row among the base rows or
     # derives it, learned first), and v = c would change no later step: same
     # LP column bounds and pivots, Gomory multiplier 0 (the tight v <= c sorts
-    # first), no new propagated row, no literal's true arm; _tidy ignores eqs.
+    # first), no new propagated row and no literal's true arm.
     fixes: list[tuple[SimpleEquality, BoundFix]] = []
     diff_lo: dict[tuple[Var, Var], tuple[Fraction, LinConstraint, str, Fraction]] = {}
     diff_hi: dict[tuple[Var, Var], tuple[Fraction, LinConstraint, str, Fraction]] = {}

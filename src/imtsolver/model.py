@@ -225,9 +225,6 @@ class SimpleEquality:
             return LinConstraint(LinExpr.var(self.x), Relation.EQ, self.c)
         return LinConstraint(LinExpr.of({self.x: 1, self.y: -1}), Relation.EQ, self.c)
 
-    def holds(self, assignment: Mapping[Var, int | Fraction]) -> bool:
-        return satisfies(self.as_constraint(), assignment)
-
     def render(self) -> str:
         if self.y is None:
             return f"{self.x} = {self.c}"

@@ -1,6 +1,6 @@
 """Frontend for a quantifier-free integer+functions s-expression dialect.
 
-Supported commands: set-logic / set-info / set-option (recorded or ignored),
+Supported commands: set-logic / set-info / set-option (ignored),
 declare-fun, declare-const, assert, minimize, maximize, check-sat, get-model,
 get-objectives, exit. Terms: integer linear arithmetic with comparisons,
 uninterpreted functions over Int, and full Boolean structure (not, and, or,
@@ -147,7 +147,6 @@ class EncodeResult:
     filled: tuple[Var, ...]  # variables whose box came from the default
     check_sat: bool
     wants_model: bool
-    logic: str | None
 
     def model_lines(self, assignment: dict[Var, int]) -> list[str]:
         out = []
@@ -178,7 +177,6 @@ class Encoder:
         self.negated = False
         self.check_sat = False
         self.wants_model = False
-        self.logic: str | None = None
         self.declared: dict[str, str] = {}
 
     # name management
@@ -220,6 +218,8 @@ class Encoder:
         head = _strip(term[0]) if isinstance(term[0], str) else None
         args = term[1:]
         if head in ("+", "-", "*"):
+            if head == "-" and not args:
+                raise SmtError(f"- needs at least one term: {_show(term)}")
             for a in args:
                 if self.sort_of(a) != "Int":
                     raise SmtError(f"arithmetic over non-integers in {_show(term)}")
@@ -694,13 +694,10 @@ class Encoder:
             if not isinstance(form, list) or not form or not isinstance(form[0], str):
                 raise SmtError(f"bad command {_show(form)}")
             cmd = _strip(form[0])
-            if cmd in ("set-info", "set-option", "get-objectives", "exit", "echo"):
+            if cmd in ("set-logic", "set-info", "set-option", "get-objectives", "exit", "echo"):
                 continue
             if cmd == "get-model":
                 self.wants_model = True
-                continue
-            if cmd == "set-logic":
-                self.logic = _strip(form[1]) if len(form) > 1 else None
                 continue
             if cmd == "check-sat":
                 self.check_sat = True
@@ -756,7 +753,6 @@ class Encoder:
             tuple(sorted(self.filled)),
             self.check_sat,
             self.wants_model,
-            self.logic,
         )
 
     def _declare(self, form) -> None:

@@ -8,6 +8,7 @@ from imtsolver import engine, lp
 from imtsolver.certificates import BoundFix, identity_cut
 from imtsolver.engine import Config, EngineLimit, UnsupportedShape, arrangement_literals, solve
 from imtsolver.kernel import replay_trace, rows_of, verdict
+from imtsolver.lp import LpOptimal
 from imtsolver.model import (
     Bounds,
     ImtInstance,
@@ -139,50 +140,40 @@ def test_stats_count_work():
     assert f"pivots={res.stats.pivots}" in res.stats.summary()
     assert f"lp_rows={res.stats.lp_rows}" in res.stats.summary()
     assert f"propagations={res.stats.propagations}" in res.stats.summary()
-    assert f"forgets={res.stats.forgets}" in res.stats.summary()
 
 
-def test_the_engines_forgets_keep_cut_rounds_warm(monkeypatch):
-    # _tidy forgets a row only when a strictly tighter one stays, so a
-    # forgotten row never certifies a bound and no re-solve falls back
-    results = []
-    reoptimize = lp._Simplex.reoptimize
-
-    def recording(self, *args):
-        out = reoptimize(self, *args)
-        results.append(out)
-        return out
-
-    monkeypatch.setattr(lp._Simplex, "reoptimize", recording)
-    rng = random.Random(2)
-    forgets = 0
-    for _ in range(500):
-        forgets += solve(random_instance(rng)).stats.forgets
-    assert forgets >= 1 and results
-    assert all(out is not None for out in results)
-
-
-def test_adds_only_cut_rounds_give_the_steps_of_the_general_re_solve(monkeypatch):
-    # merging a round's added rows into the previous rows changes no pivot,
-    # cut or step against collecting every row again
+def test_cut_rounds_forget_nothing_and_re_solve_warm(monkeypatch):
+    # a cut round only adds rows, so every re-solve keeps the node's tableau,
+    # unless a learned cut has no variables and proves the node empty alone
     rng = random.Random(11)
     instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
     instances += [random_instance(rng) for _ in range(100)]
-    merged = []
-    added_rows = lp._Simplex.added_rows
+    tableaus = []
+    init = lp._Simplex.__init__
 
-    def recording(self, *args):
-        out = added_rows(self, *args)
-        merged.append(out is not None)
+    def counting(self, *args):
+        tableaus.append(self)
+        init(self, *args)
+
+    subs, warm = {}, 0
+    lp_solve = engine.lp_solve
+
+    def recording(sub, objective, bounds, prev=None):
+        nonlocal warm
+        made = len(tableaus)
+        out = lp_solve(sub, objective, bounds, prev)
+        subs[id(out)] = sub
+        if prev is not None and all(c.lhs.terms for c in sub.cons - subs[id(prev)].cons):
+            assert len(tableaus) == made
+            assert not isinstance(out, LpOptimal) or out.state is prev.state
+            warm += 1
         return out
 
-    monkeypatch.setattr(lp._Simplex, "added_rows", recording)
-    fast = [solve(instance) for instance in instances]
-    assert sum(merged) >= 10
-    monkeypatch.setattr(lp._Simplex, "added_rows", lambda self, *args: None)
-    for instance, res in zip(instances, fast):
-        slow = solve(instance)
-        assert (slow.status, slow.steps, slow.stats) == (res.status, res.steps, res.stats)
+    monkeypatch.setattr(lp._Simplex, "__init__", counting)
+    monkeypatch.setattr(engine, "lp_solve", recording)
+    for instance in instances:
+        assert not any(step.rule == "forget" for step in solve(instance).steps)
+    assert warm >= 10
 
 
 def test_single_variable_fixes_change_no_other_step(monkeypatch):
@@ -233,22 +224,6 @@ def test_single_variable_fixes_change_no_other_step(monkeypatch):
         assert key(old.steps) == key(res.steps)
         restated += len(old.steps) - len(res.steps)
     assert restated >= 100
-
-
-def test_tidy_applies_no_step_without_a_group_of_two_rows():
-    # one row per left side and relation: the same left side under GE and LE,
-    # and under GE and EQ, are different groups
-    rows = [
-        LinConstraint(expr(x=1, y=1), Relation.GE, 1),
-        LinConstraint(expr(x=1, y=1), Relation.LE, 5),
-        LinConstraint(expr(x=1, y=-1), Relation.GE, 0),
-        LinConstraint(expr(x=1, y=-1), Relation.EQ, 0),
-    ]
-    instance = ImtInstance(["x", "y"], Bounds({"x": (0, 5), "y": (0, 5)}), rows, objective=expr(x=1))
-    search = engine._Search(instance, Config())
-    (root,) = search.kernel.state.pending
-    assert search._tidy(root) is root
-    assert not search.kernel.log and search.stats.forgets == 0
 
 
 def test_feasibility_mode_zero_objective():

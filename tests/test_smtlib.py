@@ -102,6 +102,12 @@ def test_declarations_and_sorts():
     assert enc.instance.bounds.interval("p") == (0, 1)
 
 
+@pytest.mark.parametrize("logic", ["", "QF_UFLIA", "(QF_LIA)"])
+def test_set_logic_is_ignored(logic):
+    enc = encode_script(f"(set-logic {logic}) (declare-const x Int) (assert (>= x 2)) (minimize x)")
+    assert enc.instance == encode_script("(declare-const x Int) (assert (>= x 2)) (minimize x)").instance
+
+
 @pytest.mark.parametrize(
     "script",
     [
@@ -113,6 +119,8 @@ def test_declarations_and_sorts():
         "(declare-fun g (Bool) Int) (assert true)",  # Bool argument sorts unsupported
         "(declare-const x Int) (declare-const y Int) (assert (= (* x y) 2))",
         "(declare-const x Int) (minimize x) (maximize x)",
+        "(declare-const x Int) (minimize (-))",
+        "(declare-const x Int) (assert (<= (-) 1))",
     ],
 )
 def test_sort_and_shape_errors(script):
