@@ -21,14 +21,16 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .engine import Config, EngineLimit, SolveResult, solve
 from .kernel import ReplayError, replay_trace, verdict
 from .model import ImtError, ImtInstance, ObjValue, Var
 from .native import parse_instance, quote_name
-from .oracle import BoxTooLarge, brute_force_solve
 from .smtlib import encode_script
 from .trace import read_trace, write_trace
+
+if TYPE_CHECKING:
+    from .engine import SolveResult
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 10
@@ -120,6 +122,8 @@ def _status_exit(job: Job, status: str, value: ObjValue) -> tuple[str, int]:
 
 def _check_oracle(job: Job, result: SolveResult) -> str | None:
     """Cross-check against in-box enumeration; None means agreement."""
+    from .oracle import BoxTooLarge, brute_force_solve
+
     try:
         oracle = brute_force_solve(job.instance)
     except BoxTooLarge as exc:
@@ -149,6 +153,9 @@ def _replay(args: argparse.Namespace, job: Job) -> int:
 
 
 def _solve(args: argparse.Namespace, job: Job) -> int:
+    # imported here so that --replay runs without the search engine and the LP
+    from .engine import Config, EngineLimit, solve
+
     config = Config()
     if args.cut_cap is not None:
         config.max_cut_rounds = args.cut_cap

@@ -32,7 +32,7 @@ from .certificates import (
     UnboundedEvidence,
     identity_cut,
 )
-from .euf import EufAdapter, EufSession, TheoryConflict
+from .euf import EufSession, TheoryConflict
 from .kernel import Kernel, Step, conflict_split_arms, rows_of, true_arms, verdict
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, derive_gomory_cuts, lp_solve, propagate_bounds
 from .model import (
@@ -202,8 +202,7 @@ class _Search:
     def __init__(self, instance: ImtInstance, config: Config):
         self.instance = instance
         self.config = config
-        self.adapter = EufAdapter.for_instance(instance)
-        self.kernel = Kernel(instance, adapter=self.adapter)
+        self.kernel = Kernel(instance)
         self.stats = Stats()
         self.hints: dict[int, tuple[int, int]] = {0: ObjValue.neg_inf().sort_key()}
         self.theory_frozen: frozenset[Var] = frozenset(

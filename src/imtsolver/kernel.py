@@ -420,11 +420,10 @@ class Kernel:
     def __init__(
         self,
         instance: ImtInstance,
-        adapter: EufAdapter | None = None,
         budgets: Budgets | None = None,
     ):
         self.instance = instance
-        self.adapter = adapter if adapter is not None else EufAdapter.for_instance(instance)
+        self.adapter = EufAdapter.for_instance(instance)
         self.budgets = budgets if budgets is not None else Budgets()
         self.state = initial_state(instance)
         self.log: list[Step] = []
@@ -466,7 +465,6 @@ def verdict(instance: ImtInstance, state: KernelState) -> tuple[str, ObjValue]:
 def replay_trace(
     instance: ImtInstance,
     steps: Iterable[Step],
-    adapter: EufAdapter | None = None,
     budgets: Budgets | None = None,
     on_state: Callable[[int, KernelState, Step, ApplyInfo], None] | None = None,
 ) -> Kernel:
@@ -475,7 +473,7 @@ def replay_trace(
     Every certificate is re-validated and every theory token re-played. Any
     failure raises ReplayError with the failing step index.
     """
-    kernel = Kernel(instance, adapter=adapter, budgets=budgets)
+    kernel = Kernel(instance, budgets=budgets)
     for i, step in enumerate(steps):
         try:
             info = kernel.apply(step)

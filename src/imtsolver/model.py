@@ -321,9 +321,6 @@ class Bounds:
         for point in itertools.product(*ranges):
             yield dict(zip(names, point))
 
-    def items(self) -> list[tuple[Var, tuple[int | None, int | None]]]:
-        return sorted(self._table.items())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Bounds) and self._table == other._table
 

@@ -46,47 +46,17 @@ class UnboundedForEncoding(SmtError):
 
 
 _NUM_RE = re.compile(r"\d+\Z")
+# whitespace is exactly space, tab, CR and LF; a lone | or " opens a token that never closes
+_TOKEN_RE = re.compile(r'[()]|[^ \t\r\n();|"]+|\|[^|]*\||"(?:[^"]|"")*"|;[^\n]*|[|"]')
 
 
 def tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SmtError("unterminated |symbol|")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                raise SmtError("unterminated string")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();|\"":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    """Parentheses, symbols, |quoted symbols| and "strings"; comments are dropped."""
+    tokens = _TOKEN_RE.findall(text)
+    if "|" in tokens or '"' in tokens:
+        lone = next(tok for tok in tokens if tok in ("|", '"'))
+        raise SmtError("unterminated |symbol|" if lone == "|" else "unterminated string")
+    return [tok for tok in tokens if tok[0] != ";"]
 
 
 # The encoder walks a form recursively; its deepest shape, nested function
@@ -144,8 +114,6 @@ class EncodeResult:
     declared: dict[str, str]  # user symbol -> "Int" | "Bool"
     has_objective: bool
     negated_objective: bool
-    filled: tuple[Var, ...]  # variables whose box came from the default
-    check_sat: bool
     wants_model: bool
 
     def model_lines(self, assignment: dict[Var, int]) -> list[str]:
@@ -175,7 +143,6 @@ class Encoder:
         self.filled: set[str] = set()
         self.objective: LinExpr | None = None
         self.negated = False
-        self.check_sat = False
         self.wants_model = False
         self.declared: dict[str, str] = {}
 
@@ -690,17 +657,15 @@ class Encoder:
 
     def run(self, forms: list) -> EncodeResult:
         asserts: list = []
+        objective = None  # (term, maximize)
         for form in forms:
             if not isinstance(form, list) or not form or not isinstance(form[0], str):
                 raise SmtError(f"bad command {_show(form)}")
             cmd = _strip(form[0])
-            if cmd in ("set-logic", "set-info", "set-option", "get-objectives", "exit", "echo"):
+            if cmd in ("set-logic", "set-info", "set-option", "check-sat", "get-objectives", "exit", "echo"):
                 continue
             if cmd == "get-model":
                 self.wants_model = True
-                continue
-            if cmd == "check-sat":
-                self.check_sat = True
                 continue
             if cmd in ("declare-fun", "declare-const"):
                 self._declare(form)
@@ -711,11 +676,11 @@ class Encoder:
                 asserts.append(form[1])
                 continue
             if cmd in ("minimize", "maximize"):
-                if self.objective is not None:
+                if objective is not None:
                     raise SmtError("only one objective is supported")
                 if len(form) != 2:
                     raise SmtError(f"{cmd} takes one term")
-                self._set_objective(form[1], negate=(cmd == "maximize"))
+                objective = (form[1], cmd == "maximize")
                 continue
             raise SmtError(f"unsupported command {cmd}")
 
@@ -725,6 +690,8 @@ class Encoder:
         # absorb box-shaped asserts first so later encodings see tight boxes
         for term in asserts:
             self._prescan(term)
+        if objective is not None:
+            self._set_objective(*objective)
         for term in asserts:
             self.encode_assert(term)
 
@@ -750,8 +717,6 @@ class Encoder:
             dict(self.declared),
             self.objective is not None,
             self.negated,
-            tuple(sorted(self.filled)),
-            self.check_sat,
             self.wants_model,
         )
 

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from imtsolver import engine
@@ -177,6 +183,72 @@ def test_trace_then_replay(tmp_path, capsys, text, solve_code, line):
     code, out, _ = run(capsys, str(p), "--replay", str(t))
     assert code == EXIT_OK
     assert out.splitlines() == ["trace accepted", line]
+
+
+TICKETS = """
+[vars]
+x int 0 10
+y int 0 10
+r1 int * *
+r2 int * *
+[funs]
+f 1
+[objective]
+min x + y
+[constraints]
+r1 - r2 >= 1
+[atoms]
+r1 = f(x)
+r2 = f(y)
+"""
+SRC = Path(__file__).resolve().parents[1] / "src"
+# what replaying a trace may load: the kernel, its checks and closure, the trace reader and the front ends
+REPLAY_MODULES = {
+    "imtsolver",
+    "imtsolver.certificates",
+    "imtsolver.cli",
+    "imtsolver.euf",
+    "imtsolver.kernel",
+    "imtsolver.model",
+    "imtsolver.native",
+    "imtsolver.smtlib",
+    "imtsolver.trace",
+}
+
+
+def loaded_after(code: str, *argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run ``code`` in a fresh interpreter; returns the run and the imtsolver modules it loaded."""
+    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'imtsolver')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done, set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_replay_loads_neither_the_engine_nor_the_lp(tmp_path, capsys):
+    p = tmp_path / "tickets.imt"
+    p.write_text(TICKETS)
+    t = tmp_path / "run.trace"
+    code, out, _ = run(capsys, str(p), "--trace", str(t))
+    assert (code, out.splitlines()[0]) == (EXIT_OK, "optimal 1")
+
+    done, loaded = loaded_after(
+        "import sys; from imtsolver.cli import main; main(sys.argv[1:])", str(p), "--replay", str(t)
+    )
+    assert done.stdout.splitlines()[:2] == ["trace accepted", "optimal 1"]
+    assert not loaded & {"imtsolver.engine", "imtsolver.lp", "imtsolver.oracle"}
+    assert loaded == REPLAY_MODULES
+
+
+def test_the_package_root_loads_no_submodule():
+    _, loaded = loaded_after("import imtsolver")
+    assert loaded == {"imtsolver"}
 
 
 def test_a_corrupted_cut_certificate_is_an_error(tmp_path, capsys, monkeypatch):

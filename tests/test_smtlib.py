@@ -1,8 +1,12 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imtsolver.model import LinExpr, Relation, satisfies_all
+from imtsolver.engine import solve
+from imtsolver.model import LinExpr, ObjValue, Relation, satisfies_all
 from imtsolver.oracle import brute_force_solve
 from imtsolver.smtlib import (
     MAX_DEPTH,
@@ -12,6 +16,7 @@ from imtsolver.smtlib import (
     parse_sexps,
     tokenize,
 )
+from tokenize_reference import tokenize as loop_tokenize
 
 
 def bounds_prelude(table):
@@ -33,6 +38,19 @@ def test_tokenizer_handles_comments_pipes_and_strings():
     assert toks.count("(") == 2
     forms = parse_sexps(text)
     assert forms[0][0] == "assert"
+
+
+# \x0b and the no-break space are symbol characters, not whitespace
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=' \t\r\n();|"ab1-\x0b\u00a0', max_size=40))
+def test_tokenize_matches_the_character_loop(text):
+    try:
+        expected = loop_tokenize(text)
+    except SmtError as exc:
+        with pytest.raises(SmtError, match=re.escape(str(exc))):
+            tokenize(text)
+    else:
+        assert tokenize(text) == expected
 
 
 def test_parse_sexps_nesting_cap():
@@ -98,7 +116,7 @@ def test_declarations_and_sorts():
     )
     assert enc.declared == {"x": "Int", "p": "Bool"}
     assert enc.instance.funs == {"f": 1}
-    assert enc.check_sat and not enc.wants_model
+    assert not enc.wants_model
     assert enc.instance.bounds.interval("p") == (0, 1)
 
 
@@ -219,11 +237,29 @@ def test_default_bound_fills_only_consulted_variables():
     with pytest.raises(UnboundedForEncoding):
         encode_script(script)
     enc = encode_script(script, default_bound=8)
-    assert "x" in enc.filled
     assert enc.instance.bounds.interval("x") == (-8, 8)
     # the application result variable was never box-consulted
     (atom,) = [a for a in enc.instance.atoms if a.kind == "fun"]
     assert enc.instance.bounds.interval(atom.result) == (None, None)
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "(declare-const x Int) (assert (>= x 0)) (assert (<= x 3)) (minimize (+ x 2))",
+        # an objective may name a symbol declared after it, as an assert may
+        "(minimize (+ x 2)) (declare-const x Int) (assert (>= x 0)) (assert (<= x 3))",
+    ],
+    ids=["declared-first", "declared-later"],
+)
+def test_an_affine_objective_sees_the_asserted_box(script):
+    enc = encode_script(script)
+    ((obj, mult),) = enc.instance.objective.terms
+    assert mult == 1 and enc.instance.bounds.interval(obj) == (2, 5)
+    oracle = brute_force_solve(enc.instance)
+    assert (oracle.status, oracle.value) == ("optimal", 2)
+    res = solve(enc.instance)
+    assert (res.status, res.value) == ("optimal", ObjValue.finite(2))
 
 
 def test_maximize_negates_the_objective():
