@@ -1,9 +1,9 @@
 """Certificate payloads and their checkers.
 
 Every certificate is checkable against a subproblem's row set without
-re-running any search or simplex code. A row set is the constraint set C,
-the accumulated simple equalities rendered as rows, and the instance box
-rendered as one row per finite bound end.
+re-running any search or simplex code. A row set is the subproblem's rows
+C, which hold the rows of its propagated and branched-on equalities, and the
+instance box rendered as one row per finite bound end.
 
 Nonnegative-combination checking is the shared primitive: an entry
 ``(row, direction, multiplier)`` contributes ``multiplier * row`` oriented

@@ -165,6 +165,8 @@ def _solve(args: argparse.Namespace, job: Job) -> int:
         result = solve(job.instance, config)
     except EngineLimit as exc:
         print(f"budget: {exc}", file=sys.stderr)
+        if args.trace:
+            write_trace(args.trace, job.instance, exc.steps)
         print("unknown")
         return EXIT_BUDGET
 

@@ -56,7 +56,11 @@ from .model import (
 
 
 class EngineLimit(ImtError):
-    """The search gave up before reaching a verdict."""
+    """The search gave up before reaching a verdict; ``steps`` are those the kernel had accepted."""
+
+    def __init__(self, message: str, steps: tuple[Step, ...]):
+        super().__init__(message)
+        self.steps = steps
 
 
 class UnsupportedShape(ImtError):
@@ -213,7 +217,7 @@ class _Search:
         cfg = self.config
         while self.kernel.state.pending:
             if cfg.node_limit is not None and self.stats.nodes >= cfg.node_limit:
-                raise EngineLimit(f"node limit {cfg.node_limit} reached")
+                raise EngineLimit(f"node limit {cfg.node_limit} reached", tuple(self.kernel.log))
             sub = min(
                 self.kernel.state.pending,
                 key=lambda s: (self.hints.get(s.ident, (-1, 0)), s.ident),

@@ -6,8 +6,8 @@ certificate that the kernel checks against the acting subproblem's rows
 before the state changes. The search engine proposes steps; nothing it
 computes is trusted.
 
-Row visibility: a subproblem's rows are its constraint set C, its simple
-equalities rendered as rows, and the instance box rendered as one row per
+Row visibility: a subproblem's rows are its row set C, where propagated
+and branched-on equalities sit as rows, and the instance box as one row per
 finite bound end. All certificates are checked against exactly that set.
 
 Theory claims ride on tokens. The kernel re-validates each token through
@@ -122,7 +122,7 @@ def initial_state(instance: ImtInstance) -> KernelState:
 
 def rows_of(instance: ImtInstance, sub: Subproblem) -> frozenset[LinConstraint]:
     """Every row a certificate may reference on this subproblem."""
-    return sub.cons.union([d.as_constraint() for d in sub.eqs], instance.box_rows)
+    return sub.cons.union(instance.box_rows)
 
 
 def _check_row_vars(instance: ImtInstance, row: LinConstraint) -> None:
@@ -233,7 +233,7 @@ def _apply_step(
 ) -> tuple[KernelState, ApplyInfo]:
     """Check one rule's side conditions, then perform the shared transition.
 
-    A rule replaces its target with children, given as (C, D) pairs, or
+    A rule replaces its target with children, given as row sets, or
     removes it; it may also change the incumbent. Only the checks differ.
     """
     rule, cert = step.rule, step.cert
@@ -243,7 +243,7 @@ def _apply_step(
     sub = by_ident.get(step.target)
     if sub is None:
         raise RuleViolation(f"no pending subproblem with ident {step.target}")
-    kids: list[tuple[frozenset[LinConstraint], frozenset[SimpleEquality]]] = []
+    kids: list[frozenset[LinConstraint]] = []
     removed: tuple[Subproblem, ...] = (sub,)
     incumbent = state.incumbent
 
@@ -253,24 +253,21 @@ def _apply_step(
                 raise RuleViolation(f"branch variable {cert.var} undeclared")
             lo = LinConstraint(LinExpr.var(cert.var), Relation.LE, cert.k)
             hi = LinConstraint(LinExpr.var(cert.var), Relation.GE, cert.k + 1)
-            kids = [(sub.cons | {lo}, sub.eqs), (sub.cons | {hi}, sub.eqs)]
+            kids = [sub.cons | {lo}, sub.cons | {hi}]
         elif isinstance(cert, BranchTrichotomy):
             for v in (cert.x, cert.y):
                 if v not in instance.vars:
                     raise RuleViolation(f"branch variable {v} undeclared")
             if cert.x == cert.y:
                 raise RuleViolation("trichotomy needs distinct variables")
-            below = _diff_row(cert.x, cert.y, Relation.LE, cert.c - 1)
-            above = _diff_row(cert.x, cert.y, Relation.GE, cert.c + 1)
-            middle = SimpleEquality.diff(cert.x, cert.y, cert.c)
             kids = [
-                (sub.cons | {below}, sub.eqs),
-                (sub.cons, sub.eqs | {middle}),
-                (sub.cons | {above}, sub.eqs),
+                sub.cons | {_diff_row(cert.x, cert.y, Relation.LE, cert.c - 1)},
+                sub.cons | {SimpleEquality.diff(cert.x, cert.y, cert.c).as_constraint()},
+                sub.cons | {_diff_row(cert.x, cert.y, Relation.GE, cert.c + 1)},
             ]
         elif isinstance(cert, BranchConflictSplit):
             _validate_core(instance, cert.core)
-            kids = [(sub.cons | set(added), sub.eqs) for added, _ in conflict_split_arms(cert.core)]
+            kids = [sub.cons.union(added) for added, _ in conflict_split_arms(cert.core)]
         else:
             raise RuleViolation(f"branch certificate type {type(cert).__name__} unsupported")
 
@@ -284,7 +281,7 @@ def _apply_step(
         if cut in sub.cons:
             raise RuleViolation("learned row already present")
         check_cg(cert, rows_of(instance, sub), cut)
-        kids = [(sub.cons | {cut}, sub.eqs)]
+        kids = [sub.cons | {cut}]
 
     elif rule == "forget":
         row = step.row
@@ -293,8 +290,8 @@ def _apply_step(
         if row is None or row not in sub.cons:
             raise RuleViolation("forgotten row is not present")
         cons = sub.cons - {row}
-        check_cg(cert, rows_of(instance, Subproblem(sub.ident, cons, sub.eqs)), row)
-        kids = [(cons, sub.eqs)]
+        check_cg(cert, rows_of(instance, Subproblem(sub.ident, cons)), row)
+        kids = [cons]
 
     elif rule == "propagate":
         d = step.eq
@@ -305,10 +302,10 @@ def _apply_step(
         for v in (d.x,) if d.y is None else (d.x, d.y):
             if v not in instance.vars:
                 raise RuleViolation(f"equality mentions undeclared variable {v}")
-        if d in sub.eqs:
+        if d.as_constraint() in sub.cons:
             raise RuleViolation("equality already recorded")
         check_bound_fix(cert, rows_of(instance, sub), d)
-        kids = [(sub.cons, sub.eqs | {d})]
+        kids = [sub.cons | {d.as_constraint()}]
 
     elif rule == "tlearn":
         cut = step.row
@@ -329,7 +326,7 @@ def _apply_step(
             raise RuleViolation("token does not endorse the asserted literals")
         if not adapter.replay_conflict(cert.asserted):
             raise RuleViolation("theory replay does not confirm the conflict")
-        kids = [(sub.cons | {cut}, sub.eqs)]
+        kids = [sub.cons | {cut}]
 
     elif rule == "drop":
         if not isinstance(cert, FarkasProof):
@@ -402,12 +399,12 @@ def _apply_step(
             raise RuleViolation("subsume needs two distinct subproblems")
         if not isinstance(cert, SubsumeSyntactic):
             raise RuleViolation("subsume needs its syntactic marker")
-        if not (sub.cons <= gone.cons and sub.eqs <= gone.eqs):
+        if not sub.cons <= gone.cons:
             raise RuleViolation("kept subproblem does not cover the removed one")
         removed = (gone,)
 
     nid = state.next_ident
-    created = tuple(Subproblem(nid + i, cons, eqs) for i, (cons, eqs) in enumerate(kids))
+    created = tuple(Subproblem(nid + i, cons) for i, cons in enumerate(kids))
     pending = state.pending.difference(removed)
     if created:
         pending = pending.union(created)

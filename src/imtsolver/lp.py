@@ -116,10 +116,6 @@ def _rows_and_vars(sub: Subproblem, bounds: Bounds, objective: LinExpr) -> tuple
     for c in sub.cons:
         rows.add(normalize(c))
         relevant.update(c.lhs.vars())
-    for d in sub.eqs:
-        row = d.as_constraint()
-        rows.add(row)
-        relevant.update(row.lhs.vars())
     for v in relevant:
         lo, hi = bounds.interval(v)
         if lo is not None:
@@ -130,7 +126,7 @@ def _rows_and_vars(sub: Subproblem, bounds: Bounds, objective: LinExpr) -> tuple
 
 
 def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr()) -> list[LinConstraint]:
-    """All rows visible to the relaxation: C, D rendered, finite bound ends."""
+    """All rows visible to the relaxation: C and the finite bound ends."""
     return _rows_and_vars(sub, bounds, objective)[0]
 
 
@@ -226,7 +222,7 @@ class _Simplex:
         # the latest optimum's rows, which the next re-optimisation starts from, and their source
         self.rows: tuple[LinConstraint, ...] = ()
         self.available: frozenset[LinConstraint] = frozenset()
-        self.source: tuple[frozenset[LinConstraint], frozenset[SimpleEquality], Bounds] | None = None
+        self.source: tuple[frozenset[LinConstraint], Bounds] | None = None
 
     def add_row(self, coeffs: dict[int, int], rhs: int, den: int = 1) -> int:
         self.nums.append({j: a for j, a in coeffs.items() if a})
@@ -490,12 +486,12 @@ class _Simplex:
         rewritten in the current basis; the check restores feasibility and the
         primal simplex optimality. Returns None, for a solve from scratch,
         unless ``sub`` only gained rows with variables, all of them this
-        tableau's, and has the same equalities, box and objective.
+        tableau's, and has the same box and objective.
         """
         if self.source is None or prev.rows is not self.rows or objective != self.objective:
             return None
-        cons, eqs, box = self.source
-        if box is not bounds or eqs != sub.eqs or not cons <= sub.cons:
+        cons, box = self.source
+        if box is not bounds or not cons <= sub.cons:
             return None
         added = sorted({normalize(c) for c in sub.cons - cons}.difference(self.available), key=_order)
         if not all(row.lhs.terms and all(v in self.col for v, _ in row.lhs.terms) for row in added):
@@ -536,7 +532,7 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
         sx.admit([row for row in rows if row.lhs.terms])
         out = sx.solve(rows, frozenset(rows))
     if isinstance(out, LpOptimal):
-        sx.source = (sub.cons, sub.eqs, bounds)
+        sx.source = (sub.cons, bounds)
     return out
 
 
@@ -687,7 +683,7 @@ class PropagationResult:
     ``derived`` lists newly certified single-variable bound rows in derivation
     order; once those rows are admitted, ``fixes`` and ``farkas`` check against
     the augmented row set. ``fixes`` holds pinned differences ``x - y = c``
-    only. ``farkas`` set means the subproblem is empty.
+    whose rows C lacks. ``farkas`` set means the subproblem is empty.
     """
 
     fixes: list[tuple[SimpleEquality, BoundFix]]
@@ -701,7 +697,7 @@ class PropagationResult:
 
 def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     """Tighten per-variable intervals; detect pinned differences and emptiness."""
-    base_rows = sorted([*map(normalize, sub.cons), *(d.as_constraint() for d in sub.eqs)], key=LinConstraint.render)
+    base_rows = sorted(map(normalize, sub.cons), key=LinConstraint.render)
 
     relevant: set[Var] = set()
     for row in base_rows:
@@ -817,7 +813,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
             continue
         x, y = pair
         d = SimpleEquality.diff(x, y, int(lo_val))
-        if d in sub.eqs:
+        if d.as_constraint() in sub.cons:
             continue
         fixes.append(
             (

@@ -192,7 +192,7 @@ def sentinel_contradiction() -> LinConstraint:
 
 @dataclass(frozen=True)
 class SimpleEquality:
-    """Either v = c (y is None) or x - y = c, oriented so x < y lexicographically."""
+    """A propagate step's payload: v = c (y is None) or x - y = c, oriented so x < y lexicographically."""
 
     x: Var
     y: Var | None
@@ -217,18 +217,9 @@ class SimpleEquality:
         return SimpleEquality(x, y, c)
 
     def as_constraint(self) -> LinConstraint:
-        return self._row
-
-    @cached_property
-    def _row(self) -> LinConstraint:
         if self.y is None:
             return LinConstraint(LinExpr.var(self.x), Relation.EQ, self.c)
         return LinConstraint(LinExpr.of({self.x: 1, self.y: -1}), Relation.EQ, self.c)
-
-    def render(self) -> str:
-        if self.y is None:
-            return f"{self.x} = {self.c}"
-        return f"{self.x} - {self.y} = {self.c}"
 
 
 class Bounds:
@@ -330,15 +321,14 @@ class Bounds:
 
 @dataclass(frozen=True)
 class Subproblem:
-    """A work item: base constraints C plus accumulated simple equalities D."""
+    """A work item: its row set C, which propagated and branched-on equalities join as rows."""
 
     ident: int
     cons: frozenset[LinConstraint]
-    eqs: frozenset[SimpleEquality]
 
     @staticmethod
     def root(cons: Iterable[LinConstraint], ident: int = 0) -> Subproblem:
-        return Subproblem(ident, frozenset(normalize(c) for c in cons), frozenset())
+        return Subproblem(ident, frozenset(normalize(c) for c in cons))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Sectioned line format for instances.
 
 One declaration per line under a bracketed section header; '#' starts a
-comment anywhere. Example:
+comment anywhere outside a pipe-quoted name. Example:
 
     [vars]
     x int 0 10
@@ -18,9 +18,9 @@ comment anywhere. Example:
 
 Sections may appear in any order, each at most once; [funs], [objective],
 and [atoms] may be omitted (a missing objective means feasibility mode).
-Names are plain identifiers; anything else can be written pipe-quoted
-(|such name|). An atom's trailing "@ v" ties its truth to the 0/1
-variable v; atoms without it are asserted outright.
+Names are plain identifiers; anything else without '|' or a line break
+can be written pipe-quoted (|such name|). An atom's trailing "@ v" ties
+its truth to the 0/1 variable v; atoms without it are asserted outright.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ _NAME = rf"(?:{_PLAIN}|\|[^|]+\|)"
 _TOKEN = re.compile(rf"\|[^|]+\||[+-]|\d+|{_PLAIN}|\S")
 _PLAIN_RE = re.compile(_PLAIN + r"\Z")
 _NAME_RE = re.compile(_NAME + r"\Z")
+_CODE = re.compile(r"(?:[^#|]|\|[^|]*\|?)*")  # a line up to its first '#' outside |...|
 
 _SECTION_RE = re.compile(r"\[(vars|funs|objective|constraints|atoms)\]\Z")
 _VAR_LINE = re.compile(rf"({_NAME})\s+int\s+(-?\d+|\*)\s+(-?\d+|\*)\s*\Z")
@@ -64,7 +65,11 @@ def _unquote(token: str) -> str:
 
 
 def quote_name(name: Var) -> str:
-    return name if _PLAIN_RE.match(name) else f"|{name}|"
+    if _PLAIN_RE.match(name):
+        return name
+    if not name or "|" in name or name.splitlines() != [name]:
+        raise ImtError(f"no native line can spell the name {name!r}")
+    return f"|{name}|"
 
 
 def parse_expr(text: str) -> LinExpr:
@@ -123,7 +128,7 @@ def parse_instance(text: str) -> ImtInstance:
     seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE.match(raw).group().strip()
         if not line:
             continue
 

@@ -347,6 +347,41 @@ min a + b + c
         assert code == EXIT_OK
 
 
+# the chain r0 > r1 > r2 with r_i = f(x_i) forces the x_i apart; five nodes do not decide it
+CHAIN = """
+[vars]
+x0 int 0 2
+x1 int 0 2
+x2 int 0 2
+r0 int * *
+r1 int * *
+r2 int * *
+[funs]
+f 1
+[objective]
+min x0 + x1 + x2
+[constraints]
+r0 - r1 >= 1
+r1 - r2 >= 1
+[atoms]
+r0 = f(x0)
+r1 = f(x1)
+r2 = f(x2)
+"""
+
+
+def test_a_budget_stop_leaves_a_replayable_prefix(tmp_path, capsys):
+    p, t = tmp_path / "chain.imt", tmp_path / "prefix.trace"
+    p.write_text(CHAIN)
+    code, out, err = run(capsys, str(p), "--node-budget", "5", "--trace", str(t))
+    assert (code, out) == (EXIT_BUDGET, "unknown\n")
+    assert "budget" in err
+    assert t.exists()
+    # the prefix is accepted, and a non-final state reports no status
+    code, out, _ = run(capsys, str(p), "--replay", str(t))
+    assert (code, out) == (EXIT_OK, "trace accepted\n")
+
+
 def test_oracle_check_passes_on_small_instance(tmp_path, capsys):
     p = tmp_path / "opt.imt"
     p.write_text(OPT)

@@ -200,11 +200,10 @@ def test_single_variable_fixes_change_no_other_step(monkeypatch):
                     elif r.rel is Relation.LE and (v not in hi or r.rhs < hi[v].rhs):
                         hi[v] = r
             fixes = []
-            base = [*sub.cons, *(d.as_constraint() for d in sub.eqs)]
-            for v in sorted({v for r in base for v in r.lhs.vars()}):
+            for v in sorted({v for r in sub.cons for v in r.lhs.vars()}):
                 if v in lo and v in hi and lo[v].rhs == hi[v].rhs:
                     d = SimpleEquality.fix(v, lo[v].rhs)
-                    if d not in sub.eqs:
+                    if d.as_constraint() not in sub.cons:
                         fixes.append((d, BoundFix(identity_cut(lo[v], "ge"), identity_cut(hi[v], "le"))))
             res.fixes[:0] = fixes
             return res

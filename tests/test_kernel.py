@@ -84,7 +84,6 @@ def test_initial_state_has_one_root():
     (sub,) = state.pending
     assert sub.ident == 0
     assert sub.cons == inst.constraints
-    assert not sub.eqs
     assert state.incumbent.is_none
 
 
@@ -124,9 +123,12 @@ def test_branch_trichotomy_builds_three_children():
     k = Kernel(plain_instance())
     info = k.apply(Step("branch", target=0, cert=BranchTrichotomy("x", "y", 1)))
     assert len(info.created) == 3
-    middles = [s for s in info.created if s.eqs]
-    assert len(middles) == 1
-    assert middles[0].eqs == frozenset({SimpleEquality.diff("x", "y", 1)})
+    parent = info.removed[0].cons
+    assert [s.cons - parent for s in info.created] == [
+        {row([("x", 1), ("y", -1)], Relation.LE, 0)},
+        {SimpleEquality.diff("x", "y", 1).as_constraint()},
+        {row([("x", 1), ("y", -1)], Relation.GE, 2)},
+    ]
     with pytest.raises(RuleViolation):
         k.apply(Step("branch", target=1, cert=BranchTrichotomy("x", "x", 0)))
 
@@ -238,13 +240,26 @@ def test_propagate_records_equality():
     d = SimpleEquality.fix("x", 2)
     info = k.apply(Step("propagate", target=0, eq=d, cert=fix))
     (child,) = info.created
-    assert d in child.eqs
-    with pytest.raises(RuleViolation):
+    assert child.cons == inst.constraints | {d.as_constraint()}
+    with pytest.raises(RuleViolation, match="equality already recorded"):
         k.apply(Step("propagate", target=child.ident, eq=d, cert=fix))  # already there
     with pytest.raises(RuleViolation):
         Kernel(inst).apply(Step("propagate", target=0, eq=SimpleEquality.fix("x", 3), cert=fix))
     with pytest.raises(RuleViolation):
         Kernel(inst).apply(Step("propagate", target=0, eq=SimpleEquality.fix("q", 2), cert=fix))
+
+
+def test_propagate_rejects_an_equality_a_split_arm_already_added():
+    # the all-true arm of a split over x = y holds the row x - y = 0, which is
+    # the equality's own row, so propagating x - y = 0 there adds nothing
+    k = Kernel(plain_instance())
+    eq = TheoryLiteral.var_eq("x", "y")
+    info = k.apply(Step("branch", target=0, cert=BranchConflictSplit((eq,))))
+    d = SimpleEquality.diff("x", "y", 0)
+    (leaf,) = [s for s in info.created if d.as_constraint() in s.cons]
+    fix = BoundFix(identity_cut(d.as_constraint(), "ge"), identity_cut(d.as_constraint(), "le"))
+    with pytest.raises(RuleViolation, match="equality already recorded"):
+        k.apply(Step("propagate", target=leaf.ident, eq=d, cert=fix))
 
 
 def conflict_fixture():
@@ -505,10 +520,8 @@ def test_idents_are_fresh_across_steps():
 
 
 def _rows_of_by_sets(instance, sub):
-    """The row set built the plain way: C, then D as rows, then every box row."""
+    """The row set built the plain way: C, then every box row."""
     rows = set(sub.cons)
-    for d in sub.eqs:
-        rows.add(d.as_constraint())
     rows.update(instance.bounds.rows(instance.vars))
     return frozenset(rows)
 
@@ -522,14 +535,13 @@ def test_rows_of_matches_plain_set_construction():
         for _ in range(rng.randint(0, 3)):
             v = rng.choice(names)
             cons.append(row([(v, 1)], rng.choice([Relation.LE, Relation.GE]), rng.randint(-5, 5)))
-        eqs = set()
         for _ in range(rng.randint(0, 3)):
             if len(names) > 1 and rng.random() < 0.5:
                 x, y = rng.sample(names, 2)
-                eqs.add(SimpleEquality.diff(x, y, rng.randint(-3, 3)))
+                cons.append(SimpleEquality.diff(x, y, rng.randint(-3, 3)).as_constraint())
             else:
-                eqs.add(SimpleEquality.fix(rng.choice(names), rng.randint(-5, 5)))
-        sub = Subproblem(rng.randint(0, 9), frozenset(cons), frozenset(eqs))
+                cons.append(SimpleEquality.fix(rng.choice(names), rng.randint(-5, 5)).as_constraint())
+        sub = Subproblem(rng.randint(0, 9), frozenset(cons))
         assert rows_of(inst, sub) == _rows_of_by_sets(inst, sub)
         assert rows_of(inst, sub) == _rows_of_by_sets(inst, sub)  # again, from the cached box rows
 
@@ -577,11 +589,21 @@ def _replay_checking_transitions(inst, steps):
     return kernel
 
 
+def pinned_difference_instance():
+    """x - y >= 1 and x - y <= 1 pin x - y = 1, which no row states; b marks x = y."""
+    return ImtInstance(
+        ["x", "y", "b"],
+        Bounds({"x": (0, 5), "y": (0, 5), "b": (0, 1)}),
+        [row([("x", 1), ("y", -1)], Relation.GE, 1), row([("x", 1), ("y", -1)], Relation.LE, 1)],
+        [InterfaceAtom.eq_atom("x", "y", annotation="b")],
+        LinExpr.var("x"),
+    )
+
+
 def test_every_rule_shares_one_transition_on_solved_instances():
     rng = random.Random(13)
     rules = set()
-    for _ in range(60):
-        inst = random_instance(rng)
+    for inst in [random_instance(rng) for _ in range(60)] + [pinned_difference_instance()]:
         steps = solve(inst).steps
         rules.update(step.rule for step in steps)
         _replay_checking_transitions(inst, steps)

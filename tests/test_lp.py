@@ -477,7 +477,7 @@ def test_rounds_that_only_add_rows_merge_them_into_the_previous_rows(monkeypatch
     out = lp_solve(sub, WARM_OBJ, WARM_BOX)
     pivots = 0
     for added in ADDED_ROUNDS:
-        sub = Subproblem(sub.ident + 1, sub.cons | frozenset(added), sub.eqs)
+        sub = Subproblem(sub.ident + 1, sub.cons | frozenset(added))
         cold = lp_solve(sub, WARM_OBJ, WARM_BOX)
         prev = out
         with monkeypatch.context() as m:
@@ -493,20 +493,22 @@ def test_rounds_that_only_add_rows_merge_them_into_the_previous_rows(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "box, eqs",
+    "box, added, warm",
     [
-        (Bounds({"x": (3, 5), "y": (0, 5), "z": (0, 5)}), frozenset()),
-        (WARM_BOX, frozenset({SimpleEquality.fix("x", 3)})),
+        (Bounds({"x": (3, 5), "y": (0, 5), "z": (0, 5)}), frozenset(), False),
+        (WARM_BOX, frozenset({SimpleEquality.fix("x", 3).as_constraint()}), True),
     ],
     ids=["moved_box", "added_equality"],
 )
-def test_the_same_rows_over_another_box_or_equalities_match_a_cold_solve(box, eqs):
+def test_the_same_rows_over_another_box_or_equalities_match_a_cold_solve(box, added, warm):
+    # another box solves from scratch; an equality is one more row, merged warm
     sub0 = Subproblem.root([R1, R2])
     out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
-    sub1 = Subproblem(1, sub0.cons, eqs)
+    sub1 = Subproblem(1, sub0.cons | added)
     cold = lp_solve(sub1, WARM_OBJ, box)
     assert cold.value != out0.value
     out = lp_solve(sub1, WARM_OBJ, box, out0)
+    assert (out.state is out0.state) == warm
     # the same vertex and multipliers; a warm tableau may list them in another order
     assert (out.value, out.x_star, set(out.dual)) == (cold.value, cold.x_star, set(cold.dual))
     assert out.rows == cold.rows == tuple(assemble_rows(sub1, box, WARM_OBJ))
@@ -556,7 +558,7 @@ def test_cut_rounds_reoptimised_in_place_match_cold_solves(data):
                 cons.add(LinConstraint(row.lhs, row.rel, tighter))
         for _ in range(data.draw(st.integers(0, 3))):
             cons.add(row_of(data.draw(warm_exprs), data.draw(one_sided), data.draw(st.integers(-6, 6))))
-        sub = Subproblem(0, frozenset(cons), frozenset())
+        sub = Subproblem(0, frozenset(cons))
         have = frozenset(assemble_rows(sub, box, obj))
         cold = lp_solve(sub, obj, box)
         out = lp_solve(sub, obj, box, out)

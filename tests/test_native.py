@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from imtsolver.model import Bounds, ImtInstance, InterfaceAtom, LinConstraint, LinExpr, Relation
+from imtsolver.model import Bounds, ImtError, ImtInstance, InterfaceAtom, LinConstraint, LinExpr, Relation
 from imtsolver.native import ParseError, parse_expr, parse_instance, render_expr, render_instance
 
 from gen import random_instance
@@ -53,14 +53,18 @@ def test_round_trip_on_random_instances():
 
 def test_round_trip_preserves_odd_names():
     inst = ImtInstance(
-        ["weird name", "x"],
-        Bounds({"weird name": (0, 2), "x": (0, 2)}),
-        [LinConstraint(LinExpr.of([("weird name", 2), ("x", -1)]), Relation.LE, 3)],
+        ["weird name", "a#b", "x"],
+        Bounds({"weird name": (0, 2), "a#b": (0, 1), "x": (0, 2)}),
+        [LinConstraint(LinExpr.of([("weird name", 2), ("x", -1), ("a#b", 1)]), Relation.LE, 3)],
         objective=LinExpr.var("weird name"),
     )
     text = render_instance(inst)
-    assert "|weird name|" in text
+    assert "|weird name|" in text and "|a#b| int 0 1" in text
     assert parse_instance(text) == inst
+    # a '#' inside a quoted name is part of the name; after it, a comment starts
+    assert parse_instance(text.replace("|a#b| int 0 1", "|a#b| int 0 1  # a flag")) == inst
+    with pytest.raises(ImtError, match="no native line can spell"):
+        render_instance(ImtInstance(["a|b"], Bounds({"a|b": (0, 1)}), []))
 
 
 def test_expr_forms():
