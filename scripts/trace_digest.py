@@ -43,7 +43,7 @@ from imtsolver.smtlib import encode_script  # noqa: E402
 from imtsolver.trace import write_trace  # noqa: E402
 
 # the kernel's rules, in the order the benchmark reports their step counts
-RULES = ("learn", "forget", "tlearn", "propagate", "branch", "drop", "prune", "retire", "unbounded", "subsume")
+RULES = ("learn", "forget", "propagate", "branch", "drop", "prune", "retire", "unbounded", "subsume")
 
 
 def seed_range(text: str) -> range:

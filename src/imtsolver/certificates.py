@@ -107,18 +107,6 @@ class LbDual:
 
 
 @dataclass(frozen=True)
-class TheoryToken:
-    """Opaque acceptance record issued by the registered theory solver.
-
-    The kernel trusts the issuing theory but records the bound literal set
-    (and assignment digest) so replays can independently re-check the claim.
-    """
-
-    kind: str  # "model" | "conflict"
-    literals: tuple[TheoryLiteral, ...] = ()
-
-
-@dataclass(frozen=True)
 class SideCut:
     """One-sided derivation for an entailed disequality: which arm holds, and its proof."""
 
@@ -132,13 +120,11 @@ LiteralEvidence = BoundFix | CGCut | SideCut
 
 
 @dataclass(frozen=True)
-class TLemma:
-    """Theory lemma: literals entailed by the rows, lemma endorsed by the theory."""
+class TheoryRefutation:
+    """Theory literals the rows entail, one evidence item each, whose conjunction the theory refutes."""
 
     asserted: tuple[TheoryLiteral, ...]
-    lemma: LinConstraint
     evidence: tuple[LiteralEvidence, ...]
-    token: TheoryToken
 
 
 @dataclass(frozen=True)
@@ -167,11 +153,10 @@ class BranchConflictSplit:
 
 @dataclass(frozen=True)
 class RetireEvidence:
-    """Feasible improving assignment plus a matching lower bound and theory acceptance."""
+    """Feasible improving assignment plus a matching lower bound; the theory must accept it."""
 
     assignment: tuple[tuple[Var, int], ...]
     lb_match: LbDual
-    token: TheoryToken
 
     def assignment_dict(self) -> dict[Var, int]:
         return dict(self.assignment)
@@ -183,7 +168,6 @@ class UnboundedEvidence:
 
     assignment: tuple[tuple[Var, int], ...]
     ray: tuple[tuple[Var, int], ...]
-    token: TheoryToken
 
     def assignment_dict(self) -> dict[Var, int]:
         return dict(self.assignment)

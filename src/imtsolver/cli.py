@@ -49,8 +49,9 @@ class Job:
     model_lines: object  # callable: assignment -> list[str] | None
 
     def display_value(self, v: ObjValue) -> str:
-        if self.negate_value and v.is_finite:
-            return str(-v.value)
+        """The value in the source's sense: a maximize script sees it negated."""
+        if self.negate_value:
+            v = ObjValue(-v.kind, None if v.value is None else -v.value)
         return v.render()
 
 
@@ -164,7 +165,10 @@ def _solve(args: argparse.Namespace, job: Job) -> int:
     try:
         result = solve(job.instance, config)
     except EngineLimit as exc:
-        print(f"budget: {exc}", file=sys.stderr)
+        print(
+            f"budget: {exc}; incumbent {job.display_value(exc.incumbent)}, bound {job.display_value(exc.bound)}",
+            file=sys.stderr,
+        )
         if args.trace:
             write_trace(args.trace, job.instance, exc.steps)
         print("unknown")

@@ -8,8 +8,9 @@ Node recipe: certified interval propagation, then the exact relaxation.
 An infeasible relaxation drops the node with Farkas multipliers; a dominated
 bound prunes it; a fractional optimum is attacked with rounding cuts and
 then a dichotomy branch; an integral optimum goes to the theory session,
-which either endorses it (retire) or returns a conflict core that the engine
-turns into a case split whose contradicted region is learned away.
+which either endorses it (retire) or returns a conflict core. A node whose
+rows already entail the core is dropped by theory refutation; otherwise the
+engine splits on the core and drops the one child that entails it.
 """
 from __future__ import annotations
 
@@ -21,18 +22,16 @@ from .certificates import (
     BoundFix,
     BranchConflictSplit,
     BranchDichotomy,
-    FarkasProof,
     LbDual,
     LiteralEvidence,
     RetireEvidence,
     SideCut,
     TheoryLiteral,
-    TheoryToken,
-    TLemma,
+    TheoryRefutation,
     UnboundedEvidence,
     identity_cut,
 )
-from .euf import EufSession, TheoryConflict
+from .euf import EufSession
 from .kernel import Kernel, Step, conflict_split_arms, rows_of, true_arms, verdict
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, derive_gomory_cuts, lp_solve, propagate_bounds
 from .model import (
@@ -51,16 +50,21 @@ from .model import (
     frac_floor,
     obj_value,
     satisfies_all,
-    sentinel_contradiction,
 )
 
 
 class EngineLimit(ImtError):
-    """The search gave up before reaching a verdict; ``steps`` are those the kernel had accepted."""
+    """The search gave up before reaching a verdict; ``steps`` are those the kernel had accepted.
 
-    def __init__(self, message: str, steps: tuple[Step, ...]):
+    ``incumbent`` is the best objective value found (+inf if none) and
+    ``bound`` a lower bound on the optimum, at most ``incumbent``.
+    """
+
+    def __init__(self, message: str, steps: tuple[Step, ...], incumbent: ObjValue, bound: ObjValue):
         super().__init__(message)
         self.steps = steps
+        self.incumbent = incumbent
+        self.bound = bound
 
 
 class UnsupportedShape(ImtError):
@@ -187,10 +191,6 @@ def syntactic_evidence(
     return tuple(out)
 
 
-def _sentinel_farkas() -> FarkasProof:
-    return FarkasProof(((sentinel_contradiction(), "le", Fraction(1)),))
-
-
 def _integralize_ray(ray: dict[Var, Fraction]) -> dict[Var, int]:
     scale = lcm(*(q.denominator for q in ray.values())) if ray else 1
     ints = {v: int(q * scale) for v, q in ray.items() if q != 0}
@@ -217,7 +217,7 @@ class _Search:
         cfg = self.config
         while self.kernel.state.pending:
             if cfg.node_limit is not None and self.stats.nodes >= cfg.node_limit:
-                raise EngineLimit(f"node limit {cfg.node_limit} reached", tuple(self.kernel.log))
+                raise self._limit(f"node limit {cfg.node_limit} reached")
             sub = min(
                 self.kernel.state.pending,
                 key=lambda s: (self.hints.get(s.ident, (-1, 0)), s.ident),
@@ -230,6 +230,17 @@ class _Search:
         return SolveResult(
             status, value, assignment, self.stats, tuple(self.kernel.log), self.instance
         )
+
+    def _limit(self, message: str) -> EngineLimit:
+        """A stop carrying the incumbent's value and the lowest pending hint, capped at it.
+
+        A node without a hint counts as -inf. A pending node whose hint
+        reaches the incumbent would be pruned, so the cap loses nothing.
+        """
+        best = obj_value(self.instance.objective, self.kernel.state.incumbent)
+        kind, value = min(self.hints.get(s.ident, (-1, 0)) for s in self.kernel.state.pending)
+        bound = min(best, ObjValue(kind, value if kind == 0 else None))
+        return EngineLimit(message, tuple(self.kernel.log), best, bound)
 
     # node processing
 
@@ -305,7 +316,7 @@ class _Search:
         for lit in arrangement_literals(self.instance.atoms, point):
             session.assert_literal(lit)
         res = session.check()
-        if not isinstance(res, TheoryConflict):
+        if res is None:
             return None
         self.stats.conflicts += 1
         return res.core
@@ -317,11 +328,7 @@ class _Search:
             self._handle_conflict(current, core, ObjValue.finite(frac_ceil(out.value)))
             return
         value = int(out.value)
-        ev = RetireEvidence(
-            tuple(sorted(point.items())),
-            LbDual(ObjValue.finite(value), out.dual),
-            TheoryToken("model"),
-        )
+        ev = RetireEvidence(tuple(sorted(point.items())), LbDual(ObjValue.finite(value), out.dual))
         self.kernel.apply(Step("retire", current.ident, cert=ev))
 
     def _handle_conflict(
@@ -330,7 +337,7 @@ class _Search:
         rows = rows_of(self.instance, current)
         direct = syntactic_evidence(core, rows)
         if direct is not None:
-            self._learn_conflict(current, core, direct)
+            self.kernel.apply(Step("drop", current.ident, cert=TheoryRefutation(core, direct)))
             return
         info = self.kernel.apply(Step("branch", current.ident, cert=BranchConflictSplit(core)))
         self.stats.branches += 1
@@ -342,20 +349,9 @@ class _Search:
                 ev = syntactic_evidence(core, rows_of(self.instance, child))
                 if ev is None:
                     raise InvariantError("all-true child lost its own split rows")
-                self._learn_conflict(child, core, ev)
+                self.kernel.apply(Step("drop", child.ident, cert=TheoryRefutation(core, ev)))
             else:
                 self.hints[child.ident] = lb.sort_key()
-
-    def _learn_conflict(
-        self,
-        target: Subproblem,
-        core: tuple[TheoryLiteral, ...],
-        evidence: tuple[LiteralEvidence, ...],
-    ) -> None:
-        lemma = sentinel_contradiction()
-        cert = TLemma(core, lemma, evidence, TheoryToken("conflict", core))
-        info = self.kernel.apply(Step("tlearn", target.ident, row=lemma, cert=cert))
-        self.kernel.apply(Step("drop", info.created[0].ident, cert=_sentinel_farkas()))
 
     def _handle_unbounded(self, current: Subproblem, out: LpUnbounded) -> None:
         ray = _integralize_ray(out.ray)
@@ -386,11 +382,7 @@ class _Search:
         if core is not None:
             self._handle_conflict(current, core, ObjValue.neg_inf())
             return
-        ev = UnboundedEvidence(
-            tuple(sorted(point.items())),
-            tuple(sorted(ray.items())),
-            TheoryToken("model"),
-        )
+        ev = UnboundedEvidence(tuple(sorted(point.items())), tuple(sorted(ray.items())))
         self.kernel.apply(Step("unbounded", current.ident, cert=ev))
 
 

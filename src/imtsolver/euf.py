@@ -15,19 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .certificates import TheoryLiteral, TheoryToken
+from .certificates import TheoryLiteral
 from .model import ImtError, ImtInstance, InterfaceAtom, MissingVariable, Var
-
-
-@dataclass(frozen=True)
-class TheorySat:
-    token: TheoryToken
 
 
 @dataclass(frozen=True)
 class TheoryConflict:
     core: tuple[TheoryLiteral, ...]
-    token: TheoryToken
 
 
 class _Closure:
@@ -193,10 +187,10 @@ class EufSession:
     def consistent(self, literals: Iterable[TheoryLiteral] | None = None) -> bool:
         return _build_closure(self.atoms, self.trail if literals is None else literals)
 
-    def check(self) -> TheorySat | TheoryConflict:
-        """Decide the trail; an inconsistent trail yields a deletion-minimal core."""
+    def check(self) -> TheoryConflict | None:
+        """Decide the trail: None if it is consistent, else a deletion-minimal core."""
         if self.consistent():
-            return TheorySat(TheoryToken("model", tuple(self.trail)))
+            return None
         core = list(self.trail)
         i = 0
         while i < len(core):
@@ -205,7 +199,7 @@ class EufSession:
                 core = cand
             else:
                 i += 1
-        return TheoryConflict(tuple(core), TheoryToken("conflict", tuple(core)))
+        return TheoryConflict(tuple(core))
 
 
 def functional_consistency(atoms: Iterable[InterfaceAtom], assignment: Mapping[Var, int]) -> bool:
@@ -246,7 +240,7 @@ def functional_consistency(atoms: Iterable[InterfaceAtom], assignment: Mapping[V
 
 @dataclass(frozen=True)
 class EufAdapter:
-    """Replay callbacks the kernel uses to re-validate theory tokens."""
+    """Replay callbacks the kernel uses to re-decide theory claims: refuted literal sets and models."""
 
     atoms: tuple[InterfaceAtom, ...]
 

@@ -1,7 +1,7 @@
 """Certified transition kernel.
 
 The kernel owns the only mutable search state: a set of pending subproblems
-and the incumbent. Every transition is one of ten rules, each carrying a
+and the incumbent. Every transition is one of nine rules, each carrying a
 certificate that the kernel checks against the acting subproblem's rows
 before the state changes. The search engine proposes steps; nothing it
 computes is trusted.
@@ -10,9 +10,10 @@ Row visibility: a subproblem's rows are its row set C, where propagated
 and branched-on equalities sit as rows, and the instance box as one row per
 finite bound end. All certificates are checked against exactly that set.
 
-Theory claims ride on tokens. The kernel re-validates each token through
-the adapter's replay callbacks, so a trace stays checkable by a process
-that never ran the original search.
+A theory claim, a refuted literal set or an accepted assignment, sits in
+its certificate, and the kernel re-decides it through the adapter's replay
+callbacks, so a trace stays checkable by a process that never ran the
+original search.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .certificates import (
     RetireEvidence,
     SubsumeSyntactic,
     TheoryLiteral,
-    TLemma,
+    TheoryRefutation,
     UnboundedEvidence,
     check_bound_fix,
     check_cg,
@@ -53,7 +54,6 @@ from .model import (
     Var,
     obj_value,
     satisfies_all,
-    sentinel_contradiction,
 )
 
 
@@ -88,7 +88,7 @@ class KernelState:
 class Step:
     """One proposed transition. Unused payload fields stay None."""
 
-    rule: str  # branch|learn|forget|propagate|tlearn|drop|prune|retire|unbounded|subsume
+    rule: str  # branch|learn|forget|propagate|drop|prune|retire|unbounded|subsume
     target: int | None = None
     other: int | None = None
     row: LinConstraint | None = None
@@ -110,10 +110,8 @@ class Budgets:
     max_consecutive_rewrites: int | None = None
 
 
-_RULES = frozenset(
-    {"branch", "learn", "forget", "propagate", "tlearn", "drop", "prune", "retire", "unbounded", "subsume"}
-)
-_REWRITE_RULES = frozenset({"learn", "forget", "tlearn"})
+_RULES = frozenset({"branch", "learn", "forget", "propagate", "drop", "prune", "retire", "unbounded", "subsume"})
+_REWRITE_RULES = frozenset({"learn", "forget"})
 
 
 def initial_state(instance: ImtInstance) -> KernelState:
@@ -181,7 +179,7 @@ def conflict_split_arms(core: tuple[TheoryLiteral, ...]) -> list[tuple[tuple[Lin
 
 def _validate_core(instance: ImtInstance, core: tuple[TheoryLiteral, ...]) -> None:
     if not core:
-        raise RuleViolation("conflict split needs a nonempty core")
+        raise RuleViolation("theory certificate needs a nonempty literal set")
     annotations = {a.annotation for a in instance.atoms if a.annotation is not None}
     for lit in core:
         if lit.kind in ("eq", "diseq"):
@@ -216,13 +214,6 @@ def _check_witness(instance: ImtInstance, rows: frozenset[LinConstraint], point:
         raise RuleViolation(f"assignment misses variables: {sorted(missing)[:3]}")
     if not satisfies_all(rows, point):
         raise RuleViolation("assignment violates the subproblem rows")
-
-
-def _check_model(step: Step, adapter: EufAdapter, point: dict[Var, int]) -> None:
-    if step.cert.token.kind != "model":
-        raise RuleViolation(f"{step.rule} needs a model token")
-    if not adapter.replay_model(point):
-        raise RuleViolation("theory replay rejects the assignment")
 
 
 def _apply_step(
@@ -307,31 +298,20 @@ def _apply_step(
         check_bound_fix(cert, rows_of(instance, sub), d)
         kids = [sub.cons | {d.as_constraint()}]
 
-    elif rule == "tlearn":
-        cut = step.row
-        if not isinstance(cert, TLemma):
-            raise RuleViolation("tlearn needs a theory lemma certificate")
-        if cut is None or cut != cert.lemma:
-            raise RuleViolation("step row and lemma disagree")
-        if cut != sentinel_contradiction():
-            raise RuleViolation("only the contradiction lemma is supported")
-        if cut in sub.cons:
-            raise RuleViolation("lemma already present")
-        if len(cert.asserted) != len(cert.evidence) or not cert.asserted:
-            raise RuleViolation("lemma needs one evidence item per asserted literal")
-        rows = rows_of(instance, sub)
-        for lit, ev in zip(cert.asserted, cert.evidence):
-            check_literal_evidence(lit, ev, rows)
-        if cert.token.kind != "conflict" or cert.token.literals != cert.asserted:
-            raise RuleViolation("token does not endorse the asserted literals")
-        if not adapter.replay_conflict(cert.asserted):
-            raise RuleViolation("theory replay does not confirm the conflict")
-        kids = [sub.cons | {cut}]
-
     elif rule == "drop":
-        if not isinstance(cert, FarkasProof):
-            raise RuleViolation("drop needs a Farkas certificate")
-        check_farkas(cert, rows_of(instance, sub))
+        if isinstance(cert, FarkasProof):
+            check_farkas(cert, rows_of(instance, sub))
+        elif isinstance(cert, TheoryRefutation):
+            _validate_core(instance, cert.asserted)
+            if len(cert.asserted) != len(cert.evidence):
+                raise RuleViolation("refutation needs one evidence item per asserted literal")
+            rows = rows_of(instance, sub)
+            for lit, ev in zip(cert.asserted, cert.evidence):
+                check_literal_evidence(lit, ev, rows)
+            if not adapter.replay_conflict(cert.asserted):
+                raise RuleViolation("theory replay does not confirm the conflict")
+        else:
+            raise RuleViolation("drop needs a Farkas or theory refutation certificate")
 
     elif rule == "prune":
         if not isinstance(cert, LbDual):
@@ -354,7 +334,8 @@ def _apply_step(
         check_lb_dual(cert.lb_match, rows, instance.objective)
         if cert.lb_match.bound != value:
             raise RuleViolation("lower bound does not pin the assignment's value")
-        _check_model(step, adapter, point)
+        if not adapter.replay_model(point):
+            raise RuleViolation("theory replay rejects the assignment")
         incumbent = Incumbent.feasible(point)
 
     elif rule == "unbounded":
@@ -387,7 +368,8 @@ def _apply_step(
         moved = [v for v in frozen if ray.get(v, 0) != 0]
         if moved:
             raise RuleViolation(f"ray moves theory variables: {sorted(moved)[:3]}")
-        _check_model(step, adapter, point)
+        if not adapter.replay_model(point):
+            raise RuleViolation("theory replay rejects the assignment")
         incumbent = Incumbent.unbounded(point)
         removed = tuple(sorted(state.pending, key=lambda s: s.ident))
 
@@ -467,7 +449,7 @@ def replay_trace(
 ) -> Kernel:
     """Re-check a recorded derivation from scratch; returns the kernel that accepted it.
 
-    Every certificate is re-validated and every theory token re-played. Any
+    Every certificate is re-validated and every theory claim re-decided. Any
     failure raises ReplayError with the failing step index.
     """
     kernel = Kernel(instance, budgets=budgets)

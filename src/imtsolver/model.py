@@ -185,11 +185,6 @@ def normalize(c: LinConstraint) -> LinConstraint:
     return c
 
 
-def sentinel_contradiction() -> LinConstraint:
-    """The canonical learned contradiction, normalized form of 0 < 0."""
-    return LinConstraint(LinExpr.zero(), Relation.LE, -1)
-
-
 @dataclass(frozen=True)
 class SimpleEquality:
     """A propagate step's payload: v = c (y is None) or x - y = c, oriented so x < y lexicographically."""

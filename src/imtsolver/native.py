@@ -54,7 +54,9 @@ _VAR_LINE = re.compile(rf"({_NAME})\s+int\s+(-?\d+|\*)\s+(-?\d+|\*)\s*\Z")
 _FUN_LINE = re.compile(rf"({_NAME})\s+(\d+)\s*\Z")
 _CON_LINE = re.compile(r"(.*?)(<=|>=|=|<|>)\s*(-?\d+)\s*\Z")
 _MIN_LINE = re.compile(r"min\s+(.*)\Z")
-_ATOM_FUN_LINE = re.compile(rf"({_NAME})\s*=\s*({_NAME})\s*\((.*?)\)\s*(?:@\s*({_NAME}))?\s*\Z")
+_ARGS = rf"\s*(?:{_NAME}\s*(?:,\s*{_NAME}\s*)*)?"  # names separated by commas, a quoted one may hold a comma
+_ATOM_FUN_LINE = re.compile(rf"({_NAME})\s*=\s*({_NAME})\s*\(({_ARGS})\)\s*(?:@\s*({_NAME}))?\s*\Z")
+_NAME_FIND = re.compile(_NAME)
 _ATOM_EQ_LINE = re.compile(rf"\(\s*({_NAME})\s*=\s*({_NAME})\s*\)\s*(?:@\s*({_NAME}))?\s*\Z")
 
 
@@ -191,11 +193,7 @@ def parse_instance(text: str) -> ImtInstance:
             m = _ATOM_FUN_LINE.match(line)
             if not m:
                 raise bad(f"cannot parse atom: {line!r}")
-            args_text = m.group(3).strip()
-            args = [_unquote(a.strip()) for a in args_text.split(",")] if args_text else []
-            for a in args:
-                if not a:
-                    raise bad("empty argument name")
+            args = [_unquote(a) for a in _NAME_FIND.findall(m.group(3))]
             ann = _unquote(m.group(4)) if m.group(4) else None
             atoms.append(InterfaceAtom.fun_def(_unquote(m.group(1)), _unquote(m.group(2)), args, ann))
 

@@ -24,8 +24,7 @@ from .certificates import (
     SideCut,
     SubsumeSyntactic,
     TheoryLiteral,
-    TheoryToken,
-    TLemma,
+    TheoryRefutation,
     UnboundedEvidence,
 )
 from .kernel import Step
@@ -40,7 +39,7 @@ from .model import (
 )
 
 FORMAT_NAME = "bct-trace"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class TraceError(ImtError):
@@ -152,10 +151,6 @@ def _lit_back(obj: dict) -> TheoryLiteral:
     return TheoryLiteral(obj["kind"], var=_str(obj["var"]))
 
 
-def _token_back(obj: dict) -> TheoryToken:
-    return TheoryToken(obj["kind"], tuple(_lit_back(l) for l in obj["literals"]))
-
-
 def _obj_value_back(obj: dict) -> ObjValue:
     kind, value = _int(obj["kind"]), obj["value"]
     if kind == 0:
@@ -177,12 +172,10 @@ def _cert_back(obj: dict, memo: _Memo):
         return SideCut(obj["side"], _cert_back(obj["cut"], memo))
     if kind == "lb":
         return LbDual(_obj_value_back(obj["bound"]), _entries_back(obj["entries"], memo))
-    if kind == "tlemma":
-        return TLemma(
+    if kind == "theory":
+        return TheoryRefutation(
             tuple(_lit_back(l) for l in obj["asserted"]),
-            memo.row(obj["lemma"]),
             tuple(_cert_back(e, memo) for e in obj["evidence"]),
-            _token_back(obj["token"]),
         )
     if kind == "dichotomy":
         return BranchDichotomy(_str(obj["var"]), _int(obj["k"]))
@@ -194,13 +187,11 @@ def _cert_back(obj: dict, memo: _Memo):
         return RetireEvidence(
             tuple((_str(v), _int(c)) for v, c in obj["assignment"]),
             _cert_back(obj["lb"], memo),
-            _token_back(obj["token"]),
         )
     if kind == "ray":
         return UnboundedEvidence(
             tuple((_str(v), _int(c)) for v, c in obj["assignment"]),
             tuple((_str(v), _int(c)) for v, c in obj["ray"]),
-            _token_back(obj["token"]),
         )
     if kind == "subsume":
         return SubsumeSyntactic()
@@ -247,10 +238,6 @@ def _lits(lits) -> str:
     return "[" + ",".join(map(_lit, lits)) + "]"
 
 
-def _token(token: TheoryToken) -> str:
-    return f'{{"kind":{_quote(token.kind)},"literals":{_lits(token.literals)}}}'
-
-
 # Each step line is written as JSON text directly. It equals
 # ``json.dumps(..., separators=(",", ":"))`` of the step's JSON object, key
 # for key.
@@ -277,12 +264,9 @@ def _cert(cert) -> str:
     if isinstance(cert, LbDual):
         bound = f'{{"kind":{cert.bound.kind},"value":{"null" if cert.bound.value is None else cert.bound.value}}}'
         return f'{{"kind":"lb","bound":{bound},"entries":{_entries(cert.entries)}}}'
-    if isinstance(cert, TLemma):
+    if isinstance(cert, TheoryRefutation):
         evidence = ",".join(map(_cert, cert.evidence))
-        return (
-            f'{{"kind":"tlemma","asserted":{_lits(cert.asserted)},"lemma":{_row(cert.lemma)},'
-            f'"evidence":[{evidence}],"token":{_token(cert.token)}}}'
-        )
+        return f'{{"kind":"theory","asserted":{_lits(cert.asserted)},"evidence":[{evidence}]}}'
     if isinstance(cert, BranchDichotomy):
         return f'{{"kind":"dichotomy","var":{_quote(cert.var)},"k":{cert.k}}}'
     if isinstance(cert, BranchTrichotomy):
@@ -290,15 +274,9 @@ def _cert(cert) -> str:
     if isinstance(cert, BranchConflictSplit):
         return f'{{"kind":"conflict_split","core":{_lits(cert.core)}}}'
     if isinstance(cert, RetireEvidence):
-        return (
-            f'{{"kind":"retire","assignment":{_pairs(cert.assignment)},"lb":{_cert(cert.lb_match)},'
-            f'"token":{_token(cert.token)}}}'
-        )
+        return f'{{"kind":"retire","assignment":{_pairs(cert.assignment)},"lb":{_cert(cert.lb_match)}}}'
     if isinstance(cert, UnboundedEvidence):
-        return (
-            f'{{"kind":"ray","assignment":{_pairs(cert.assignment)},"ray":{_pairs(cert.ray)},'
-            f'"token":{_token(cert.token)}}}'
-        )
+        return f'{{"kind":"ray","assignment":{_pairs(cert.assignment)},"ray":{_pairs(cert.ray)}}}'
     if isinstance(cert, SubsumeSyntactic):
         return '{"kind":"subsume"}'
     raise TraceError(f"unserializable certificate {type(cert).__name__}")

@@ -23,8 +23,8 @@ from imtsolver.certificates import (
     FarkasProof,
     LbDual,
     RetireEvidence,
-    TLemma,
     TheoryLiteral,
+    TheoryRefutation,
     UnboundedEvidence,
     check_farkas,
     check_lb_dual,
@@ -180,15 +180,14 @@ def _break_step(step: Step) -> Step | None:
             return None
         worse = LbDual(ObjValue.finite(cert.bound.value + 1), cert.entries)
         return Step(step.rule, step.target, cert=worse)
-    if isinstance(cert, TLemma):
-        fake = LinConstraint(LinExpr.zero(), Relation.LE, -2)
-        return Step(step.rule, step.target, row=fake, cert=cert)
+    if isinstance(cert, TheoryRefutation):
+        return Step(step.rule, step.target, cert=TheoryRefutation(cert.asserted, cert.evidence[:-1]))
     if isinstance(cert, RetireEvidence):
         if not cert.assignment:
             return None
-        return Step(step.rule, step.target, cert=RetireEvidence(cert.assignment[1:], cert.lb_match, cert.token))
+        return Step(step.rule, step.target, cert=RetireEvidence(cert.assignment[1:], cert.lb_match))
     if isinstance(cert, UnboundedEvidence):
-        return Step(step.rule, step.target, cert=UnboundedEvidence(cert.assignment, (), cert.token))
+        return Step(step.rule, step.target, cert=UnboundedEvidence(cert.assignment, ()))
     return None
 
 
@@ -391,7 +390,7 @@ def test_criterion_7_termination_discipline(suite):
         run = 0
         longest = 0
         for s in res.steps:
-            run = run + 1 if s.rule in ("learn", "forget", "tlearn") else 0
+            run = run + 1 if s.rule in ("learn", "forget") else 0
             longest = max(longest, run)
         worst_run = max(worst_run, longest)
         assert longest <= cap + 24, instance.digest()

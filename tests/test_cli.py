@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ from imtsolver.cli import (
     EXIT_UNBOUNDED,
     main,
 )
+
+from gen import random_instance
 
 OPT = """
 [vars]
@@ -345,6 +348,69 @@ min a + b + c
     else:
         # the root relaxation may already decide tiny instances
         assert code == EXIT_OK
+
+
+# two nodes without cuts find the incumbent 2 and leave a node whose parent's bound is 0
+GAP = """
+[vars]
+a int 0 1
+b int 4 5
+c int -2 3
+d int -2 4
+[objective]
+min 3 a + 2 d
+[constraints]
+- a - 2 c >= -3
+2 b + 3 d >= 9
+"""
+
+# GAP as a maximize script, its objective negated
+GAP_MAX = """
+(declare-const a Int)
+(declare-const b Int)
+(declare-const c Int)
+(declare-const d Int)
+(assert (and (<= 0 a) (<= a 1) (<= 4 b) (<= b 5) (<= (- 2) c) (<= c 3) (<= (- 2) d) (<= d 4)))
+(assert (>= (- (- a) (* 2 c)) (- 3)))
+(assert (>= (+ (* 2 b) (* 3 d)) 9))
+(maximize (- (- (* 3 a)) (* 2 d)))
+(check-sat)
+"""
+
+
+@pytest.mark.parametrize(
+    "name, text, budget, line",
+    [
+        ("gap.imt", GAP, "2", "budget: node limit 2 reached; incumbent 2, bound 0\n"),
+        ("gap.imt", GAP, "1", "budget: node limit 1 reached; incumbent +inf, bound 0\n"),
+        ("gap.smt2", GAP_MAX, "2", "budget: node limit 2 reached; incumbent -2, bound 0\n"),
+        ("gap.smt2", GAP_MAX, "1", "budget: node limit 1 reached; incumbent -inf, bound 0\n"),
+    ],
+    ids=["min", "min_no_incumbent", "max", "max_no_incumbent"],
+)
+def test_a_budget_stop_reports_the_incumbent_and_the_bound(tmp_path, capsys, name, text, budget, line):
+    p = tmp_path / name
+    p.write_text(text)
+    code, out, err = run(capsys, str(p), "--node-budget", budget, "--cut-cap", "0")
+    assert (code, out, err) == (EXIT_BUDGET, "unknown\n", line)
+    # the optimum, 0 in both senses, lies between the bound and the incumbent
+    code, out, _ = run(capsys, str(p))
+    assert (code, out.split("\n")[0]) == (EXIT_OK, "optimal 0")
+
+
+def test_a_budget_stop_bounds_the_optimum_from_below():
+    rng = random.Random(5)
+    stops = 0
+    for _ in range(200):
+        inst = random_instance(rng)
+        result = engine.solve(inst)
+        for budget in range(1, 4):
+            try:
+                engine.solve(inst, engine.Config(node_limit=budget))
+            except engine.EngineLimit as exc:
+                assert exc.bound <= result.value <= exc.incumbent
+                stops += 1
+    assert stops > 20
 
 
 # the chain r0 > r1 > r2 with r_i = f(x_i) forces the x_i apart; five nodes do not decide it

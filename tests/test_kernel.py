@@ -15,8 +15,7 @@ from imtsolver.certificates import (
     SideCut,
     SubsumeSyntactic,
     TheoryLiteral,
-    TheoryToken,
-    TLemma,
+    TheoryRefutation,
     UnboundedEvidence,
     identity_cut,
 )
@@ -45,7 +44,6 @@ from imtsolver.model import (
     SimpleEquality,
     Subproblem,
     satisfies_all,
-    sentinel_contradiction,
 )
 
 from gen import random_instance
@@ -285,42 +283,56 @@ def conflict_fixture():
         identity_cut(row([("x", 1), ("y", -1)], Relation.LE, 0), "le"),
     )
     side = SideCut("ge", identity_cut(row([("r1", 1), ("r2", -1)], Relation.GE, 1), "ge"))
-    lemma = TLemma(lits, sentinel_contradiction(), (eq_fix, side), TheoryToken("conflict", lits))
-    return inst, lemma
+    return inst, TheoryRefutation(lits, (eq_fix, side))
 
 
-def test_tlearn_accepts_a_replayed_conflict():
-    inst, lemma = conflict_fixture()
+def test_theory_drop_accepts_a_replayed_conflict():
+    inst, refutation = conflict_fixture()
     k = Kernel(inst)
-    info = k.apply(Step("tlearn", target=0, row=lemma.lemma, cert=lemma))
-    (child,) = info.created
-    assert sentinel_contradiction() in child.cons
+    info = k.apply(Step("drop", target=0, cert=refutation))
+    assert info.created == () and [s.ident for s in info.removed] == [0]
+    assert k.final
+    assert verdict(inst, k.state) == ("infeasible", ObjValue.pos_inf())
 
 
-def test_tlearn_rejections():
-    inst, lemma = conflict_fixture()
-    wrong_row = row([("x", 1)], Relation.LE, -1)
-    bad_token = TLemma(lemma.asserted, lemma.lemma, lemma.evidence, TheoryToken("model", lemma.asserted))
-    short = TLemma(lemma.asserted, lemma.lemma, lemma.evidence[:1], lemma.token)
-    # a consistent literal set must be refused by the theory replay
-    sat_lits = (TheoryLiteral.var_eq("x", "y"),)
-    sat_fix = TLemma(
-        sat_lits,
-        sentinel_contradiction(),
-        (lemma.evidence[0],),
-        TheoryToken("conflict", sat_lits),
-    )
+def test_theory_drop_rejections():
+    inst, good = conflict_fixture()
+    lits, ev = good.asserted, good.evidence
     cases = [
-        Step("tlearn", target=0, row=wrong_row, cert=lemma),
-        Step("tlearn", target=0, row=wrong_row, cert=TLemma(lemma.asserted, wrong_row, lemma.evidence, lemma.token)),
-        Step("tlearn", target=0, row=lemma.lemma, cert=bad_token),
-        Step("tlearn", target=0, row=lemma.lemma, cert=short),
-        Step("tlearn", target=0, row=lemma.lemma, cert=sat_fix),
-        Step("tlearn", target=0, row=lemma.lemma, cert=FarkasProof(())),
+        (TheoryRefutation((), ()), "nonempty literal set"),
+        (TheoryRefutation(lits, ev[:1]), "one evidence item per asserted literal"),
+        (TheoryRefutation(lits, ev + ev[:1]), "one evidence item per asserted literal"),
+        # the rows entail x = y, not x = y + 1
+        (TheoryRefutation((TheoryLiteral.var_eq("x", "y", 1), lits[1]), ev), "does not reach"),
+        (TheoryRefutation(lits, ev[::-1]), "equality literal needs a BoundFix"),
+        # x = y alone is consistent, so the theory replay must refuse it
+        (TheoryRefutation(lits[:1], ev[:1]), "theory replay does not confirm the conflict"),
     ]
-    for step in cases:
-        with pytest.raises(RuleViolation):
-            Kernel(inst).apply(step)
+    for cert, message in cases:
+        k = Kernel(inst)
+        with pytest.raises(RuleViolation, match=message):
+            k.apply(Step("drop", target=0, cert=cert))
+        assert k.state == initial_state(inst) and k.log == []
+
+
+def test_theory_drop_validates_its_literals():
+    inst, good = conflict_fixture()
+    cases = [
+        (TheoryLiteral.var_eq("x", "zz"), "literal mentions undeclared variable zz"),
+        (TheoryLiteral.var_diseq("x", "x"), "literal relates a variable to itself"),
+        (TheoryLiteral.atom_true("x"), "x is not an annotation variable"),
+    ]
+    for lit, message in cases:
+        cert = TheoryRefutation(good.asserted + (lit,), good.evidence + good.evidence[:1])
+        with pytest.raises(RuleViolation, match=message):
+            Kernel(inst).apply(Step("drop", target=0, cert=cert))
+
+
+def test_drop_refuses_other_certificates():
+    inst, refutation = conflict_fixture()
+    for cert in (None, refutation.evidence[0], BranchConflictSplit(refutation.asserted)):
+        with pytest.raises(RuleViolation, match="drop needs a Farkas or theory refutation certificate"):
+            Kernel(inst).apply(Step("drop", target=0, cert=cert))
 
 
 def test_drop_discharges_by_farkas():
@@ -350,7 +362,7 @@ def test_retire_then_prune():
     point = {"x": 0, "y": 3}
     lo_x = inst.bounds.row_lo("x")
     lb = LbDual(ObjValue.finite(0), ((lo_x, "ge", Fraction(1)),))
-    ev = RetireEvidence(tuple(sorted(point.items())), lb, TheoryToken("model"))
+    ev = RetireEvidence(tuple(sorted(point.items())), lb)
     k.apply(Step("retire", target=1, cert=ev))
     assert k.state.incumbent.assignment() == point
     # right child (x >= 3) has lower bound 3 >= incumbent 0
@@ -376,10 +388,9 @@ def test_retire_rejections():
     lb0 = LbDual(ObjValue.finite(0), ((lo_x, "ge", Fraction(1)),))
     good = {"x": 0, "y": 3}
     cases = [
-        RetireEvidence((("x", 0),), lb0, TheoryToken("model")),  # missing y
-        RetireEvidence((("x", 0), ("y", 1)), lb0, TheoryToken("model")),  # violates x+y>=3
-        RetireEvidence(tuple(sorted({"x": 1, "y": 3}.items())), lb0, TheoryToken("model")),  # lb 0 != value 1
-        RetireEvidence(tuple(sorted(good.items())), lb0, TheoryToken("conflict")),
+        RetireEvidence((("x", 0),), lb0),  # missing y
+        RetireEvidence((("x", 0), ("y", 1)), lb0),  # violates x+y>=3
+        RetireEvidence(tuple(sorted({"x": 1, "y": 3}.items())), lb0),  # lb 0 != value 1
     ]
     for ev in cases:
         with pytest.raises(RuleViolation):
@@ -392,7 +403,7 @@ def test_retire_respects_theory_replay():
     lb = LbDual(ObjValue.finite(0), ((lo, "ge", Fraction(1)),))
     # x = y but r1 != r2 contradicts congruence
     bad = {"x": 1, "y": 1, "r1": 0, "r2": 2}
-    ev = RetireEvidence(tuple(sorted(bad.items())), lb, TheoryToken("model"))
+    ev = RetireEvidence(tuple(sorted(bad.items())), lb)
     with pytest.raises(RuleViolation):
         Kernel(inst).apply(Step("retire", target=0, cert=ev))
 
@@ -409,7 +420,7 @@ def unbounded_instance():
 def test_unbounded_accepts_a_valid_ray():
     inst = unbounded_instance()
     k = Kernel(inst)
-    ev = UnboundedEvidence((("x", 0), ("y", 0)), (("x", -1),), TheoryToken("model"))
+    ev = UnboundedEvidence((("x", 0), ("y", 0)), (("x", -1),))
     k.apply(Step("unbounded", target=0, cert=ev))
     assert verdict(inst, k.state) == ("unbounded", ObjValue.neg_inf())
 
@@ -417,10 +428,10 @@ def test_unbounded_accepts_a_valid_ray():
 def test_unbounded_rejections():
     inst = unbounded_instance()
     cases = [
-        UnboundedEvidence((("x", 0), ("y", 0)), (), TheoryToken("model")),  # zero ray
-        UnboundedEvidence((("x", 0), ("y", 0)), (("x", 1),), TheoryToken("model")),  # wrong drift
-        UnboundedEvidence((("x", 0), ("y", 0)), (("y", -1),), TheoryToken("model")),  # leaves y >= 0
-        UnboundedEvidence((("x", 9), ("y", 0)), (("x", -1),), TheoryToken("model")),  # infeasible start
+        UnboundedEvidence((("x", 0), ("y", 0)), ()),  # zero ray
+        UnboundedEvidence((("x", 0), ("y", 0)), (("x", 1),)),  # wrong drift
+        UnboundedEvidence((("x", 0), ("y", 0)), (("y", -1),)),  # leaves y >= 0
+        UnboundedEvidence((("x", 9), ("y", 0)), (("x", -1),)),  # infeasible start
     ]
     for ev in cases:
         with pytest.raises(RuleViolation):
@@ -439,9 +450,7 @@ def test_unbounded_rejects_rays_through_theory_variables():
         LinExpr.var("x"),
         {"f": 1},
     )
-    ev = UnboundedEvidence(
-        (("x", 0), ("y", 0), ("r1", 0), ("r2", 0)), (("x", -1),), TheoryToken("model")
-    )
+    ev = UnboundedEvidence((("x", 0), ("y", 0), ("r1", 0), ("r2", 0)), (("x", -1),))
     with pytest.raises(RuleViolation):
         Kernel(inst).apply(Step("unbounded", target=0, cert=ev))
 
@@ -607,7 +616,7 @@ def test_every_rule_shares_one_transition_on_solved_instances():
         steps = solve(inst).steps
         rules.update(step.rule for step in steps)
         _replay_checking_transitions(inst, steps)
-    assert {"branch", "learn", "propagate", "tlearn", "drop", "retire"} <= rules
+    assert {"branch", "learn", "propagate", "drop", "retire"} <= rules
 
 
 def tail_instance():
@@ -624,7 +633,7 @@ def tail_steps():
     """Trichotomy, a single-variable propagate, subsume and unbounded, by hand."""
     y_lo, y_hi = row([("y", 1)], Relation.GE, 2), row([("y", 1)], Relation.LE, 2)
     fix = BoundFix(identity_cut(y_lo, "ge"), identity_cut(y_hi, "le"))
-    ray = UnboundedEvidence((("x", 0), ("y", 2)), (("x", -1),), TheoryToken("model"))
+    ray = UnboundedEvidence((("x", 0), ("y", 2)), (("x", -1),))
     return [
         Step("branch", target=0, cert=BranchTrichotomy("x", "y", 1)),  # 1: x-y <= 0, 2: x-y = 1, 3: x-y >= 2
         Step("propagate", target=2, eq=SimpleEquality.fix("y", 2), cert=fix),  # 4
@@ -647,8 +656,8 @@ def test_a_rejected_step_changes_nothing():
         k.apply(step)
     x_le_5, y_lo, y_hi = row([("x", 1)], Relation.LE, 5), row([("y", 1)], Relation.GE, 2), row([("y", 1)], Relation.LE, 2)
     fix = BoundFix(identity_cut(y_lo, "ge"), identity_cut(y_hi, "le"))
-    eq = TheoryLiteral.var_eq("x", "y")
-    lemma = TLemma((eq,), sentinel_contradiction(), (fix,), TheoryToken("conflict", (eq,)))
+    # x = y is consistent on its own, and the fix proves y = 2, not x = y
+    refutation = TheoryRefutation((TheoryLiteral.var_eq("x", "y"),), (fix,))
     point = (("x", 0), ("y", 2))
     lb = LbDual(ObjValue.finite(0), ((x_le_5, "le", Fraction(1)),))
     bad = [
@@ -656,14 +665,14 @@ def test_a_rejected_step_changes_nothing():
         Step("learn", target=1, row=row([("x", 1)], Relation.LE, 4), cert=identity_cut(x_le_5, "le")),
         Step("forget", target=1, row=x_le_5, cert=identity_cut(x_le_5, "le")),
         Step("propagate", target=1, eq=SimpleEquality.fix("y", 3), cert=fix),
-        Step("tlearn", target=1, row=sentinel_contradiction(), cert=lemma),
         Step("drop", target=1, cert=FarkasProof(())),
+        Step("drop", target=1, cert=refutation),
         Step("prune", target=1, cert=lb),
-        Step("retire", target=1, cert=RetireEvidence(point, lb, TheoryToken("model"))),
-        Step("unbounded", target=1, cert=UnboundedEvidence(point, (("x", -1),), TheoryToken("conflict"))),
+        Step("retire", target=1, cert=RetireEvidence(point, lb)),
+        Step("unbounded", target=1, cert=UnboundedEvidence(point, ())),
         Step("subsume", target=1, other=3, cert=SubsumeSyntactic()),
     ]
-    assert len({step.rule for step in bad}) == 10
+    assert len({step.rule for step in bad}) == 9
     state, log = k.state, list(k.log)
     for step in bad:
         with pytest.raises(RuleViolation):

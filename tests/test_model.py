@@ -21,7 +21,6 @@ from imtsolver.model import (
     normalize,
     obj_value,
     satisfies,
-    sentinel_contradiction,
 )
 
 names = st.sampled_from(["x", "y", "z", "w"])
@@ -76,7 +75,8 @@ def test_strict_normalization_agrees_on_integers(x, rhs):
 
 
 def test_sentinel_is_unsatisfiable():
-    assert not satisfies(sentinel_contradiction(), {})
+    # 0 <= -1, the normalized 0 < 0: a row without variables that no point satisfies
+    assert not satisfies(LinConstraint(LinExpr.zero(), Relation.LE, -1), {})
 
 
 def test_simple_equality_orients_lexicographically():

@@ -65,6 +65,17 @@ def test_round_trip_preserves_odd_names():
     assert parse_instance(text.replace("|a#b| int 0 1", "|a#b| int 0 1  # a flag")) == inst
     with pytest.raises(ImtError, match="no native line can spell"):
         render_instance(ImtInstance(["a|b"], Bounds({"a|b": (0, 1)}), []))
+    # a quoted argument may hold a comma or a parenthesis
+    odd_args = ImtInstance(
+        ["a,b", "c)", "x", "r", "s"],
+        Bounds({v: (0, 2) for v in ("a,b", "c)", "x", "r", "s")}),
+        [],
+        [InterfaceAtom.fun_def("r", "f", ["a,b"]), InterfaceAtom.fun_def("s", "g", ["c)", "x", "a,b"])],
+        funs={"f": 1, "g": 3},
+    )
+    text = render_instance(odd_args)
+    assert "r = f(|a,b|)" in text and "s = g(|c)|, x, |a,b|)" in text
+    assert parse_instance(text) == odd_args
 
 
 def test_expr_forms():

@@ -29,3 +29,24 @@ def test_a_script_runs_without_pythonpath(tmp_path, argv):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+# the verdicts the engine reaches on the benchmark's inputs at seed 1; a change
+# that alters one of them changes the line
+@pytest.mark.parametrize(
+    "workload, digest",
+    [
+        ("cnf-band", "c5ee1871a90147dfca7ae0d492689b6c9b99757960a7df67ac98838151f3f01a"),
+        ("random-suite", "60edcc395e38b79605577234703dc96e9e9f1eb74d5404ac885770daf9ecf031"),
+    ],
+)
+def test_trace_digest_pins_the_benchmark_verdicts(tmp_path, workload, digest):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "trace_digest.py"), "--workload", workload, "--seeds", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"statuses {digest}" in done.stdout.splitlines()

@@ -17,8 +17,7 @@ from imtsolver.certificates import (
     SideCut,
     SubsumeSyntactic,
     TheoryLiteral,
-    TheoryToken,
-    TLemma,
+    TheoryRefutation,
     UnboundedEvidence,
 )
 from imtsolver.cli import EXIT_ERROR, main
@@ -33,7 +32,6 @@ from imtsolver.model import (
     ObjValue,
     Relation,
     SimpleEquality,
-    sentinel_contradiction,
 )
 from imtsolver.trace import (
     DigestMismatch,
@@ -67,14 +65,11 @@ STEPS = [
     Step("propagate", target=5, eq=SimpleEquality.diff("x", "y", 7), cert=BoundFix(CUT, CUT)),
     Step("propagate", target=5, eq=SimpleEquality.fix("x", -1), cert=BoundFix(CUT, CUT)),
     Step(
-        "tlearn",
+        "drop",
         target=6,
-        row=sentinel_contradiction(),
-        cert=TLemma(
+        cert=TheoryRefutation(
             (LIT_EQ, LIT_DQ, LIT_AT, TheoryLiteral.atom_false("b")),
-            sentinel_contradiction(),
             (BoundFix(CUT, CUT), SideCut("le", CUT), CUT, CUT),
-            TheoryToken("conflict", (LIT_EQ,)),
         ),
     ),
     Step("drop", target=7, cert=FarkasProof(((R1, "ge", Fraction(2)),))),
@@ -84,18 +79,19 @@ STEPS = [
     Step(
         "retire",
         target=9,
-        cert=RetireEvidence((("x", 1), ("y", -2)), LbDual(ObjValue.finite(1)), TheoryToken("model", (LIT_AT,))),
+        cert=RetireEvidence((("x", 1), ("y", -2)), LbDual(ObjValue.finite(1))),
     ),
-    Step(
-        "unbounded",
-        target=10,
-        cert=UnboundedEvidence((("x", 0),), (("x", -1), ("y", 2)), TheoryToken("model")),
-    ),
+    Step("unbounded", target=10, cert=UnboundedEvidence((("x", 0),), (("x", -1), ("y", 2)))),
     Step("subsume", target=11, other=12, cert=SubsumeSyntactic()),
 ]
 
 
-@pytest.mark.parametrize("step", STEPS, ids=lambda s: s.rule)
+def step_id(step):
+    """A step's rule; a drop by theory refutation is told apart from a Farkas drop."""
+    return "drop-theory" if isinstance(step.cert, TheoryRefutation) else step.rule
+
+
+@pytest.mark.parametrize("step", STEPS, ids=step_id)
 def test_step_json_round_trip(step):
     wire = json.dumps(step_to_json(step))
     assert step_from_json(json.loads(wire)) == step
@@ -118,7 +114,7 @@ def written_lines(steps):
     return list(trace_lines(small_instance(), steps))[1:]
 
 
-@pytest.mark.parametrize("step", STEPS, ids=lambda s: s.rule)
+@pytest.mark.parametrize("step", STEPS, ids=step_id)
 def test_writer_matches_the_reference_encoder(step):
     assert written_lines([step]) == [reference_line(step)]
 
@@ -141,12 +137,9 @@ def odd_steps(name):
         Step("propagate", target=2, eq=SimpleEquality.diff(name, "y", BIG), cert=BoundFix(cut, cut)),
         Step("prune", target=3, cert=LbDual(ObjValue.finite(-BIG), cut.entries)),
         Step("prune", target=3, cert=LbDual(ObjValue.pos_inf(), cut.entries)),
-        Step(
-            "retire",
-            target=4,
-            cert=RetireEvidence(((name, -BIG),), LbDual(ObjValue.neg_inf()), TheoryToken("model", (lit,))),
-        ),
-        Step("unbounded", target=5, cert=UnboundedEvidence(((name, 0),), ((name, -1),), TheoryToken("model"))),
+        Step("drop", target=3, cert=TheoryRefutation((lit,), (BoundFix(cut, cut),))),
+        Step("retire", target=4, cert=RetireEvidence(((name, -BIG),), LbDual(ObjValue.neg_inf()))),
+        Step("unbounded", target=5, cert=UnboundedEvidence(((name, 0),), ((name, -1),))),
         Step(name, target=6, other=-BIG, cert=SubsumeSyntactic()),
     ]
 
@@ -162,7 +155,7 @@ def test_write_trace_writes_the_reference_lines_in_ascii(tmp_path):
     steps = STEPS + odd_steps("caf\u00e9")
     path = tmp_path / "run.trace"
     write_trace(path, inst, steps)
-    header = json.dumps({"format": "bct-trace", "version": 1, "instance": inst.digest()}, separators=(",", ":"))
+    header = json.dumps({"format": "bct-trace", "version": 2, "instance": inst.digest()}, separators=(",", ":"))
     expected = "".join(line + "\n" for line in [header, *map(reference_line, steps)])
     assert path.read_bytes() == expected.encode("ascii")
 
@@ -178,7 +171,6 @@ lits = st.one_of(
     st.builds(lambda kind, v: TheoryLiteral(kind, var=v), st.sampled_from(["atom_true", "atom_false"]), names),
 )
 lit_tuples = st.lists(lits, max_size=3).map(tuple)
-tokens = st.builds(TheoryToken, st.sampled_from(["model", "conflict"]), lit_tuples)
 obj_values = st.one_of(st.builds(ObjValue.finite, ints), st.sampled_from([ObjValue.pos_inf(), ObjValue.neg_inf()]))
 lb_duals = st.builds(LbDual, obj_values, entries)
 pairs = st.lists(st.tuples(names, ints), max_size=3).map(tuple)
@@ -191,12 +183,12 @@ certs = st.one_of(
     bound_fixes,
     side_cuts,
     lb_duals,
-    st.builds(TLemma, lit_tuples, rows, st.lists(evidence, max_size=3).map(tuple), tokens),
+    st.builds(TheoryRefutation, lit_tuples, st.lists(evidence, max_size=3).map(tuple)),
     st.builds(BranchDichotomy, names, ints),
     st.builds(BranchTrichotomy, names, names, ints),
     st.builds(BranchConflictSplit, lit_tuples),
-    st.builds(RetireEvidence, pairs, lb_duals, tokens),
-    st.builds(UnboundedEvidence, pairs, pairs, tokens),
+    st.builds(RetireEvidence, pairs, lb_duals),
+    st.builds(UnboundedEvidence, pairs, pairs),
     st.just(SubsumeSyntactic()),
 )
 eqs = st.one_of(
@@ -250,22 +242,42 @@ def test_read_trace_rejects_garbage(tmp_path):
     path.write_text("[1]\n")
     with pytest.raises(TraceError):
         read_trace(path)
-    # the version is the JSON integer 1, which true and 1.0 equal in Python
-    for version in ("true", "1.0"):
+    # the version is the JSON integer 2, which 2.0 equals in Python
+    for version in ("true", "2.0"):
         path.write_text(f'{{"format": "bct-trace", "version": {version}, "instance": "abc"}}\n')
         with pytest.raises(TraceError, match="unsupported version"):
             read_trace(path)
     # the digest is a JSON string, also when no instance is given to compare it with
     for digest in ("[1]", "null", "7"):
-        path.write_text(f'{{"format": "bct-trace", "version": 1, "instance": {digest}}}\n')
+        path.write_text(f'{{"format": "bct-trace", "version": 2, "instance": {digest}}}\n')
         with pytest.raises(TraceError, match="instance digest"):
             read_trace(path)
-    path.write_text('{"format": "bct-trace", "version": 1}\n')
+    path.write_text('{"format": "bct-trace", "version": 2}\n')
     with pytest.raises(TraceError, match="instance digest"):
         read_trace(path)
-    path.write_bytes(b'\xff{"format": "bct-trace", "version": 1, "instance": "abc"}\n')
+    path.write_bytes(b'\xff{"format": "bct-trace", "version": 2, "instance": "abc"}\n')
     with pytest.raises(TraceError, match="UTF-8"):
         read_trace(path)
+
+
+def test_a_version_1_trace_is_refused_at_its_header(tmp_path, capsys):
+    text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
+    instance = tmp_path / "inst.imt"
+    instance.write_text(text)
+    # version 1 certified a theory conflict with a tlearn step and carried theory tokens
+    header = {"format": "bct-trace", "version": 1, "instance": parse_instance(text).digest()}
+    retire = {
+        "rule": "retire",
+        "target": 0,
+        "cert": {"kind": "retire", "assignment": [["x", 1]], "lb": RETIRE_LB, "token": {"kind": "model", "literals": []}},
+    }
+    trace = tmp_path / "old.trace"
+    trace.write_text(json.dumps(header) + "\n" + json.dumps(retire) + "\n")
+    with pytest.raises(TraceError, match="^unsupported version 1$"):
+        read_trace(trace)
+    assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: unsupported version 1\n"
 
 
 @pytest.mark.parametrize(
@@ -273,7 +285,7 @@ def test_read_trace_rejects_garbage(tmp_path):
 )
 def test_a_reader_error_names_the_file_line_past_blank_lines(tmp_path, blank, line):
     path = tmp_path / "bad.trace"
-    path.write_bytes(f'{{"format": "bct-trace", "version": 1, "instance": "abc"}}\n{blank}{{"rule":5}}\n'.encode())
+    path.write_bytes(f'{{"format": "bct-trace", "version": 2, "instance": "abc"}}\n{blank}{{"rule":5}}\n'.encode())
     with pytest.raises(TraceError, match=f"^line {line}: expected a string, got 5$"):
         read_trace(path)
 
@@ -284,7 +296,6 @@ def drop(cert):
 
 FARKAS = {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"]]}
 RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
-MODEL = {"kind": "model", "literals": []}
 
 
 @pytest.mark.parametrize(
@@ -353,7 +364,7 @@ MODEL = {"kind": "model", "literals": []}
         {
             "rule": "retire",
             "target": 0,
-            "cert": {"kind": "retire", "assignment": [[["x"], 1]], "lb": RETIRE_LB, "token": MODEL},
+            "cert": {"kind": "retire", "assignment": [[["x"], 1]], "lb": RETIRE_LB},
         },
     ],
     ids=[
@@ -390,7 +401,7 @@ def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, step):
     text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
     instance = tmp_path / "inst.imt"
     instance.write_text(text)
-    header = {"format": "bct-trace", "version": 1, "instance": parse_instance(text).digest()}
+    header = {"format": "bct-trace", "version": 2, "instance": parse_instance(text).digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
     for given_instance in (None, parse_instance(text)):
@@ -416,6 +427,7 @@ INTEGER_FIELDS = [
     (3, ("row", "rhs")),
     (3, ("row", "lhs", 0, 1)),
     (5, ("eq", "c")),
+    (7, ("cert", "asserted", 0, "offset")),
     (9, ("cert", "bound", "kind")),
     (9, ("cert", "bound", "value")),
     (12, ("cert", "assignment", 0, 1)),
@@ -435,7 +447,7 @@ def test_integer_fields_accept_only_json_integers(tmp_path, index, path, bad):
         field = field[key]
     field[last] = bad
     inst = small_instance()
-    header = {"format": "bct-trace", "version": 1, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": 2, "instance": inst.digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
     for given_instance in (inst, None):
@@ -467,7 +479,7 @@ def test_a_non_canonical_row_decodes_to_the_canonical_row(tmp_path, lhs):
     inst = small_instance()
     (con,) = inst.constraints  # 2x + 3y >= 12
     rows = [{"lhs": lhs, "rel": ">=", "rhs": 12}, {"lhs": [["x", 2], ["y", 3]], "rel": ">=", "rhs": 12}]
-    header = {"format": "bct-trace", "version": 1, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": 2, "instance": inst.digest()}
     path = tmp_path / "run.trace"
     path.write_text(json.dumps(header) + "\n" + json.dumps(drop({"kind": "farkas", "entries": [[r, "ge", "1"] for r in rows]})) + "\n")
     for given_instance in (inst, None):

@@ -22,8 +22,7 @@ from imtsolver.certificates import (
     SideCut,
     SubsumeSyntactic,
     TheoryLiteral,
-    TheoryToken,
-    TLemma,
+    TheoryRefutation,
     UnboundedEvidence,
 )
 from imtsolver.kernel import Step
@@ -44,10 +43,6 @@ def _lit_json(lit: TheoryLiteral) -> dict:
     return {"kind": lit.kind, "var": lit.var}
 
 
-def _token_json(token: TheoryToken) -> dict:
-    return {"kind": token.kind, "literals": [_lit_json(l) for l in token.literals]}
-
-
 def _obj_value_json(v: ObjValue) -> dict:
     return {"kind": v.kind, "value": v.value}
 
@@ -63,13 +58,11 @@ def _cert_json(cert) -> dict:
         return {"kind": "side", "side": cert.side, "cut": _cert_json(cert.cut)}
     if isinstance(cert, LbDual):
         return {"kind": "lb", "bound": _obj_value_json(cert.bound), "entries": _entries_json(cert.entries)}
-    if isinstance(cert, TLemma):
+    if isinstance(cert, TheoryRefutation):
         return {
-            "kind": "tlemma",
+            "kind": "theory",
             "asserted": [_lit_json(l) for l in cert.asserted],
-            "lemma": _row_json(cert.lemma),
             "evidence": [_cert_json(e) for e in cert.evidence],
-            "token": _token_json(cert.token),
         }
     if isinstance(cert, BranchDichotomy):
         return {"kind": "dichotomy", "var": cert.var, "k": cert.k}
@@ -82,14 +75,12 @@ def _cert_json(cert) -> dict:
             "kind": "retire",
             "assignment": [[v, int(c)] for v, c in cert.assignment],
             "lb": _cert_json(cert.lb_match),
-            "token": _token_json(cert.token),
         }
     if isinstance(cert, UnboundedEvidence):
         return {
             "kind": "ray",
             "assignment": [[v, int(c)] for v, c in cert.assignment],
             "ray": [[v, int(c)] for v, c in cert.ray],
-            "token": _token_json(cert.token),
         }
     if isinstance(cert, SubsumeSyntactic):
         return {"kind": "subsume"}
