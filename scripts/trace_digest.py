@@ -6,7 +6,7 @@ seed in a range, solves each one in process, and prints one line per input:
 
     <workload> <seed> <index> <status> <sha256 of the trace file's bytes>
 
-then a line ``rules learn=<n> forget=<n> ... propagate=<n> ...`` with the
+then a line ``rules learn=<n> forget=<n> branch=<n> ...`` with the
 number of trace steps of each kernel rule, summed over all inputs, a line
 ``statuses <sha256>`` over ``<workload> <seed> <index> <status>`` alone, and a
 last line ``combined <sha256>`` over all of the per-input lines.
@@ -43,7 +43,7 @@ from imtsolver.smtlib import encode_script  # noqa: E402
 from imtsolver.trace import write_trace  # noqa: E402
 
 # the kernel's rules, in the order the benchmark reports their step counts
-RULES = ("learn", "forget", "propagate", "branch", "drop", "prune", "retire", "unbounded", "subsume")
+RULES = ("learn", "forget", "branch", "drop", "prune", "retire", "unbounded", "subsume")
 
 
 def seed_range(text: str) -> range:

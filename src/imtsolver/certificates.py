@@ -1,9 +1,8 @@
 """Certificate payloads and their checkers.
 
 Every certificate is checkable against a subproblem's row set without
-re-running any search or simplex code. A row set is the subproblem's rows
-C, which hold the rows of its propagated and branched-on equalities, and the
-instance box rendered as one row per finite bound end.
+re-running any search or simplex code: its rows C, learned and branched-on
+rows among them, and the instance box as one row per finite bound end.
 
 Nonnegative-combination checking is the shared primitive: an entry
 ``(row, direction, multiplier)`` contributes ``multiplier * row`` oriented
@@ -22,8 +21,8 @@ from .model import (
     LinExpr,
     ObjValue,
     Relation,
-    SimpleEquality,
     Var,
+    diff_equality,
 )
 
 
@@ -262,11 +261,12 @@ def check_cg(cut: CGCut, available: AbstractSet[LinConstraint], claimed: LinCons
         raise CheckFailed(f"rounded aggregate {_ceil(rhs, den)} does not reach claimed {want_rhs}")
 
 
-def check_bound_fix(fix: BoundFix, available: AbstractSet[LinConstraint], d: SimpleEquality) -> None:
-    """Both directions of the simple equality must be derivable."""
-    expr = d.as_constraint().lhs
-    check_cg(fix.lower, available, LinConstraint(expr, Relation.GE, d.c))
-    check_cg(fix.upper, available, LinConstraint(expr, Relation.LE, d.c))
+def check_bound_fix(fix: BoundFix, available: AbstractSet[LinConstraint], claimed: LinConstraint) -> None:
+    """Both directions of the claimed equality must be derivable."""
+    if claimed.rel is not Relation.EQ:
+        raise CheckFailed(f"bound fix target must be an equality: {claimed.render()}")
+    check_cg(fix.lower, available, LinConstraint(claimed.lhs, Relation.GE, claimed.rhs))
+    check_cg(fix.upper, available, LinConstraint(claimed.lhs, Relation.LE, claimed.rhs))
 
 
 def check_lb_dual(cert: LbDual, available: AbstractSet[LinConstraint], objective: LinExpr) -> None:
@@ -290,7 +290,7 @@ def check_literal_evidence(
     if lit.kind == "eq":
         if not isinstance(ev, BoundFix):
             raise CheckFailed("equality literal needs a BoundFix")
-        check_bound_fix(ev, available, SimpleEquality.diff(lit.x, lit.y, lit.offset))
+        check_bound_fix(ev, available, diff_equality(lit.x, lit.y, lit.offset))
     elif lit.kind == "diseq":
         if not isinstance(ev, SideCut):
             raise CheckFailed("disequality literal needs a SideCut")

@@ -2,7 +2,7 @@
 
     imt-solve FILE [--format auto|native|smt] [--default-bound N]
               [--trace PATH] [--replay PATH] [--oracle-check]
-              [--node-budget N] [--cut-cap N] [--seed N]
+              [--node-budget N] [--cut-cap N]
 
 Prints one status line on stdout (optimal <value> / sat / infeasible /
 unbounded / unknown), then a model as (name value) pairs: always for a
@@ -13,7 +13,8 @@ stderr so stdout stays byte-stable across runs.
 
 Exit codes: 0 optimal or sat, 10 infeasible, 20 unbounded, 30 budget
 exhausted (status unknown), 1 bad input, an instance shape the engine cannot
-decide with a certificate, or a rejected trace.
+decide with a certificate, or a rejected trace, 2 a usage error: a missing
+FILE, an unknown option or a bad option value, such as a negative N.
 """
 from __future__ import annotations
 
@@ -191,6 +192,13 @@ def _solve(args: argparse.Namespace, job: Job) -> int:
     return code
 
 
+def _non_negative(text: str) -> int:
+    """An N option's value; anything but a non-negative integer is a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="imt-solve",
@@ -205,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--default-bound",
-        type=int,
+        type=_non_negative,
         metavar="N",
         help="complete missing variable bounds with [-N, N]",
     )
@@ -220,15 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the answer by enumeration when the box is small",
     )
-    p.add_argument("--node-budget", type=int, metavar="N", help="stop after N nodes")
+    p.add_argument("--node-budget", type=_non_negative, metavar="N", help="stop after N nodes")
     p.add_argument(
-        "--cut-cap", type=int, metavar="N", help="cutting-plane rounds per node"
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        metavar="N",
-        help="accepted for interface stability; the search is deterministic",
+        "--cut-cap", type=_non_negative, metavar="N", help="cutting-plane rounds per node"
     )
     return p
 

@@ -43,7 +43,6 @@ from .model import (
     LinConstraint,
     ObjValue,
     Relation,
-    SimpleEquality,
     Subproblem,
     Var,
     frac_ceil,
@@ -163,11 +162,10 @@ def arrangement_literals(atoms: frozenset[InterfaceAtom] | tuple[InterfaceAtom, 
 
 
 def _eq_evidence(lit: TheoryLiteral, row: LinConstraint) -> BoundFix:
-    # orientation must match the canonical form of the pinned equality
-    d = SimpleEquality.diff(lit.x, lit.y, lit.offset)
+    # the kernel checks the canonical row of x - y = offset, whose smaller name comes first
     ge = identity_cut(row, "ge")
     le = identity_cut(row, "le")
-    return BoundFix(ge, le) if d.x == lit.x else BoundFix(le, ge)
+    return BoundFix(ge, le) if lit.x < lit.y else BoundFix(le, ge)
 
 
 def syntactic_evidence(
@@ -255,8 +253,8 @@ class _Search:
         if prop.farkas is not None:
             self.kernel.apply(Step("drop", current.ident, cert=prop.farkas))
             return
-        for d, fix in prop.fixes:
-            info = self.kernel.apply(Step("propagate", current.ident, eq=d, cert=fix))
+        for eq, fix in prop.fixes:
+            info = self.kernel.apply(Step("learn", current.ident, row=eq, cert=fix))
             self.stats.propagations += 1
             current = info.created[0]
 

@@ -1,14 +1,14 @@
 """Certified transition kernel.
 
 The kernel owns the only mutable search state: a set of pending subproblems
-and the incumbent. Every transition is one of nine rules, each carrying a
+and the incumbent. Every transition is one of eight rules, each carrying a
 certificate that the kernel checks against the acting subproblem's rows
 before the state changes. The search engine proposes steps; nothing it
-computes is trusted.
+computes is trusted. ``learn`` adds one derived row: an inequality with a
+rounding cut, or an equality with a derivation of each side.
 
-Row visibility: a subproblem's rows are its row set C, where propagated
-and branched-on equalities sit as rows, and the instance box as one row per
-finite bound end. All certificates are checked against exactly that set.
+Row visibility: a subproblem's rows are its row set C and the instance box
+as one row per finite bound end; every certificate is checked against them.
 
 A theory claim, a refuted literal set or an accepted assignment, sits in
 its certificate, and the kernel re-decides it through the adapter's replay
@@ -49,9 +49,9 @@ from .model import (
     LinExpr,
     ObjValue,
     Relation,
-    SimpleEquality,
     Subproblem,
     Var,
+    diff_equality,
     obj_value,
     satisfies_all,
 )
@@ -88,11 +88,10 @@ class KernelState:
 class Step:
     """One proposed transition. Unused payload fields stay None."""
 
-    rule: str  # branch|learn|forget|propagate|drop|prune|retire|unbounded|subsume
+    rule: str  # branch|learn|forget|drop|prune|retire|unbounded|subsume
     target: int | None = None
     other: int | None = None
     row: LinConstraint | None = None
-    eq: SimpleEquality | None = None
     cert: object | None = None
 
 
@@ -110,7 +109,7 @@ class Budgets:
     max_consecutive_rewrites: int | None = None
 
 
-_RULES = frozenset({"branch", "learn", "forget", "propagate", "drop", "prune", "retire", "unbounded", "subsume"})
+_RULES = frozenset({"branch", "learn", "forget", "drop", "prune", "retire", "unbounded", "subsume"})
 _REWRITE_RULES = frozenset({"learn", "forget"})
 
 
@@ -253,7 +252,7 @@ def _apply_step(
                 raise RuleViolation("trichotomy needs distinct variables")
             kids = [
                 sub.cons | {_diff_row(cert.x, cert.y, Relation.LE, cert.c - 1)},
-                sub.cons | {SimpleEquality.diff(cert.x, cert.y, cert.c).as_constraint()},
+                sub.cons | {diff_equality(cert.x, cert.y, cert.c)},
                 sub.cons | {_diff_row(cert.x, cert.y, Relation.GE, cert.c + 1)},
             ]
         elif isinstance(cert, BranchConflictSplit):
@@ -262,41 +261,28 @@ def _apply_step(
         else:
             raise RuleViolation(f"branch certificate type {type(cert).__name__} unsupported")
 
-    elif rule == "learn":
-        cut = step.row
-        if not isinstance(cert, CGCut):
-            raise RuleViolation("learn needs a rounding-cut certificate")
-        if cut is None:
-            raise RuleViolation("learn needs a row")
-        _check_row_vars(instance, cut)
-        if cut in sub.cons:
-            raise RuleViolation("learned row already present")
-        check_cg(cert, rows_of(instance, sub), cut)
-        kids = [sub.cons | {cut}]
-
-    elif rule == "forget":
+    elif rule in _REWRITE_RULES:
         row = step.row
-        if not isinstance(cert, CGCut):
-            raise RuleViolation("forget needs a rederivation certificate")
-        if row is None or row not in sub.cons:
-            raise RuleViolation("forgotten row is not present")
-        cons = sub.cons - {row}
-        check_cg(cert, rows_of(instance, Subproblem(sub.ident, cons)), row)
-        kids = [cons]
-
-    elif rule == "propagate":
-        d = step.eq
-        if not isinstance(cert, BoundFix):
-            raise RuleViolation("propagate needs a two-sided bound certificate")
-        if d is None:
-            raise RuleViolation("propagate needs a simple equality")
-        for v in (d.x,) if d.y is None else (d.x, d.y):
-            if v not in instance.vars:
-                raise RuleViolation(f"equality mentions undeclared variable {v}")
-        if d.as_constraint() in sub.cons:
-            raise RuleViolation("equality already recorded")
-        check_bound_fix(cert, rows_of(instance, sub), d)
-        kids = [sub.cons | {d.as_constraint()}]
+        if rule == "learn":
+            if row is None:
+                raise RuleViolation("learn needs a row")
+            _check_row_vars(instance, row)
+            if row in sub.cons:
+                raise RuleViolation("learned row already present")
+            kids = [sub.cons | {row}]
+            rows = rows_of(instance, sub)
+        else:
+            if row is None or row not in sub.cons:
+                raise RuleViolation("forgotten row is not present")
+            kids = [sub.cons - {row}]
+            rows = rows_of(instance, Subproblem(sub.ident, kids[0]))
+        # the row must follow from the rows without it
+        if isinstance(cert, CGCut):
+            check_cg(cert, rows, row)
+        elif isinstance(cert, BoundFix):
+            check_bound_fix(cert, rows, row)
+        else:
+            raise RuleViolation(f"{rule} needs a rounding-cut or bound-fix certificate")
 
     elif rule == "drop":
         if isinstance(cert, FarkasProof):

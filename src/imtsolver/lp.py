@@ -58,9 +58,9 @@ from .model import (
     LinConstraint,
     LinExpr,
     Relation,
-    SimpleEquality,
     Subproblem,
     Var,
+    diff_equality,
     normalize,
 )
 
@@ -682,11 +682,12 @@ class PropagationResult:
 
     ``derived`` lists newly certified single-variable bound rows in derivation
     order; once those rows are admitted, ``fixes`` and ``farkas`` check against
-    the augmented row set. ``fixes`` holds pinned differences ``x - y = c``
-    whose rows C lacks. ``farkas`` set means the subproblem is empty.
+    the augmented row set. ``fixes`` pairs each pinned difference's row
+    ``x - y = c`` that C lacks with its derivation. ``farkas`` set means the
+    subproblem is empty.
     """
 
-    fixes: list[tuple[SimpleEquality, BoundFix]]
+    fixes: list[tuple[LinConstraint, BoundFix]]
     derived: list[tuple[LinConstraint, CGCut]]
     farkas: FarkasProof | None = None
 
@@ -781,7 +782,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     # derives it, learned first), and v = c would change no later step: same
     # LP column bounds and pivots, Gomory multiplier 0 (the tight v <= c sorts
     # first), no new propagated row and no literal's true arm.
-    fixes: list[tuple[SimpleEquality, BoundFix]] = []
+    fixes: list[tuple[LinConstraint, BoundFix]] = []
     diff_lo: dict[tuple[Var, Var], tuple[Fraction, LinConstraint, str, Fraction]] = {}
     diff_hi: dict[tuple[Var, Var], tuple[Fraction, LinConstraint, str, Fraction]] = {}
     for coeffs, rhs, row, direction in oriented:
@@ -811,18 +812,10 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
         hi_val, hi_src, hi_dir, hi_scale = diff_hi[pair]
         if lo_val != hi_val or lo_val.denominator != 1:
             continue
-        x, y = pair
-        d = SimpleEquality.diff(x, y, int(lo_val))
-        if d.as_constraint() in sub.cons:
+        eq = diff_equality(*pair, int(lo_val))
+        if eq in sub.cons:
             continue
-        fixes.append(
-            (
-                d,
-                BoundFix(
-                    CGCut(((lo_src, lo_dir, lo_scale),)),
-                    CGCut(((hi_src, hi_dir, hi_scale),)),
-                ),
-            )
-        )
+        fix = BoundFix(CGCut(((lo_src, lo_dir, lo_scale),)), CGCut(((hi_src, hi_dir, hi_scale),)))
+        fixes.append((eq, fix))
 
     return PropagationResult(fixes, derived)

@@ -133,8 +133,8 @@ class Relation(Enum):
 class LinConstraint:
     """Relation between a linear expression and an integer constant.
 
-    The left side may be empty only for trivial or sentinel rows such as the
-    learned contradiction ``0 <= -1``. The hash is computed once, at
+    An empty left side makes a constant row, such as the ``0 <= -1`` that
+    SMT-LIB ``(assert false)`` becomes. The hash is computed once, at
     construction; the rendered text once, on first use (rows are sorted by it).
     """
 
@@ -185,36 +185,13 @@ def normalize(c: LinConstraint) -> LinConstraint:
     return c
 
 
-@dataclass(frozen=True)
-class SimpleEquality:
-    """A propagate step's payload: v = c (y is None) or x - y = c, oriented so x < y lexicographically."""
-
-    x: Var
-    y: Var | None
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.y is not None:
-            if self.x == self.y:
-                raise InvariantError("difference equality needs distinct variables")
-            if self.y < self.x:
-                x, y = self.y, self.x
-                object.__setattr__(self, "x", x)
-                object.__setattr__(self, "y", y)
-                object.__setattr__(self, "c", -self.c)
-
-    @staticmethod
-    def fix(v: Var, c: int) -> SimpleEquality:
-        return SimpleEquality(v, None, c)
-
-    @staticmethod
-    def diff(x: Var, y: Var, c: int) -> SimpleEquality:
-        return SimpleEquality(x, y, c)
-
-    def as_constraint(self) -> LinConstraint:
-        if self.y is None:
-            return LinConstraint(LinExpr.var(self.x), Relation.EQ, self.c)
-        return LinConstraint(LinExpr.of({self.x: 1, self.y: -1}), Relation.EQ, self.c)
+def diff_equality(x: Var, y: Var, c: int) -> LinConstraint:
+    """The canonical row of ``x - y = c``: the smaller name comes first, so ``y - x = -c`` gives the same row."""
+    if x == y:
+        raise InvariantError("difference equality needs distinct variables")
+    if y < x:
+        x, y, c = y, x, -c
+    return LinConstraint(LinExpr.of({x: 1, y: -1}), Relation.EQ, c)
 
 
 class Bounds:
@@ -316,7 +293,7 @@ class Bounds:
 
 @dataclass(frozen=True)
 class Subproblem:
-    """A work item: its row set C, which propagated and branched-on equalities join as rows."""
+    """A work item: its row set C, which learned and branched-on rows join."""
 
     ident: int
     cons: frozenset[LinConstraint]

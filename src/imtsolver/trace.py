@@ -35,11 +35,10 @@ from .model import (
     LinExpr,
     ObjValue,
     Relation,
-    SimpleEquality,
 )
 
 FORMAT_NAME = "bct-trace"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class TraceError(ImtError):
@@ -198,11 +197,6 @@ def _cert_back(obj: dict, memo: _Memo):
     raise TraceError(f"unknown certificate kind {kind!r}")
 
 
-def _eq_back(obj: dict) -> SimpleEquality:
-    y = obj["y"]
-    return SimpleEquality(_str(obj["x"]), None if y is None else _str(y), _int(obj["c"]))
-
-
 def step_from_json(obj: dict, memo: _Memo | None = None) -> Step:
     if memo is None:
         memo = _Memo()
@@ -211,7 +205,6 @@ def step_from_json(obj: dict, memo: _Memo | None = None) -> Step:
         target=_int(obj["target"]) if "target" in obj else None,
         other=_int(obj["other"]) if "other" in obj else None,
         row=memo.row(obj["row"]) if "row" in obj else None,
-        eq=_eq_back(obj["eq"]) if "eq" in obj else None,
         cert=_cert_back(obj["cert"], memo) if "cert" in obj else None,
     )
 
@@ -290,9 +283,6 @@ def _step(step: Step) -> str:
         parts.append(f',"other":{step.other}')
     if step.row is not None:
         parts += (',"row":', _row(step.row))
-    if step.eq is not None:
-        eq = step.eq
-        parts.append(f',"eq":{{"x":{_quote(eq.x)},"y":{"null" if eq.y is None else _quote(eq.y)},"c":{eq.c}}}')
     if step.cert is not None:
         parts += (',"cert":', _cert(step.cert))
     parts.append("}")

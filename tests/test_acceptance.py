@@ -174,7 +174,7 @@ def _break_step(step: Step) -> Step | None:
             return None
         row, dir_, mult = cert.lower.entries[i]
         entries = cert.lower.entries[:i] + ((row, dir_, -mult),) + cert.lower.entries[i + 1 :]
-        return Step(step.rule, step.target, eq=step.eq, cert=BoundFix(CGCut(entries), cert.upper))
+        return Step(step.rule, step.target, row=step.row, cert=BoundFix(CGCut(entries), cert.upper))
     if isinstance(cert, LbDual):
         if not cert.bound.is_finite:
             return None

@@ -131,11 +131,12 @@ def test_check_bound_fix():
     hi = row([("x", 1)], Relation.LE, 2)
     have = frozenset({lo, hi})
     fix = BoundFix(identity_cut(lo, "ge"), identity_cut(hi, "le"))
-    from imtsolver.model import SimpleEquality
-
-    check_bound_fix(fix, have, SimpleEquality.fix("x", 2))
+    check_bound_fix(fix, have, row([("x", 1)], Relation.EQ, 2))
     with pytest.raises(CheckFailed):
-        check_bound_fix(fix, have, SimpleEquality.fix("x", 3))
+        check_bound_fix(fix, have, row([("x", 1)], Relation.EQ, 3))
+    for rel in (Relation.GE, Relation.LE):
+        with pytest.raises(CheckFailed, match="bound fix target must be an equality"):
+            check_bound_fix(fix, have, row([("x", 1)], rel, 2))
 
 
 def test_check_lb_dual_finite():

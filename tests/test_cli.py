@@ -532,9 +532,31 @@ r = f(x)
 def test_runs_are_deterministic(tmp_path, capsys):
     p = tmp_path / "opt.imt"
     p.write_text(OPT)
-    _, out1, _ = run(capsys, str(p), "--seed", "1")
-    _, out2, _ = run(capsys, str(p), "--seed", "2")
+    _, out1, _ = run(capsys, str(p))
+    _, out2, _ = run(capsys, str(p))
     assert out1 == out2
+
+
+@pytest.mark.parametrize("option", ["--node-budget", "--cut-cap", "--default-bound"])
+def test_a_negative_count_is_a_usage_error(tmp_path, capsys, option):
+    p = tmp_path / "opt.imt"
+    p.write_text(OPT)
+    with pytest.raises(SystemExit) as exc:
+        main([str(p), option, "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: expected a non-negative integer, got '-3'" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--node-budget", "x"], ["--seed", "1"], []], ids=["not_a_number", "seed", "no_file"])
+def test_usage_errors_exit_2(tmp_path, capsys, argv):
+    p = tmp_path / "opt.imt"
+    p.write_text(OPT)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(p)] if argv else [])
+    assert exc.value.code == 2
+    assert "usage: imt-solve" in capsys.readouterr().err
 
 
 def test_deeply_nested_smt_script_is_an_error(tmp_path, capsys):

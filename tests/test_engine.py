@@ -17,7 +17,6 @@ from imtsolver.model import (
     LinExpr,
     ObjValue,
     Relation,
-    SimpleEquality,
     satisfies_all,
 )
 from imtsolver.oracle import brute_force_solve
@@ -177,8 +176,8 @@ def test_cut_rounds_forget_nothing_and_re_solve_warm(monkeypatch):
 
 
 def test_single_variable_fixes_change_no_other_step(monkeypatch):
-    # a pinned variable's two unit rows are rows already, so the propagate
-    # steps that restated them as v = c change no verdict, count or other step
+    # a pinned variable's two unit rows are rows already, so the learn steps
+    # that restated them as v = c change no verdict, count or other step
     rng = random.Random(13)
     instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
     instances += [random_instance(rng) for _ in range(100)]
@@ -202,20 +201,23 @@ def test_single_variable_fixes_change_no_other_step(monkeypatch):
             fixes = []
             for v in sorted({v for r in sub.cons for v in r.lhs.vars()}):
                 if v in lo and v in hi and lo[v].rhs == hi[v].rhs:
-                    d = SimpleEquality.fix(v, lo[v].rhs)
-                    if d.as_constraint() not in sub.cons:
-                        fixes.append((d, BoundFix(identity_cut(lo[v], "ge"), identity_cut(hi[v], "le"))))
+                    eq = LinConstraint(LinExpr.var(v), Relation.EQ, lo[v].rhs)
+                    if eq not in sub.cons:
+                        fixes.append((eq, BoundFix(identity_cut(lo[v], "ge"), identity_cut(hi[v], "le"))))
             res.fixes[:0] = fixes
             return res
 
         return propagate
 
+    def restates(s):
+        return s.rule == "learn" and s.row.rel is Relation.EQ and len(s.row.lhs.terms) == 1
+
     def key(steps):
-        return [(s.rule, s.row, s.eq) for s in steps if not (s.rule == "propagate" and s.eq.y is None)]
+        return [(s.rule, s.row) for s in steps if not restates(s)]
 
     restated = 0
     for instance, res in zip(instances, plain):
-        assert not any(s.rule == "propagate" and s.eq.y is None for s in res.steps)
+        assert not any(map(restates, res.steps))
         monkeypatch.setattr(engine, "propagate_bounds", with_old_fixes(instance))
         old = solve(instance)
         assert (old.status, old.value, old.assignment) == (res.status, res.value, res.assignment)

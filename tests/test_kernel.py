@@ -41,8 +41,8 @@ from imtsolver.model import (
     LinExpr,
     ObjValue,
     Relation,
-    SimpleEquality,
     Subproblem,
+    diff_equality,
     satisfies_all,
 )
 
@@ -124,7 +124,7 @@ def test_branch_trichotomy_builds_three_children():
     parent = info.removed[0].cons
     assert [s.cons - parent for s in info.created] == [
         {row([("x", 1), ("y", -1)], Relation.LE, 0)},
-        {SimpleEquality.diff("x", "y", 1).as_constraint()},
+        {diff_equality("x", "y", 1)},
         {row([("x", 1), ("y", -1)], Relation.GE, 2)},
     ]
     with pytest.raises(RuleViolation):
@@ -225,39 +225,69 @@ def test_forget_requires_rederivability():
         k.apply(Step("forget", target=child.ident, row=weak, cert=identity_cut(strong, "ge")))
 
 
-def test_propagate_records_equality():
-    inst = ImtInstance(
+def pinned_x_instance():
+    """x is pinned at 2 by two rows, neither of which is the equality x = 2."""
+    return ImtInstance(
         ["x"],
         Bounds({"x": (0, 9)}),
         [row([("x", 1)], Relation.GE, 2), row([("x", 1)], Relation.LE, 2)],
         objective=LinExpr.var("x"),
     )
-    k = Kernel(inst)
+
+
+def pinned_x_fix():
     lo, hi = row([("x", 1)], Relation.GE, 2), row([("x", 1)], Relation.LE, 2)
-    fix = BoundFix(identity_cut(lo, "ge"), identity_cut(hi, "le"))
-    d = SimpleEquality.fix("x", 2)
-    info = k.apply(Step("propagate", target=0, eq=d, cert=fix))
+    return BoundFix(identity_cut(lo, "ge"), identity_cut(hi, "le"))
+
+
+def test_learn_records_an_equality_from_a_bound_fix():
+    inst = pinned_x_instance()
+    k = Kernel(inst)
+    fix = pinned_x_fix()
+    eq = row([("x", 1)], Relation.EQ, 2)
+    info = k.apply(Step("learn", target=0, row=eq, cert=fix))
     (child,) = info.created
-    assert child.cons == inst.constraints | {d.as_constraint()}
-    with pytest.raises(RuleViolation, match="equality already recorded"):
-        k.apply(Step("propagate", target=child.ident, eq=d, cert=fix))  # already there
-    with pytest.raises(RuleViolation):
-        Kernel(inst).apply(Step("propagate", target=0, eq=SimpleEquality.fix("x", 3), cert=fix))
-    with pytest.raises(RuleViolation):
-        Kernel(inst).apply(Step("propagate", target=0, eq=SimpleEquality.fix("q", 2), cert=fix))
+    assert child.cons == inst.constraints | {eq}
+    with pytest.raises(RuleViolation, match="learned row already present"):
+        k.apply(Step("learn", target=child.ident, row=eq, cert=fix))  # already there
+    with pytest.raises(RuleViolation, match="does not reach"):
+        Kernel(inst).apply(Step("learn", target=0, row=row([("x", 1)], Relation.EQ, 3), cert=fix))
+    with pytest.raises(RuleViolation, match="undeclared variable q"):
+        Kernel(inst).apply(Step("learn", target=0, row=row([("q", 1)], Relation.EQ, 2), cert=fix))
 
 
-def test_propagate_rejects_an_equality_a_split_arm_already_added():
+def test_learn_matches_the_certificate_to_the_relation():
+    inst = pinned_x_instance()
+    lo = row([("x", 1)], Relation.GE, 2)
+    eq = row([("x", 1)], Relation.EQ, 2)
+    with pytest.raises(RuleViolation, match="cut target must be an inequality"):
+        Kernel(inst).apply(Step("learn", target=0, row=eq, cert=identity_cut(lo, "ge")))
+    with pytest.raises(RuleViolation, match="bound fix target must be an equality"):
+        Kernel(inst).apply(Step("learn", target=0, row=row([("x", 1)], Relation.GE, 1), cert=pinned_x_fix()))
+
+
+def test_forget_accepts_an_equality_with_a_bound_fix():
+    inst = pinned_x_instance()
+    k = Kernel(inst)
+    fix = pinned_x_fix()
+    eq = row([("x", 1)], Relation.EQ, 2)
+    k.apply(Step("learn", target=0, row=eq, cert=fix))
+    info = k.apply(Step("forget", target=1, row=eq, cert=fix))
+    (child,) = info.created
+    assert child.cons == inst.constraints
+
+
+def test_learn_rejects_an_equality_a_split_arm_already_added():
     # the all-true arm of a split over x = y holds the row x - y = 0, which is
-    # the equality's own row, so propagating x - y = 0 there adds nothing
+    # the equality's own row, so learning x - y = 0 there adds nothing
     k = Kernel(plain_instance())
-    eq = TheoryLiteral.var_eq("x", "y")
-    info = k.apply(Step("branch", target=0, cert=BranchConflictSplit((eq,))))
-    d = SimpleEquality.diff("x", "y", 0)
-    (leaf,) = [s for s in info.created if d.as_constraint() in s.cons]
-    fix = BoundFix(identity_cut(d.as_constraint(), "ge"), identity_cut(d.as_constraint(), "le"))
-    with pytest.raises(RuleViolation, match="equality already recorded"):
-        k.apply(Step("propagate", target=leaf.ident, eq=d, cert=fix))
+    lit = TheoryLiteral.var_eq("x", "y")
+    info = k.apply(Step("branch", target=0, cert=BranchConflictSplit((lit,))))
+    eq = diff_equality("x", "y", 0)
+    (leaf,) = [s for s in info.created if eq in s.cons]
+    fix = BoundFix(identity_cut(eq, "ge"), identity_cut(eq, "le"))
+    with pytest.raises(RuleViolation, match="learned row already present"):
+        k.apply(Step("learn", target=leaf.ident, row=eq, cert=fix))
 
 
 def conflict_fixture():
@@ -547,9 +577,9 @@ def test_rows_of_matches_plain_set_construction():
         for _ in range(rng.randint(0, 3)):
             if len(names) > 1 and rng.random() < 0.5:
                 x, y = rng.sample(names, 2)
-                cons.append(SimpleEquality.diff(x, y, rng.randint(-3, 3)).as_constraint())
+                cons.append(diff_equality(x, y, rng.randint(-3, 3)))
             else:
-                cons.append(SimpleEquality.fix(rng.choice(names), rng.randint(-5, 5)).as_constraint())
+                cons.append(row([(rng.choice(names), 1)], Relation.EQ, rng.randint(-5, 5)))
         sub = Subproblem(rng.randint(0, 9), frozenset(cons))
         assert rows_of(inst, sub) == _rows_of_by_sets(inst, sub)
         assert rows_of(inst, sub) == _rows_of_by_sets(inst, sub)  # again, from the cached box rows
@@ -611,12 +641,14 @@ def pinned_difference_instance():
 
 def test_every_rule_shares_one_transition_on_solved_instances():
     rng = random.Random(13)
-    rules = set()
+    rules, equality_learns = set(), 0
     for inst in [random_instance(rng) for _ in range(60)] + [pinned_difference_instance()]:
         steps = solve(inst).steps
         rules.update(step.rule for step in steps)
+        equality_learns += sum(step.rule == "learn" and step.row.rel is Relation.EQ for step in steps)
         _replay_checking_transitions(inst, steps)
-    assert {"branch", "learn", "propagate", "drop", "retire"} <= rules
+    assert {"branch", "learn", "drop", "retire"} <= rules
+    assert equality_learns
 
 
 def tail_instance():
@@ -630,13 +662,13 @@ def tail_instance():
 
 
 def tail_steps():
-    """Trichotomy, a single-variable propagate, subsume and unbounded, by hand."""
+    """Trichotomy, a single-variable equality learn, subsume and unbounded, by hand."""
     y_lo, y_hi = row([("y", 1)], Relation.GE, 2), row([("y", 1)], Relation.LE, 2)
     fix = BoundFix(identity_cut(y_lo, "ge"), identity_cut(y_hi, "le"))
     ray = UnboundedEvidence((("x", 0), ("y", 2)), (("x", -1),))
     return [
         Step("branch", target=0, cert=BranchTrichotomy("x", "y", 1)),  # 1: x-y <= 0, 2: x-y = 1, 3: x-y >= 2
-        Step("propagate", target=2, eq=SimpleEquality.fix("y", 2), cert=fix),  # 4
+        Step("learn", target=2, row=row([("y", 1)], Relation.EQ, 2), cert=fix),  # 4
         Step("branch", target=1, cert=BranchDichotomy("x", 5)),  # 5 adds x <= 5, already a row; 6 adds x >= 6
         Step("subsume", target=5, other=6, cert=SubsumeSyntactic()),
         Step("unbounded", target=5, cert=ray),  # removes 3, 4 and 5
@@ -664,7 +696,7 @@ def test_a_rejected_step_changes_nothing():
         Step("branch", target=1, cert=BranchDichotomy("q", 0)),
         Step("learn", target=1, row=row([("x", 1)], Relation.LE, 4), cert=identity_cut(x_le_5, "le")),
         Step("forget", target=1, row=x_le_5, cert=identity_cut(x_le_5, "le")),
-        Step("propagate", target=1, eq=SimpleEquality.fix("y", 3), cert=fix),
+        Step("learn", target=1, row=row([("y", 1)], Relation.EQ, 3), cert=fix),
         Step("drop", target=1, cert=FarkasProof(())),
         Step("drop", target=1, cert=refutation),
         Step("prune", target=1, cert=lb),
@@ -672,7 +704,7 @@ def test_a_rejected_step_changes_nothing():
         Step("unbounded", target=1, cert=UnboundedEvidence(point, ())),
         Step("subsume", target=1, other=3, cert=SubsumeSyntactic()),
     ]
-    assert len({step.rule for step in bad}) == 9
+    assert len({step.rule for step in bad}) == 8
     state, log = k.state, list(k.log)
     for step in bad:
         with pytest.raises(RuleViolation):

@@ -29,8 +29,8 @@ from imtsolver.model import (
     LinExpr,
     ObjValue,
     Relation,
-    SimpleEquality,
     Subproblem,
+    diff_equality,
     frac_ceil,
     satisfies,
     satisfies_all,
@@ -170,8 +170,8 @@ def test_propagation_is_sound_and_certified():
         for cut, cert in res.derived:
             check_cg(cert, frozenset(have), cut)
             have.add(cut)
-        for d, fix in res.fixes:
-            check_bound_fix(fix, frozenset(have), d)
+        for eq, fix in res.fixes:
+            check_bound_fix(fix, frozenset(have), eq)
         if res.farkas is not None:
             check_farkas(res.farkas, frozenset(have))
         points = list(feasible_points(instance, sub))
@@ -182,8 +182,8 @@ def test_propagation_is_sound_and_certified():
         for point in points:
             for cut, _ in res.derived:
                 assert satisfies(cut, point)
-            for d, _ in res.fixes:
-                assert satisfies(d.as_constraint(), point)
+            for eq, _ in res.fixes:
+                assert satisfies(eq, point)
     assert checked > 50
 
 
@@ -235,10 +235,10 @@ def test_propagation_fixes_differences_and_leaves_pinned_variables_to_their_rows
     instance = ImtInstance(["x", "y", "z"], bounds, rows)
     sub = Subproblem.root(rows)
     res = propagate_bounds(sub, bounds)
-    fixed = {d for d, _ in res.fixes}
-    assert SimpleEquality.diff("y", "z", 3) in fixed
+    fixed = {eq for eq, _ in res.fixes}
+    assert diff_equality("y", "z", 3) in fixed
     # x is pinned at 2, but its two unit rows already say so
-    assert not any(d.y is None for d in fixed)
+    assert all(len(eq.lhs.terms) == 2 for eq in fixed)
     assert {x_lo, x_hi} <= rows_of(instance, sub)
 
 
@@ -496,7 +496,7 @@ def test_rounds_that_only_add_rows_merge_them_into_the_previous_rows(monkeypatch
     "box, added, warm",
     [
         (Bounds({"x": (3, 5), "y": (0, 5), "z": (0, 5)}), frozenset(), False),
-        (WARM_BOX, frozenset({SimpleEquality.fix("x", 3).as_constraint()}), True),
+        (WARM_BOX, frozenset({LinConstraint(LinExpr.var("x"), Relation.EQ, 3)}), True),
     ],
     ids=["moved_box", "added_equality"],
 )

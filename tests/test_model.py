@@ -15,7 +15,7 @@ from imtsolver.model import (
     LinExpr,
     ObjValue,
     Relation,
-    SimpleEquality,
+    diff_equality,
     frac_ceil,
     frac_floor,
     normalize,
@@ -79,18 +79,18 @@ def test_sentinel_is_unsatisfiable():
     assert not satisfies(LinConstraint(LinExpr.zero(), Relation.LE, -1), {})
 
 
-def test_simple_equality_orients_lexicographically():
-    d = SimpleEquality.diff("y", "x", 3)
-    assert (d.x, d.y, d.c) == ("x", "y", -3)
-    assert SimpleEquality.diff("x", "y", 3) == SimpleEquality.diff("y", "x", -3)
+def test_diff_equality_orients_lexicographically():
+    eq = diff_equality("y", "x", 3)
+    assert eq == LinConstraint(LinExpr.of({"x": 1, "y": -1}), Relation.EQ, -3)
+    assert diff_equality("x", "y", 3) == diff_equality("y", "x", -3)
     with pytest.raises(InvariantError):
-        SimpleEquality.diff("x", "x", 0)
+        diff_equality("x", "x", 0)
 
 
-def test_simple_equality_as_constraint():
-    fix = SimpleEquality.fix("x", 5)
-    assert satisfies(fix.as_constraint(), {"x": 5})
-    assert not satisfies(fix.as_constraint(), {"x": 4})
+def test_diff_equality_holds_exactly_at_its_difference():
+    eq = diff_equality("x", "y", 5)
+    assert satisfies(eq, {"x": 7, "y": 2})
+    assert not satisfies(eq, {"x": 7, "y": 3})
 
 
 def test_bounds_reject_empty_interval():

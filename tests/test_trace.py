@@ -31,7 +31,6 @@ from imtsolver.model import (
     LinExpr,
     ObjValue,
     Relation,
-    SimpleEquality,
 )
 from imtsolver.trace import (
     DigestMismatch,
@@ -62,8 +61,8 @@ STEPS = [
     Step("branch", target=2, cert=BranchConflictSplit((LIT_EQ, LIT_DQ, LIT_AT))),
     Step("learn", target=3, row=R2, cert=CUT),
     Step("forget", target=4, row=R2, cert=CUT),
-    Step("propagate", target=5, eq=SimpleEquality.diff("x", "y", 7), cert=BoundFix(CUT, CUT)),
-    Step("propagate", target=5, eq=SimpleEquality.fix("x", -1), cert=BoundFix(CUT, CUT)),
+    Step("learn", target=5, row=row([("x", 1), ("y", -1)], Relation.EQ, 7), cert=BoundFix(CUT, CUT)),
+    Step("learn", target=5, row=row([("x", 1)], Relation.EQ, -1), cert=BoundFix(CUT, CUT)),
     Step(
         "drop",
         target=6,
@@ -87,8 +86,10 @@ STEPS = [
 
 
 def step_id(step):
-    """A step's rule; a drop by theory refutation is told apart from a Farkas drop."""
-    return "drop-theory" if isinstance(step.cert, TheoryRefutation) else step.rule
+    """A step's rule; a theory drop and an equality learn are told apart from the other drops and learns."""
+    if isinstance(step.cert, TheoryRefutation):
+        return "drop-theory"
+    return "learn-eq" if isinstance(step.cert, BoundFix) else step.rule
 
 
 @pytest.mark.parametrize("step", STEPS, ids=step_id)
@@ -133,8 +134,8 @@ def odd_steps(name):
         Step("branch", target=0, cert=BranchTrichotomy(name, "y", BIG)),
         Step("branch", target=0, cert=BranchConflictSplit((lit, TheoryLiteral.atom_true(name)))),
         Step("learn", target=1, row=r, cert=cut),
-        Step("propagate", target=2, eq=SimpleEquality.fix(name, -BIG), cert=BoundFix(cut, cut)),
-        Step("propagate", target=2, eq=SimpleEquality.diff(name, "y", BIG), cert=BoundFix(cut, cut)),
+        Step("learn", target=2, row=row([(name, 1)], Relation.EQ, -BIG), cert=BoundFix(cut, cut)),
+        Step("learn", target=2, row=row([(name, 1), ("y", -1)], Relation.EQ, BIG), cert=BoundFix(cut, cut)),
         Step("prune", target=3, cert=LbDual(ObjValue.finite(-BIG), cut.entries)),
         Step("prune", target=3, cert=LbDual(ObjValue.pos_inf(), cut.entries)),
         Step("drop", target=3, cert=TheoryRefutation((lit,), (BoundFix(cut, cut),))),
@@ -155,7 +156,7 @@ def test_write_trace_writes_the_reference_lines_in_ascii(tmp_path):
     steps = STEPS + odd_steps("caf\u00e9")
     path = tmp_path / "run.trace"
     write_trace(path, inst, steps)
-    header = json.dumps({"format": "bct-trace", "version": 2, "instance": inst.digest()}, separators=(",", ":"))
+    header = json.dumps({"format": "bct-trace", "version": 3, "instance": inst.digest()}, separators=(",", ":"))
     expected = "".join(line + "\n" for line in [header, *map(reference_line, steps)])
     assert path.read_bytes() == expected.encode("ascii")
 
@@ -191,13 +192,7 @@ certs = st.one_of(
     st.builds(UnboundedEvidence, pairs, pairs),
     st.just(SubsumeSyntactic()),
 )
-eqs = st.one_of(
-    st.builds(SimpleEquality.fix, names, ints),
-    st.builds(lambda xy, c: SimpleEquality.diff(*xy, c), st.lists(names, min_size=2, max_size=2, unique=True), ints),
-)
-any_steps = st.builds(
-    Step, names, st.none() | ints, st.none() | ints, st.none() | rows, st.none() | eqs, st.none() | certs
-)
+any_steps = st.builds(Step, names, st.none() | ints, st.none() | ints, st.none() | rows, st.none() | certs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,20 +237,20 @@ def test_read_trace_rejects_garbage(tmp_path):
     path.write_text("[1]\n")
     with pytest.raises(TraceError):
         read_trace(path)
-    # the version is the JSON integer 2, which 2.0 equals in Python
-    for version in ("true", "2.0"):
+    # the version is the JSON integer 3, which 3.0 equals in Python
+    for version in ("true", "3.0"):
         path.write_text(f'{{"format": "bct-trace", "version": {version}, "instance": "abc"}}\n')
         with pytest.raises(TraceError, match="unsupported version"):
             read_trace(path)
     # the digest is a JSON string, also when no instance is given to compare it with
     for digest in ("[1]", "null", "7"):
-        path.write_text(f'{{"format": "bct-trace", "version": 2, "instance": {digest}}}\n')
+        path.write_text(f'{{"format": "bct-trace", "version": 3, "instance": {digest}}}\n')
         with pytest.raises(TraceError, match="instance digest"):
             read_trace(path)
-    path.write_text('{"format": "bct-trace", "version": 2}\n')
+    path.write_text('{"format": "bct-trace", "version": 3}\n')
     with pytest.raises(TraceError, match="instance digest"):
         read_trace(path)
-    path.write_bytes(b'\xff{"format": "bct-trace", "version": 2, "instance": "abc"}\n')
+    path.write_bytes(b'\xff{"format": "bct-trace", "version": 3, "instance": "abc"}\n')
     with pytest.raises(TraceError, match="UTF-8"):
         read_trace(path)
 
@@ -280,12 +275,48 @@ def test_a_version_1_trace_is_refused_at_its_header(tmp_path, capsys):
     assert err == "error: unsupported version 1\n"
 
 
+# version 2 certified a pinned difference with a propagate step and its eq field
+PROPAGATE = {
+    "rule": "propagate",
+    "target": 0,
+    "eq": {"x": "x", "y": None, "c": 1},
+    "cert": {"kind": "bound_fix", "lower": {"kind": "cg", "entries": []}, "upper": {"kind": "cg", "entries": []}},
+}
+
+
+def _old_trace(tmp_path, version):
+    text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
+    instance = tmp_path / "inst.imt"
+    instance.write_text(text)
+    header = {"format": "bct-trace", "version": version, "instance": parse_instance(text).digest()}
+    trace = tmp_path / "old.trace"
+    trace.write_text(json.dumps(header) + "\n" + json.dumps(PROPAGATE) + "\n")
+    return instance, trace
+
+
+def test_a_version_2_trace_is_refused_at_its_header(tmp_path, capsys):
+    instance, trace = _old_trace(tmp_path, 2)
+    with pytest.raises(TraceError, match="^unsupported version 2$"):
+        read_trace(trace)
+    assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: unsupported version 2\n"
+
+
+def test_a_propagate_line_replays_to_unknown_rule(tmp_path, capsys):
+    instance, trace = _old_trace(tmp_path, 3)
+    _, steps = read_trace(trace)
+    with pytest.raises(ReplayError, match="^step 0: unknown rule 'propagate'$"):
+        replay_trace(parse_instance(instance.read_text()), steps)
+    assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "trace rejected: step 0: unknown rule 'propagate'\n"
+
+
 @pytest.mark.parametrize(
     "blank, line", [("", 2), ("\n\n", 4), ("   \n\n", 4), ("\r\n\n", 4)], ids=["none", "two", "spaces", "crlf"]
 )
 def test_a_reader_error_names_the_file_line_past_blank_lines(tmp_path, blank, line):
     path = tmp_path / "bad.trace"
-    path.write_bytes(f'{{"format": "bct-trace", "version": 2, "instance": "abc"}}\n{blank}{{"rule":5}}\n'.encode())
+    path.write_bytes(f'{{"format": "bct-trace", "version": 3, "instance": "abc"}}\n{blank}{{"rule":5}}\n'.encode())
     with pytest.raises(TraceError, match=f"^line {line}: expected a string, got 5$"):
         read_trace(path)
 
@@ -401,7 +432,7 @@ def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, step):
     text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
     instance = tmp_path / "inst.imt"
     instance.write_text(text)
-    header = {"format": "bct-trace", "version": 2, "instance": parse_instance(text).digest()}
+    header = {"format": "bct-trace", "version": 3, "instance": parse_instance(text).digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
     for given_instance in (None, parse_instance(text)):
@@ -426,7 +457,7 @@ INTEGER_FIELDS = [
     (2, ("cert", "core", 0, "offset")),
     (3, ("row", "rhs")),
     (3, ("row", "lhs", 0, 1)),
-    (5, ("eq", "c")),
+    (5, ("row", "lhs", 1, 1)),
     (7, ("cert", "asserted", 0, "offset")),
     (9, ("cert", "bound", "kind")),
     (9, ("cert", "bound", "value")),
@@ -447,7 +478,7 @@ def test_integer_fields_accept_only_json_integers(tmp_path, index, path, bad):
         field = field[key]
     field[last] = bad
     inst = small_instance()
-    header = {"format": "bct-trace", "version": 2, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": 3, "instance": inst.digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
     for given_instance in (inst, None):
@@ -479,7 +510,7 @@ def test_a_non_canonical_row_decodes_to_the_canonical_row(tmp_path, lhs):
     inst = small_instance()
     (con,) = inst.constraints  # 2x + 3y >= 12
     rows = [{"lhs": lhs, "rel": ">=", "rhs": 12}, {"lhs": [["x", 2], ["y", 3]], "rel": ">=", "rhs": 12}]
-    header = {"format": "bct-trace", "version": 2, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": 3, "instance": inst.digest()}
     path = tmp_path / "run.trace"
     path.write_text(json.dumps(header) + "\n" + json.dumps(drop({"kind": "farkas", "entries": [[r, "ge", "1"] for r in rows]})) + "\n")
     for given_instance in (inst, None):

@@ -26,7 +26,7 @@ from imtsolver.certificates import (
     UnboundedEvidence,
 )
 from imtsolver.kernel import Step
-from imtsolver.model import LinConstraint, ObjValue, SimpleEquality
+from imtsolver.model import LinConstraint, ObjValue
 
 
 def _row_json(row: LinConstraint) -> dict:
@@ -87,10 +87,6 @@ def _cert_json(cert) -> dict:
     raise TypeError(f"unserializable certificate {type(cert).__name__}")
 
 
-def _eq_json(d: SimpleEquality) -> dict:
-    return {"x": d.x, "y": d.y, "c": d.c}
-
-
 def step_to_json(step: Step) -> dict:
     out: dict = {"rule": step.rule}
     if step.target is not None:
@@ -99,8 +95,6 @@ def step_to_json(step: Step) -> dict:
         out["other"] = step.other
     if step.row is not None:
         out["row"] = _row_json(step.row)
-    if step.eq is not None:
-        out["eq"] = _eq_json(step.eq)
     if step.cert is not None:
         out["cert"] = _cert_json(step.cert)
     return out
