@@ -21,6 +21,11 @@ running this on both trees:
 When proofs change but verdicts do not, the ``rules`` lines of the two trees
 show which kinds of step moved, without a traced benchmark run.
 
+Each trace is also read back (``read_trace``) and replayed through a fresh
+kernel (``replay_trace``). When a replay fails, stops short of a final state
+or reaches another verdict than the solve, the script names the input on
+stderr and exits 1.
+
 Only the standard library and the sources under ``src/`` are used.
 """
 from __future__ import annotations
@@ -38,9 +43,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 
 from imtsolver.engine import solve  # noqa: E402
+from imtsolver.kernel import replay_trace, verdict  # noqa: E402
+from imtsolver.model import ImtError  # noqa: E402
 from imtsolver.native import parse_instance  # noqa: E402
 from imtsolver.smtlib import encode_script  # noqa: E402
-from imtsolver.trace import write_trace  # noqa: E402
+from imtsolver.trace import read_trace, write_trace  # noqa: E402
 
 # the kernel's rules, in the order the benchmark reports their step counts
 RULES = ("learn", "forget", "branch", "drop", "prune", "retire", "unbounded", "subsume")
@@ -58,10 +65,15 @@ def seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+class Disagreement(Exception):
+    """A written trace that does not replay to the solve's verdict."""
+
+
 def trace_digest(case: workloads.Case, path: Path, rules: Counter) -> tuple[str, str]:
     """Status of the solve and the sha256 of the trace file ``write_trace`` writes to ``path``.
 
-    Adds the solve's step count per rule to ``rules``.
+    Adds the solve's step count per rule to ``rules``. Raises
+    ``Disagreement`` unless the file replays to the solve's verdict.
     """
     if case.fmt == "smt":
         instance = encode_script(case.text).instance
@@ -70,6 +82,18 @@ def trace_digest(case: workloads.Case, path: Path, rules: Counter) -> tuple[str,
     result = solve(instance)
     rules.update(step.rule for step in result.steps)
     write_trace(path, instance, result.steps)
+    try:
+        replay = replay_trace(instance, read_trace(path, instance)[1])
+    except ImtError as exc:
+        raise Disagreement(f"the trace does not replay: {exc}") from exc
+    if not replay.final:
+        raise Disagreement("the replayed trace does not reach a final state")
+    status, value = verdict(instance, replay.state)
+    if (status, value) != (result.status, result.value):
+        raise Disagreement(
+            f"replay verdict {status} {value.render()} differs from the solve's "
+            f"{result.status} {result.value.render()}"
+        )
     return result.status, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -87,7 +111,11 @@ def main(argv: list[str] | None = None) -> int:
         path = Path(tmp) / "run.trace"
         for seed in args.seeds:
             for i, case in enumerate(workloads.generate(args.workload, seed, args.size)):
-                status, digest = trace_digest(case, path, rules)
+                try:
+                    status, digest = trace_digest(case, path, rules)
+                except Disagreement as exc:
+                    print(f"error: {args.workload} seed {seed} input {i}: {exc}", file=sys.stderr)
+                    return 1
                 verdict = f"{args.workload} {seed} {i} {status}"
                 print(f"{verdict} {digest}")
                 statuses.update(verdict.encode() + b"\n")

@@ -485,7 +485,7 @@ class ImtInstance:
         for f in sorted(self.funs):
             lines.append(f"fun {f} {self.funs[f]}")
         lines.append(f"min {self.objective.render()}")
-        lines += sorted(["con " + c.render() for c in self.constraints])
+        lines += ["con " + c.render() for c in self.canonical_rows[: len(self.constraints)]]
         lines += sorted(["atom " + a.render() for a in self.atoms])
         return "\n".join(lines) + "\n"
 
@@ -493,6 +493,13 @@ class ImtInstance:
     def box_rows(self) -> tuple[LinConstraint, ...]:
         """One row per finite bound end, in variable order; built on first use."""
         return tuple(self.bounds.rows(self.vars))
+
+    @cached_property
+    def canonical_rows(self) -> tuple[LinConstraint, ...]:
+        """Constraints by text (ties by terms, relation, rhs), then the other box rows: a trace's first rows."""
+        cons = self.constraints
+        ordered = sorted(cons, key=lambda c: (c.render(), c.lhs.terms, c.rel.value, c.rhs))
+        return (*ordered, *[r for r in self.box_rows if r not in cons])
 
     @cached_property
     def _digest(self) -> str:

@@ -4,6 +4,12 @@ The first line is a header naming the format version and the sha256 digest
 of the instance's canonical text; each following line is one kernel step.
 Rational multipliers are strings ("2/3"), so a trace is exact and diffable.
 A written trace is ASCII: names are escaped as ``json.dumps`` escapes them.
+
+A trace cites rows through its row table, which starts with the instance's
+``canonical_rows``. Where a step cites a row it holds a row number, or a row
+in full, which takes the next number; rows are met in field order, the
+step's ``row`` first, then its certificate depth first. The writer writes
+each row in full at most once.
 """
 from __future__ import annotations
 
@@ -28,17 +34,10 @@ from .certificates import (
     UnboundedEvidence,
 )
 from .kernel import Step
-from .model import (
-    ImtError,
-    ImtInstance,
-    LinConstraint,
-    LinExpr,
-    ObjValue,
-    Relation,
-)
+from .model import ImtError, ImtInstance, LinConstraint, LinExpr, ObjValue, Relation
 
 FORMAT_NAME = "bct-trace"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class TraceError(ImtError):
@@ -68,7 +67,7 @@ def _no_float(text: str):
 
 
 # Decodes one step line. No field of a step holds a JSON float, so the decoder
-# rejects every float and no float reaches the decoding memo.
+# rejects every float, a row number among them.
 _decode_step = json.JSONDecoder(parse_float=_no_float).decode
 
 
@@ -90,38 +89,23 @@ def _row_back(obj: dict) -> LinConstraint:
     )
 
 
-class _Memo:
-    """Rows and multipliers already decoded by one ``read_trace`` call.
+class _Table:
+    """The row table and the multipliers of one ``read_trace`` call; a row in full takes the
+    next number, and each distinct multiplier string, recurring entry after entry, is parsed once."""
 
-    The row memo starts with the instance's constraints and box rows, so a
-    step that cites one gets the instance's own object back. Box rows and
-    common multipliers recur in entry after entry. A value that cannot serve
-    as a key is decoded afresh, so it fails as it would unmemoised. A row's
-    numbers must be integers before its lookup, since 1.0 and true find the
-    row keyed by 1. ``read_trace`` rejects floats while decoding, and sets
-    ``no_bools`` for a line without the words true and false; only rows of
-    other lines are scanned.
-    """
-
-    def __init__(self, instance: ImtInstance | None = None) -> None:
-        # keyed as a written row decodes: (terms, relation text, rhs)
-        self.rows: dict[tuple, LinConstraint] = {}
-        if instance is not None:
-            for rows in (instance.constraints, instance.box_rows):
-                self.rows.update(((row.lhs.terms, row.rel.value, row.rhs), row) for row in rows)
+    def __init__(self, rows: Iterable[LinConstraint] = ()) -> None:
+        self.rows = list(rows)
         self.mults: dict[str, Fraction] = {}
-        self.no_bools = False
 
     def row(self, obj) -> LinConstraint:
-        try:
-            key = (tuple(map(tuple, obj["lhs"])), obj["rel"], obj["rhs"])
-            if not self.no_bools and (type(key[2]) is not int or any(type(c) is not int for _, c in key[0])):
-                return _row_back(obj)
-            row = self.rows.get(key)
-        except (KeyError, TypeError, ValueError):
-            return _row_back(obj)
-        if row is None:
-            row = self.rows[key] = _row_back(obj)
+        if type(obj) is int:
+            if 0 <= obj < len(self.rows):
+                return self.rows[obj]
+            raise ValueError(f"row {obj} is not in the row table of {len(self.rows)} rows")
+        if type(obj) is not dict:
+            raise ValueError(f"expected a row or a row number, got {obj!r}")
+        row = _row_back(obj)
+        self.rows.append(row)
         return row
 
     def mult(self, text) -> Fraction:
@@ -140,8 +124,8 @@ class _Memo:
         return q
 
 
-def _entries_back(items, memo: _Memo) -> tuple:
-    return tuple((memo.row(row), direction, memo.mult(mult)) for row, direction, mult in items)
+def _entries_back(items, table: _Table) -> tuple:
+    return tuple((table.row(row), direction, table.mult(mult)) for row, direction, mult in items)
 
 
 def _lit_back(obj: dict) -> TheoryLiteral:
@@ -159,22 +143,22 @@ def _obj_value_back(obj: dict) -> ObjValue:
     return ObjValue(kind)
 
 
-def _cert_back(obj: dict, memo: _Memo):
+def _cert_back(obj: dict, table: _Table):
     kind = obj["kind"]
     if kind == "cg":
-        return CGCut(_entries_back(obj["entries"], memo))
+        return CGCut(_entries_back(obj["entries"], table))
     if kind == "farkas":
-        return FarkasProof(_entries_back(obj["entries"], memo))
+        return FarkasProof(_entries_back(obj["entries"], table))
     if kind == "bound_fix":
-        return BoundFix(_cert_back(obj["lower"], memo), _cert_back(obj["upper"], memo))
+        return BoundFix(_cert_back(obj["lower"], table), _cert_back(obj["upper"], table))
     if kind == "side":
-        return SideCut(obj["side"], _cert_back(obj["cut"], memo))
+        return SideCut(obj["side"], _cert_back(obj["cut"], table))
     if kind == "lb":
-        return LbDual(_obj_value_back(obj["bound"]), _entries_back(obj["entries"], memo))
+        return LbDual(_obj_value_back(obj["bound"]), _entries_back(obj["entries"], table))
     if kind == "theory":
         return TheoryRefutation(
             tuple(_lit_back(l) for l in obj["asserted"]),
-            tuple(_cert_back(e, memo) for e in obj["evidence"]),
+            tuple(_cert_back(e, table) for e in obj["evidence"]),
         )
     if kind == "dichotomy":
         return BranchDichotomy(_str(obj["var"]), _int(obj["k"]))
@@ -185,7 +169,7 @@ def _cert_back(obj: dict, memo: _Memo):
     if kind == "retire":
         return RetireEvidence(
             tuple((_str(v), _int(c)) for v, c in obj["assignment"]),
-            _cert_back(obj["lb"], memo),
+            _cert_back(obj["lb"], table),
         )
     if kind == "ray":
         return UnboundedEvidence(
@@ -197,15 +181,15 @@ def _cert_back(obj: dict, memo: _Memo):
     raise TraceError(f"unknown certificate kind {kind!r}")
 
 
-def step_from_json(obj: dict, memo: _Memo | None = None) -> Step:
-    if memo is None:
-        memo = _Memo()
+def step_from_json(obj: dict, table: _Table | None = None) -> Step:
+    if table is None:
+        table = _Table()
     return Step(
         rule=_str(obj["rule"]),
         target=_int(obj["target"]) if "target" in obj else None,
         other=_int(obj["other"]) if "other" in obj else None,
-        row=memo.row(obj["row"]) if "row" in obj else None,
-        cert=_cert_back(obj["cert"], memo) if "cert" in obj else None,
+        row=table.row(obj["row"]) if "row" in obj else None,
+        cert=_cert_back(obj["cert"], table) if "cert" in obj else None,
     )
 
 
@@ -231,85 +215,90 @@ def _lits(lits) -> str:
     return "[" + ",".join(map(_lit, lits)) + "]"
 
 
-# Each step line is written as JSON text directly. It equals
-# ``json.dumps(..., separators=(",", ":"))`` of the step's JSON object, key
-# for key.
+class _Writer:
+    """Formats the step lines of one trace as JSON text, each equal to ``json.dumps(...,
+    separators=(",", ":"))`` of its JSON object; ``nums`` maps each row in the table so far to its number."""
 
+    def __init__(self, instance: ImtInstance) -> None:
+        rows = instance.canonical_rows
+        self.nums = dict(zip(rows, range(len(rows))))
 
-def _row(row: LinConstraint) -> str:
-    lhs = ",".join([f"[{_quote(v)},{c}]" for v, c in row.lhs.terms])
-    return f'{{"lhs":[{lhs}]{_REL[row.rel]}{row.rhs}}}'
+    def row(self, row: LinConstraint) -> int | str:
+        num = self.nums.get(row)
+        if num is not None:
+            return num
+        self.nums[row] = len(self.nums)
+        lhs = ",".join([f"[{_quote(v)},{c}]" for v, c in row.lhs.terms])
+        return f'{{"lhs":[{lhs}]{_REL[row.rel]}{row.rhs}}}'
 
+    def entries(self, entries) -> str:
+        row = self.row
+        return "[" + ",".join([f'[{row(r)},{_quote(d)},"{m!s}"]' for r, d, m in entries]) + "]"
 
-def _entries(entries) -> str:
-    return "[" + ",".join([f'[{_row(r)},{_quote(d)},"{m!s}"]' for r, d, m in entries]) + "]"
+    def cert(self, cert) -> str:
+        if isinstance(cert, CGCut):
+            return f'{{"kind":"cg","entries":{self.entries(cert.entries)}}}'
+        if isinstance(cert, FarkasProof):
+            return f'{{"kind":"farkas","entries":{self.entries(cert.entries)}}}'
+        if isinstance(cert, BoundFix):
+            return f'{{"kind":"bound_fix","lower":{self.cert(cert.lower)},"upper":{self.cert(cert.upper)}}}'
+        if isinstance(cert, SideCut):
+            return f'{{"kind":"side","side":{_quote(cert.side)},"cut":{self.cert(cert.cut)}}}'
+        if isinstance(cert, LbDual):
+            bound = f'{{"kind":{cert.bound.kind},"value":{"null" if cert.bound.value is None else cert.bound.value}}}'
+            return f'{{"kind":"lb","bound":{bound},"entries":{self.entries(cert.entries)}}}'
+        if isinstance(cert, TheoryRefutation):
+            evidence = ",".join(map(self.cert, cert.evidence))
+            return f'{{"kind":"theory","asserted":{_lits(cert.asserted)},"evidence":[{evidence}]}}'
+        if isinstance(cert, BranchDichotomy):
+            return f'{{"kind":"dichotomy","var":{_quote(cert.var)},"k":{cert.k}}}'
+        if isinstance(cert, BranchTrichotomy):
+            return f'{{"kind":"trichotomy","x":{_quote(cert.x)},"y":{_quote(cert.y)},"c":{cert.c}}}'
+        if isinstance(cert, BranchConflictSplit):
+            return f'{{"kind":"conflict_split","core":{_lits(cert.core)}}}'
+        if isinstance(cert, RetireEvidence):
+            return f'{{"kind":"retire","assignment":{_pairs(cert.assignment)},"lb":{self.cert(cert.lb_match)}}}'
+        if isinstance(cert, UnboundedEvidence):
+            return f'{{"kind":"ray","assignment":{_pairs(cert.assignment)},"ray":{_pairs(cert.ray)}}}'
+        if isinstance(cert, SubsumeSyntactic):
+            return '{"kind":"subsume"}'
+        raise TraceError(f"unserializable certificate {type(cert).__name__}")
 
-
-def _cert(cert) -> str:
-    if isinstance(cert, CGCut):
-        return f'{{"kind":"cg","entries":{_entries(cert.entries)}}}'
-    if isinstance(cert, FarkasProof):
-        return f'{{"kind":"farkas","entries":{_entries(cert.entries)}}}'
-    if isinstance(cert, BoundFix):
-        return f'{{"kind":"bound_fix","lower":{_cert(cert.lower)},"upper":{_cert(cert.upper)}}}'
-    if isinstance(cert, SideCut):
-        return f'{{"kind":"side","side":{_quote(cert.side)},"cut":{_cert(cert.cut)}}}'
-    if isinstance(cert, LbDual):
-        bound = f'{{"kind":{cert.bound.kind},"value":{"null" if cert.bound.value is None else cert.bound.value}}}'
-        return f'{{"kind":"lb","bound":{bound},"entries":{_entries(cert.entries)}}}'
-    if isinstance(cert, TheoryRefutation):
-        evidence = ",".join(map(_cert, cert.evidence))
-        return f'{{"kind":"theory","asserted":{_lits(cert.asserted)},"evidence":[{evidence}]}}'
-    if isinstance(cert, BranchDichotomy):
-        return f'{{"kind":"dichotomy","var":{_quote(cert.var)},"k":{cert.k}}}'
-    if isinstance(cert, BranchTrichotomy):
-        return f'{{"kind":"trichotomy","x":{_quote(cert.x)},"y":{_quote(cert.y)},"c":{cert.c}}}'
-    if isinstance(cert, BranchConflictSplit):
-        return f'{{"kind":"conflict_split","core":{_lits(cert.core)}}}'
-    if isinstance(cert, RetireEvidence):
-        return f'{{"kind":"retire","assignment":{_pairs(cert.assignment)},"lb":{_cert(cert.lb_match)}}}'
-    if isinstance(cert, UnboundedEvidence):
-        return f'{{"kind":"ray","assignment":{_pairs(cert.assignment)},"ray":{_pairs(cert.ray)}}}'
-    if isinstance(cert, SubsumeSyntactic):
-        return '{"kind":"subsume"}'
-    raise TraceError(f"unserializable certificate {type(cert).__name__}")
-
-
-def _step(step: Step) -> str:
-    parts = ['{"rule":', _quote(step.rule)]
-    if step.target is not None:
-        parts.append(f',"target":{step.target}')
-    if step.other is not None:
-        parts.append(f',"other":{step.other}')
-    if step.row is not None:
-        parts += (',"row":', _row(step.row))
-    if step.cert is not None:
-        parts += (',"cert":', _cert(step.cert))
-    parts.append("}")
-    return "".join(parts)
+    def step(self, step: Step) -> str:
+        parts = ['{"rule":', _quote(step.rule)]
+        if step.target is not None:
+            parts.append(f',"target":{step.target}')
+        if step.other is not None:
+            parts.append(f',"other":{step.other}')
+        if step.row is not None:
+            parts.append(f',"row":{self.row(step.row)}')
+        if step.cert is not None:
+            parts += (',"cert":', self.cert(step.cert))
+        parts.append("}")
+        return "".join(parts)
 
 
 def trace_lines(instance: ImtInstance, steps: Iterable[Step]) -> Iterator[str]:
     yield f"{_HEADER}{_quote(instance.digest())}}}"
-    yield from map(_step, steps)
+    yield from map(_Writer(instance).step, steps)
 
 
 def write_trace(path: str | Path, instance: ImtInstance, steps: Iterable[Step]) -> None:
     Path(path).write_bytes(("\n".join(trace_lines(instance, steps)) + "\n").encode("ascii"))
 
 
-def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[str, list[Step]]:
-    """Parse a trace file; returns (instance digest, steps).
-
-    When ``instance`` is given, its digest must match the header.
-    """
+def read_trace(path: str | Path, instance: ImtInstance) -> tuple[str, list[Step]]:
+    """Parse a trace file of ``instance``, whose digest must match the header; returns (digest, steps)."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceError(f"not UTF-8 text: {exc}") from exc
-    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    # Lines end at "\n" alone: JSON strings may hold U+0085, U+2028 and U+2029
+    # unescaped, and str.splitlines() would break at them. The "\r" of a CRLF
+    # is JSON whitespace, and a line of JSON whitespace is blank.
+    lines = [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]
     if not lines:
         raise TraceError("empty trace file")
     try:
@@ -324,14 +313,13 @@ def read_trace(path: str | Path, instance: ImtInstance | None = None) -> tuple[s
     digest = header.get("instance")
     if type(digest) is not str:
         raise TraceError(f"expected the instance digest as a string, got {digest!r}")
-    if instance is not None and digest != instance.digest():
+    if digest != instance.digest():
         raise DigestMismatch("trace was recorded for a different instance")
     steps = []
-    memo = _Memo(instance)
+    table = _Table(instance.canonical_rows)
     for i, line in lines[1:]:
-        memo.no_bools = "true" not in line and "false" not in line
         try:
-            steps.append(step_from_json(_decode_step(line), memo))
+            steps.append(step_from_json(_decode_step(line), table))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise TraceError(f"line {i}: {exc}") from exc
     return digest, steps

@@ -233,3 +233,22 @@ def test_canonical_text_sorts_constraints_and_atoms_by_their_text():
     assert [l for l in lines if l.startswith("con ")] == [f"con {r.render()}" for r in by_text]
     by_text = sorted(atoms, key=lambda a: a.render())
     assert [l for l in lines if l.startswith("atom ")] == [f"atom {a.render()}" for a in by_text]
+
+
+def test_canonical_rows_order_the_constraints_by_text_then_the_other_box_rows():
+    # "2 x" (a name holding a space) and 2 times "x" render alike, so their terms decide
+    spaced = LinConstraint(LinExpr.var("2 x"), Relation.LE, 3)
+    doubled = LinConstraint(LinExpr.var("x", 2), Relation.LE, 3)
+    x_ge_0 = LinConstraint(LinExpr.var("x"), Relation.GE, 0)
+    assert spaced.render() == doubled.render() == "2 x <= 3"
+    for order in ([doubled, spaced, x_ge_0], [x_ge_0, spaced, doubled]):
+        inst = ImtInstance(["x", "2 x"], Bounds({"x": (0, 4)}), order)
+        x_le_4 = inst.bounds.row_hi("x")
+        # x >= 0 is a constraint and a box row, and has one place
+        assert inst.canonical_rows == (spaced, doubled, x_ge_0, x_le_4)
+        assert inst.canonical_rows is inst.canonical_rows  # built once
+        assert [l for l in inst.canonical_text().splitlines() if l.startswith("con ")] == [
+            "con 2 x <= 3",
+            "con 2 x <= 3",
+            "con x >= 0",
+        ]

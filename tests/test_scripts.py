@@ -1,10 +1,13 @@
 """The scripts under ``scripts/`` run from a checkout, with no package installed."""
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from imtsolver.model import ObjValue
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -50,3 +53,44 @@ def test_trace_digest_pins_the_benchmark_verdicts(tmp_path, workload, digest):
     )
     assert done.returncode == 0, done.stderr
     assert f"statuses {digest}" in done.stdout.splitlines()
+
+
+def _trace_digest_module():
+    spec = importlib.util.spec_from_file_location("trace_digest", SCRIPTS / "trace_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _read_keeping(module, keep):
+    read = module.read_trace
+
+    def read_part(path, instance):
+        digest, steps = read(path, instance)
+        return digest, steps[keep]
+
+    return read_part
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        ("last_step_lost", "the replayed trace does not reach a final state"),
+        ("first_step_lost", "the trace does not replay: step 0: "),
+        ("other_verdict", "replay verdict unbounded -inf differs from the solve's "),
+    ],
+    ids=["last_step_lost", "first_step_lost", "other_verdict"],
+)
+def test_trace_digest_exits_1_naming_an_input_whose_trace_does_not_replay_to_its_verdict(
+    monkeypatch, capsys, broken, message
+):
+    module = _trace_digest_module()
+    if broken == "other_verdict":
+        monkeypatch.setattr(module, "verdict", lambda instance, state: ("unbounded", ObjValue.neg_inf()))
+    else:
+        keep = slice(None, -1) if broken == "last_step_lost" else slice(1, None)
+        monkeypatch.setattr(module, "read_trace", _read_keeping(module, keep))
+    assert module.main(["--workload", "cnf-band", "--seeds", "2", "--size", "smoke"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cnf-band seed 2 input 0: {message}")
+    assert "statuses" not in out

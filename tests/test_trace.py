@@ -24,6 +24,7 @@ from imtsolver.cli import EXIT_ERROR, main
 from imtsolver.engine import solve
 from imtsolver.kernel import ReplayError, Step, replay_trace
 from imtsolver.native import parse_instance
+from imtsolver.smtlib import encode_script
 from imtsolver.model import (
     Bounds,
     ImtInstance,
@@ -35,13 +36,13 @@ from imtsolver.model import (
 from imtsolver.trace import (
     DigestMismatch,
     TraceError,
-    _Memo,
+    _Table,
     read_trace,
     step_from_json,
     trace_lines,
     write_trace,
 )
-from trace_reference import step_to_json
+from trace_reference import canonical_rows, trace_to_json
 
 
 def row(terms, rel, rhs):
@@ -94,8 +95,9 @@ def step_id(step):
 
 @pytest.mark.parametrize("step", STEPS, ids=step_id)
 def test_step_json_round_trip(step):
-    wire = json.dumps(step_to_json(step))
-    assert step_from_json(json.loads(wire)) == step
+    inst = small_instance()
+    (obj,) = trace_to_json(inst, [step])
+    assert step_from_json(json.loads(json.dumps(obj)), _Table(canonical_rows(inst))) == step
 
 
 def small_instance():
@@ -107,8 +109,8 @@ def small_instance():
     )
 
 
-def reference_line(step):
-    return json.dumps(step_to_json(step), separators=(",", ":"))
+def reference_lines(steps):
+    return [json.dumps(obj, separators=(",", ":")) for obj in trace_to_json(small_instance(), steps)]
 
 
 def written_lines(steps):
@@ -117,7 +119,7 @@ def written_lines(steps):
 
 @pytest.mark.parametrize("step", STEPS, ids=step_id)
 def test_writer_matches_the_reference_encoder(step):
-    assert written_lines([step]) == [reference_line(step)]
+    assert written_lines([step]) == reference_lines([step])
 
 
 # a quote, a backslash, a non-ASCII letter, a control character and a pipe-quoted name
@@ -148,7 +150,7 @@ def odd_steps(name):
 @pytest.mark.parametrize("name", ODD_NAMES)
 def test_writer_escapes_names_and_writes_big_numbers_as_the_reference_does(name):
     steps = odd_steps(name)
-    assert written_lines(steps) == [reference_line(s) for s in steps]
+    assert written_lines(steps) == reference_lines(steps)
 
 
 def test_write_trace_writes_the_reference_lines_in_ascii(tmp_path):
@@ -156,8 +158,8 @@ def test_write_trace_writes_the_reference_lines_in_ascii(tmp_path):
     steps = STEPS + odd_steps("caf\u00e9")
     path = tmp_path / "run.trace"
     write_trace(path, inst, steps)
-    header = json.dumps({"format": "bct-trace", "version": 3, "instance": inst.digest()}, separators=(",", ":"))
-    expected = "".join(line + "\n" for line in [header, *map(reference_line, steps)])
+    header = json.dumps({"format": "bct-trace", "version": 4, "instance": inst.digest()}, separators=(",", ":"))
+    expected = "".join(line + "\n" for line in [header, *reference_lines(steps)])
     assert path.read_bytes() == expected.encode("ascii")
 
 
@@ -198,7 +200,7 @@ any_steps = st.builds(Step, names, st.none() | ints, st.none() | ints, st.none()
 @settings(max_examples=100, deadline=None)
 @given(st.lists(any_steps, max_size=4))
 def test_writer_matches_the_reference_encoder_on_generated_steps(steps):
-    assert written_lines(steps) == [reference_line(s) for s in steps]
+    assert written_lines(steps) == reference_lines(steps)
 
 
 def test_trace_file_round_trip(tmp_path):
@@ -224,35 +226,36 @@ def test_read_trace_rejects_wrong_instance(tmp_path):
 
 
 def test_read_trace_rejects_garbage(tmp_path):
+    inst = small_instance()
     path = tmp_path / "bad.trace"
     path.write_text("")
     with pytest.raises(TraceError):
-        read_trace(path)
+        read_trace(path, inst)
     path.write_text('{"format": "something-else", "version": 1}\n')
     with pytest.raises(TraceError):
-        read_trace(path)
+        read_trace(path, inst)
     path.write_text('{"format": "bct-trace", "version": 99}\n')
     with pytest.raises(TraceError):
-        read_trace(path)
+        read_trace(path, inst)
     path.write_text("[1]\n")
     with pytest.raises(TraceError):
-        read_trace(path)
-    # the version is the JSON integer 3, which 3.0 equals in Python
-    for version in ("true", "3.0"):
+        read_trace(path, inst)
+    # the version is the JSON integer 4, which 4.0 equals in Python
+    for version in ("true", "4.0"):
         path.write_text(f'{{"format": "bct-trace", "version": {version}, "instance": "abc"}}\n')
         with pytest.raises(TraceError, match="unsupported version"):
-            read_trace(path)
-    # the digest is a JSON string, also when no instance is given to compare it with
+            read_trace(path, inst)
+    # the digest is a JSON string, checked before it is compared with the instance's
     for digest in ("[1]", "null", "7"):
-        path.write_text(f'{{"format": "bct-trace", "version": 3, "instance": {digest}}}\n')
+        path.write_text(f'{{"format": "bct-trace", "version": 4, "instance": {digest}}}\n')
         with pytest.raises(TraceError, match="instance digest"):
-            read_trace(path)
-    path.write_text('{"format": "bct-trace", "version": 3}\n')
+            read_trace(path, inst)
+    path.write_text('{"format": "bct-trace", "version": 4}\n')
     with pytest.raises(TraceError, match="instance digest"):
-        read_trace(path)
-    path.write_bytes(b'\xff{"format": "bct-trace", "version": 3, "instance": "abc"}\n')
+        read_trace(path, inst)
+    path.write_bytes(b'\xff{"format": "bct-trace", "version": 4, "instance": "abc"}\n')
     with pytest.raises(TraceError, match="UTF-8"):
-        read_trace(path)
+        read_trace(path, inst)
 
 
 def test_a_version_1_trace_is_refused_at_its_header(tmp_path, capsys):
@@ -269,7 +272,7 @@ def test_a_version_1_trace_is_refused_at_its_header(tmp_path, capsys):
     trace = tmp_path / "old.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(retire) + "\n")
     with pytest.raises(TraceError, match="^unsupported version 1$"):
-        read_trace(trace)
+        read_trace(trace, parse_instance(text))
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err == "error: unsupported version 1\n"
@@ -284,27 +287,37 @@ PROPAGATE = {
 }
 
 
-def _old_trace(tmp_path, version):
+def _old_trace(tmp_path, version, step=PROPAGATE):
     text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
     instance = tmp_path / "inst.imt"
     instance.write_text(text)
     header = {"format": "bct-trace", "version": version, "instance": parse_instance(text).digest()}
     trace = tmp_path / "old.trace"
-    trace.write_text(json.dumps(header) + "\n" + json.dumps(PROPAGATE) + "\n")
+    trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
     return instance, trace
 
 
 def test_a_version_2_trace_is_refused_at_its_header(tmp_path, capsys):
     instance, trace = _old_trace(tmp_path, 2)
     with pytest.raises(TraceError, match="^unsupported version 2$"):
-        read_trace(trace)
+        read_trace(trace, parse_instance(instance.read_text()))
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: unsupported version 2\n"
 
 
+def test_a_version_3_trace_is_refused_at_its_header(tmp_path, capsys):
+    # version 3 wrote every cited row in full; it had no row table to number them by
+    refute = drop({"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": "<=", "rhs": 3}, "le", "1"]]})
+    instance, trace = _old_trace(tmp_path, 3, refute)
+    with pytest.raises(TraceError, match="^unsupported version 3$"):
+        read_trace(trace, parse_instance(instance.read_text()))
+    assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: unsupported version 3\n"
+
+
 def test_a_propagate_line_replays_to_unknown_rule(tmp_path, capsys):
-    instance, trace = _old_trace(tmp_path, 3)
-    _, steps = read_trace(trace)
+    instance, trace = _old_trace(tmp_path, 4)
+    _, steps = read_trace(trace, parse_instance(instance.read_text()))
     with pytest.raises(ReplayError, match="^step 0: unknown rule 'propagate'$"):
         replay_trace(parse_instance(instance.read_text()), steps)
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
@@ -315,10 +328,30 @@ def test_a_propagate_line_replays_to_unknown_rule(tmp_path, capsys):
     "blank, line", [("", 2), ("\n\n", 4), ("   \n\n", 4), ("\r\n\n", 4)], ids=["none", "two", "spaces", "crlf"]
 )
 def test_a_reader_error_names_the_file_line_past_blank_lines(tmp_path, blank, line):
+    inst = small_instance()
     path = tmp_path / "bad.trace"
-    path.write_bytes(f'{{"format": "bct-trace", "version": 3, "instance": "abc"}}\n{blank}{{"rule":5}}\n'.encode())
+    header = f'{{"format": "bct-trace", "version": 4, "instance": "{inst.digest()}"}}'
+    path.write_bytes(f'{header}\n{blank}{{"rule":5}}\n'.encode())
     with pytest.raises(TraceError, match=f"^line {line}: expected a string, got 5$"):
-        read_trace(path)
+        read_trace(path, inst)
+
+
+@pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\u2029"], ids=["nel", "ls", "ps"])
+def test_a_name_holding_a_unicode_line_separator_reads_back(tmp_path, sep):
+    # JSON strings may hold these unescaped; str.splitlines() breaks at them
+    name = f"|a{sep}b|"
+    script = f"(declare-fun {name} () Int)(assert (<= 1 {name}))(assert (<= {name} 3))(minimize {name})"
+    inst = encode_script(script).instance
+    result = solve(inst)
+    assert result.status == "optimal" and result.value == ObjValue.finite(1)
+    header, *lines = trace_lines(inst, result.steps)
+    unescaped = [json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":")) for line in lines]
+    assert any(sep in line for line in unescaped)
+    path = tmp_path / "run.trace"
+    path.write_bytes("".join(line + "\n" for line in [header, *unescaped]).encode("utf-8"))
+    _, steps = read_trace(path, inst)
+    assert tuple(steps) == result.steps
+    assert replay_trace(inst, steps).final
 
 
 def drop(cert):
@@ -353,7 +386,7 @@ RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
                 {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": "5"}, "ge", "1"]]},
                 {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": True}, "ge", "1"]]},
                 {"kind": "farkas", "entries": [[{"lhs": [["x", 1.9]], "rel": ">=", "rhs": 1}, "ge", "1"]]},
-                # 1.0 hashes like 1, so the memoised row must not answer for it
+                # 1.0 and true equal 1, so the first row must not answer for its twin
                 {
                     "kind": "farkas",
                     "entries": [
@@ -361,7 +394,6 @@ RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
                         [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"],
                     ],
                 },
-                # true keys like 1, so the line's rows are scanned before their lookup
                 {
                     "kind": "farkas",
                     "entries": [
@@ -381,7 +413,7 @@ RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
                 {"kind": "lb", "bound": {"kind": 1, "value": 5}, "entries": []},
                 {"kind": "lb", "bound": {"kind": 2, "value": None}, "entries": []},
                 # twins of the instance's row x >= 1 and box row x >= 0, which
-                # seed the decoding memo when the instance is given
+                # start the row table
                 {"kind": "farkas", "entries": [[{"lhs": [["x", True]], "rel": ">=", "rhs": 1}, "ge", "1"]]},
                 {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"]]},
                 {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": False}, "ge", "1"]]},
@@ -432,14 +464,94 @@ def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, step):
     text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
     instance = tmp_path / "inst.imt"
     instance.write_text(text)
-    header = {"format": "bct-trace", "version": 3, "instance": parse_instance(text).digest()}
+    header = {"format": "bct-trace", "version": 4, "instance": parse_instance(text).digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
-    for given_instance in (None, parse_instance(text)):
-        with pytest.raises(TraceError):
-            read_trace(trace, given_instance)
+    with pytest.raises(TraceError):
+        read_trace(trace, parse_instance(text))
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+CITING_TEXT = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
+
+
+def _citing_trace(tmp_path, *steps):
+    """A trace of ``x >= 1`` over x in [0, 3], whose row table starts x >= 1, x >= 0, x <= 3."""
+    inst = parse_instance(CITING_TEXT)
+    header = {"format": "bct-trace", "version": 4, "instance": inst.digest()}
+    path = tmp_path / "cite.trace"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *steps]))
+    return inst, path
+
+
+# writes x <= 0 in full, which becomes row 3, so the table then has 4 rows
+X_LE_0 = {"lhs": [["x", 1]], "rel": "<=", "rhs": 0}
+LEARN_X_LE_0 = {"rule": "learn", "target": 0, "row": X_LE_0, "cert": {"kind": "cg", "entries": []}}
+
+
+@pytest.mark.parametrize("citation", [-1, 4, True, 1.0], ids=["negative", "past_the_table", "bool", "float"])
+@pytest.mark.parametrize("place", ["row", "entry"])
+def test_a_citation_outside_the_row_table_is_refused_with_its_line(tmp_path, capsys, citation, place):
+    if place == "row":
+        step = {"rule": "learn", "target": 1, "row": citation, "cert": {"kind": "cg", "entries": []}}
+    else:
+        step = drop({"kind": "farkas", "entries": [[0, "ge", "1"], [citation, "le", "1"]]})
+    inst, path = _citing_trace(tmp_path, LEARN_X_LE_0, step)
+    with pytest.raises(TraceError, match="^line 3: "):
+        read_trace(path, inst)
+    instance = tmp_path / "inst.imt"
+    instance.write_text(CITING_TEXT)
+    assert main([str(instance), "--replay", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
+def test_a_row_written_in_full_twice_takes_a_new_number(tmp_path):
+    # the step's row x <= 0 becomes row 3; x >= 1 in full is not looked up, and becomes row 4
+    x_ge_1 = {"lhs": [["x", 1]], "rel": ">=", "rhs": 1}
+    twice = {"rule": "learn", "target": 0, "row": X_LE_0, "cert": {"kind": "cg", "entries": [[x_ge_1, "ge", "0"]]}}
+    farkas = drop({"kind": "farkas", "entries": [[4, "ge", "1"], [3, "le", "1"]]})
+    inst, path = _citing_trace(tmp_path, twice, farkas)
+    _, (learn, refute) = read_trace(path, inst)
+    again = learn.cert.entries[0][0]
+    assert again.render() == "x >= 1" and again == inst.canonical_rows[0] and again is not inst.canonical_rows[0]
+    assert [r for r, _, _ in refute.cert.entries] == [again, learn.row]
+    assert refute.cert.entries[0][0] is again and refute.cert.entries[1][0] is learn.row
+    inst, path = _citing_trace(tmp_path, twice, drop({"kind": "farkas", "entries": [[5, "ge", "1"]]}))
+    with pytest.raises(TraceError, match="^line 3: row 5 is not in the row table of 5 rows$"):
+        read_trace(path, inst)
+
+
+def test_each_citing_place_reads_back_its_own_row(tmp_path):
+    inst = small_instance()
+    (con,) = inst.constraints
+    rows = [row([("x", 1), ("y", k)], Relation.LE, k) for k in range(1, 12)]
+
+    def cut(r):
+        # the place's own row twice, an instance row and the row of the place before
+        before = rows[rows.index(r) - 1]
+        return CGCut(((r, "le", Fraction(1, 2)), (con, "ge", Fraction(1)), (r, "le", Fraction(3)), (before, "le", 2)))
+
+    steps = [
+        Step("learn", target=0, row=rows[0], cert=cut(rows[1])),
+        Step("learn", target=1, row=rows[0], cert=cut(rows[0])),
+        Step("drop", target=2, cert=FarkasProof(cut(rows[2]).entries)),
+        Step("prune", target=3, cert=LbDual(ObjValue.finite(2), cut(rows[3]).entries)),
+        Step("learn", target=4, row=rows[4], cert=BoundFix(cut(rows[5]), cut(rows[6]))),
+        Step("drop", target=5, cert=TheoryRefutation((LIT_EQ, LIT_DQ), (SideCut("le", cut(rows[7])), cut(rows[8])))),
+        Step("retire", target=6, cert=RetireEvidence((("x", 1),), LbDual(ObjValue.finite(1), cut(rows[9]).entries))),
+        Step("retire", target=7, cert=RetireEvidence((("x", 2),), LbDual(ObjValue.finite(2), cut(rows[10]).entries))),
+    ]
+    path = tmp_path / "run.trace"
+    write_trace(path, inst, steps)
+    text = path.read_text()
+    assert text.splitlines()[1:] == reference_lines(steps)
+    # every row is written in full once and cited by its number after that
+    for r in [con, *rows]:
+        full = json.dumps({"lhs": [list(t) for t in r.lhs.terms], "rel": r.rel.value, "rhs": r.rhs}, separators=(",", ":"))
+        assert text.count(full) == (r is not con)
+    _, got = read_trace(path, inst)
+    assert tuple(got) == tuple(steps)
 
 
 def test_step_from_json_checks_a_row_before_its_memoised_twin():
@@ -471,19 +583,18 @@ INTEGER_FIELDS = [
     "index, path", INTEGER_FIELDS, ids=[f"{STEPS[i].rule}:{'/'.join(map(str, path))}" for i, path in INTEGER_FIELDS]
 )
 def test_integer_fields_accept_only_json_integers(tmp_path, index, path, bad):
-    obj = step_to_json(STEPS[index])
+    inst = small_instance()
+    (obj,) = trace_to_json(inst, [STEPS[index]])
     *head, last = path
     field = obj
     for key in head:
         field = field[key]
     field[last] = bad
-    inst = small_instance()
-    header = {"format": "bct-trace", "version": 3, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": 4, "instance": inst.digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
-    for given_instance in (inst, None):
-        with pytest.raises(TraceError, match="expected an integer"):
-            read_trace(trace, given_instance)
+    with pytest.raises(TraceError, match="expected an integer"):
+        read_trace(trace, inst)
 
 
 def test_an_instance_row_is_read_back_as_the_instance_own_object(tmp_path):
@@ -492,13 +603,12 @@ def test_an_instance_row_is_read_back_as_the_instance_own_object(tmp_path):
     step = Step("drop", target=0, cert=FarkasProof(tuple((r, "ge", Fraction(1)) for r in cited)))
     path = tmp_path / "run.trace"
     write_trace(path, inst, [step])
+    # each is cited by its number in the row table
+    written = json.loads(path.read_text().splitlines()[1])
+    assert [r for r, _, _ in written["cert"]["entries"]] == [canonical_rows(inst).index(r) for r in cited]
     _, (got,) = read_trace(path, inst)
     assert got == step
     assert all(r is want for (r, _, _), want in zip(got.cert.entries, cited))
-    # without the instance they are equal rows built afresh
-    _, (plain,) = read_trace(path)
-    assert plain == step
-    assert not any(r is want for (r, _, _), want in zip(plain.cert.entries, cited))
 
 
 @pytest.mark.parametrize(
@@ -510,14 +620,13 @@ def test_a_non_canonical_row_decodes_to_the_canonical_row(tmp_path, lhs):
     inst = small_instance()
     (con,) = inst.constraints  # 2x + 3y >= 12
     rows = [{"lhs": lhs, "rel": ">=", "rhs": 12}, {"lhs": [["x", 2], ["y", 3]], "rel": ">=", "rhs": 12}]
-    header = {"format": "bct-trace", "version": 3, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": 4, "instance": inst.digest()}
     path = tmp_path / "run.trace"
     path.write_text(json.dumps(header) + "\n" + json.dumps(drop({"kind": "farkas", "entries": [[r, "ge", "1"] for r in rows]})) + "\n")
-    for given_instance in (inst, None):
-        _, (step,) = read_trace(path, given_instance)
-        spelled, canonical = (r for r, _, _ in step.cert.entries)
-        assert spelled == canonical == con
-        assert spelled.lhs.terms == (("x", 2), ("y", 3))
+    _, (step,) = read_trace(path, inst)
+    spelled, canonical = (r for r, _, _ in step.cert.entries)
+    assert spelled == canonical == con
+    assert spelled.lhs.terms == (("x", 2), ("y", 3))
 
 
 # the writer's "n" and "n/d" take a fast path; every string must read as Fraction reads it
@@ -537,9 +646,9 @@ def test_a_multiplier_reads_as_fraction_reads_it(text):
         want = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(type(exc)):
-            _Memo().mult(text)
+            _Table().mult(text)
     else:
-        assert _Memo().mult(text) == want
+        assert _Table().mult(text) == want
 
 
 def test_replay_rejects_a_tampered_step(tmp_path):
