@@ -11,17 +11,27 @@ then a dichotomy branch; an integral optimum goes to the theory session,
 which either endorses it (retire) or returns a conflict core. A node whose
 rows already entail the core is dropped by theory refutation; otherwise the
 engine splits on the core and drops the one child that entails it.
+
+Propagation's derived bounds are not learned up front. The LP and the
+search for theory evidence see them beside C, and a step whose certificate
+cites some of them first learns those, each after the derived rows its own
+derivation cites. So the kernel checks only the bounds a certificate uses,
+as lazy clause generation records an explanation only when a conflict
+needs it (Ohrimenko, Stuckey and Codish, Constraints 2009).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterator
 
 from .certificates import (
     BoundFix,
     BranchConflictSplit,
     BranchDichotomy,
+    CGCut,
+    FarkasProof,
     LbDual,
     LiteralEvidence,
     RetireEvidence,
@@ -32,7 +42,7 @@ from .certificates import (
     identity_cut,
 )
 from .euf import EufSession
-from .kernel import Kernel, Step, conflict_split_arms, rows_of, true_arms, verdict
+from .kernel import ApplyInfo, Kernel, Step, conflict_split_arms, rows_of, true_arms, verdict
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, derive_gomory_cuts, lp_solve, propagate_bounds
 from .model import (
     Bounds,
@@ -189,6 +199,23 @@ def syntactic_evidence(
     return tuple(out)
 
 
+def _cited(cert: object) -> Iterator[LinConstraint]:
+    """The rows a certificate cites, depth first in field order."""
+    if isinstance(cert, (CGCut, FarkasProof, LbDual)):
+        for row, _, _ in cert.entries:
+            yield row
+    elif isinstance(cert, BoundFix):
+        yield from _cited(cert.lower)
+        yield from _cited(cert.upper)
+    elif isinstance(cert, SideCut):
+        yield from _cited(cert.cut)
+    elif isinstance(cert, TheoryRefutation):
+        for ev in cert.evidence:
+            yield from _cited(ev)
+    elif isinstance(cert, RetireEvidence):
+        yield from _cited(cert.lb_match)
+
+
 def _integralize_ray(ray: dict[Var, Fraction]) -> dict[Var, int]:
     scale = lcm(*(q.denominator for q in ray.values())) if ray else 1
     ints = {v: int(q * scale) for v, q in ray.items() if q != 0}
@@ -210,6 +237,8 @@ class _Search:
         self.theory_frozen: frozenset[Var] = frozenset(
             v for a in instance.atoms for v in a.all_vars()
         )
+        # the current node's derived bounds that C lacks, in derivation order
+        self.derived: dict[LinConstraint, CGCut] = {}
 
     def run(self) -> SolveResult:
         cfg = self.config
@@ -242,31 +271,55 @@ class _Search:
 
     # node processing
 
+    def _view(self, current: Subproblem) -> Subproblem:
+        """The node as the LP sees it: C and the derived rows not yet learned."""
+        return Subproblem(current.ident, current.cons.union(self.derived)) if self.derived else current
+
+    def _cite(self, current: Subproblem, cert: object) -> Subproblem:
+        """Learn the derived rows ``cert`` cites, and those their derivations cite, in derivation order.
+
+        Each derived row cites only rows derived before it, so every row is
+        learned after the rows its own derivation cites.
+        """
+        if not self.derived:
+            return current
+        need: set[LinConstraint] = set()
+        todo = list(_cited(cert))
+        while todo:
+            row = todo.pop()
+            if row in self.derived and row not in need:
+                need.add(row)
+                todo += _cited(self.derived[row])
+        for row in [row for row in self.derived if row in need]:
+            current = self.kernel.apply(Step("learn", current.ident, row=row, cert=self.derived.pop(row))).created[0]
+        return current
+
+    def _apply(self, current: Subproblem, rule: str, row: LinConstraint | None = None, cert: object = None) -> ApplyInfo:
+        """Apply a step to the node, after learning the derived rows its certificate cites."""
+        current = self._cite(current, cert)
+        return self.kernel.apply(Step(rule, current.ident, row=row, cert=cert))
+
     def _process(self, sub: Subproblem) -> None:
         current = sub
         prop = propagate_bounds(current, self.instance.bounds)
-        for cut, cert in prop.derived:
-            if cut in current.cons:
-                continue
-            info = self.kernel.apply(Step("learn", current.ident, row=cut, cert=cert))
-            current = info.created[0]
+        # derived bounds are learned only when a certificate cites them
+        self.derived = dict(prop.derived)
         if prop.farkas is not None:
-            self.kernel.apply(Step("drop", current.ident, cert=prop.farkas))
+            self._apply(current, "drop", cert=prop.farkas)
             return
         for eq, fix in prop.fixes:
-            info = self.kernel.apply(Step("learn", current.ident, row=eq, cert=fix))
+            current = self._apply(current, "learn", eq, fix).created[0]
             self.stats.propagations += 1
-            current = info.created[0]
 
         rounds = 0
         prev: LpOptimal | None = None  # re-optimised after each cut round
         while True:
-            out = lp_solve(current, self.instance.objective, self.instance.bounds, prev)
+            out = lp_solve(self._view(current), self.instance.objective, self.instance.bounds, prev)
             self.stats.lp_solves += 1
             self.stats.pivots += out.pivots
             self.stats.lp_rows += out.tableau_rows
             if isinstance(out, LpInfeasible):
-                self.kernel.apply(Step("drop", current.ident, cert=out.farkas))
+                self._apply(current, "drop", cert=out.farkas)
                 return
             if isinstance(out, LpUnbounded):
                 self._handle_unbounded(current, out)
@@ -274,7 +327,7 @@ class _Search:
             lb = ObjValue.finite(frac_ceil(out.value))
             best = obj_value(self.instance.objective, self.kernel.state.incumbent)
             if not self.kernel.state.incumbent.is_none and lb >= best:
-                self.kernel.apply(Step("prune", current.ident, cert=LbDual(lb, out.dual)))
+                self._apply(current, "prune", cert=LbDual(lb, out.dual))
                 return
             fractional = [v for v, q in sorted(out.x_star.items()) if q.denominator != 1]
             if not fractional:
@@ -285,9 +338,8 @@ class _Search:
                 fresh = [(cut, cert) for cut, cert in cuts if cut not in current.cons]
                 if fresh:
                     for cut, cert in fresh:
-                        info = self.kernel.apply(Step("learn", current.ident, row=cut, cert=cert))
+                        current = self._apply(current, "learn", cut, cert).created[0]
                         self.stats.cuts += 1
-                        current = info.created[0]
                     rounds += 1
                     prev = out
                     continue
@@ -327,15 +379,14 @@ class _Search:
             return
         value = int(out.value)
         ev = RetireEvidence(tuple(sorted(point.items())), LbDual(ObjValue.finite(value), out.dual))
-        self.kernel.apply(Step("retire", current.ident, cert=ev))
+        self._apply(current, "retire", cert=ev)
 
     def _handle_conflict(
         self, current: Subproblem, core: tuple[TheoryLiteral, ...], lb: ObjValue
     ) -> None:
-        rows = rows_of(self.instance, current)
-        direct = syntactic_evidence(core, rows)
+        direct = syntactic_evidence(core, rows_of(self.instance, self._view(current)))
         if direct is not None:
-            self.kernel.apply(Step("drop", current.ident, cert=TheoryRefutation(core, direct)))
+            self._apply(current, "drop", cert=TheoryRefutation(core, direct))
             return
         info = self.kernel.apply(Step("branch", current.ident, cert=BranchConflictSplit(core)))
         self.stats.branches += 1

@@ -114,12 +114,12 @@ _REWRITE_RULES = frozenset({"learn", "forget"})
 
 
 def initial_state(instance: ImtInstance) -> KernelState:
-    return KernelState(frozenset({Subproblem.root(instance.constraints)}), Incumbent.none(), 1)
+    return KernelState(frozenset({Subproblem(0, instance.constraints)}), Incumbent.none(), 1)
 
 
 def rows_of(instance: ImtInstance, sub: Subproblem) -> frozenset[LinConstraint]:
     """Every row a certificate may reference on this subproblem."""
-    return sub.cons.union(instance.box_rows)
+    return sub.cons.union(instance.box_set)
 
 
 def _check_row_vars(instance: ImtInstance, row: LinConstraint) -> None:

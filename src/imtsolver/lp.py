@@ -681,10 +681,11 @@ class PropagationResult:
     """Fixed-point interval propagation outcome.
 
     ``derived`` lists newly certified single-variable bound rows in derivation
-    order; once those rows are admitted, ``fixes`` and ``farkas`` check against
-    the augmented row set. ``fixes`` pairs each pinned difference's row
-    ``x - y = c`` that C lacks with its derivation. ``farkas`` set means the
-    subproblem is empty.
+    order. Each certificate cites the row objects it means: rows of C, the
+    box's own rows and earlier derived rows. ``fixes`` and ``farkas`` check
+    against C, the box and the derived rows they cite. ``fixes`` pairs each
+    pinned difference's row ``x - y = c`` that C lacks with its derivation.
+    ``farkas`` set means the subproblem is empty.
     """
 
     fixes: list[tuple[LinConstraint, BoundFix]]
@@ -705,21 +706,24 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
         relevant.update(row.lhs.vars())
 
     work: dict[Var, list[int | None]] = {v: [bounds.lo(v), bounds.hi(v)] for v in relevant}
+    # the base or derived row behind each tightened end; an end never tightened is the box's row
+    cites: dict[Var, list[LinConstraint | None]] = {v: [None, None] for v in relevant}
     # a derived bound is strictly tighter than the box end it started from, so never a box row
-    available: set[LinConstraint] = set(base_rows)
+    available: dict[LinConstraint, LinConstraint] = {row: row for row in base_rows}
 
     derived: list[tuple[LinConstraint, CGCut]] = []
 
     def lo_row(v: Var) -> LinConstraint:
-        return LinConstraint(LinExpr.var(v), Relation.GE, work[v][0])
+        return cites[v][0] or bounds.row_lo(v)
 
     def hi_row(v: Var) -> LinConstraint:
-        return LinConstraint(LinExpr.var(v), Relation.LE, work[v][1])
+        return cites[v][1] or bounds.row_hi(v)
 
-    def record(cut: LinConstraint, coeffs: dict[Var, int], row: LinConstraint, direction: str, v: Var) -> None:
-        """Admit the bound on ``v`` that ``row`` gives from the other variables' current bounds."""
-        if cut in available:
-            return
+    def record(cut: LinConstraint, coeffs: dict[Var, int], row: LinConstraint, direction: str, v: Var) -> LinConstraint:
+        """Admit the bound on ``v`` that ``row`` gives from the other variables' current bounds; returns the row cited for it."""
+        known = available.get(cut)
+        if known is not None:
+            return known
         scale = abs(coeffs[v])
         entries: list[ComboEntry] = [(row, direction, Fraction(1, scale))]
         for u, a_u in coeffs.items():
@@ -730,7 +734,8 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
             else:
                 entries.append((lo_row(u), "ge", Fraction(-a_u, scale)))
         derived.append((cut, CGCut(tuple(entries))))
-        available.add(cut)
+        available[cut] = cut
+        return cut
 
     oriented: list[tuple[dict[Var, int], int, LinConstraint, str]] = []
     for row in base_rows:
@@ -761,13 +766,13 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
                         cand = -(-limit // a_v)
                         if work[v][0] is None or cand > work[v][0]:
                             work[v][0] = cand
-                            record(LinConstraint(LinExpr.var(v), Relation.GE, cand), coeffs, row, direction, v)
+                            cites[v][0] = record(LinConstraint(LinExpr.var(v), Relation.GE, cand), coeffs, row, direction, v)
                             improved = True
                     else:
                         cand = limit // a_v
                         if work[v][1] is None or cand < work[v][1]:
                             work[v][1] = cand
-                            record(LinConstraint(LinExpr.var(v), Relation.LE, cand), coeffs, row, direction, v)
+                            cites[v][1] = record(LinConstraint(LinExpr.var(v), Relation.LE, cand), coeffs, row, direction, v)
                             improved = True
                     lo, hi = work[v]
                     if lo is not None and hi is not None and lo > hi:

@@ -495,11 +495,22 @@ class ImtInstance:
         return tuple(self.bounds.rows(self.vars))
 
     @cached_property
+    def box_set(self) -> frozenset[LinConstraint]:
+        """The box rows as a set, whose union with another set hashes no row again."""
+        return frozenset(self.box_rows)
+
+    @cached_property
     def canonical_rows(self) -> tuple[LinConstraint, ...]:
         """Constraints by text (ties by terms, relation, rhs), then the other box rows: a trace's first rows."""
         cons = self.constraints
         ordered = sorted(cons, key=lambda c: (c.render(), c.lhs.terms, c.rel.value, c.rhs))
         return (*ordered, *[r for r in self.box_rows if r not in cons])
+
+    @cached_property
+    def row_numbers(self) -> dict[LinConstraint, int]:
+        """Each canonical row's number in a trace's row table; read-only."""
+        rows = self.canonical_rows
+        return dict(zip(rows, range(len(rows))))
 
     @cached_property
     def _digest(self) -> str:

@@ -217,11 +217,12 @@ def _lits(lits) -> str:
 
 class _Writer:
     """Formats the step lines of one trace as JSON text, each equal to ``json.dumps(...,
-    separators=(",", ":"))`` of its JSON object; ``nums`` maps each row in the table so far to its number."""
+    separators=(",", ":"))`` of its JSON object; ``nums`` maps each row in the table so far to
+    its number. It starts as a copy of the instance's ``row_numbers``, which copies their
+    stored hashes, so no instance row is hashed again for a trace."""
 
     def __init__(self, instance: ImtInstance) -> None:
-        rows = instance.canonical_rows
-        self.nums = dict(zip(rows, range(len(rows))))
+        self.nums = instance.row_numbers.copy()
 
     def row(self, row: LinConstraint) -> int | str:
         num = self.nums.get(row)

@@ -4,7 +4,8 @@ Shapes follow the oracle-equivalence suite: at most 4 variables boxed in
 [-5, 5], at most 6 rows, at most 2 unary uninterpreted functions, a random
 linear objective, and optional annotated atoms. Everything stays inside the
 enumeration oracle's comfort zone. ``random_cnf`` and ``cnf_script`` draw
-3-CNF formulas and encode them as SMT-LIB scripts.
+3-CNF formulas and encode them as SMT-LIB scripts, and ``chain_model``
+builds a theory-heavy instance that is not random.
 """
 from __future__ import annotations
 
@@ -109,3 +110,19 @@ def cnf_script(clauses: list[list[tuple[int, bool]]], nvars: int) -> str:
         lines.append(f"(assert (or {lits}))")
     lines.append("(check-sat)")
     return "\n".join(lines)
+
+
+def chain_model(n: int) -> ImtInstance:
+    """``x_i`` in [0, n-1], free ``r_i = f(x_i)`` with ``r_i - r_{i+1} >= 1``, min ``sum x_i``.
+
+    The chain forces the ``x_i`` apart, so the optimum is n(n-1)/2.
+    """
+    xs, rs = [f"x{i}" for i in range(n)], [f"r{i}" for i in range(n)]
+    return ImtInstance(
+        xs + rs,
+        Bounds({x: (0, n - 1) for x in xs}),
+        [LinConstraint(LinExpr.of({rs[i]: 1, rs[i + 1]: -1}), Relation.GE, 1) for i in range(n - 1)],
+        [InterfaceAtom.fun_def(r, "f", [x]) for r, x in zip(rs, xs)],
+        LinExpr.of({x: 1 for x in xs}),
+        {"f": 1},
+    )

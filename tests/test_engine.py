@@ -1,9 +1,9 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from gen import cnf_script, random_cnf, random_instance
+from gen import chain_model, cnf_script, random_cnf, random_instance
 from imtsolver import engine, lp
 from imtsolver.certificates import BoundFix, identity_cut
 from imtsolver.engine import Config, EngineLimit, UnsupportedShape, arrangement_literals, solve
@@ -177,7 +177,8 @@ def test_cut_rounds_forget_nothing_and_re_solve_warm(monkeypatch):
 
 def test_single_variable_fixes_change_no_other_step(monkeypatch):
     # a pinned variable's two unit rows are rows already, so the learn steps
-    # that restated them as v = c change no verdict, count or other step
+    # that restated them as v = c change no verdict, count or other step; a
+    # restated fix cites its two bounds, so it also learns those it derived
     rng = random.Random(13)
     instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
     instances += [random_instance(rng) for _ in range(100)]
@@ -209,11 +210,14 @@ def test_single_variable_fixes_change_no_other_step(monkeypatch):
 
         return propagate
 
+    def single(s):
+        return s.rule == "learn" and len(s.row.lhs.terms) == 1
+
     def restates(s):
-        return s.rule == "learn" and s.row.rel is Relation.EQ and len(s.row.lhs.terms) == 1
+        return single(s) and s.row.rel is Relation.EQ
 
     def key(steps):
-        return [(s.rule, s.row) for s in steps if not restates(s)]
+        return [(s.rule, s.row) for s in steps if not single(s)]
 
     restated = 0
     for instance, res in zip(instances, plain):
@@ -223,8 +227,52 @@ def test_single_variable_fixes_change_no_other_step(monkeypatch):
         assert (old.status, old.value, old.assignment) == (res.status, res.value, res.assignment)
         assert replace(old.stats, propagations=0) == replace(res.stats, propagations=0)
         assert key(old.steps) == key(res.steps)
-        restated += len(old.steps) - len(res.steps)
+        restated += sum(map(restates, old.steps))
     assert restated >= 100
+
+
+def cited_rows(cert):
+    if isinstance(cert, LinConstraint):
+        yield cert
+    elif isinstance(cert, tuple):
+        for item in cert:
+            yield from cited_rows(item)
+    elif is_dataclass(cert):
+        for f in fields(cert):
+            yield from cited_rows(getattr(cert, f.name))
+
+
+def test_every_derived_bound_learned_is_cited_by_a_later_step(monkeypatch):
+    rng = random.Random(13)
+    instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
+    instances += [random_instance(rng) for _ in range(100)]
+    derivations = set()
+    propagate_bounds = engine.propagate_bounds
+
+    def recording(sub, bounds):
+        res = propagate_bounds(sub, bounds)
+        derivations.update(res.derived)
+        return res
+
+    monkeypatch.setattr(engine, "propagate_bounds", recording)
+    learned = 0
+    for instance in instances:
+        steps = solve(instance).steps
+        for i, s in enumerate(steps):
+            if s.rule != "learn" or (s.row, s.cert) not in derivations:
+                continue
+            assert len(s.row.lhs.terms) == 1
+            assert any(s.row in cited_rows(later.cert) for later in steps[i + 1 :]), s.row.render()
+            learned += 1
+    assert learned >= 100
+
+
+def test_chain_model_learns_a_fifth_of_the_bounds_it_derives():
+    # eager learning took 7,687 learn steps over the same 338 nodes
+    res = solve(chain_model(3))
+    assert (res.status, res.value, res.stats.nodes) == ("optimal", ObjValue.finite(3), 338)
+    assert 5 * sum(s.rule == "learn" for s in res.steps) <= 7687
+    assert replay_trace(res.instance, res.steps).final
 
 
 def test_feasibility_mode_zero_objective():

@@ -81,7 +81,7 @@ def test_initial_state_has_one_root():
     state = initial_state(inst)
     (sub,) = state.pending
     assert sub.ident == 0
-    assert sub.cons == inst.constraints
+    assert sub.cons is inst.constraints  # the instance's rows, normalized once
     assert state.incumbent.is_none
 
 

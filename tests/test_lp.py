@@ -211,6 +211,40 @@ def test_propagation_never_derives_a_box_row(monkeypatch):
     assert derived > 100
 
 
+def cites_only(cert, known):
+    for row, _, _ in cert.entries:
+        assert id(row) in known, row.render()
+    return len(cert.entries)
+
+
+def test_propagation_cites_the_row_objects_it_means(monkeypatch):
+    # a certificate cites a row of C, the box's own row or an earlier derived
+    # row as that very object, not an equal copy
+    seen = []
+
+    def recording(sub, bounds):
+        res = propagate_bounds(sub, bounds)
+        seen.append((sub, res))
+        return res
+
+    monkeypatch.setattr(engine, "propagate_bounds", recording)
+    rng = random.Random(4007)
+    cited = 0
+    for _ in range(300):
+        instance = random_instance(rng)
+        seen.clear()
+        solve(instance)
+        for sub, res in seen:
+            known = {id(row) for row in (*sub.cons, *instance.box_rows)}
+            later = [half for _, fix in res.fixes for half in (fix.lower, fix.upper)]
+            later += [res.farkas] if res.farkas else []
+            for cut, cert in res.derived:
+                cited += cites_only(cert, known)
+                known.add(id(cut))  # a later derivation may cite it
+            cited += sum(cites_only(cert, known) for cert in later)
+    assert cited > 1000
+
+
 def test_propagation_detects_emptiness_between_fractional_bounds():
     # 2x <= 1 and 2x >= 1 leave no integer x
     rows = [

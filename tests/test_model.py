@@ -205,6 +205,7 @@ def test_instance_box_rows_and_digest_are_its_own():
     assert b.box_rows == tuple(b.bounds.rows(b.vars))
     assert a.bounds.row_hi("x") in a.box_rows and a.bounds.row_hi("x") not in b.box_rows
     assert a.box_rows is a.box_rows  # built once
+    assert a.box_set == frozenset(a.box_rows) and a.box_set is a.box_set
     assert a.digest() != b.digest()
     assert a.digest() == hashlib.sha256(a.canonical_text().encode()).hexdigest()
 
@@ -247,6 +248,8 @@ def test_canonical_rows_order_the_constraints_by_text_then_the_other_box_rows():
         # x >= 0 is a constraint and a box row, and has one place
         assert inst.canonical_rows == (spaced, doubled, x_ge_0, x_le_4)
         assert inst.canonical_rows is inst.canonical_rows  # built once
+        assert inst.row_numbers == {r: i for i, r in enumerate(inst.canonical_rows)}
+        assert inst.row_numbers is inst.row_numbers
         assert [l for l in inst.canonical_text().splitlines() if l.startswith("con ")] == [
             "con 2 x <= 3",
             "con 2 x <= 3",

@@ -552,6 +552,10 @@ def test_each_citing_place_reads_back_its_own_row(tmp_path):
         assert text.count(full) == (r is not con)
     _, got = read_trace(path, inst)
     assert tuple(got) == tuple(steps)
+    # the rows one trace writes in full are its own: the next trace writes them again
+    assert inst.row_numbers == {r: i for i, r in enumerate(inst.canonical_rows)}
+    write_trace(tmp_path / "again.trace", inst, steps)
+    assert (tmp_path / "again.trace").read_text() == text
 
 
 def test_step_from_json_checks_a_row_before_its_memoised_twin():
