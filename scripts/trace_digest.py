@@ -8,8 +8,10 @@ seed in a range, solves each one in process, and prints one line per input:
 
 then a line ``rules learn=<n> forget=<n> branch=<n> ...`` with the
 number of trace steps of each kernel rule, summed over all inputs, a line
-``statuses <sha256>`` over ``<workload> <seed> <index> <status>`` alone, and a
-last line ``combined <sha256>`` over all of the per-input lines.
+``uncited <n>`` with the number of ``learn`` steps whose row no later step's
+certificate cites, summed over all inputs, a line ``statuses <sha256>`` over
+``<workload> <seed> <index> <status>`` alone, and a last line
+``combined <sha256>`` over all of the per-input lines.
 Two source trees write byte-identical traces on these inputs exactly when
 their combined digests agree, and reach the same verdict on every input
 exactly when their status digests agree. So a change that must not alter any
@@ -19,7 +21,8 @@ running this on both trees:
     python3 scripts/trace_digest.py --workload random-suite --seeds 1-4
 
 When proofs change but verdicts do not, the ``rules`` lines of the two trees
-show which kinds of step moved, without a traced benchmark run.
+show which kinds of step moved, without a traced benchmark run, and the
+``uncited`` lines how many learned rows no step needed.
 
 Each trace is also read back (``read_trace``) and replayed through a fresh
 kernel (``replay_trace``). When a replay fails, stops short of a final state
@@ -35,7 +38,9 @@ import hashlib
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -43,8 +48,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 
 from imtsolver.engine import solve  # noqa: E402
-from imtsolver.kernel import replay_trace, verdict  # noqa: E402
-from imtsolver.model import ImtError  # noqa: E402
+from imtsolver.kernel import Step, replay_trace, verdict  # noqa: E402
+from imtsolver.model import ImtError, LinConstraint  # noqa: E402
 from imtsolver.native import parse_instance  # noqa: E402
 from imtsolver.smtlib import encode_script  # noqa: E402
 from imtsolver.trace import read_trace, write_trace  # noqa: E402
@@ -65,6 +70,29 @@ def seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def cited_rows(cert: object) -> Iterator[LinConstraint]:
+    """Every row a certificate holds, at any depth."""
+    if isinstance(cert, LinConstraint):
+        yield cert
+    elif isinstance(cert, tuple):
+        for item in cert:
+            yield from cited_rows(item)
+    elif is_dataclass(cert):
+        for f in fields(cert):
+            yield from cited_rows(getattr(cert, f.name))
+
+
+def uncited(steps: tuple[Step, ...]) -> int:
+    """The number of ``learn`` steps whose row no later step's certificate cites."""
+    later: set[LinConstraint] = set()
+    count = 0
+    for step in reversed(steps):
+        if step.rule == "learn" and step.row not in later:
+            count += 1
+        later.update(cited_rows(step.cert))
+    return count
+
+
 class Disagreement(Exception):
     """A written trace that does not replay to the solve's verdict."""
 
@@ -72,8 +100,9 @@ class Disagreement(Exception):
 def trace_digest(case: workloads.Case, path: Path, rules: Counter) -> tuple[str, str]:
     """Status of the solve and the sha256 of the trace file ``write_trace`` writes to ``path``.
 
-    Adds the solve's step count per rule to ``rules``. Raises
-    ``Disagreement`` unless the file replays to the solve's verdict.
+    Adds the solve's step count per rule to ``rules``, and its uncited
+    ``learn`` steps to ``rules["uncited"]``. Raises ``Disagreement`` unless
+    the file replays to the solve's verdict.
     """
     if case.fmt == "smt":
         instance = encode_script(case.text).instance
@@ -81,6 +110,7 @@ def trace_digest(case: workloads.Case, path: Path, rules: Counter) -> tuple[str,
         instance = parse_instance(case.text)
     result = solve(instance)
     rules.update(step.rule for step in result.steps)
+    rules["uncited"] += uncited(result.steps)
     write_trace(path, instance, result.steps)
     try:
         replay = replay_trace(instance, read_trace(path, instance)[1])
@@ -121,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                 statuses.update(verdict.encode() + b"\n")
                 combined.update(f"{verdict} {digest}\n".encode())
     print("rules " + " ".join(f"{rule}={rules[rule]}" for rule in RULES))
+    print(f"uncited {rules['uncited']}")
     print(f"statuses {statuses.hexdigest()}")
     print(f"combined {combined.hexdigest()}")
     return 0

@@ -12,19 +12,24 @@ which either endorses it (retire) or returns a conflict core. A node whose
 rows already entail the core is dropped by theory refutation; otherwise the
 engine splits on the core and drops the one child that entails it.
 
-Propagation's derived bounds are not learned up front. The LP and the
-search for theory evidence see them beside C, and a step whose certificate
-cites some of them first learns those, each after the derived rows its own
-derivation cites. So the kernel checks only the bounds a certificate uses,
-as lazy clause generation records an explanation only when a conflict
-needs it (Ohrimenko, Stuckey and Codish, Constraints 2009).
+Propagation's derived bounds and the Gomory cuts are not learned up front.
+The LP and the search for theory evidence see them beside C, and a step
+whose certificate cites some of them first learns those, each after the
+derived rows its own derivation cites. A branch learns nothing: each child
+inherits the node's unlearned cuts and inherited rows, with the derived
+rows they cite, and its propagation and LP see them beside its C as the
+parent's did. So the kernel checks only the rows a certificate uses, as
+lazy clause generation records an explanation only when a conflict needs it
+(Ohrimenko, Stuckey and Codish, Constraints 2009), and no trim pass has to
+remove the rest afterwards (Heule, Hunt and Wetzler, FMCAD 2013). Pinned
+differences are still learned as soon as propagation finds them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .certificates import (
     BoundFix,
@@ -80,7 +85,7 @@ class UnsupportedShape(ImtError):
     """The instance has a shape the engine cannot decide with a certificate."""
 
 
-# cuts learned per round, best violation first
+# cuts added per round, best violation first
 CUTS_PER_ROUND = 4
 
 
@@ -96,7 +101,7 @@ class Stats:
     lp_solves: int = 0
     pivots: int = 0
     lp_rows: int = 0  # tableau rows, summed over the LP solves
-    cuts: int = 0
+    cuts: int = 0  # Gomory cuts given to the LP, learned or not
     branches: int = 0
     propagations: int = 0
     theory_checks: int = 0
@@ -237,8 +242,13 @@ class _Search:
         self.theory_frozen: frozenset[Var] = frozenset(
             v for a in instance.atoms for v in a.all_vars()
         )
-        # the current node's derived bounds that C lacks, in derivation order
+        # the current node's unlearned rows, in derivation order: its inherited
+        # rows, then propagation's derived bounds and the node's cuts
         self.derived: dict[LinConstraint, CGCut] = {}
+        # the rows of ``derived`` that every child inherits: inherited rows and cuts
+        self.kept: list[LinConstraint] = []
+        # each pending node's inherited rows, in derivation order
+        self.inherited: dict[int, dict[LinConstraint, CGCut]] = {}
 
     def run(self) -> SolveResult:
         cfg = self.config
@@ -272,38 +282,57 @@ class _Search:
     # node processing
 
     def _view(self, current: Subproblem) -> Subproblem:
-        """The node as the LP sees it: C and the derived rows not yet learned."""
+        """The node as the LP sees it: C and the unlearned rows."""
         return Subproblem(current.ident, current.cons.union(self.derived)) if self.derived else current
 
-    def _cite(self, current: Subproblem, cert: object) -> Subproblem:
-        """Learn the derived rows ``cert`` cites, and those their derivations cite, in derivation order.
+    def _closure(self, rows: Iterable[LinConstraint]) -> list[LinConstraint]:
+        """The unlearned rows among ``rows`` and those their derivations cite, in derivation order.
 
-        Each derived row cites only rows derived before it, so every row is
-        learned after the rows its own derivation cites.
+        Each unlearned row cites only rows derived before it, so every row
+        comes after the rows its own derivation cites.
         """
-        if not self.derived:
-            return current
         need: set[LinConstraint] = set()
-        todo = list(_cited(cert))
+        todo = list(rows)
         while todo:
             row = todo.pop()
             if row in self.derived and row not in need:
                 need.add(row)
                 todo += _cited(self.derived[row])
-        for row in [row for row in self.derived if row in need]:
+        return [row for row in self.derived if row in need]
+
+    def _cite(self, current: Subproblem, cert: object) -> Subproblem:
+        """Learn the unlearned rows ``cert`` cites, and those their derivations cite, in derivation order."""
+        if not self.derived:
+            return current
+        for row in self._closure(_cited(cert)):
             current = self.kernel.apply(Step("learn", current.ident, row=row, cert=self.derived.pop(row))).created[0]
         return current
 
     def _apply(self, current: Subproblem, rule: str, row: LinConstraint | None = None, cert: object = None) -> ApplyInfo:
-        """Apply a step to the node, after learning the derived rows its certificate cites."""
+        """Apply a step to the node, after learning the unlearned rows its certificate cites."""
         current = self._cite(current, cert)
         return self.kernel.apply(Step(rule, current.ident, row=row, cert=cert))
 
+    def _branch(self, current: Subproblem, cert: object, hint: tuple[int, int]) -> tuple[Subproblem, ...]:
+        """Branch without learning; each child inherits the node's kept rows and the derived rows they cite.
+
+        A child's own rows are left out, since a conflict-split arm can equal one.
+        """
+        children = self.kernel.apply(Step("branch", current.ident, cert=cert)).created
+        self.stats.branches += 1
+        rows = self._closure(self.kept)
+        for child in children:
+            self.hints[child.ident] = hint
+            self.inherited[child.ident] = {row: self.derived[row] for row in rows if row not in child.cons}
+        return children
+
     def _process(self, sub: Subproblem) -> None:
         current = sub
-        prop = propagate_bounds(current, self.instance.bounds)
-        # derived bounds are learned only when a certificate cites them
-        self.derived = dict(prop.derived)
+        # inherited rows, derived bounds and cuts are learned only when a certificate cites them
+        self.derived = self.inherited.pop(sub.ident, {})
+        self.kept = list(self.derived)
+        prop = propagate_bounds(self._view(current), self.instance.bounds)
+        self.derived.update(prop.derived)
         if prop.farkas is not None:
             self._apply(current, "drop", cert=prop.farkas)
             return
@@ -314,7 +343,8 @@ class _Search:
         rounds = 0
         prev: LpOptimal | None = None  # re-optimised after each cut round
         while True:
-            out = lp_solve(self._view(current), self.instance.objective, self.instance.bounds, prev)
+            view = self._view(current)
+            out = lp_solve(view, self.instance.objective, self.instance.bounds, prev)
             self.stats.lp_solves += 1
             self.stats.pivots += out.pivots
             self.stats.lp_rows += out.tableau_rows
@@ -335,19 +365,16 @@ class _Search:
                 return
             if rounds < self.config.max_cut_rounds:
                 cuts = derive_gomory_cuts(out)[:CUTS_PER_ROUND]
-                fresh = [(cut, cert) for cut, cert in cuts if cut not in current.cons]
+                fresh = [(cut, cert) for cut, cert in cuts if cut not in view.cons]
                 if fresh:
                     for cut, cert in fresh:
-                        current = self._apply(current, "learn", cut, cert).created[0]
+                        self.derived[cut] = cert
+                        self.kept.append(cut)
                         self.stats.cuts += 1
                     rounds += 1
                     prev = out
                     continue
-            v, k = select_branch(out.x_star, fractional)
-            info = self.kernel.apply(Step("branch", current.ident, cert=BranchDichotomy(v, k)))
-            self.stats.branches += 1
-            for child in info.created:
-                self.hints[child.ident] = lb.sort_key()
+            self._branch(current, BranchDichotomy(*select_branch(out.x_star, fractional)), lb.sort_key())
             return
 
     def _complete(self, x_star: dict[Var, Fraction]) -> dict[Var, int]:
@@ -388,19 +415,17 @@ class _Search:
         if direct is not None:
             self._apply(current, "drop", cert=TheoryRefutation(core, direct))
             return
-        info = self.kernel.apply(Step("branch", current.ident, cert=BranchConflictSplit(core)))
-        self.stats.branches += 1
+        children = self._branch(current, BranchConflictSplit(core), lb.sort_key())
         arms = conflict_split_arms(core)
-        if len(arms) != len(info.created):
+        if len(arms) != len(children):
             raise InvariantError("conflict split produced an unexpected child count")
-        for child, (_, all_true) in zip(info.created, arms):
+        for child, (_, all_true) in zip(children, arms):
             if all_true:
                 ev = syntactic_evidence(core, rows_of(self.instance, child))
                 if ev is None:
                     raise InvariantError("all-true child lost its own split rows")
                 self.kernel.apply(Step("drop", child.ident, cert=TheoryRefutation(core, ev)))
-            else:
-                self.hints[child.ident] = lb.sort_key()
+                del self.inherited[child.ident], self.hints[child.ident]
 
     def _handle_unbounded(self, current: Subproblem, out: LpUnbounded) -> None:
         ray = _integralize_ray(out.ray)
@@ -421,11 +446,7 @@ class _Search:
                 point = candidate
         if point is None:
             v = fractional[0]
-            k = frac_floor(out.point[v])
-            info = self.kernel.apply(Step("branch", current.ident, cert=BranchDichotomy(v, k)))
-            self.stats.branches += 1
-            for child in info.created:
-                self.hints[child.ident] = ObjValue.neg_inf().sort_key()
+            self._branch(current, BranchDichotomy(v, frac_floor(out.point[v])), ObjValue.neg_inf().sort_key())
             return
         core = self._theory_conflict(point)
         if core is not None:
@@ -433,6 +454,8 @@ class _Search:
             return
         ev = UnboundedEvidence(tuple(sorted(point.items())), tuple(sorted(ray.items())))
         self.kernel.apply(Step("unbounded", current.ident, cert=ev))
+        # the step removes every pending node
+        self.inherited.clear()
 
 
 def solve(instance: ImtInstance, config: Config | None = None) -> SolveResult:

@@ -4,7 +4,8 @@ Shapes follow the oracle-equivalence suite: at most 4 variables boxed in
 [-5, 5], at most 6 rows, at most 2 unary uninterpreted functions, a random
 linear objective, and optional annotated atoms. Everything stays inside the
 enumeration oracle's comfort zone. ``random_cnf`` and ``cnf_script`` draw
-3-CNF formulas and encode them as SMT-LIB scripts, and ``chain_model``
+3-CNF formulas and encode them as SMT-LIB scripts, ``ladder_script`` redraws
+one formula of ``scripts/cnf_ladder.py``'s sequence, and ``chain_model``
 builds a theory-heavy instance that is not random.
 """
 from __future__ import annotations
@@ -110,6 +111,14 @@ def cnf_script(clauses: list[list[tuple[int, bool]]], nvars: int) -> str:
         lines.append(f"(assert (or {lits}))")
     lines.append("(check-sat)")
     return "\n".join(lines)
+
+
+def ladder_script(nvars: int, draw: int) -> str:
+    """The script of draw ``draw`` (from 0) over ``nvars`` variables, as ``scripts/cnf_ladder.py`` draws it."""
+    rng = random.Random(nvars)
+    for _ in range(draw + 1):
+        clauses = random_cnf(rng, nvars, round(4.5 * nvars))
+    return cnf_script(clauses, nvars)
 
 
 def chain_model(n: int) -> ImtInstance:

@@ -3,9 +3,9 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from gen import chain_model, cnf_script, random_cnf, random_instance
+from gen import chain_model, cnf_script, ladder_script, random_cnf, random_instance
 from imtsolver import engine, lp
-from imtsolver.certificates import BoundFix, identity_cut
+from imtsolver.certificates import BoundFix, CGCut, identity_cut
 from imtsolver.engine import Config, EngineLimit, UnsupportedShape, arrangement_literals, solve
 from imtsolver.kernel import replay_trace, rows_of, verdict
 from imtsolver.lp import LpOptimal
@@ -242,29 +242,49 @@ def cited_rows(cert):
             yield from cited_rows(getattr(cert, f.name))
 
 
-def test_every_derived_bound_learned_is_cited_by_a_later_step(monkeypatch):
+def cut_instances():
+    """Five 3-variable CNF formulas, 100 random instances and two CNF formulas that branch after cut rounds."""
     rng = random.Random(13)
     instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
     instances += [random_instance(rng) for _ in range(100)]
-    derivations = set()
-    propagate_bounds = engine.propagate_bounds
+    return instances + [encode_script(ladder_script(nvars, draw)).instance for nvars, draw in ((14, 5), (10, 4))]
 
-    def recording(sub, bounds):
-        res = propagate_bounds(sub, bounds)
-        derivations.update(res.derived)
-        return res
 
-    monkeypatch.setattr(engine, "propagate_bounds", recording)
-    learned = 0
-    for instance in instances:
+def test_every_derived_bound_learned_is_cited_by_a_later_step():
+    # propagated bounds and Gomory cuts alike are learned only for a certificate that cites them
+    learned = cuts = 0
+    for instance in cut_instances():
         steps = solve(instance).steps
         for i, s in enumerate(steps):
-            if s.rule != "learn" or (s.row, s.cert) not in derivations:
+            if s.rule != "learn" or not isinstance(s.cert, CGCut):
                 continue
-            assert len(s.row.lhs.terms) == 1
             assert any(s.row in cited_rows(later.cert) for later in steps[i + 1 :]), s.row.render()
             learned += 1
-    assert learned >= 100
+            cuts += len(s.row.lhs.terms) > 1
+    assert learned >= 100 and cuts >= 20
+
+
+def test_lazy_learning_leaves_the_search_as_it_was():
+    # the totals of the search that learned every cut as it derived it
+    totals = dict.fromkeys(("nodes", "lp_solves", "pivots", "lp_rows", "cuts", "branches"), 0)
+    for instance in cut_instances() + [chain_model(3)]:
+        stats = solve(instance).stats
+        for name in totals:
+            totals[name] += getattr(stats, name)
+    assert totals == {"nodes": 509, "lp_solves": 331, "pivots": 932, "lp_rows": 4558, "cuts": 140, "branches": 85}
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_a_budget_stop_with_inherited_rows_pending_replays(limit):
+    instance = encode_script(ladder_script(14, 5)).instance
+    search = engine._Search(instance, Config(node_limit=limit))
+    with pytest.raises(EngineLimit) as info:
+        search.run()
+    # the pending nodes still hold cuts no step has learned
+    assert any(search.inherited.values())
+    replay = replay_trace(instance, info.value.steps)
+    assert not replay.final
+    assert {s.ident for s in replay.state.pending} == set(search.inherited)
 
 
 def test_chain_model_learns_a_fifth_of_the_bounds_it_derives():

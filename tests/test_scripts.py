@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from gen import ladder_script
+from imtsolver.engine import solve
 from imtsolver.model import ObjValue
+from imtsolver.smtlib import encode_script
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -94,3 +97,21 @@ def test_trace_digest_exits_1_naming_an_input_whose_trace_does_not_replay_to_its
     out, err = capsys.readouterr()
     assert err.startswith(f"error: cnf-band seed 2 input 0: {message}")
     assert "statuses" not in out
+
+
+def test_trace_digest_finds_every_learned_row_cited_on_cnf_band(capsys):
+    assert _trace_digest_module().main(["--workload", "cnf-band", "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-4].startswith("rules ")
+    assert lines[-3] == "uncited 0"
+    assert lines[-2].startswith("statuses ")
+
+
+def test_uncited_counts_the_learns_no_later_certificate_cites():
+    module = _trace_digest_module()
+    steps = solve(encode_script(ladder_script(10, 1)).instance).steps
+    learns = [i for i, s in enumerate(steps) if s.rule == "learn"]
+    assert learns and module.uncited(steps) == 0
+    # a learn moved to the end is cited by no later step
+    i = learns[0]
+    assert module.uncited(steps[:i] + steps[i + 1 :] + (steps[i],)) == 1
