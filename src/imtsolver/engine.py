@@ -343,8 +343,7 @@ class _Search:
         rounds = 0
         prev: LpOptimal | None = None  # re-optimised after each cut round
         while True:
-            view = self._view(current)
-            out = lp_solve(view, self.instance.objective, self.instance.bounds, prev)
+            out = lp_solve(self._view(current), self.instance.objective, self.instance.bounds, prev)
             self.stats.lp_solves += 1
             self.stats.pivots += out.pivots
             self.stats.lp_rows += out.tableau_rows
@@ -364,10 +363,10 @@ class _Search:
                 self._handle_integral(current, out)
                 return
             if rounds < self.config.max_cut_rounds:
+                # each cut is new to the view's rows and violated at the vertex
                 cuts = derive_gomory_cuts(out)[:CUTS_PER_ROUND]
-                fresh = [(cut, cert) for cut, cert in cuts if cut not in view.cons]
-                if fresh:
-                    for cut, cert in fresh:
+                if cuts:
+                    for cut, cert in cuts:
                         self.derived[cut] = cert
                         self.kept.append(cut)
                         self.stats.cuts += 1

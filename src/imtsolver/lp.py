@@ -27,8 +27,11 @@ The tableau is sparse and integer-preserving: each row stores its nonzero
 entries as ``int`` numerators over one positive denominator and is divided by
 the gcd of its numbers after every update (Edmonds' fraction-free
 elimination); values become ``Fraction`` only when they leave the tableau.
-The elimination that recovers Gomory multipliers uses the same rows, once for
-all fractional targets.
+Gomory multipliers come from one forward pass of fraction-free integer steps
+over the tight rows in order, which keeps the first independent ones, and each
+fractional target is then reduced against the kept rows. Bound propagation
+takes each row's largest activity once per round and derives every
+variable's bound from it.
 
 Infeasibility yields Farkas multipliers on a stuck row's identity and the
 bounds that stop its columns; optimality yields dual multipliers, the reduced
@@ -131,6 +134,8 @@ def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr(
 
 
 Row = tuple[dict[int, int], int, int]
+# a row's left side as (variable, coefficient) pairs, in the order of its terms
+Terms = tuple[tuple[Var, int], ...]
 
 
 def _reduce(nums: dict[int, int], rhs: int, den: int) -> Row:
@@ -539,67 +544,113 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
 def _solve_combinations(rows: list[dict[Var, int]], targets: list[Var]) -> list[tuple[list[int], int] | None]:
     """Find multipliers expressing the unit vector of each target over row vectors.
 
-    One Gauss-Jordan elimination over the simplex's integer rows, pivoting in
-    each column on the first remaining equation that has it, carries one
-    right-hand column per target. The pivots depend only on the rows, so every
-    target gets the multipliers an elimination of its own would give. Each
-    target's entry is ``(nums, den)``, the multipliers ``nums[j] / den``, or
-    None when its unit vector is outside the row space.
+    One forward pass takes the rows in order and reduces each against the
+    echelon rows kept so far, by fraction-free integer steps that carry each
+    kept row's combination of the input rows. A row is kept when anything
+    remains, until the kept rows span every variable, so the kept rows are
+    the first rows independent of the rows before them. Each target's unit
+    vector is then reduced the same way. Its multipliers are the unique ones
+    on the kept rows and 0 on the others: the rationals that a Gauss-Jordan
+    elimination of the transposed system gives when it pivots in each row's
+    column on the first equation that has it, since its pivot columns are
+    those same rows. Each target's entry is ``(nums, den)``, the multipliers
+    ``nums[j] / den`` in lowest terms, or None when its unit vector is outside
+    the row space.
     """
     m = len(rows)
-    vars_all = sorted({v for coeffs in rows for v in coeffs})
-    n = len(vars_all)
-    # one equation per variable; columns below m are the row multipliers,
-    # column m + t is target t's right side
-    at = {v: i for i, v in enumerate(vars_all)}
-    eqs: list[Row] = [({}, 0, 1) for _ in vars_all]
-    for j, coeffs in enumerate(rows):
-        for v, a in coeffs.items():
-            if a:
-                eqs[at[v]][0][j] = a
-    for t, v in enumerate(targets):
-        if v in at:
-            eqs[at[v]][0][m + t] = 1
-    piv_of_col: list[int | None] = [None] * m
-    r = 0
-    for j in range(m):
-        p = next((i for i in range(r, n) if j in eqs[i][0]), None)
-        if p is None:
-            continue
-        eqs[r], eqs[p] = eqs[p], eqs[r]
-        src = eqs[r] = _unit_row(eqs[r][0], eqs[r][1], j)
-        for i in range(n):
-            f = eqs[i][0].get(j)
-            if f and i != r:
-                eqs[i] = _eliminate(*eqs[i], f, src)
-        piv_of_col[j] = r
-        r += 1
-        if r == n:
+    vectors = [coeffs if all(coeffs.values()) else {v: a for v, a in coeffs.items() if a} for coeffs in rows]
+    rank = len({v for vec in vectors for v in vec})
+    # the kept rows by pivot variable: each one's place in the pass, its vector,
+    # positive on the pivot and 0 on every earlier kept row's pivot, and the
+    # combination of input rows, by index, that gives the vector
+    echelon: dict[Var, tuple[int, dict[Var, int], dict[int, int]]] = {}
+
+    def reduce(vec: dict[Var, int], comb: dict[int, int], scale: int) -> int:
+        """Cancel the kept rows' pivots in ``vec`` in place, scaling ``comb`` alike; returns ``scale`` times the factors.
+
+        The earliest kept row goes first, so a cancelled pivot never returns.
+        """
+        while True:
+            first = None
+            for v in vec:
+                kept = echelon.get(v)
+                if kept is not None and (first is None or kept[0] < first[0]):
+                    first, pivot = kept, v
+            if first is None:
+                return scale
+            _, src, src_comb = first
+            a, b = vec[pivot], src[pivot]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            # b * vec - a * src, and the combinations alike
+            if b != 1:
+                for k in vec:
+                    vec[k] *= b
+                for k in comb:
+                    comb[k] *= b
+                scale *= b
+            for k, x in src.items():
+                y = vec.get(k, 0) - a * x
+                if y:
+                    vec[k] = y
+                else:
+                    del vec[k]
+            for k, x in src_comb.items():
+                y = comb.get(k, 0) - a * x
+                if y:
+                    comb[k] = y
+                else:
+                    del comb[k]
+
+    for i, vec in enumerate(vectors):
+        if len(echelon) == rank:
             break
-    # consistency: equations left without a multiplier must carry zero right sides
-    leftover = {k for nums, _, _ in eqs if all(k >= m for k in nums) for k in nums}
+        if len(vec) == 1:
+            # a unit row is a new pivot as it stands, or a multiple of a kept unit row
+            ((v, a),) = vec.items()
+            kept = echelon.get(v)
+            if kept is None:
+                echelon[v] = (len(echelon), {v: abs(a)}, {i: 1 if a > 0 else -1})
+                continue
+            if len(kept[1]) == 1:
+                continue
+        vec = dict(vec)
+        comb = {i: 1}
+        reduce(vec, comb, 1)
+        if vec:
+            pivot = next(iter(vec))
+            g = math.gcd(*vec.values(), *comb.values())
+            if vec[pivot] < 0:
+                g = -g
+            if g != 1:
+                vec = {k: x // g for k, x in vec.items()}
+                comb = {k: x // g for k, x in comb.items()}
+            echelon[pivot] = (len(echelon), vec, comb)
+
     out: list[tuple[list[int], int] | None] = []
-    for t, target in enumerate(targets):
-        key = m + t
-        if target not in at or key in leftover:
+    for target in targets:
+        # vec is scale * e_target plus the rows weighted by comb, at every step
+        vec, comb = {target: 1}, {}
+        scale = reduce(vec, comb, 1)
+        if vec:
             out.append(None)
             continue
-        pivots = [(j, eqs[p]) for j, p in enumerate(piv_of_col) if p is not None and key in eqs[p][0]]
-        den = math.lcm(*(row_den for _, (_, _, row_den) in pivots))
+        # e_target is -comb / scale over the rows
+        sign = -1 if scale > 0 else 1
+        g = math.gcd(scale, *comb.values())
+        den = abs(scale) // g
         sol = [0] * m
-        for j, (nums, _, row_den) in pivots:
-            sol[j] = nums[key] * (den // row_den)
-        # verify, over the common denominator: guards against rank deficiencies
-        # interacting with free columns
+        for j, k in comb.items():
+            sol[j] = sign * k // g
+        # verify, over the common denominator, that the combination gives the target
         total: dict[Var, int] = {}
-        for k, coeffs in zip(sol, rows):
-            if k:
-                for v, a in coeffs.items():
-                    total[v] = total.get(v, 0) + k * a
-        if any(total.get(v, 0) != (den if v == target else 0) for v in vars_all):
-            out.append(None)
-        else:
+        for j in comb:
+            for v, a in vectors[j].items():
+                total[v] = total.get(v, 0) + sol[j] * a
+        if total.get(target) == den and all(x == 0 for v, x in total.items() if v != target):
             out.append((sol, den))
+        else:
+            out.append(None)
     return out
 
 
@@ -620,16 +671,22 @@ def derive_gomory_cuts(t: LpOptimal) -> list[tuple[LinConstraint, CGCut]]:
     scale = math.lcm(*(q.denominator for q in t.x_star.values()))
     point = {v: q.numerator * (scale // q.denominator) for v, q in t.x_star.items()}
 
+    # every row is scanned: leaving out a tight one, even one the tableau
+    # left out, would change which rows the multipliers use
     tight: list[tuple[dict[Var, int], int, LinConstraint, str]] = []
     for row in t.rows:
-        if not row.lhs.terms:
+        terms = row.lhs.terms
+        if not terms:
             continue
-        if sum(c * point.get(v, 0) for v, c in row.lhs.terms) != row.rhs * scale:
+        activity = 0
+        for v, c in terms:
+            activity += c * point[v]
+        if activity != row.rhs * scale:
             continue
         if row.rel is Relation.LE:
-            tight.append(({v: -c for v, c in row.lhs.terms}, -row.rhs, row, "le"))
+            tight.append(({v: -c for v, c in terms}, -row.rhs, row, "le"))
         else:
-            tight.append((dict(row.lhs.terms), row.rhs, row, "eq" if row.rel is Relation.EQ else "ge"))
+            tight.append((dict(terms), row.rhs, row, "eq" if row.rel is Relation.EQ else "ge"))
 
     existing = set(t.rows)
     out: list[tuple[LinConstraint, CGCut, int]] = []
@@ -698,85 +755,120 @@ class PropagationResult:
 
 
 def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
-    """Tighten per-variable intervals; detect pinned differences and emptiness."""
+    """Tighten per-variable intervals; detect pinned differences and emptiness.
+
+    Each round visits the oriented rows ``sum_u a_u * x_u >= rhs`` in one
+    fixed order and takes each row's largest activity over the current
+    intervals once: the sum over the finite ends that maximise each term, and
+    the one variable whose end is infinite, if there is exactly one. A row
+    with two infinite ends bounds nothing. Variable ``v``'s limit is ``rhs``
+    minus that activity without its own term (activity-based bound
+    tightening, as in Achterberg et al., 2020). Tightening ``v`` moves the
+    end that ``v`` does not contribute to the row's activity, so the sum stays
+    exact for the rest of the row, and every bound, certificate and their
+    order is the one that re-summing the other variables for each bound
+    would give.
+    """
     base_rows = sorted(map(normalize, sub.cons), key=LinConstraint.render)
 
-    relevant: set[Var] = set()
-    for row in base_rows:
-        relevant.update(row.lhs.vars())
-
-    work: dict[Var, list[int | None]] = {v: [bounds.lo(v), bounds.hi(v)] for v in relevant}
+    # the working interval of every variable the rows mention
+    lo: dict[Var, int | None] = {}
+    hi: dict[Var, int | None] = {}
     # the base or derived row behind each tightened end; an end never tightened is the box's row
-    cites: dict[Var, list[LinConstraint | None]] = {v: [None, None] for v in relevant}
+    lo_cite: dict[Var, LinConstraint] = {}
+    hi_cite: dict[Var, LinConstraint] = {}
     # a derived bound is strictly tighter than the box end it started from, so never a box row
     available: dict[LinConstraint, LinConstraint] = {row: row for row in base_rows}
+    # one Fraction per multiplier value, shared by every certificate of the call
+    fractions: dict[tuple[int, int], Fraction] = {}
 
     derived: list[tuple[LinConstraint, CGCut]] = []
 
     def lo_row(v: Var) -> LinConstraint:
-        return cites[v][0] or bounds.row_lo(v)
+        return lo_cite.get(v) or bounds.row_lo(v)
 
     def hi_row(v: Var) -> LinConstraint:
-        return cites[v][1] or bounds.row_hi(v)
+        return hi_cite.get(v) or bounds.row_hi(v)
 
-    def record(cut: LinConstraint, coeffs: dict[Var, int], row: LinConstraint, direction: str, v: Var) -> LinConstraint:
+    def fraction(num: int, den: int) -> Fraction:
+        q = fractions.get((num, den))
+        if q is None:
+            q = fractions[num, den] = Fraction(num, den)
+        return q
+
+    def record(cut: LinConstraint, terms: Terms, row: LinConstraint, direction: str, v: Var, a_v: int) -> LinConstraint:
         """Admit the bound on ``v`` that ``row`` gives from the other variables' current bounds; returns the row cited for it."""
         known = available.get(cut)
         if known is not None:
             return known
-        scale = abs(coeffs[v])
-        entries: list[ComboEntry] = [(row, direction, Fraction(1, scale))]
-        for u, a_u in coeffs.items():
+        scale = abs(a_v)
+        entries: list[ComboEntry] = [(row, direction, fraction(1, scale))]
+        for u, a_u in terms:
             if u == v:
                 continue
             if a_u > 0:
-                entries.append((hi_row(u), "le", Fraction(a_u, scale)))
+                entries.append((hi_row(u), "le", fraction(a_u, scale)))
             else:
-                entries.append((lo_row(u), "ge", Fraction(-a_u, scale)))
+                entries.append((lo_row(u), "ge", fraction(-a_u, scale)))
         derived.append((cut, CGCut(tuple(entries))))
         available[cut] = cut
         return cut
 
-    oriented: list[tuple[dict[Var, int], int, LinConstraint, str]] = []
+    oriented: list[tuple[Terms, int, LinConstraint, str]] = []
     for row in base_rows:
-        if not row.lhs.terms:
+        terms = row.lhs.terms
+        if not terms:
             proof = _constant_row_proof(row)
             if proof is not None:
                 return PropagationResult([], derived, proof)
             continue
-        if row.rel in (Relation.GE, Relation.EQ):
-            oriented.append((dict(row.lhs.terms), row.rhs, row, "ge"))
-        if row.rel in (Relation.LE, Relation.EQ):
-            oriented.append(({v: -a for v, a in row.lhs.terms}, -row.rhs, row, "le"))
+        for v, _ in terms:
+            if v not in lo:
+                lo[v], hi[v] = bounds.interval(v)
+        # a normalised row is <=, >= or =
+        if row.rel is not Relation.LE:
+            oriented.append((terms, row.rhs, row, "ge"))
+        if row.rel is not Relation.GE:
+            oriented.append((tuple([(v, -a) for v, a in terms]), -row.rhs, row, "le"))
 
     for _ in range(_PROPAGATION_ROUNDS):
         improved = False
-        for coeffs, rhs, row, direction in oriented:
-            for v, a_v in coeffs.items():
-                # the bound on v when every other variable sits at its worst end
-                limit = rhs
-                for u, a_u in coeffs.items():
-                    if u != v:
-                        end = work[u][1] if a_u > 0 else work[u][0]
-                        if end is None:
-                            break
-                        limit -= a_u * end
+        for terms, rhs, row, direction in oriented:
+            # the row's largest activity: the finite ends' sum, and the variable whose end is infinite
+            total = 0
+            free: Var | None = None
+            for u, a_u in terms:
+                end = hi[u] if a_u > 0 else lo[u]
+                if end is not None:
+                    total += a_u * end
+                elif free is None:
+                    free = u
                 else:
+                    break
+            else:
+                for v, a_v in terms:
+                    # the bound on v when every other variable sits at its worst end
+                    if free is None:
+                        limit = rhs - total + a_v * (hi[v] if a_v > 0 else lo[v])
+                    elif v == free:
+                        limit = rhs - total
+                    else:
+                        continue
                     if a_v > 0:
                         cand = -(-limit // a_v)
-                        if work[v][0] is None or cand > work[v][0]:
-                            work[v][0] = cand
-                            cites[v][0] = record(LinConstraint(LinExpr.var(v), Relation.GE, cand), coeffs, row, direction, v)
+                        if lo[v] is None or cand > lo[v]:
+                            lo[v] = cand
+                            lo_cite[v] = record(LinConstraint(LinExpr.var(v), Relation.GE, cand), terms, row, direction, v, a_v)
                             improved = True
                     else:
                         cand = limit // a_v
-                        if work[v][1] is None or cand < work[v][1]:
-                            work[v][1] = cand
-                            cites[v][1] = record(LinConstraint(LinExpr.var(v), Relation.LE, cand), coeffs, row, direction, v)
+                        if hi[v] is None or cand < hi[v]:
+                            hi[v] = cand
+                            hi_cite[v] = record(LinConstraint(LinExpr.var(v), Relation.LE, cand), terms, row, direction, v, a_v)
                             improved = True
-                    lo, hi = work[v]
-                    if lo is not None and hi is not None and lo > hi:
-                        proof = FarkasProof(((lo_row(v), "ge", Fraction(1)), (hi_row(v), "le", Fraction(1))))
+                    if lo[v] is not None and hi[v] is not None and lo[v] > hi[v]:
+                        one = fraction(1, 1)
+                        proof = FarkasProof(((lo_row(v), "ge", one), (hi_row(v), "le", one)))
                         return PropagationResult([], derived, proof)
         if not improved:
             break
@@ -787,40 +879,36 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     # derives it, learned first), and v = c would change no later step: same
     # LP column bounds and pivots, Gomory multiplier 0 (the tight v <= c sorts
     # first), no new propagated row and no literal's true arm.
+    # Each side keeps the first tightest bound num / den on a difference,
+    # compared by cross-multiplying; a Fraction is built only for a fix.
     fixes: list[tuple[LinConstraint, BoundFix]] = []
-    diff_lo: dict[tuple[Var, Var], tuple[Fraction, LinConstraint, str, Fraction]] = {}
-    diff_hi: dict[tuple[Var, Var], tuple[Fraction, LinConstraint, str, Fraction]] = {}
-    for coeffs, rhs, row, direction in oriented:
-        if len(coeffs) != 2:
+    diff_lo: dict[tuple[Var, Var], tuple[int, int, LinConstraint, str]] = {}
+    diff_hi: dict[tuple[Var, Var], tuple[int, int, LinConstraint, str]] = {}
+    for terms, rhs, row, direction in oriented:
+        if len(terms) != 2:
             continue
-        (u1, a1), (u2, a2) = sorted(coeffs.items())
+        (u1, a1), (u2, a2) = terms  # sorted by variable
         if a1 != -a2:
             continue
+        # a1 * (u1 - u2) >= rhs bounds u1 - u2 below by rhs / |a1| when a1 > 0, else above by -rhs / |a1|
+        den = abs(a1)
         if a1 > 0:
-            pair, scale = (u1, u2), Fraction(1, a1)
+            cur = diff_lo.get((u1, u2))
+            if cur is None or rhs * cur[1] > cur[0] * den:
+                diff_lo[u1, u2] = (rhs, den, row, direction)
         else:
-            pair, scale = (u2, u1), Fraction(1, -a1)
-        ordered = (min(pair), max(pair))
-        sign = 1 if pair == ordered else -1
-        # bound on ordered difference: sign * (pair diff) >= rhs * scale
-        val = Fraction(rhs) * scale
-        if sign == 1:
-            cur = diff_lo.get(ordered)
-            if cur is None or val > cur[0]:
-                diff_lo[ordered] = (val, row, direction, scale)
-        else:
-            cur = diff_hi.get(ordered)
-            if cur is None or -val < cur[0]:
-                diff_hi[ordered] = (-val, row, direction, scale)
-    for pair in sorted(set(diff_lo) & set(diff_hi)):
-        lo_val, lo_src, lo_dir, lo_scale = diff_lo[pair]
-        hi_val, hi_src, hi_dir, hi_scale = diff_hi[pair]
-        if lo_val != hi_val or lo_val.denominator != 1:
+            cur = diff_hi.get((u1, u2))
+            if cur is None or -rhs * cur[1] < cur[0] * den:
+                diff_hi[u1, u2] = (-rhs, den, row, direction)
+    for pair in sorted(diff_lo.keys() & diff_hi.keys()):
+        lo_num, lo_den, lo_src, lo_dir = diff_lo[pair]
+        hi_num, hi_den, hi_src, hi_dir = diff_hi[pair]
+        if lo_num * hi_den != hi_num * lo_den or lo_num % lo_den:
             continue
-        eq = diff_equality(*pair, int(lo_val))
+        eq = diff_equality(*pair, lo_num // lo_den)
         if eq in sub.cons:
             continue
-        fix = BoundFix(CGCut(((lo_src, lo_dir, lo_scale),)), CGCut(((hi_src, hi_dir, hi_scale),)))
+        fix = BoundFix(CGCut(((lo_src, lo_dir, Fraction(1, lo_den)),)), CGCut(((hi_src, hi_dir, Fraction(1, hi_den)),)))
         fixes.append((eq, fix))
 
     return PropagationResult(fixes, derived)

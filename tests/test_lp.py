@@ -37,7 +37,8 @@ from imtsolver.model import (
 )
 from imtsolver.smtlib import encode_script
 
-from gen import cnf_script, random_cnf, random_instance, random_lp_instance
+import propagation_reference
+from gen import chain_model, cnf_script, ladder_script, random_cnf, random_instance, random_lp_instance
 from lp_oracle import vertex_optimum
 
 
@@ -245,6 +246,38 @@ def test_propagation_cites_the_row_objects_it_means(monkeypatch):
     assert cited > 1000
 
 
+def test_propagation_matches_the_reference_that_re_sums_each_row(monkeypatch):
+    # one largest activity per row and round gives the same fixes, derived
+    # rows, certificates and Farkas proofs, in the same order, on every call
+    calls = 0
+
+    def both(sub, bounds):
+        nonlocal calls
+        res = propagate_bounds(sub, bounds)
+        ref = propagation_reference.propagate_bounds(sub, bounds)
+        assert (res.fixes, res.derived, res.farkas) == (ref.fixes, ref.derived, ref.farkas)
+        calls += 1
+        return res
+
+    monkeypatch.setattr(engine, "propagate_bounds", both)
+    rng = random.Random(13)
+    instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
+    instances += [random_instance(rng) for _ in range(300)]
+    instances += [encode_script(ladder_script(14, 5)).instance, chain_model(3)]
+    for instance in instances:
+        solve(instance)
+    # open interval ends, which the boxed instances lack: a row with one
+    # infinite end bounds only that variable, and one with two bounds none
+    for _ in range(300):
+        instance = random_instance(rng, with_atoms=False)
+        box = Bounds({v: tuple(end if rng.random() < 0.6 else None for end in instance.bounds.interval(v)) for v in instance.vars})
+        both(Subproblem.root(instance.constraints), box)
+    # equally tight difference bounds from several rows: the first in row order certifies each side
+    ties = [row_of([("x", a), ("y", -a)], rel, a * 2) for a in (1, 2, -3) for rel in (Relation.GE, Relation.LE)]
+    both(Subproblem.root(ties), Bounds({"x": (0, 9), "y": (0, 9)}))
+    assert calls >= 900
+
+
 def test_propagation_detects_emptiness_between_fractional_bounds():
     # 2x <= 1 and 2x >= 1 leave no integer x
     rows = [
@@ -352,16 +385,32 @@ def dense_solve_combination(rows, target):
 
 
 small_ints = st.integers(-4, 4)
+signs = st.sampled_from([-1, 1])
+# the tight rows of a 3-variable CNF optimum: unit bound rows of both signs
+# ahead of mixed clause and gate rows, some repeated, and unit rows after
+# them (the formula variables' bounds sort after the gates'), more rows than
+# variables
+unit_rows = st.lists(st.dictionaries(st.sampled_from("abcd"), signs, min_size=1, max_size=1), min_size=2, max_size=6)
+cnf_shaped_rows = st.builds(
+    lambda units, mixed, repeats, tail: units + mixed + [mixed[i % len(mixed)] for i in repeats] + tail,
+    unit_rows,
+    st.lists(st.dictionaries(st.sampled_from("abcd"), signs, min_size=2, max_size=4), min_size=3, max_size=8),
+    st.lists(st.integers(0, 7), max_size=4),
+    unit_rows,
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.dictionaries(st.sampled_from("abcd"), small_ints, max_size=4), min_size=1, max_size=6),
+    st.one_of(
+        st.lists(st.dictionaries(st.sampled_from("abcd"), small_ints, max_size=4), min_size=1, max_size=6),
+        cnf_shaped_rows,
+    ),
     st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True),
 )
 def test_solve_combination_matches_dense_fractions(coeff_rows, targets):
-    # one batched elimination gives each target what a dense elimination of
-    # its own gives, "e" (in no row) and rank-deficient targets included
+    # one elimination gives each target what a dense elimination of its own
+    # gives, "e" (in no row) and rank-deficient targets included
     rows = [(coeffs, 0, 0) for coeffs in coeff_rows]
     got = [as_fractions(sol) for sol in _solve_combinations(coeff_rows, targets)]
     assert got == [dense_solve_combination(rows, target) for target in targets]
