@@ -12,11 +12,13 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from seating import banquet_instance, describe  # noqa: E402
 
 from imtsolver.engine import solve  # noqa: E402
 from imtsolver.oracle import brute_force_solve  # noqa: E402
-from imtsolver.seating import banquet_instance, describe  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -55,7 +55,7 @@ from imtsolver.smtlib import encode_script  # noqa: E402
 from imtsolver.trace import read_trace, write_trace  # noqa: E402
 
 # the kernel's rules, in the order the benchmark reports their step counts
-RULES = ("learn", "forget", "branch", "drop", "prune", "retire", "unbounded", "subsume")
+RULES = ("learn", "forget", "branch", "drop", "prune", "retire", "unbounded")
 
 
 def seed_range(text: str) -> range:

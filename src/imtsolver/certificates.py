@@ -175,11 +175,6 @@ class UnboundedEvidence:
         return dict(self.ray)
 
 
-@dataclass(frozen=True)
-class SubsumeSyntactic:
-    """Syntactic inclusion witness: the kept subproblem's rows are a subset."""
-
-
 def combo_aggregate(
     entries: tuple[ComboEntry, ...], available: AbstractSet[LinConstraint]
 ) -> tuple[dict[Var, int], int, int]:

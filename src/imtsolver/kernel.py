@@ -1,7 +1,7 @@
 """Certified transition kernel.
 
 The kernel owns the only mutable search state: a set of pending subproblems
-and the incumbent. Every transition is one of eight rules, each carrying a
+and the incumbent. Every transition is one of seven rules, each carrying a
 certificate that the kernel checks against the acting subproblem's rows
 before the state changes. The search engine proposes steps; nothing it
 computes is trusted. ``learn`` adds one derived row: an inequality with a
@@ -18,7 +18,7 @@ original search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .certificates import (
     BoundFix,
@@ -30,7 +30,6 @@ from .certificates import (
     FarkasProof,
     LbDual,
     RetireEvidence,
-    SubsumeSyntactic,
     TheoryLiteral,
     TheoryRefutation,
     UnboundedEvidence,
@@ -88,9 +87,8 @@ class KernelState:
 class Step:
     """One proposed transition. Unused payload fields stay None."""
 
-    rule: str  # branch|learn|forget|drop|prune|retire|unbounded|subsume
+    rule: str  # branch|learn|forget|drop|prune|retire|unbounded
     target: int | None = None
-    other: int | None = None
     row: LinConstraint | None = None
     cert: object | None = None
 
@@ -109,7 +107,7 @@ class Budgets:
     max_consecutive_rewrites: int | None = None
 
 
-_RULES = frozenset({"branch", "learn", "forget", "drop", "prune", "retire", "unbounded", "subsume"})
+_RULES = frozenset({"branch", "learn", "forget", "drop", "prune", "retire", "unbounded"})
 _REWRITE_RULES = frozenset({"learn", "forget"})
 
 
@@ -229,8 +227,7 @@ def _apply_step(
     rule, cert = step.rule, step.cert
     if rule not in _RULES:
         raise RuleViolation(f"unknown rule {rule!r}")
-    by_ident = {s.ident: s for s in state.pending}
-    sub = by_ident.get(step.target)
+    sub = {s.ident: s for s in state.pending}.get(step.target)
     if sub is None:
         raise RuleViolation(f"no pending subproblem with ident {step.target}")
     kids: list[frozenset[LinConstraint]] = []
@@ -324,7 +321,7 @@ def _apply_step(
             raise RuleViolation("theory replay rejects the assignment")
         incumbent = Incumbent.feasible(point)
 
-    elif rule == "unbounded":
+    else:  # unbounded
         if not isinstance(cert, UnboundedEvidence):
             raise RuleViolation("unbounded needs a ray certificate")
         point = cert.assignment_dict()
@@ -358,18 +355,6 @@ def _apply_step(
             raise RuleViolation("theory replay rejects the assignment")
         incumbent = Incumbent.unbounded(point)
         removed = tuple(sorted(state.pending, key=lambda s: s.ident))
-
-    else:  # subsume
-        gone = by_ident.get(step.other)
-        if gone is None:
-            raise RuleViolation(f"no pending subproblem with ident {step.other}")
-        if sub.ident == gone.ident:
-            raise RuleViolation("subsume needs two distinct subproblems")
-        if not isinstance(cert, SubsumeSyntactic):
-            raise RuleViolation("subsume needs its syntactic marker")
-        if not sub.cons <= gone.cons:
-            raise RuleViolation("kept subproblem does not cover the removed one")
-        removed = (gone,)
 
     nid = state.next_ident
     created = tuple(Subproblem(nid + i, cons) for i, cons in enumerate(kids))
@@ -431,7 +416,6 @@ def replay_trace(
     instance: ImtInstance,
     steps: Iterable[Step],
     budgets: Budgets | None = None,
-    on_state: Callable[[int, KernelState, Step, ApplyInfo], None] | None = None,
 ) -> Kernel:
     """Re-check a recorded derivation from scratch; returns the kernel that accepted it.
 
@@ -441,9 +425,7 @@ def replay_trace(
     kernel = Kernel(instance, budgets=budgets)
     for i, step in enumerate(steps):
         try:
-            info = kernel.apply(step)
+            kernel.apply(step)
         except ImtError as exc:
             raise ReplayError(i, str(exc)) from exc
-        if on_state is not None:
-            on_state(i, kernel.state, step, info)
     return kernel

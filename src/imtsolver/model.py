@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 Var = str
 Assignment = Mapping[Var, int]
@@ -210,19 +210,13 @@ class Bounds:
         self._lo_rows: dict[Var, LinConstraint] = {}
         self._hi_rows: dict[Var, LinConstraint] = {}
 
-    def lo(self, v: Var) -> int | None:
-        return self._table.get(v, (None, None))[0]
-
-    def hi(self, v: Var) -> int | None:
-        return self._table.get(v, (None, None))[1]
-
     def interval(self, v: Var) -> tuple[int | None, int | None]:
         return self._table.get(v, (None, None))
 
     def row_lo(self, v: Var) -> LinConstraint:
         row = self._lo_rows.get(v)
         if row is None:
-            lo = self.lo(v)
+            lo = self.interval(v)[0]
             if lo is None:
                 raise InvariantError(f"{v} has no lower bound")
             row = self._lo_rows[v] = LinConstraint(LinExpr.var(v), Relation.GE, lo)
@@ -231,7 +225,7 @@ class Bounds:
     def row_hi(self, v: Var) -> LinConstraint:
         row = self._hi_rows.get(v)
         if row is None:
-            hi = self.hi(v)
+            hi = self.interval(v)[1]
             if hi is None:
                 raise InvariantError(f"{v} has no upper bound")
             row = self._hi_rows[v] = LinConstraint(LinExpr.var(v), Relation.LE, hi)
@@ -270,20 +264,6 @@ class Bounds:
             total *= hi - lo + 1
         return total
 
-    def iter_box(self, vars: Iterable[Var]) -> Iterator[dict[Var, int]]:
-        """Lexicographic enumeration of all integer points over sorted variables."""
-        names = sorted(set(vars))
-        ranges = []
-        for v in names:
-            lo, hi = self.interval(v)
-            if lo is None or hi is None:
-                raise InvariantError(f"cannot enumerate unbounded variable {v}")
-            ranges.append(range(lo, hi + 1))
-        import itertools
-
-        for point in itertools.product(*ranges):
-            yield dict(zip(names, point))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Bounds) and self._table == other._table
 
@@ -297,10 +277,6 @@ class Subproblem:
 
     ident: int
     cons: frozenset[LinConstraint]
-
-    @staticmethod
-    def root(cons: Iterable[LinConstraint], ident: int = 0) -> Subproblem:
-        return Subproblem(ident, frozenset(normalize(c) for c in cons))
 
 
 @dataclass(frozen=True)
@@ -350,10 +326,6 @@ class ObjValue:
     @staticmethod
     def finite(v: int) -> ObjValue:
         return ObjValue(0, int(v))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == 0
 
     def sort_key(self) -> tuple[int, int]:
         return (self.kind, self.value if self.kind == 0 else 0)

@@ -28,7 +28,6 @@ from .certificates import (
     LbDual,
     RetireEvidence,
     SideCut,
-    SubsumeSyntactic,
     TheoryLiteral,
     TheoryRefutation,
     UnboundedEvidence,
@@ -176,18 +175,13 @@ def _cert_back(obj: dict, table: _Table):
             tuple((_str(v), _int(c)) for v, c in obj["assignment"]),
             tuple((_str(v), _int(c)) for v, c in obj["ray"]),
         )
-    if kind == "subsume":
-        return SubsumeSyntactic()
-    raise TraceError(f"unknown certificate kind {kind!r}")
+    raise ValueError(f"unknown certificate kind {kind!r}")
 
 
-def step_from_json(obj: dict, table: _Table | None = None) -> Step:
-    if table is None:
-        table = _Table()
+def step_from_json(obj: dict, table: _Table) -> Step:
     return Step(
         rule=_str(obj["rule"]),
         target=_int(obj["target"]) if "target" in obj else None,
-        other=_int(obj["other"]) if "other" in obj else None,
         row=table.row(obj["row"]) if "row" in obj else None,
         cert=_cert_back(obj["cert"], table) if "cert" in obj else None,
     )
@@ -261,16 +255,12 @@ class _Writer:
             return f'{{"kind":"retire","assignment":{_pairs(cert.assignment)},"lb":{self.cert(cert.lb_match)}}}'
         if isinstance(cert, UnboundedEvidence):
             return f'{{"kind":"ray","assignment":{_pairs(cert.assignment)},"ray":{_pairs(cert.ray)}}}'
-        if isinstance(cert, SubsumeSyntactic):
-            return '{"kind":"subsume"}'
         raise TraceError(f"unserializable certificate {type(cert).__name__}")
 
     def step(self, step: Step) -> str:
         parts = ['{"rule":', _quote(step.rule)]
         if step.target is not None:
             parts.append(f',"target":{step.target}')
-        if step.other is not None:
-            parts.append(f',"other":{step.other}')
         if step.row is not None:
             parts.append(f',"row":{self.row(step.row)}')
         if step.cert is not None:

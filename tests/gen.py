@@ -6,11 +6,14 @@ linear objective, and optional annotated atoms. Everything stays inside the
 enumeration oracle's comfort zone. ``random_cnf`` and ``cnf_script`` draw
 3-CNF formulas and encode them as SMT-LIB scripts, ``ladder_script`` redraws
 one formula of ``scripts/cnf_ladder.py``'s sequence, and ``chain_model``
-builds a theory-heavy instance that is not random.
+builds a theory-heavy instance that is not random. ``root`` and ``iter_box``
+build a subproblem from rows and enumerate a box's integer points.
 """
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Iterable, Iterator
 
 from imtsolver.model import (
     Bounds,
@@ -19,9 +22,29 @@ from imtsolver.model import (
     LinConstraint,
     LinExpr,
     Relation,
+    Subproblem,
+    normalize,
 )
 
 RELS = (Relation.LE, Relation.GE, Relation.EQ, Relation.LT, Relation.GT)
+
+
+def root(cons: Iterable[LinConstraint], ident: int = 0) -> Subproblem:
+    """The subproblem whose row set is ``cons``, normalized."""
+    return Subproblem(ident, frozenset(normalize(c) for c in cons))
+
+
+def iter_box(bounds: Bounds, names: Iterable[str]) -> Iterator[dict[str, int]]:
+    """Lexicographic enumeration of all integer points over the sorted variables."""
+    names = sorted(set(names))
+    ranges = []
+    for v in names:
+        lo, hi = bounds.interval(v)
+        if lo is None or hi is None:
+            raise ValueError(f"cannot enumerate unbounded variable {v}")
+        ranges.append(range(lo, hi + 1))
+    for point in itertools.product(*ranges):
+        yield dict(zip(names, point))
 
 
 def random_expr(rng: random.Random, names: list[str], allow_zero: bool = False) -> LinExpr:

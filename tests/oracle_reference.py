@@ -6,6 +6,7 @@ property test can check that the oracle's shortcuts change no answer.
 """
 from __future__ import annotations
 
+from gen import iter_box
 from imtsolver.euf import functional_consistency
 from imtsolver.model import ImtInstance, satisfies_all
 from imtsolver.oracle import OracleResult
@@ -16,7 +17,7 @@ def full_box_scan(instance: ImtInstance) -> OracleResult:
     atoms = tuple(instance.atoms)
     best_value = best_point = None
     feasible = 0
-    for point in instance.bounds.iter_box(names):
+    for point in iter_box(instance.bounds, names):
         if not satisfies_all(instance.constraints, point):
             continue
         if atoms and not functional_consistency(atoms, point):

@@ -31,7 +31,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     for row in base_rows:
         relevant.update(row.lhs.vars())
 
-    work: dict[Var, list[int | None]] = {v: [bounds.lo(v), bounds.hi(v)] for v in relevant}
+    work: dict[Var, list[int | None]] = {v: list(bounds.interval(v)) for v in relevant}
     # the base or derived row behind each tightened end; an end never tightened is the box's row
     cites: dict[Var, list[LinConstraint | None]] = {v: [None, None] for v in relevant}
     # a derived bound is strictly tighter than the box end it started from, so never a box row

@@ -14,7 +14,7 @@ theory instead of pure arithmetic.
 """
 from __future__ import annotations
 
-from .model import (
+from imtsolver.model import (
     Bounds,
     ImtInstance,
     InterfaceAtom,

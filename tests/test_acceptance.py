@@ -12,8 +12,9 @@ import time
 
 import pytest
 
-from gen import cnf_script, random_cnf, random_instance, random_lp_instance
+from gen import cnf_script, iter_box, random_cnf, random_instance, random_lp_instance, root
 from lp_oracle import vertex_optimum
+from seating import banquet_instance
 from imtsolver.certificates import (
     BoundFix,
     BranchConflictSplit,
@@ -33,6 +34,7 @@ from imtsolver.engine import CUTS_PER_ROUND, Config, solve
 from imtsolver.euf import EufSession, TheoryConflict, functional_consistency
 from imtsolver.kernel import (
     Budgets,
+    Kernel,
     ReplayError,
     RuleViolation,
     Step,
@@ -47,12 +49,10 @@ from imtsolver.model import (
     LinExpr,
     ObjValue,
     Relation,
-    Subproblem,
     satisfies,
     satisfies_all,
 )
 from imtsolver.oracle import brute_force_solve
-from imtsolver.seating import banquet_instance
 from imtsolver.smtlib import encode_script
 from imtsolver.trace import read_trace, write_trace
 
@@ -176,7 +176,7 @@ def _break_step(step: Step) -> Step | None:
         entries = cert.lower.entries[:i] + ((row, dir_, -mult),) + cert.lower.entries[i + 1 :]
         return Step(step.rule, step.target, row=step.row, cert=BoundFix(CGCut(entries), cert.upper))
     if isinstance(cert, LbDual):
-        if not cert.bound.is_finite:
+        if cert.bound.kind != 0:
             return None
         worse = LbDual(ObjValue.finite(cert.bound.value + 1), cert.entries)
         return Step(step.rule, step.target, cert=worse)
@@ -263,16 +263,15 @@ def test_criterion_4_cut_validity(suite):
         learn_steps = [s for s in res.steps if s.rule == "learn"]
         if not learn_steps:
             continue
-        root_rows = rows_of(instance, Subproblem.root(instance.constraints))
-        box = [p for p in instance.bounds.iter_box(instance.vars) if satisfies_all(root_rows, p)]
+        root_rows = rows_of(instance, root(instance.constraints))
+        box = [p for p in iter_box(instance.bounds, instance.vars) if satisfies_all(root_rows, p)]
 
         events = []
-
-        def on_state(i, state, step, info):
+        kernel = Kernel(instance)
+        for step in res.steps:
+            info = kernel.apply(step)
             if step.rule == "learn":
                 events.append((step.row, info.removed[0]))
-
-        replay_trace(instance, res.steps, on_state=on_state)
         assert len(events) == len(learn_steps)
         for cut, parent in events:
             parent_rows = rows_of(instance, parent)
@@ -331,7 +330,7 @@ def test_criterion_5_indicator_linking():
         ]
         assert link
 
-        for point in enc.instance.bounds.iter_box(names):
+        for point in iter_box(enc.instance.bounds, names):
             truth = sum(coeffs[v] * point[v] for v in names) <= r
             for bit in (0, 1):
                 point[k] = bit
@@ -430,7 +429,7 @@ def test_criterion_9_lp_exactness():
     infeasible = 0
     for _ in range(130):
         instance = random_lp_instance(rng)
-        sub = Subproblem.root(instance.constraints)
+        sub = root(instance.constraints)
         out = lp_solve(sub, instance.objective, instance.bounds)
         status, value = vertex_optimum(sub, instance.objective, instance.bounds)
         rows = frozenset(assemble_rows(sub, instance.bounds, instance.objective))

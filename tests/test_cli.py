@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +248,26 @@ def test_replay_loads_neither_the_engine_nor_the_lp(tmp_path, capsys):
     assert done.stdout.splitlines()[:2] == ["trace accepted", "optimal 1"]
     assert not loaded & {"imtsolver.engine", "imtsolver.lp", "imtsolver.oracle"}
     assert loaded == REPLAY_MODULES
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _count(text: str) -> int:
+    return int(text.replace(",", ""))
+
+
+def test_readme_counts_the_lines_replay_loads():
+    text = (ROOT / "README.md").read_text()
+    table = {name: _count(n) for name, n in re.findall(r"^\| `(\w+)\.py` \| ([\d,]+) \|$", text, re.M)}
+    assert {"imtsolver" if name == "__init__" else f"imtsolver.{name}" for name in table} == REPLAY_MODULES
+    lines = {name: (ROOT / "src" / "imtsolver" / f"{name}.py").read_text().count("\n") for name in table}
+    assert table == lines
+    (total,) = re.findall(r"That is ([\d,]+) lines\.", text)
+    assert _count(total) == sum(lines.values())
+    trusted_base = r"The rule checks are `kernel\.py`, `certificates\.py`\s+and the closure in `euf\.py`, ([\d,]+) lines"
+    (trusted,) = re.findall(trusted_base, text)
+    assert _count(trusted) == lines["kernel"] + lines["certificates"] + lines["euf"]
 
 
 def test_the_package_root_loads_no_submodule():

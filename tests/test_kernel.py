@@ -13,7 +13,6 @@ from imtsolver.certificates import (
     LbDual,
     RetireEvidence,
     SideCut,
-    SubsumeSyntactic,
     TheoryLiteral,
     TheoryRefutation,
     UnboundedEvidence,
@@ -27,7 +26,6 @@ from imtsolver.kernel import (
     Step,
     conflict_split_arms,
     initial_state,
-    replay_trace,
     rows_of,
     verdict,
 )
@@ -46,7 +44,7 @@ from imtsolver.model import (
     satisfies_all,
 )
 
-from gen import random_instance
+from gen import iter_box, random_instance, root
 
 
 def row(terms, rel, rhs):
@@ -146,7 +144,7 @@ def test_conflict_split_arms_partition_every_point():
         arms = conflict_split_arms(core)
         # a diseq in the core renders "true" as two arms, so leaves may repeat
         assert sum(1 for _, all_true in arms if all_true) >= 1
-        for point in box.iter_box(names):
+        for point in iter_box(box, names):
             holds = [satisfies_all(rows, point) for rows, _ in arms]
             assert holds.count(True) == 1
 
@@ -485,40 +483,6 @@ def test_unbounded_rejects_rays_through_theory_variables():
         Kernel(inst).apply(Step("unbounded", target=0, cert=ev))
 
 
-def test_subsume():
-    inst = plain_instance()
-    k = Kernel(inst)
-    base = row([("x", 1), ("y", 1)], Relation.GE, 3)
-    cut = row([("x", 1), ("y", 1)], Relation.GE, 2)
-    k.apply(Step("branch", target=0, cert=BranchDichotomy("x", 2)))
-    k.apply(Step("learn", target=1, row=cut, cert=identity_cut(base, "ge")))
-    # ident 3 = ident 1 plus the cut, so 1 is gone; kernel now has {2, 3}
-    with pytest.raises(RuleViolation):
-        k.apply(Step("subsume", target=3, other=2, cert=SubsumeSyntactic()))
-    k2 = Kernel(inst)
-    k2.apply(Step("branch", target=0, cert=BranchDichotomy("x", 2)))
-    k2.apply(Step("branch", target=1, cert=BranchDichotomy("y", 2)))
-    # child 3 carries x<=2, y<=2; parent-side sibling 2 carries x>=3
-    with pytest.raises(RuleViolation):
-        k2.apply(Step("subsume", target=3, other=3, cert=SubsumeSyntactic()))
-    with pytest.raises(RuleViolation):
-        k2.apply(Step("subsume", target=3, other=2, cert=FarkasProof(())))
-    # a genuine cover: learn the dichotomy row into a copy
-    k3 = Kernel(inst)
-    k3.apply(Step("branch", target=0, cert=BranchDichotomy("x", 2)))
-    lo = row([("x", 1)], Relation.LE, 2)
-    weaker = row([("x", 1)], Relation.LE, 4)
-    k3.apply(Step("learn", target=1, row=weaker, cert=identity_cut(lo, "le")))
-    # ident 3 = {base, x<=2, x<=4} covered by ident... the cover must be the subset side
-    subs = {s.ident: s for s in k3.state.pending}
-    keeper, gone = 2, 3
-    if not (subs[keeper].cons <= subs[gone].cons):
-        keeper, gone = gone, keeper
-    if subs[keeper].cons <= subs[gone].cons:
-        k3.apply(Step("subsume", target=keeper, other=gone, cert=SubsumeSyntactic()))
-        assert gone not in {s.ident for s in k3.state.pending}
-
-
 def test_budgets_enforced():
     inst = plain_instance()
     k = Kernel(inst, budgets=Budgets(max_branches=1))
@@ -596,8 +560,8 @@ def test_box_rows_do_not_carry_over_between_instances():
     k = Kernel(narrow)
     k.apply(Step("learn", target=0, row=cut, cert=cert))
     # the wide instance, with the same variables, has no row x <= 3
-    assert narrow_hi in rows_of(narrow, Subproblem.root(cons))
-    assert narrow_hi not in rows_of(wide, Subproblem.root(cons))
+    assert narrow_hi in rows_of(narrow, root(cons))
+    assert narrow_hi not in rows_of(wide, root(cons))
     with pytest.raises(RuleViolation, match="outside the subproblem: x <= 3"):
         Kernel(wide).apply(Step("learn", target=0, row=cut, cert=cert))
 
@@ -609,20 +573,17 @@ def _assert_one_transition(prev, new, step, info):
     if step.rule == "unbounded":
         assert info.removed == tuple(sorted(prev.pending, key=lambda s: s.ident))
     else:
-        gone = step.other if step.rule == "subsume" else step.target
-        assert [s.ident for s in info.removed] == [gone]
+        assert [s.ident for s in info.removed] == [step.target]
     assert new.pending == (prev.pending - set(info.removed)) | set(info.created)
     assert (new.incumbent != prev.incumbent) == (step.rule in ("retire", "unbounded"))
 
 
 def _replay_checking_transitions(inst, steps):
-    prev = [initial_state(inst)]
-
-    def on_state(i, state, step, info):
-        _assert_one_transition(prev[0], state, step, info)
-        prev[0] = state
-
-    kernel = replay_trace(inst, steps, on_state=on_state)
+    kernel = Kernel(inst)
+    for step in steps:
+        prev = kernel.state
+        info = kernel.apply(step)
+        _assert_one_transition(prev, kernel.state, step, info)
     assert kernel.log == list(steps)
     assert kernel.branches == sum(step.rule == "branch" for step in steps)
     return kernel
@@ -662,7 +623,7 @@ def tail_instance():
 
 
 def tail_steps():
-    """Trichotomy, a single-variable equality learn, subsume and unbounded, by hand."""
+    """Trichotomy, a single-variable equality learn and unbounded, by hand."""
     y_lo, y_hi = row([("y", 1)], Relation.GE, 2), row([("y", 1)], Relation.LE, 2)
     fix = BoundFix(identity_cut(y_lo, "ge"), identity_cut(y_hi, "le"))
     ray = UnboundedEvidence((("x", 0), ("y", 2)), (("x", -1),))
@@ -670,8 +631,7 @@ def tail_steps():
         Step("branch", target=0, cert=BranchTrichotomy("x", "y", 1)),  # 1: x-y <= 0, 2: x-y = 1, 3: x-y >= 2
         Step("learn", target=2, row=row([("y", 1)], Relation.EQ, 2), cert=fix),  # 4
         Step("branch", target=1, cert=BranchDichotomy("x", 5)),  # 5 adds x <= 5, already a row; 6 adds x >= 6
-        Step("subsume", target=5, other=6, cert=SubsumeSyntactic()),
-        Step("unbounded", target=5, cert=ray),  # removes 3, 4 and 5
+        Step("unbounded", target=5, cert=ray),  # removes 3, 4, 5 and 6
     ]
 
 
@@ -702,9 +662,8 @@ def test_a_rejected_step_changes_nothing():
         Step("prune", target=1, cert=lb),
         Step("retire", target=1, cert=RetireEvidence(point, lb)),
         Step("unbounded", target=1, cert=UnboundedEvidence(point, ())),
-        Step("subsume", target=1, other=3, cert=SubsumeSyntactic()),
     ]
-    assert len({step.rule for step in bad}) == 8
+    assert len({step.rule for step in bad}) == 7
     state, log = k.state, list(k.log)
     for step in bad:
         with pytest.raises(RuleViolation):

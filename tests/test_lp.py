@@ -38,16 +38,16 @@ from imtsolver.model import (
 from imtsolver.smtlib import encode_script
 
 import propagation_reference
-from gen import chain_model, cnf_script, ladder_script, random_cnf, random_instance, random_lp_instance
+from gen import chain_model, cnf_script, iter_box, ladder_script, random_cnf, random_instance, random_lp_instance, root
 from lp_oracle import vertex_optimum
 
 
 def lp_parts(instance):
-    return Subproblem.root(instance.constraints), instance.objective, instance.bounds
+    return root(instance.constraints), instance.objective, instance.bounds
 
 
 def feasible_points(instance, sub):
-    for point in instance.bounds.iter_box(instance.vars):
+    for point in iter_box(instance.bounds, instance.vars):
         if satisfies_all(sub.cons, point):
             yield point
 
@@ -77,7 +77,7 @@ def test_lp_matches_vertex_enumeration_on_random_instances():
 
 
 def test_lp_unbounded_reports_a_certified_ray():
-    sub = Subproblem.root([LinConstraint(LinExpr.var("x"), Relation.LE, 5)])
+    sub = root([LinConstraint(LinExpr.var("x"), Relation.LE, 5)])
     out = lp_solve(sub, LinExpr.var("x"), Bounds({}))
     assert isinstance(out, LpUnbounded)
     assert satisfies_all(sub.cons, out.point)
@@ -94,7 +94,7 @@ def test_lp_unbounded_reports_a_certified_ray():
 
 
 def test_lp_handles_equality_only_feasible_set():
-    sub = Subproblem.root(
+    sub = root(
         [LinConstraint(LinExpr.of([("x", 1), ("y", 1)]), Relation.EQ, 4)]
     )
     out = lp_solve(sub, LinExpr.var("x"), Bounds({"x": (0, 9), "y": (0, 3)}))
@@ -123,7 +123,7 @@ def test_gomory_cut_on_known_fractional_vertices():
     ]
     bounds = Bounds({"x": (0, 5), "y": (0, 5)})
     for rows, obj, expected in cases:
-        sub = Subproblem.root(rows)
+        sub = root(rows)
         out = lp_solve(sub, obj, bounds)
         assert isinstance(out, LpOptimal)
         cuts = derive_gomory_cuts(out)
@@ -271,10 +271,10 @@ def test_propagation_matches_the_reference_that_re_sums_each_row(monkeypatch):
     for _ in range(300):
         instance = random_instance(rng, with_atoms=False)
         box = Bounds({v: tuple(end if rng.random() < 0.6 else None for end in instance.bounds.interval(v)) for v in instance.vars})
-        both(Subproblem.root(instance.constraints), box)
+        both(root(instance.constraints), box)
     # equally tight difference bounds from several rows: the first in row order certifies each side
     ties = [row_of([("x", a), ("y", -a)], rel, a * 2) for a in (1, 2, -3) for rel in (Relation.GE, Relation.LE)]
-    both(Subproblem.root(ties), Bounds({"x": (0, 9), "y": (0, 9)}))
+    both(root(ties), Bounds({"x": (0, 9), "y": (0, 9)}))
     assert calls >= 900
 
 
@@ -284,7 +284,7 @@ def test_propagation_detects_emptiness_between_fractional_bounds():
         LinConstraint(LinExpr.of([("x", 2)]), Relation.LE, 1),
         LinConstraint(LinExpr.of([("x", 2)]), Relation.GE, 1),
     ]
-    sub = Subproblem.root(rows)
+    sub = root(rows)
     res = propagate_bounds(sub, Bounds({"x": (0, 3)}))
     assert res.infeasible
 
@@ -300,7 +300,7 @@ def test_propagation_fixes_differences_and_leaves_pinned_variables_to_their_rows
     ]
     bounds = Bounds({"x": (0, 9), "y": (0, 9), "z": (0, 9)})
     instance = ImtInstance(["x", "y", "z"], bounds, rows)
-    sub = Subproblem.root(rows)
+    sub = root(rows)
     res = propagate_bounds(sub, bounds)
     fixed = {eq for eq, _ in res.fixes}
     assert diff_equality("y", "z", 3) in fixed
@@ -317,7 +317,7 @@ def test_degenerate_beale_lp_reaches_its_exact_optimum():
         LinConstraint(LinExpr.var("x6"), Relation.LE, 1),
     ]
     obj = LinExpr.of([("x4", -3), ("x5", 80), ("x6", -2), ("x7", 24)])
-    sub = Subproblem.root(rows)
+    sub = root(rows)
     bounds = Bounds({v: (0, None) for v in ("x4", "x5", "x6", "x7")})
     out = lp_solve(sub, obj, bounds)
     assert isinstance(out, LpOptimal)
@@ -467,11 +467,11 @@ R2 = row_of([("x", 1), ("y", -1)], Relation.LE, 2)
 
 
 def test_cut_round_reoptimises_the_previous_simplex():
-    out0 = lp_solve(Subproblem.root([R1, R2]), WARM_OBJ, WARM_BOX)
+    out0 = lp_solve(root([R1, R2]), WARM_OBJ, WARM_BOX)
     assert isinstance(out0, LpOptimal) and out0.value == Fraction(7, 2)
     # a cut, plus a tighter copy of R1; R1 stays, so the round only adds rows
     cut = row_of([("x", 1), ("y", 1)], Relation.GE, 4)
-    sub1 = Subproblem.root([R1, R2, cut, row_of([("x", 2), ("y", 2)], Relation.GE, 9)])
+    sub1 = root([R1, R2, cut, row_of([("x", 2), ("y", 2)], Relation.GE, 9)])
     cold1 = lp_solve(sub1, WARM_OBJ, WARM_BOX)
     out1 = lp_solve(sub1, WARM_OBJ, WARM_BOX, out0)
     assert isinstance(out1, LpOptimal)
@@ -484,7 +484,7 @@ def test_cut_round_reoptimises_the_previous_simplex():
     assert R1 not in {row for row, _, _ in out1.dual}
     check_lb_dual(LbDual(ObjValue.finite(5), out1.dual), have, WARM_OBJ)
     # a second round whose cut needs pivots on the same tableau
-    sub2 = Subproblem.root([*sub1.cons, row_of([("x", 1), ("y", -2)], Relation.LE, 0)])
+    sub2 = root([*sub1.cons, row_of([("x", 1), ("y", -2)], Relation.LE, 0)])
     cold2 = lp_solve(sub2, WARM_OBJ, WARM_BOX)
     out2 = lp_solve(sub2, WARM_OBJ, WARM_BOX, out1)
     assert isinstance(out2, LpOptimal) and out2.state is out0.state
@@ -531,7 +531,7 @@ def test_cut_round_falls_back_to_a_cold_solve(base, later, later_box, later_obj,
     # a new variable, a row without variables, a new objective or box, or any
     # forgotten row solves from scratch; a round that only added rows with
     # known variables, equalities among them, stays warm
-    sub0, sub1 = Subproblem.root(base), Subproblem.root(later)
+    sub0, sub1 = root(base), root(later)
     out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
     assert isinstance(out0, LpOptimal)
     out = lp_solve(sub1, later_obj, later_box, out0)
@@ -556,7 +556,7 @@ ADDED_ROUNDS = [
 
 
 def test_rounds_that_only_add_rows_merge_them_into_the_previous_rows(monkeypatch):
-    sub = Subproblem.root([R1, R2])
+    sub = root([R1, R2])
     out = lp_solve(sub, WARM_OBJ, WARM_BOX)
     pivots = 0
     for added in ADDED_ROUNDS:
@@ -585,7 +585,7 @@ def test_rounds_that_only_add_rows_merge_them_into_the_previous_rows(monkeypatch
 )
 def test_the_same_rows_over_another_box_or_equalities_match_a_cold_solve(box, added, warm):
     # another box solves from scratch; an equality is one more row, merged warm
-    sub0 = Subproblem.root([R1, R2])
+    sub0 = root([R1, R2])
     out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
     sub1 = Subproblem(1, sub0.cons | added)
     cold = lp_solve(sub1, WARM_OBJ, box)
@@ -601,8 +601,8 @@ def test_farkas_proof_citing_a_forgotten_row_falls_back():
     # the round forgot a row, so it re-solves from scratch and the proof
     # cites only rows still present
     forgotten = row_of([("x", 1), ("y", 1)], Relation.GE, 2)
-    sub0 = Subproblem.root([forgotten])
-    sub1 = Subproblem.root([row_of([("x", 1), ("y", 1)], Relation.GE, 3), row_of([("x", 1), ("y", 1)], Relation.LE, 1)])
+    sub0 = root([forgotten])
+    sub1 = root([row_of([("x", 1), ("y", 1)], Relation.GE, 3), row_of([("x", 1), ("y", 1)], Relation.LE, 1)])
     out0 = lp_solve(sub0, WARM_OBJ, WARM_BOX)
     out = lp_solve(sub1, WARM_OBJ, WARM_BOX, out0)
     assert isinstance(out, LpInfeasible)
@@ -626,7 +626,7 @@ def test_cut_rounds_reoptimised_in_place_match_cold_solves(data):
         row_of(data.draw(warm_exprs), data.draw(rels), data.draw(st.integers(-6, 6)))
         for _ in range(data.draw(st.integers(0, 4)))
     ]
-    sub = Subproblem.root(base)
+    sub = root(base)
     out = lp_solve(sub, obj, box)
     for _ in range(3):
         if not isinstance(out, LpOptimal):
@@ -664,7 +664,7 @@ def test_cut_rounds_reoptimised_in_place_match_cold_solves(data):
     ids=["plain", "negated"],
 )
 def test_contradictory_bound_rows_give_a_two_entry_farkas_proof(lo_row, hi_row):
-    sub, box, obj = Subproblem.root([lo_row, hi_row]), Bounds({"x": (0, 5)}), LinExpr.var("x")
+    sub, box, obj = root([lo_row, hi_row]), Bounds({"x": (0, 5)}), LinExpr.var("x")
     out = lp_solve(sub, obj, box)
     assert isinstance(out, LpInfeasible) and out.pivots == 0
     assert out.farkas.entries == ((lo_row, lo_row.rel.name.lower(), 1), (hi_row, hi_row.rel.name.lower(), 1))
@@ -706,7 +706,7 @@ def test_bounded_columns_match_vertex_enumeration(data):
             rows.append(row_of(list(terms.items()), Relation.GE, low - gap))
         else:
             rows.append(row_of(list(terms.items()), Relation.LE, high + gap))
-    sub, box, obj = Subproblem.root(rows), Bounds(table), LinExpr.of(data.draw(warm_exprs))
+    sub, box, obj = root(rows), Bounds(table), LinExpr.of(data.draw(warm_exprs))
     have = frozenset(assemble_rows(sub, box, obj))
     status, value = vertex_optimum(sub, obj, box)
     out = lp_solve(sub, obj, box)
@@ -742,7 +742,7 @@ PARKED = [
     ids=["optimal", "infeasible"],
 )
 def test_rows_the_box_implies_get_no_tableau_row(extra, status):
-    sub, obj = Subproblem.root(PARKED + extra), LinExpr.of([("x", 1), ("y", 3)])
+    sub, obj = root(PARKED + extra), LinExpr.of([("x", 1), ("y", 3)])
     rows = assemble_rows(sub, PARK_BOX, obj)
     have = frozenset(rows)
     out = lp_solve(sub, obj, PARK_BOX)
@@ -762,12 +762,12 @@ def test_rows_the_box_implies_get_no_tableau_row(extra, status):
 def test_forgetting_a_certifying_bound_solves_from_scratch():
     box, obj = Bounds({"x": (0, 4), "y": (0, 2)}), LinExpr.of([("x", -2), ("y", -1)])
     joint = row_of([("x", 1), ("y", 1)], Relation.LE, 3)
-    sub0 = Subproblem.root([row_of([("x", 1)], Relation.LE, 1), joint])
+    sub0 = root([row_of([("x", 1)], Relation.LE, 1), joint])
     out0 = lp_solve(sub0, obj, box)
     assert isinstance(out0, LpOptimal) and out0.tableau_rows == 0 and out0.value == -4
     # the round forgets x <= 1, which bounds x and made the joint row implied,
     # for a looser cut x <= 2; bounds only tighten, so this re-solves cold
-    sub1 = Subproblem.root([row_of([("x", 1)], Relation.LE, 2), joint])
+    sub1 = root([row_of([("x", 1)], Relation.LE, 2), joint])
     rows = assemble_rows(sub1, box, obj)
     out1 = lp_solve(sub1, obj, box, out0)
     cold = lp_solve(sub1, obj, box)

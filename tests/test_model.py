@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gen import iter_box
 from imtsolver.model import (
     Bounds,
     ImtInstance,
@@ -101,7 +102,7 @@ def test_bounds_reject_empty_interval():
 def test_bounds_volume_and_box():
     b = Bounds({"x": (0, 2), "y": (1, 1)})
     assert b.volume(["x", "y"]) == 3
-    assert len(list(b.iter_box(["x", "y"]))) == 3
+    assert len(list(iter_box(b, ["x", "y"]))) == 3
     assert Bounds({"x": (0, None)}).volume(["x"]) is None
 
 

@@ -15,7 +15,6 @@ from imtsolver.certificates import (
     LbDual,
     RetireEvidence,
     SideCut,
-    SubsumeSyntactic,
     TheoryLiteral,
     TheoryRefutation,
     UnboundedEvidence,
@@ -82,7 +81,6 @@ STEPS = [
         cert=RetireEvidence((("x", 1), ("y", -2)), LbDual(ObjValue.finite(1))),
     ),
     Step("unbounded", target=10, cert=UnboundedEvidence((("x", 0),), (("x", -1), ("y", 2)))),
-    Step("subsume", target=11, other=12, cert=SubsumeSyntactic()),
 ]
 
 
@@ -143,7 +141,7 @@ def odd_steps(name):
         Step("drop", target=3, cert=TheoryRefutation((lit,), (BoundFix(cut, cut),))),
         Step("retire", target=4, cert=RetireEvidence(((name, -BIG),), LbDual(ObjValue.neg_inf()))),
         Step("unbounded", target=5, cert=UnboundedEvidence(((name, 0),), ((name, -1),))),
-        Step(name, target=6, other=-BIG, cert=SubsumeSyntactic()),
+        Step(name, target=-BIG),
     ]
 
 
@@ -192,9 +190,8 @@ certs = st.one_of(
     st.builds(BranchConflictSplit, lit_tuples),
     st.builds(RetireEvidence, pairs, lb_duals),
     st.builds(UnboundedEvidence, pairs, pairs),
-    st.just(SubsumeSyntactic()),
 )
-any_steps = st.builds(Step, names, st.none() | ints, st.none() | ints, st.none() | rows, st.none() | certs)
+any_steps = st.builds(Step, names, st.none() | ints, st.none() | rows, st.none() | certs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,6 +321,16 @@ def test_a_propagate_line_replays_to_unknown_rule(tmp_path, capsys):
     assert capsys.readouterr().err == "trace rejected: step 0: unknown rule 'propagate'\n"
 
 
+def test_a_subsume_line_is_refused_with_its_line(tmp_path, capsys):
+    # a well-formed step whose certificate kind the reader does not know is refused at its line
+    subsume = {"rule": "subsume", "target": 0, "other": 1, "cert": {"kind": "subsume"}}
+    instance, trace = _old_trace(tmp_path, 4, subsume)
+    with pytest.raises(TraceError, match="^line 2: unknown certificate kind 'subsume'$"):
+        read_trace(trace, parse_instance(instance.read_text()))
+    assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: line 2: unknown certificate kind 'subsume'\n"
+
+
 @pytest.mark.parametrize(
     "blank, line", [("", 2), ("\n\n", 4), ("   \n\n", 4), ("\r\n\n", 4)], ids=["none", "two", "spaces", "crlf"]
 )
@@ -423,7 +430,6 @@ RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
         {"rule": ["drop"], "target": 0, "cert": FARKAS},
         {"rule": "drop", "target": [0], "cert": FARKAS},
         {"rule": "branch", "target": 0, "cert": {"kind": "dichotomy", "var": ["x"], "k": 1}},
-        {"rule": "subsume", "target": 0, "other": {"a": 1}, "cert": {"kind": "subsume"}},
         {
             "rule": "retire",
             "target": 0,
@@ -456,7 +462,6 @@ RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
         "list_rule",
         "list_target",
         "list_branch_variable",
-        "object_other",
         "list_assignment_name",
     ],
 )
@@ -563,7 +568,7 @@ def test_step_from_json_checks_a_row_before_its_memoised_twin():
     twin = [{"lhs": [["x", 1]], "rel": ">=", "rhs": 1.0}, "ge", "1"]
     obj = {"rule": "drop", "target": 0, "cert": {"kind": "farkas", "entries": [entry, twin]}}
     with pytest.raises(ValueError, match="expected an integer"):
-        step_from_json(obj)
+        step_from_json(obj, _Table())
 
 
 # (index into STEPS, path to an integer field of its JSON form)

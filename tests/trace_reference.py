@@ -22,7 +22,6 @@ from imtsolver.certificates import (
     LbDual,
     RetireEvidence,
     SideCut,
-    SubsumeSyntactic,
     TheoryLiteral,
     TheoryRefutation,
     UnboundedEvidence,
@@ -97,16 +96,12 @@ class _Encoder:
                 "assignment": [[v, int(c)] for v, c in cert.assignment],
                 "ray": [[v, int(c)] for v, c in cert.ray],
             }
-        if isinstance(cert, SubsumeSyntactic):
-            return {"kind": "subsume"}
         raise TypeError(f"unserializable certificate {type(cert).__name__}")
 
     def step(self, step: Step) -> dict:
         out: dict = {"rule": step.rule}
         if step.target is not None:
             out["target"] = step.target
-        if step.other is not None:
-            out["other"] = step.other
         if step.row is not None:
             out["row"] = self.row(step.row)
         if step.cert is not None:
