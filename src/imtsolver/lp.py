@@ -64,7 +64,6 @@ from .model import (
     Subproblem,
     Var,
     diff_equality,
-    normalize,
 )
 
 
@@ -114,10 +113,9 @@ def _order(row: LinConstraint) -> tuple:  # the relaxation's fixed row order
 
 def _rows_and_vars(sub: Subproblem, bounds: Bounds, objective: LinExpr) -> tuple[list[LinConstraint], set[Var]]:
     """The relaxation's rows in a fixed order, and the variables they or the objective mention."""
-    rows: set[LinConstraint] = set()
+    rows: set[LinConstraint] = set(sub.cons)
     relevant: set[Var] = set(objective.vars())
     for c in sub.cons:
-        rows.add(normalize(c))
         relevant.update(c.lhs.vars())
     for v in relevant:
         lo, hi = bounds.interval(v)
@@ -498,7 +496,7 @@ class _Simplex:
         cons, box = self.source
         if box is not bounds or not cons <= sub.cons:
             return None
-        added = sorted({normalize(c) for c in sub.cons - cons}.difference(self.available), key=_order)
+        added = sorted((sub.cons - cons).difference(self.available), key=_order)
         if not all(row.lhs.terms and all(v in self.col for v, _ in row.lhs.terms) for row in added):
             return None
         rows = list(prev.rows)
@@ -673,7 +671,7 @@ def derive_gomory_cuts(t: LpOptimal) -> list[tuple[LinConstraint, CGCut]]:
 
     # every row is scanned: leaving out a tight one, even one the tableau
     # left out, would change which rows the multipliers use
-    tight: list[tuple[dict[Var, int], int, LinConstraint, str]] = []
+    tight: list[LinConstraint] = []
     for row in t.rows:
         terms = row.lhs.terms
         if not terms:
@@ -681,31 +679,29 @@ def derive_gomory_cuts(t: LpOptimal) -> list[tuple[LinConstraint, CGCut]]:
         activity = 0
         for v, c in terms:
             activity += c * point[v]
-        if activity != row.rhs * scale:
-            continue
-        if row.rel is Relation.LE:
-            tight.append(({v: -c for v, c in terms}, -row.rhs, row, "le"))
-        else:
-            tight.append((dict(terms), row.rhs, row, "eq" if row.rel is Relation.EQ else "ge"))
+        if activity == row.rhs * scale:
+            tight.append(row)
 
     existing = set(t.rows)
     out: list[tuple[LinConstraint, CGCut, int]] = []
-    for lam in _solve_combinations([coeffs for coeffs, _, _, _ in tight], fractional):
+    for lam in _solve_combinations([dict(row.lhs.terms) for row in tight], fractional):
         if lam is None:
             continue
         mults, den = lam
         agg: dict[Var, int] = {}
         rhs_total = 0
-        used: list[tuple[LinConstraint, str, int]] = []
-        for k, (coeffs, rhs, row, sense) in zip(mults, tight):
-            # fractional part of k / den on inequality rows, over den
-            use = k if sense == "eq" else k % den
+        used: list[tuple[LinConstraint, int]] = []
+        for k, row in zip(mults, tight):
+            # a <= row is used as its >= negation, whose multiplier is -k
+            sign = -1 if row.rel is Relation.LE else 1
+            # fractional part of the multiplier on inequality rows, over den
+            use = k if row.rel is Relation.EQ else sign * k % den
             if use == 0:
                 continue
-            for name, c in coeffs.items():
-                agg[name] = agg.get(name, 0) + use * c
-            rhs_total += use * rhs
-            used.append((row, sense, use))
+            for name, c in row.lhs.terms:
+                agg[name] = agg.get(name, 0) + sign * use * c
+            rhs_total += sign * use * row.rhs
+            used.append((row, use))
         if any(c % den for c in agg.values()):
             continue
         coeff_ints = {name: c // den for name, c in agg.items() if c}
@@ -723,9 +719,8 @@ def derive_gomory_cuts(t: LpOptimal) -> list[tuple[LinConstraint, CGCut]]:
         if violation <= 0:
             continue
         entries: list[ComboEntry] = []
-        for row, sense, use in used:
-            if sense == "eq":
-                sense = "ge" if use > 0 else "le"
+        for row, use in used:
+            sense = "le" if use < 0 or row.rel is Relation.LE else "ge"
             entries.append((row, sense, Fraction(abs(use), den * g)))
         out.append((cut, CGCut(tuple(entries)), violation))
         existing.add(cut)
@@ -769,7 +764,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     order is the one that re-summing the other variables for each bound
     would give.
     """
-    base_rows = sorted(map(normalize, sub.cons), key=LinConstraint.render)
+    base_rows = sorted(sub.cons, key=LinConstraint.render)
 
     # the working interval of every variable the rows mention
     lo: dict[Var, int | None] = {}
@@ -825,7 +820,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
         for v, _ in terms:
             if v not in lo:
                 lo[v], hi[v] = bounds.interval(v)
-        # a normalised row is <=, >= or =
+        # every subproblem row is normalized: <=, >= or =
         if row.rel is not Relation.LE:
             oriented.append((terms, row.rhs, row, "ge"))
         if row.rel is not Relation.GE:
