@@ -10,7 +10,8 @@ bound prunes it; a fractional optimum is attacked with rounding cuts and
 then a dichotomy branch; an integral optimum goes to the theory session,
 which either endorses it (retire) or returns a conflict core. A node whose
 rows already entail the core is dropped by theory refutation; otherwise the
-engine splits on the core and drops the one child that entails it.
+engine splits on the core, and the kernel, once the theory has confirmed
+the conflict, creates only the children where some core literal fails.
 
 Propagation's derived bounds and the Gomory cuts are not learned up front.
 The LP and the search for theory evidence see them beside C, and a step
@@ -47,14 +48,13 @@ from .certificates import (
     identity_cut,
 )
 from .euf import EufSession
-from .kernel import ApplyInfo, Kernel, Step, conflict_split_arms, rows_of, true_arms, verdict
+from .kernel import ApplyInfo, Kernel, Step, rows_of, true_arms, verdict
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, derive_gomory_cuts, lp_solve, propagate_bounds
 from .model import (
     Bounds,
     ImtError,
     ImtInstance,
     InterfaceAtom,
-    InvariantError,
     LinConstraint,
     ObjValue,
     Relation,
@@ -313,7 +313,7 @@ class _Search:
         current = self._cite(current, cert)
         return self.kernel.apply(Step(rule, current.ident, row=row, cert=cert))
 
-    def _branch(self, current: Subproblem, cert: object, hint: tuple[int, int]) -> tuple[Subproblem, ...]:
+    def _branch(self, current: Subproblem, cert: object, hint: tuple[int, int]) -> None:
         """Branch without learning; each child inherits the node's kept rows and the derived rows they cite.
 
         A child's own rows are left out, since a conflict-split arm can equal one.
@@ -324,7 +324,6 @@ class _Search:
         for child in children:
             self.hints[child.ident] = hint
             self.inherited[child.ident] = {row: self.derived[row] for row in rows if row not in child.cons}
-        return children
 
     def _process(self, sub: Subproblem) -> None:
         current = sub
@@ -413,18 +412,8 @@ class _Search:
         direct = syntactic_evidence(core, rows_of(self.instance, self._view(current)))
         if direct is not None:
             self._apply(current, "drop", cert=TheoryRefutation(core, direct))
-            return
-        children = self._branch(current, BranchConflictSplit(core), lb.sort_key())
-        arms = conflict_split_arms(core)
-        if len(arms) != len(children):
-            raise InvariantError("conflict split produced an unexpected child count")
-        for child, (_, all_true) in zip(children, arms):
-            if all_true:
-                ev = syntactic_evidence(core, rows_of(self.instance, child))
-                if ev is None:
-                    raise InvariantError("all-true child lost its own split rows")
-                self.kernel.apply(Step("drop", child.ident, cert=TheoryRefutation(core, ev)))
-                del self.inherited[child.ident], self.hints[child.ident]
+        else:
+            self._branch(current, BranchConflictSplit(core), lb.sort_key())
 
     def _handle_unbounded(self, current: Subproblem, out: LpUnbounded) -> None:
         ray = _integralize_ray(out.ray)

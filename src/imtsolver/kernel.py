@@ -10,10 +10,10 @@ rounding cut, or an equality with a derivation of each side.
 Row visibility: a subproblem's rows are its row set C and the instance box
 as one row per finite bound end; every certificate is checked against them.
 
-A theory claim, a refuted literal set or an accepted assignment, sits in
-its certificate, and the kernel re-decides it through the adapter's replay
-callbacks, so a trace stays checkable by a process that never ran the
-original search.
+A theory claim sits in its certificate and the kernel re-decides it through
+the adapter's replay callbacks: the literal set a theory drop or a conflict
+split refutes, or the assignment a retire or unbounded step accepts. So a
+trace stays checkable by a process that never ran the original search.
 """
 from __future__ import annotations
 
@@ -151,24 +151,20 @@ def true_arms(lit: TheoryLiteral) -> list[LinConstraint]:
     return _arms(lit, True)
 
 
-def conflict_split_arms(core: tuple[TheoryLiteral, ...]) -> list[tuple[tuple[LinConstraint, ...], bool]]:
+def conflict_split_arms(core: tuple[TheoryLiteral, ...]) -> list[tuple[LinConstraint, ...]]:
     """Row additions for each child of a sequential case split over the core.
 
-    Children partition the parent exactly. Each child is tagged with whether
-    it is an all-literals-true leaf, i.e. a region the conflict core rules
-    out modulo the theory.
+    Each point of the parent where some core literal fails lies in exactly
+    one child. No child holds the points where every literal holds, the
+    region the conflict core rules out modulo the theory.
     """
-    out: list[tuple[tuple[LinConstraint, ...], bool]] = []
+    out: list[tuple[LinConstraint, ...]] = []
 
     def rec(i: int, acc: tuple[LinConstraint, ...]) -> None:
-        if i == len(core):
-            out.append((acc, True))
-            return
-        lit = core[i]
-        for row in _arms(lit, False):
-            out.append((acc + (row,), False))
-        for row in true_arms(lit):
-            rec(i + 1, acc + (row,))
+        if i < len(core):
+            out.extend(acc + (row,) for row in _arms(core[i], False))
+            for row in true_arms(core[i]):
+                rec(i + 1, acc + (row,))
 
     rec(0, ())
     return out
@@ -254,7 +250,12 @@ def _apply_step(
             ]
         elif isinstance(cert, BranchConflictSplit):
             _validate_core(instance, cert.core)
-            kids = [sub.cons.union(added) for added, _ in conflict_split_arms(cert.core)]
+            # a diseq literal holds on two arms, so each one doubles the children below it
+            if [lit.kind for lit in cert.core].count("diseq") > 1:
+                raise RuleViolation("a conflict split core holds at most one disequality")
+            if not adapter.replay_conflict(cert.core):
+                raise RuleViolation("theory replay does not confirm the conflict")
+            kids = [sub.cons.union(added) for added in conflict_split_arms(cert.core)]
         else:
             raise RuleViolation(f"branch certificate type {type(cert).__name__} unsupported")
 

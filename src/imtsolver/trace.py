@@ -36,7 +36,7 @@ from .kernel import Step
 from .model import ImtError, ImtInstance, LinConstraint, LinExpr, ObjValue, Relation
 
 FORMAT_NAME = "bct-trace"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class TraceError(ImtError):

@@ -129,7 +129,13 @@ def test_branch_trichotomy_builds_three_children():
         k.apply(Step("branch", target=1, cert=BranchTrichotomy("x", "x", 0)))
 
 
-def test_conflict_split_arms_partition_every_point():
+def literal_holds(lit, point):
+    if lit.kind in ("eq", "diseq"):
+        return (point[lit.x] - point[lit.y] == lit.offset) == (lit.kind == "eq")
+    return (point[lit.var] > 0) == (lit.kind == "atom_true")
+
+
+def test_conflict_split_arms_cover_each_point_some_literal_fails_once():
     rng = random.Random(99)
     lits = [
         TheoryLiteral.var_eq("x", "y", 1),
@@ -142,11 +148,10 @@ def test_conflict_split_arms_partition_every_point():
     for _ in range(24):
         core = tuple(rng.sample(lits, rng.randint(1, 3)))
         arms = conflict_split_arms(core)
-        # a diseq in the core renders "true" as two arms, so leaves may repeat
-        assert sum(1 for _, all_true in arms if all_true) >= 1
         for point in iter_box(box, names):
-            holds = [satisfies_all(rows, point) for rows, _ in arms]
-            assert holds.count(True) == 1
+            inside = sum(satisfies_all(rows, point) for rows in arms)
+            # the points where every literal holds are the region the core refutes
+            assert inside == (0 if all(literal_holds(lit, point) for lit in core) else 1)
 
 
 def test_branch_conflict_split_children_and_rejections():
@@ -276,16 +281,39 @@ def test_forget_accepts_an_equality_with_a_bound_fix():
 
 
 def test_learn_rejects_an_equality_a_split_arm_already_added():
-    # the all-true arm of a split over x = y holds the row x - y = 0, which is
-    # the equality's own row, so learning x - y = 0 there adds nothing
-    k = Kernel(plain_instance())
-    lit = TheoryLiteral.var_eq("x", "y")
-    info = k.apply(Step("branch", target=0, cert=BranchConflictSplit((lit,))))
-    eq = diff_equality("x", "y", 0)
-    (leaf,) = [s for s in info.created if eq in s.cons]
+    # x = y and r1 != r2 conflict under r1 = f(x), r2 = f(y); the arm where the
+    # disequality fails holds the row r1 - r2 = 0, so learning it there adds nothing
+    k = Kernel(theory_instance())
+    core = (TheoryLiteral.var_eq("x", "y"), TheoryLiteral.var_diseq("r1", "r2"))
+    info = k.apply(Step("branch", target=0, cert=BranchConflictSplit(core)))
+    eq = diff_equality("r1", "r2", 0)
+    (arm,) = [s for s in info.created if eq in s.cons]
     fix = BoundFix(identity_cut(eq, "ge"), identity_cut(eq, "le"))
     with pytest.raises(RuleViolation, match="learned row already present"):
-        k.apply(Step("learn", target=leaf.ident, row=eq, cert=fix))
+        k.apply(Step("learn", target=arm.ident, row=eq, cert=fix))
+
+
+def test_a_split_whose_core_the_theory_accepts_is_refused():
+    inst = theory_instance()
+    k = Kernel(inst)
+    # x = y alone extends to a model, so nothing rules out the points where it holds
+    with pytest.raises(RuleViolation, match="theory replay does not confirm the conflict"):
+        k.apply(Step("branch", target=0, cert=BranchConflictSplit((TheoryLiteral.var_eq("x", "y"),))))
+    assert k.state == initial_state(inst) and k.log == []
+
+
+def test_a_split_core_with_two_disequalities_is_refused():
+    inst = theory_instance()
+    k = Kernel(inst)
+    # still a conflict, but each disequality would double the children below it
+    core = (
+        TheoryLiteral.var_eq("x", "y"),
+        TheoryLiteral.var_diseq("r1", "r2"),
+        TheoryLiteral.var_diseq("x", "r1"),
+    )
+    with pytest.raises(RuleViolation, match="at most one disequality"):
+        k.apply(Step("branch", target=0, cert=BranchConflictSplit(core)))
+    assert k.state == initial_state(inst) and k.log == []
 
 
 def conflict_fixture():

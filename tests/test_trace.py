@@ -33,6 +33,7 @@ from imtsolver.model import (
     Relation,
 )
 from imtsolver.trace import (
+    FORMAT_VERSION,
     DigestMismatch,
     TraceError,
     _Table,
@@ -156,7 +157,7 @@ def test_write_trace_writes_the_reference_lines_in_ascii(tmp_path):
     steps = STEPS + odd_steps("caf\u00e9")
     path = tmp_path / "run.trace"
     write_trace(path, inst, steps)
-    header = json.dumps({"format": "bct-trace", "version": 4, "instance": inst.digest()}, separators=(",", ":"))
+    header = json.dumps({"format": "bct-trace", "version": FORMAT_VERSION, "instance": inst.digest()}, separators=(",", ":"))
     expected = "".join(line + "\n" for line in [header, *reference_lines(steps)])
     assert path.read_bytes() == expected.encode("ascii")
 
@@ -237,20 +238,20 @@ def test_read_trace_rejects_garbage(tmp_path):
     path.write_text("[1]\n")
     with pytest.raises(TraceError):
         read_trace(path, inst)
-    # the version is the JSON integer 4, which 4.0 equals in Python
-    for version in ("true", "4.0"):
+    # the version is a JSON integer, which the same number as a float equals in Python
+    for version in ("true", f"{FORMAT_VERSION}.0"):
         path.write_text(f'{{"format": "bct-trace", "version": {version}, "instance": "abc"}}\n')
         with pytest.raises(TraceError, match="unsupported version"):
             read_trace(path, inst)
     # the digest is a JSON string, checked before it is compared with the instance's
     for digest in ("[1]", "null", "7"):
-        path.write_text(f'{{"format": "bct-trace", "version": 4, "instance": {digest}}}\n')
+        path.write_text(f'{{"format": "bct-trace", "version": {FORMAT_VERSION}, "instance": {digest}}}\n')
         with pytest.raises(TraceError, match="instance digest"):
             read_trace(path, inst)
-    path.write_text('{"format": "bct-trace", "version": 4}\n')
+    path.write_text(f'{{"format": "bct-trace", "version": {FORMAT_VERSION}}}\n')
     with pytest.raises(TraceError, match="instance digest"):
         read_trace(path, inst)
-    path.write_bytes(b'\xff{"format": "bct-trace", "version": 4, "instance": "abc"}\n')
+    path.write_bytes(b'\xff' + f'{{"format": "bct-trace", "version": {FORMAT_VERSION}, "instance": "abc"}}\n'.encode())
     with pytest.raises(TraceError, match="UTF-8"):
         read_trace(path, inst)
 
@@ -312,8 +313,38 @@ def test_a_version_3_trace_is_refused_at_its_header(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unsupported version 3\n"
 
 
+# the first steps of a version 4 trace of this instance: a conflict split and
+# the theory drops of its two children where every core literal holds
+V4_TEXT = "[vars]\nx int 0 1\ny int 0 1\nr1 int 2 3\nr2 int 2 3\n[funs]\nf 1\n[objective]\nmin r1 + x + y\n[constraints]\nr1 - r2 >= 1\n[atoms]\nr1 = f(x)\nr2 = f(y)\n"
+V4_STEPS = [
+    '{"rule":"branch","target":0,"cert":{"kind":"conflict_split","core":[{"kind":"diseq","x":"r1","y":"r2","offset":0},{"kind":"eq","x":"x","y":"y","offset":0}]}}',
+    '{"rule":"drop","target":4,"cert":{"kind":"theory","asserted":[{"kind":"diseq","x":"r1","y":"r2","offset":0},{"kind":"eq","x":"x","y":"y","offset":0}],"evidence":[{"kind":"side","side":"le","cut":{"kind":"cg","entries":[[{"lhs":[["r1",1],["r2",-1]],"rel":"<=","rhs":-1},"le","1"]]}},{"kind":"bound_fix","lower":{"kind":"cg","entries":[[{"lhs":[["x",1],["y",-1]],"rel":"=","rhs":0},"ge","1"]]},"upper":{"kind":"cg","entries":[[10,"le","1"]]}}]}}',
+    '{"rule":"drop","target":7,"cert":{"kind":"theory","asserted":[{"kind":"diseq","x":"r1","y":"r2","offset":0},{"kind":"eq","x":"x","y":"y","offset":0}],"evidence":[{"kind":"side","side":"ge","cut":{"kind":"cg","entries":[[0,"ge","1"]]}},{"kind":"bound_fix","lower":{"kind":"cg","entries":[[10,"ge","1"]]},"upper":{"kind":"cg","entries":[[10,"le","1"]]}}]}}',
+]
+
+
+def test_a_version_4_trace_is_refused_at_its_header(tmp_path, capsys):
+    # version 4 gave a conflict split a child where every core literal holds, closed by a theory drop
+    inst = parse_instance(V4_TEXT)
+    instance = tmp_path / "inst.imt"
+    instance.write_text(V4_TEXT)
+    trace = tmp_path / "old.trace"
+    header = {"format": "bct-trace", "version": 4, "instance": inst.digest()}
+    trace.write_text("".join(line + "\n" for line in [json.dumps(header, separators=(",", ":")), *V4_STEPS]))
+    with pytest.raises(TraceError, match="^unsupported version 4$"):
+        read_trace(trace, inst)
+    assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: unsupported version 4\n"
+    # its lines still decode, but the split now makes no such child, so the first drop misses
+    header["version"] = FORMAT_VERSION
+    trace.write_text("".join(line + "\n" for line in [json.dumps(header), *V4_STEPS]))
+    _, steps = read_trace(trace, inst)
+    with pytest.raises(ReplayError, match="^step 1: drop: combination references a row outside the subproblem"):
+        replay_trace(inst, steps)
+
+
 def test_a_propagate_line_replays_to_unknown_rule(tmp_path, capsys):
-    instance, trace = _old_trace(tmp_path, 4)
+    instance, trace = _old_trace(tmp_path, FORMAT_VERSION)
     _, steps = read_trace(trace, parse_instance(instance.read_text()))
     with pytest.raises(ReplayError, match="^step 0: unknown rule 'propagate'$"):
         replay_trace(parse_instance(instance.read_text()), steps)
@@ -324,7 +355,7 @@ def test_a_propagate_line_replays_to_unknown_rule(tmp_path, capsys):
 def test_a_subsume_line_is_refused_with_its_line(tmp_path, capsys):
     # a well-formed step whose certificate kind the reader does not know is refused at its line
     subsume = {"rule": "subsume", "target": 0, "other": 1, "cert": {"kind": "subsume"}}
-    instance, trace = _old_trace(tmp_path, 4, subsume)
+    instance, trace = _old_trace(tmp_path, FORMAT_VERSION, subsume)
     with pytest.raises(TraceError, match="^line 2: unknown certificate kind 'subsume'$"):
         read_trace(trace, parse_instance(instance.read_text()))
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
@@ -337,7 +368,7 @@ def test_a_subsume_line_is_refused_with_its_line(tmp_path, capsys):
 def test_a_reader_error_names_the_file_line_past_blank_lines(tmp_path, blank, line):
     inst = small_instance()
     path = tmp_path / "bad.trace"
-    header = f'{{"format": "bct-trace", "version": 4, "instance": "{inst.digest()}"}}'
+    header = f'{{"format": "bct-trace", "version": {FORMAT_VERSION}, "instance": "{inst.digest()}"}}'
     path.write_bytes(f'{header}\n{blank}{{"rule":5}}\n'.encode())
     with pytest.raises(TraceError, match=f"^line {line}: expected a string, got 5$"):
         read_trace(path, inst)
@@ -469,7 +500,7 @@ def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, step):
     text = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
     instance = tmp_path / "inst.imt"
     instance.write_text(text)
-    header = {"format": "bct-trace", "version": 4, "instance": parse_instance(text).digest()}
+    header = {"format": "bct-trace", "version": FORMAT_VERSION, "instance": parse_instance(text).digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
     with pytest.raises(TraceError):
@@ -484,7 +515,7 @@ CITING_TEXT = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\
 def _citing_trace(tmp_path, *steps):
     """A trace of ``x >= 1`` over x in [0, 3], whose row table starts x >= 1, x >= 0, x <= 3."""
     inst = parse_instance(CITING_TEXT)
-    header = {"format": "bct-trace", "version": 4, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": FORMAT_VERSION, "instance": inst.digest()}
     path = tmp_path / "cite.trace"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *steps]))
     return inst, path
@@ -599,7 +630,7 @@ def test_integer_fields_accept_only_json_integers(tmp_path, index, path, bad):
     for key in head:
         field = field[key]
     field[last] = bad
-    header = {"format": "bct-trace", "version": 4, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": FORMAT_VERSION, "instance": inst.digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
     with pytest.raises(TraceError, match="expected an integer"):
@@ -629,7 +660,7 @@ def test_a_non_canonical_row_decodes_to_the_canonical_row(tmp_path, lhs):
     inst = small_instance()
     (con,) = inst.constraints  # 2x + 3y >= 12
     rows = [{"lhs": lhs, "rel": ">=", "rhs": 12}, {"lhs": [["x", 2], ["y", 3]], "rel": ">=", "rhs": 12}]
-    header = {"format": "bct-trace", "version": 4, "instance": inst.digest()}
+    header = {"format": "bct-trace", "version": FORMAT_VERSION, "instance": inst.digest()}
     path = tmp_path / "run.trace"
     path.write_text(json.dumps(header) + "\n" + json.dumps(drop({"kind": "farkas", "entries": [[r, "ge", "1"] for r in rows]})) + "\n")
     _, (step,) = read_trace(path, inst)
