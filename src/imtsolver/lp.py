@@ -19,19 +19,18 @@ fixed column order, slack columns before variables and the newest slack
 first, so they terminate on every input. A node's cut round only adds
 rows, so it keeps the previous optimum's tableau, whose bounds then only
 tighten: a cut tightens a bound, is implied, or brings a new slack row
-rewritten in the current basis, and the round's rows are merged into the
-previous ones. Any other change, a forgotten row among them, is solved from
-scratch.
+rewritten in the current basis. Any other change, a forgotten row among
+them, is solved from scratch.
 
 The tableau is sparse and integer-preserving: each row stores its nonzero
 entries as ``int`` numerators over one positive denominator and is divided by
 the gcd of its numbers after every update (Edmonds' fraction-free
 elimination); values become ``Fraction`` only when they leave the tableau.
-Gomory multipliers come from one forward pass of fraction-free integer steps
-over the tight rows in order, which keeps the first independent ones, and each
-fractional target is then reduced against the kept rows. Bound propagation
-takes each row's largest activity once per round and derives every
-variable's bound from it.
+A Gomory cut's multipliers are read off the optimal tableau's row of its
+fractional variable, on the rows that certify the bounds its nonbasic
+columns sit at: the rows the dual and Farkas proofs cite too. Bound
+propagation takes each row's largest activity once per round and derives
+every variable's bound from it.
 
 Infeasibility yields Farkas multipliers on a stuck row's identity and the
 bounds that stop its columns; optimality yields dual multipliers, the reduced
@@ -44,8 +43,8 @@ checks each one when the step citing it is applied.
 """
 from __future__ import annotations
 
-import bisect
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,7 +72,7 @@ class NoFractionalRow(ImtError):
 
 @dataclass(frozen=True)
 class LpOptimal:
-    """An optimal vertex over ``rows``, the relaxation's rows.
+    """An optimal vertex of the relaxation, with dual multipliers on the rows that bound its nonbasic columns.
 
     ``pivots`` counts this solve's simplex pivots, and ``tableau_rows`` the
     tableau rows it solved over, as in every outcome.
@@ -82,10 +81,10 @@ class LpOptimal:
     x_star: dict[Var, Fraction]
     value: Fraction
     dual: tuple[ComboEntry, ...]
-    rows: tuple[LinConstraint, ...]
     pivots: int = 0
     tableau_rows: int = 0
-    # the live tableau, which the node's next cut round re-optimises in place
+    # the live tableau: at this optimum, which derive_gomory_cuts reads, until
+    # the node's next cut round re-optimises it in place
     state: _Simplex | None = field(default=None, repr=False, compare=False)
 
 
@@ -222,10 +221,9 @@ class _Simplex:
         self.costval = 0
         self.cost_den = 1
         self.pivots = 0
-        # the latest optimum's rows, which the next re-optimisation starts from, and their source
-        self.rows: tuple[LinConstraint, ...] = ()
-        self.available: frozenset[LinConstraint] = frozenset()
-        self.source: tuple[frozenset[LinConstraint], Bounds] | None = None
+        # the latest optimum, which the next re-optimisation starts from, with the rows and box it
+        # solved; held weakly, since it holds this tableau and only the cyclic collector frees a cycle
+        self.source: tuple[weakref.ref[LpOptimal], frozenset[LinConstraint], Bounds] | None = None
 
     def add_row(self, coeffs: dict[int, int], rhs: int, den: int = 1) -> int:
         self.nums.append({j: a for j, a in coeffs.items() if a})
@@ -432,8 +430,8 @@ class _Simplex:
             self.pivot(leave, enter)
         raise ImtError("pivot limit exceeded")
 
-    def solve(self, rows: list[LinConstraint], available: frozenset[LinConstraint]) -> LpOutcome:
-        """Check the bounds, then optimise; ``rows`` and their set ``available`` are kept for the next re-solve."""
+    def solve(self) -> LpOutcome:
+        """Check the bounds, then optimise."""
         start = self.pivots
         size = len(self.nums)
         for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
@@ -462,8 +460,7 @@ class _Simplex:
         for k, c in self.cost.items():
             row, direction = self.lo_src[k] if c > 0 else self.hi_src[k]
             dual.append((row, direction, Fraction(abs(c), self.cost_den)))
-        self.rows, self.available = tuple(rows), available
-        return LpOptimal(x_star, value, tuple(dual), self.rows, self.pivots - start, size, self)
+        return LpOptimal(x_star, value, tuple(dual), self.pivots - start, size, self)
 
     def point(self) -> dict[Var, Fraction]:
         basic_row = {b: r for r, b in enumerate(self.basis)}
@@ -484,27 +481,24 @@ class _Simplex:
     def extend(self, prev: LpOptimal, sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome | None:
         """Re-solve in place after a cut round that only added rows to ``prev``, this tableau's latest optimum.
 
-        The added rows are merged into ``prev``'s rows. Each one tightens a
-        column's bounds, is implied, or brings a new slack column with its row
-        rewritten in the current basis; the check restores feasibility and the
-        primal simplex optimality. Returns None, for a solve from scratch,
-        unless ``sub`` only gained rows with variables, all of them this
-        tableau's, and has the same box and objective.
+        Each added row tightens a column's bounds, is implied, brings a new
+        slack column with its row rewritten in the current basis, or repeats
+        a row the tableau has; the check restores feasibility and the primal
+        simplex optimality. Returns None, for a solve from scratch, unless
+        ``sub`` only gained rows with variables, all of them this tableau's,
+        and has the same box and objective.
         """
-        if self.source is None or prev.rows is not self.rows or objective != self.objective:
+        if self.source is None or objective != self.objective:
             return None
-        cons, box = self.source
-        if box is not bounds or not cons <= sub.cons:
+        latest, cons, box = self.source
+        if latest() is not prev or box is not bounds or not cons <= sub.cons:
             return None
-        added = sorted((sub.cons - cons).difference(self.available), key=_order)
+        added = sorted(sub.cons - cons, key=_order)
         if not all(row.lhs.terms and all(v in self.col for v, _ in row.lhs.terms) for row in added):
             return None
-        rows = list(prev.rows)
-        for row in added:
-            bisect.insort(rows, row, key=_order)
-        self.rows, self.source = (), None  # from here the tableau no longer matches prev
+        self.source = None  # from here the tableau no longer matches prev
         self.admit(added)
-        return self.solve(rows, self.available.union(added))
+        return self.solve()
 
 
 def _constant_row_proof(row: LinConstraint) -> FarkasProof | None:
@@ -533,199 +527,76 @@ def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptima
                 return LpInfeasible(proof)
         sx = _Simplex(objective, relevant)
         sx.admit([row for row in rows if row.lhs.terms])
-        out = sx.solve(rows, frozenset(rows))
+        out = sx.solve()
     if isinstance(out, LpOptimal):
-        sx.source = (sub.cons, bounds)
-    return out
-
-
-def _solve_combinations(rows: list[dict[Var, int]], targets: list[Var]) -> list[tuple[list[int], int] | None]:
-    """Find multipliers expressing the unit vector of each target over row vectors.
-
-    One forward pass takes the rows in order and reduces each against the
-    echelon rows kept so far, by fraction-free integer steps that carry each
-    kept row's combination of the input rows. A row is kept when anything
-    remains, until the kept rows span every variable, so the kept rows are
-    the first rows independent of the rows before them. Each target's unit
-    vector is then reduced the same way. Its multipliers are the unique ones
-    on the kept rows and 0 on the others: the rationals that a Gauss-Jordan
-    elimination of the transposed system gives when it pivots in each row's
-    column on the first equation that has it, since its pivot columns are
-    those same rows. Each target's entry is ``(nums, den)``, the multipliers
-    ``nums[j] / den`` in lowest terms, or None when its unit vector is outside
-    the row space.
-    """
-    m = len(rows)
-    vectors = [coeffs if all(coeffs.values()) else {v: a for v, a in coeffs.items() if a} for coeffs in rows]
-    rank = len({v for vec in vectors for v in vec})
-    # the kept rows by pivot variable: each one's place in the pass, its vector,
-    # positive on the pivot and 0 on every earlier kept row's pivot, and the
-    # combination of input rows, by index, that gives the vector
-    echelon: dict[Var, tuple[int, dict[Var, int], dict[int, int]]] = {}
-
-    def reduce(vec: dict[Var, int], comb: dict[int, int], scale: int) -> int:
-        """Cancel the kept rows' pivots in ``vec`` in place, scaling ``comb`` alike; returns ``scale`` times the factors.
-
-        The earliest kept row goes first, so a cancelled pivot never returns.
-        """
-        while True:
-            first = None
-            for v in vec:
-                kept = echelon.get(v)
-                if kept is not None and (first is None or kept[0] < first[0]):
-                    first, pivot = kept, v
-            if first is None:
-                return scale
-            _, src, src_comb = first
-            a, b = vec[pivot], src[pivot]
-            g = math.gcd(a, b)
-            a, b = a // g, b // g
-            # b * vec - a * src, and the combinations alike
-            if b != 1:
-                for k in vec:
-                    vec[k] *= b
-                for k in comb:
-                    comb[k] *= b
-                scale *= b
-            for k, x in src.items():
-                y = vec.get(k, 0) - a * x
-                if y:
-                    vec[k] = y
-                else:
-                    del vec[k]
-            for k, x in src_comb.items():
-                y = comb.get(k, 0) - a * x
-                if y:
-                    comb[k] = y
-                else:
-                    del comb[k]
-
-    for i, vec in enumerate(vectors):
-        if len(echelon) == rank:
-            break
-        if len(vec) == 1:
-            # a unit row is a new pivot as it stands, or a multiple of a kept unit row
-            ((v, a),) = vec.items()
-            kept = echelon.get(v)
-            if kept is None:
-                echelon[v] = (len(echelon), {v: abs(a)}, {i: 1 if a > 0 else -1})
-                continue
-            if len(kept[1]) == 1:
-                continue
-        vec = dict(vec)
-        comb = {i: 1}
-        reduce(vec, comb, 1)
-        if vec:
-            pivot = next(iter(vec))
-            g = math.gcd(*vec.values(), *comb.values())
-            if vec[pivot] < 0:
-                g = -g
-            if g != 1:
-                vec = {k: x // g for k, x in vec.items()}
-                comb = {k: x // g for k, x in comb.items()}
-            echelon[pivot] = (len(echelon), vec, comb)
-
-    out: list[tuple[list[int], int] | None] = []
-    for target in targets:
-        # vec is scale * e_target plus the rows weighted by comb, at every step
-        vec, comb = {target: 1}, {}
-        scale = reduce(vec, comb, 1)
-        if vec:
-            out.append(None)
-            continue
-        # e_target is -comb / scale over the rows
-        sign = -1 if scale > 0 else 1
-        g = math.gcd(scale, *comb.values())
-        den = abs(scale) // g
-        sol = [0] * m
-        for j, k in comb.items():
-            sol[j] = sign * k // g
-        # verify, over the common denominator, that the combination gives the target
-        total: dict[Var, int] = {}
-        for j in comb:
-            for v, a in vectors[j].items():
-                total[v] = total.get(v, 0) + sol[j] * a
-        if total.get(target) == den and all(x == 0 for v, x in total.items() if v != target):
-            out.append((sol, den))
-        else:
-            out.append(None)
+        sx.source = (weakref.ref(out), sub.cons, bounds)
     return out
 
 
 def derive_gomory_cuts(t: LpOptimal) -> list[tuple[LinConstraint, CGCut]]:
-    """Rounding cuts for the fractional coordinates of an optimal vertex.
+    """Rounding cuts for the fractional coordinates of an optimal vertex, read off its tableau.
 
-    Each cut is produced with the nonnegative-combination certificate that
-    the kernel checks: take the multipliers expressing the fractional
-    coordinate over the tight rows, keep the fractional parts on inequality
-    rows, and round the aggregated right side up. Tightness, aggregation and
-    violation are computed on ``int`` numerators over common denominators;
-    ``Fraction`` multipliers are built only for a cut that is kept.
+    A fractional variable ``x_v`` is basic, since every nonbasic column sits at
+    an integer, and its row of ``t.state`` reads ``den * x_v = -sum_k a_k * x_k``
+    over the nonbasic columns (Gomory, "Outline of an algorithm for integer
+    solutions to linear programs", 1958). Each of those sits at a bound that
+    ``lo_src[k]`` or ``hi_src[k]`` certifies; taken in its own direction, the
+    source gets multiplier ``-a_k / den`` on a lower bound and ``a_k / den`` on
+    an upper one, and these combine to ``x_v``. The certificate keeps each
+    multiplier's fractional part, entries in the relaxation's row order, and
+    the aggregate's right side is rounded up. A row that meets a nonbasic
+    column at no bound gives no cut. ``t.state`` stays at ``t`` only until the
+    next cut round re-optimises it, so the cuts must be derived before that.
+    Aggregation and violation are computed on ``int`` numerators over common
+    denominators; ``Fraction`` multipliers are built only for the certificate.
     """
     fractional = sorted(v for v, q in t.x_star.items() if q.denominator != 1)
     if not fractional:
         raise NoFractionalRow("optimum is integral")
+    sx = t.state
     # the vertex as integers over one denominator
     scale = math.lcm(*(q.denominator for q in t.x_star.values()))
     point = {v: q.numerator * (scale // q.denominator) for v, q in t.x_star.items()}
-
-    # every row is scanned: leaving out a tight one, even one the tableau
-    # left out, would change which rows the multipliers use
-    tight: list[LinConstraint] = []
-    for row in t.rows:
-        terms = row.lhs.terms
-        if not terms:
-            continue
-        activity = 0
-        for v, c in terms:
-            activity += c * point[v]
-        if activity == row.rhs * scale:
-            tight.append(row)
-
-    existing = set(t.rows)
-    out: list[tuple[LinConstraint, CGCut, int]] = []
-    for lam in _solve_combinations([dict(row.lhs.terms) for row in tight], fractional):
-        if lam is None:
-            continue
-        mults, den = lam
-        agg: dict[Var, int] = {}
-        rhs_total = 0
-        used: list[tuple[LinConstraint, int]] = []
-        for k, row in zip(mults, tight):
-            # a <= row is used as its >= negation, whose multiplier is -k
-            sign = -1 if row.rel is Relation.LE else 1
-            # fractional part of the multiplier on inequality rows, over den
-            use = k if row.rel is Relation.EQ else sign * k % den
-            if use == 0:
+    basic_row = {b: r for r, b in enumerate(sx.basis)}
+    # two targets may give the same cut, which keeps the first one's certificate
+    out: dict[LinConstraint, tuple[CGCut, int]] = {}
+    for v in fractional:
+        j = sx.col[v]
+        nums, _, den = sx.row(basic_row[j])
+        used: list[tuple[LinConstraint, str, int]] = []
+        for k, a in nums.items():
+            if k == j:
                 continue
-            for name, c in row.lhs.terms:
-                agg[name] = agg.get(name, 0) + sign * use * c
-            rhs_total += sign * use * row.rhs
-            used.append((row, use))
-        if any(c % den for c in agg.values()):
-            continue
-        coeff_ints = {name: c // den for name, c in agg.items() if c}
-        g = math.gcd(*coeff_ints.values()) if coeff_ints else 1
-        if coeff_ints:
-            lhs = LinExpr.of({name: c // g for name, c in coeff_ints.items()})
-        elif rhs_total <= 0:
-            continue
+            if sx.at.get(k, 0) == sx.lo[k]:
+                src, m = sx.lo_src[k], -a
+            else:
+                src, m = sx.hi_src[k], a
+            if src is None:
+                break
+            use = m % den
+            if use:
+                used.append((*src, use))
         else:
-            lhs = LinExpr.zero()
-        cut = LinConstraint(lhs, Relation.GE, -(-rhs_total // (den * g)))
-        if cut in existing:
-            continue
-        violation = cut.rhs * scale - sum(c * point.get(name, 0) for name, c in cut.lhs.terms)
-        if violation <= 0:
-            continue
-        entries: list[ComboEntry] = []
-        for row, use in used:
-            sense = "le" if use < 0 or row.rel is Relation.LE else "ge"
-            entries.append((row, sense, Fraction(abs(use), den * g)))
-        out.append((cut, CGCut(tuple(entries)), violation))
-        existing.add(cut)
-    out.sort(key=lambda item: (-item[2], item[0].render()))
-    return [(cut, cert) for cut, cert, _ in out]
+            agg: dict[Var, int] = {}
+            rhs_total = 0
+            for row, direction, use in used:
+                signed = use if direction == "ge" else -use
+                for name, c in row.lhs.terms:
+                    agg[name] = agg.get(name, 0) + signed * c
+                rhs_total += signed * row.rhs
+            # The aggregate is x_v minus integer multiples of rows, so its
+            # coefficients are multiples of den, and at the vertex it is x_v
+            # plus an integer: the rounded cut is never empty and always violated.
+            coeffs = {name: c // den for name, c in agg.items() if c}
+            g = math.gcd(*coeffs.values())
+            lhs = LinExpr.of({name: c // g for name, c in coeffs.items()})
+            cut = LinConstraint(lhs, Relation.GE, -(-rhs_total // (den * g)))
+            violation = cut.rhs * scale - sum(c * point[name] for name, c in cut.lhs.terms)
+            used.sort(key=lambda entry: _order(entry[0]))
+            cert = CGCut(tuple((row, direction, Fraction(use, den * g)) for row, direction, use in used))
+            out.setdefault(cut, (cert, violation))
+    ranked = sorted(out.items(), key=lambda item: (-item[1][1], item[0].render()))
+    return [(cut, cert) for cut, (cert, _) in ranked]
 
 
 @dataclass
@@ -872,8 +743,10 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     # v >= c and v <= c are rows already (its interval starts at box rows and
     # moves only through record, which finds the row among the base rows or
     # derives it, learned first), and v = c would change no later step: same
-    # LP column bounds and pivots, Gomory multiplier 0 (the tight v <= c sorts
-    # first), no new propagated row and no literal's true arm.
+    # LP column bounds and pivots, no new propagated row and no literal's true
+    # arm. It sorts before v >= c, so it may certify the column's lower bound,
+    # but a cut entry then takes the direction and fractional multiplier that
+    # v >= c would, so every cut is the same.
     # Each side keeps the first tightest bound num / den on a difference,
     # compared by cross-multiplying; a Fraction is built only for a fix.
     fixes: list[tuple[LinConstraint, BoundFix]] = []

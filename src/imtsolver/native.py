@@ -156,6 +156,8 @@ def parse_instance(text: str) -> ImtInstance:
                 raise bad(f"variable {name} declared twice")
             lo = None if m.group(2) == "*" else int(m.group(2))
             hi = None if m.group(3) == "*" else int(m.group(3))
+            if lo is not None and hi is not None and lo > hi:
+                raise bad(f"empty declared interval for {name}: [{lo}, {hi}]")
             vars_[name] = (lo, hi)
         elif section == "funs":
             m = _FUN_LINE.match(line)

@@ -16,7 +16,6 @@ from imtsolver.lp import (
     LpUnbounded,
     NoFractionalRow,
     _Simplex,
-    _solve_combinations,
     assemble_rows,
     derive_gomory_cuts,
     lp_solve,
@@ -129,7 +128,7 @@ def test_gomory_cut_on_known_fractional_vertices():
         cuts = derive_gomory_cuts(out)
         assert expected in {cut for cut, _ in cuts}
         for cut, cert in cuts:
-            check_cg(cert, frozenset(out.rows), cut)
+            check_cg(cert, frozenset(assemble_rows(sub, bounds, obj)), cut)
 
 
 def test_gomory_cuts_are_certified_and_preserve_integer_points():
@@ -146,7 +145,7 @@ def test_gomory_cuts_are_certified_and_preserve_integer_points():
                 derive_gomory_cuts(out)
             continue
         cuts = derive_gomory_cuts(out)
-        have = frozenset(out.rows)
+        have = frozenset(assemble_rows(sub, bounds, obj))
         for cut, cert in cuts:
             seen += 1
             check_cg(cert, have, cut)
@@ -158,6 +157,42 @@ def test_gomory_cuts_are_certified_and_preserve_integer_points():
             for point in feasible_points(instance, sub):
                 assert satisfies(cut, point)
     assert seen >= 15
+
+
+def test_a_cut_cites_only_rows_that_bound_a_nonbasic_column():
+    # the multipliers come from the target's tableau row, so every entry is
+    # the certified bound of a nonbasic column, in that bound's direction
+    rng = random.Random(4004)
+    lps = [lp_parts(encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance) for n in (16, 18, 20, 22, 24)]
+    lps += [lp_parts(random_lp_instance(rng)) for _ in range(200)]
+    entries = 0
+    for sub, obj, bounds in lps:
+        out = lp_solve(sub, obj, bounds)
+        if not isinstance(out, LpOptimal) or all(q.denominator == 1 for q in out.x_star.values()):
+            continue
+        sx = out.state
+        nonbasic = set(range(len(sx.lo))).difference(sx.basis)
+        sources = {sx.lo_src[k] for k in nonbasic} | {sx.hi_src[k] for k in nonbasic}
+        have = frozenset(assemble_rows(sub, bounds, obj))
+        for cut, cert in derive_gomory_cuts(out):
+            check_cg(cert, have, cut)
+            for row, direction, _ in cert.entries:
+                entries += 1
+                assert (row, direction) in sources, row.render()
+    assert entries >= 40
+
+
+def test_a_row_through_a_free_nonbasic_column_gives_no_cut():
+    # a* = 3/2 is basic in 2a - b - 3c >= 0, whose free column c sits at no
+    # bound that a certificate could cite
+    rows = [
+        row_of([("a", -1)], Relation.LE, 3),
+        row_of([("a", 2), ("b", -1), ("c", -3)], Relation.GE, 0),
+        row_of([("d", -1)], Relation.GE, 1),
+    ]
+    out = lp_solve(root(rows), LinExpr.var("b", -1), Bounds({"b": (0, 3)}))
+    assert isinstance(out, LpOptimal) and out.x_star["a"] == Fraction(3, 2)
+    assert derive_gomory_cuts(out) == []
 
 
 def test_propagation_is_sound_and_certified():
@@ -327,95 +362,7 @@ def test_degenerate_beale_lp_reaches_its_exact_optimum():
     check_lb_dual(LbDual(ObjValue.finite(-5), out.dual), have, obj)
 
 
-def as_fractions(sol):
-    """One target's multipliers from ``_solve_combinations`` as ``Fraction`` values."""
-    if sol is None:
-        return None
-    nums, den = sol
-    return [Fraction(k, den) for k in nums]
-
-
-def test_solve_combination_rejects_a_target_outside_the_row_space():
-    rows = [{"x": 1, "y": 1}, {"x": 2, "y": 2}]
-    assert _solve_combinations(rows, ["x"]) == [None]
-    # a variable no row mentions, beside one inside the row space
-    assert _solve_combinations([{"x": 2}], ["w", "x"]) == [None, ([1], 2)]
-
-
-def test_solve_combination_is_exact_on_rank_deficient_rows():
-    rows = [{"x": 1, "y": 1}, {"x": 1, "y": 1}, {"y": 2}, {"x": 3, "y": 3}]
-    got = [as_fractions(sol) for sol in _solve_combinations(rows, ["x", "y"])]
-    assert got == [
-        [Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(0)],
-    ]
-
-
-def dense_solve_combination(rows, target):
-    """Reference: Gauss-Jordan on dense Fraction rows, same pivot order."""
-    vars_all = sorted({v for coeffs, _, _ in rows for v in coeffs} | {target})
-    n, m = len(vars_all), len(rows)
-    mat = [[Fraction(rows[j][0].get(v, 0)) for j in range(m)] for v in vars_all]
-    rhs = [Fraction(int(v == target)) for v in vars_all]
-    piv_of_col = [None] * m
-    r = 0
-    for j in range(m):
-        p = next((i for i in range(r, n) if mat[i][j] != 0), None)
-        if p is None:
-            continue
-        mat[r], mat[p] = mat[p], mat[r]
-        rhs[r], rhs[p] = rhs[p], rhs[r]
-        inv = 1 / mat[r][j]
-        mat[r] = [x * inv for x in mat[r]]
-        rhs[r] *= inv
-        for i in range(n):
-            if i != r and mat[i][j] != 0:
-                f = mat[i][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-                rhs[i] -= f * rhs[r]
-        piv_of_col[j] = r
-        r += 1
-        if r == n:
-            break
-    sol = [Fraction(0) if p is None else rhs[p] for p in piv_of_col]
-    for v in vars_all:
-        if sum(q * coeffs.get(v, 0) for q, (coeffs, _, _) in zip(sol, rows)) != int(v == target):
-            return None
-    return sol
-
-
 small_ints = st.integers(-4, 4)
-signs = st.sampled_from([-1, 1])
-# the tight rows of a 3-variable CNF optimum: unit bound rows of both signs
-# ahead of mixed clause and gate rows, some repeated, and unit rows after
-# them (the formula variables' bounds sort after the gates'), more rows than
-# variables
-unit_rows = st.lists(st.dictionaries(st.sampled_from("abcd"), signs, min_size=1, max_size=1), min_size=2, max_size=6)
-cnf_shaped_rows = st.builds(
-    lambda units, mixed, repeats, tail: units + mixed + [mixed[i % len(mixed)] for i in repeats] + tail,
-    unit_rows,
-    st.lists(st.dictionaries(st.sampled_from("abcd"), signs, min_size=2, max_size=4), min_size=3, max_size=8),
-    st.lists(st.integers(0, 7), max_size=4),
-    unit_rows,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(
-        st.lists(st.dictionaries(st.sampled_from("abcd"), small_ints, max_size=4), min_size=1, max_size=6),
-        cnf_shaped_rows,
-    ),
-    st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True),
-)
-def test_solve_combination_matches_dense_fractions(coeff_rows, targets):
-    # one elimination gives each target what a dense elimination of its own
-    # gives, "e" (in no row) and rank-deficient targets included
-    rows = [(coeffs, 0, 0) for coeffs in coeff_rows]
-    got = [as_fractions(sol) for sol in _solve_combinations(coeff_rows, targets)]
-    assert got == [dense_solve_combination(rows, target) for target in targets]
-
-
 def assert_integer_row(nums, rhs, den):
     assert den > 0
     assert all(v != 0 for v in nums.values())
@@ -480,7 +427,6 @@ def test_cut_round_reoptimises_the_previous_simplex():
     # the tighter copy only moves the bound of R1's slack column
     assert out1.pivots < cold1.pivots
     have = frozenset(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
-    assert out1.rows == tuple(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
     assert R1 not in {row for row, _, _ in out1.dual}
     check_lb_dual(LbDual(ObjValue.finite(5), out1.dual), have, WARM_OBJ)
     # a second round whose cut needs pivots on the same tableau
@@ -564,13 +510,14 @@ def test_rounds_that_only_add_rows_merge_them_into_the_previous_rows(monkeypatch
         cold = lp_solve(sub, WARM_OBJ, WARM_BOX)
         prev = out
         with monkeypatch.context() as m:
-            # the round's rows come from the previous optimum's, not from collecting them again
+            # the round admits only its new rows; it does not collect the relaxation's rows again
             m.setattr(lp, "_rows_and_vars", None)
             out = lp_solve(sub, WARM_OBJ, WARM_BOX, prev)
         assert isinstance(out, LpOptimal) and out.state is prev.state
-        assert out.rows == tuple(assemble_rows(sub, WARM_BOX, WARM_OBJ))
         # the same vertex and multipliers; a warm tableau may list them in another order
         assert (out.value, out.x_star, set(out.dual)) == (cold.value, cold.x_star, set(cold.dual))
+        have = frozenset(assemble_rows(sub, WARM_BOX, WARM_OBJ))
+        check_lb_dual(LbDual(ObjValue.finite(frac_ceil(out.value)), out.dual), have, WARM_OBJ)
         pivots += out.pivots
     assert pivots > 0
 
@@ -594,7 +541,8 @@ def test_the_same_rows_over_another_box_or_equalities_match_a_cold_solve(box, ad
     assert (out.state is out0.state) == warm
     # the same vertex and multipliers; a warm tableau may list them in another order
     assert (out.value, out.x_star, set(out.dual)) == (cold.value, cold.x_star, set(cold.dual))
-    assert out.rows == cold.rows == tuple(assemble_rows(sub1, box, WARM_OBJ))
+    have = frozenset(assemble_rows(sub1, box, WARM_OBJ))
+    check_lb_dual(LbDual(ObjValue.finite(frac_ceil(out.value)), out.dual), have, WARM_OBJ)
 
 
 def test_farkas_proof_citing_a_forgotten_row_falls_back():
@@ -754,7 +702,6 @@ def test_rows_the_box_implies_get_no_tableau_row(extra, status):
         check_farkas(out.farkas, have)
     else:
         assert isinstance(out, LpOptimal) and out.value == value == Fraction(3, 2)
-        assert out.rows == tuple(rows)
         assert satisfies_all(have, out.x_star)
         check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), out.dual), have, obj)
 

@@ -115,6 +115,12 @@ def test_error_messages_carry_line_numbers():
     assert "line 3" in str(err.value)
 
 
+def test_an_empty_declared_interval_names_its_line():
+    with pytest.raises(ParseError) as err:
+        parse_instance("[vars]\ny int 0 1\nx int 5 3")
+    assert str(err.value) == "line 3: empty declared interval for x: [5, 3]"
+
+
 def test_feasibility_document_omits_objective():
     inst = parse_instance("[vars]\nx int 0 3\n[constraints]\nx >= 1")
     assert inst.objective.is_zero()
