@@ -16,11 +16,13 @@ Moura's check), then runs a bounded primal simplex in which the entering
 column may flip to its other bound without a pivot, so there are no
 artificial columns and no phase-1 objective. Both use Bland's rule over one
 fixed column order, slack columns before variables and the newest slack
-first, so they terminate on every input. A node's cut round only adds
-rows, so it keeps the previous optimum's tableau, whose bounds then only
-tighten: a cut tightens a bound, is implied, or brings a new slack row
-rewritten in the current basis. Any other change, a forgotten row among
-them, is solved from scratch.
+first, so they terminate on every input. A new tableau's variable columns
+take their bounds from the box, and the rows of C are admitted to it. A
+node's cut round re-solves the previous round's optimum in place: its rows
+are that optimum's rows plus new rows over the tableau's variables, under
+the same objective and box, and only the new rows are admitted. The bounds
+then only tighten: a new row tightens a bound, is implied, or brings a new
+slack row rewritten in the current basis.
 
 The tableau is sparse and integer-preserving: each row stores its nonzero
 entries as ``int`` numerators over one positive denominator and is divided by
@@ -44,7 +46,6 @@ checks each one when the step citing it is applied.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -110,24 +111,9 @@ def _order(row: LinConstraint) -> tuple:  # the relaxation's fixed row order
     return row.lhs.terms, row.rel.value, row.rhs
 
 
-def _rows_and_vars(sub: Subproblem, bounds: Bounds, objective: LinExpr) -> tuple[list[LinConstraint], set[Var]]:
-    """The relaxation's rows in a fixed order, and the variables they or the objective mention."""
-    rows: set[LinConstraint] = set(sub.cons)
-    relevant: set[Var] = set(objective.vars())
-    for c in sub.cons:
-        relevant.update(c.lhs.vars())
-    for v in relevant:
-        lo, hi = bounds.interval(v)
-        if lo is not None:
-            rows.add(bounds.row_lo(v))
-        if hi is not None:
-            rows.add(bounds.row_hi(v))
-    return sorted(rows, key=_order), relevant
-
-
 def assemble_rows(sub: Subproblem, bounds: Bounds, objective: LinExpr = LinExpr()) -> list[LinConstraint]:
-    """All rows visible to the relaxation: C and the finite bound ends."""
-    return _rows_and_vars(sub, bounds, objective)[0]
+    """All rows visible to the relaxation: C and the finite box ends of the variables it or the objective mention."""
+    return sorted(sub.cons.union(bounds.rows([*objective.vars(), *(v for c in sub.cons for v in c.lhs.vars())])), key=_order)
 
 
 Row = tuple[dict[int, int], int, int]
@@ -196,34 +182,40 @@ class _Simplex:
     A row bounds one column: a variable when its left side is that variable
     with coefficient +1 or -1, else its slack. Column ``j`` keeps only its
     tightest bounds ``lo[j]``/``hi[j]``, and ``lo_src[j]``/``hi_src[j]``
-    name the row and direction certifying each. Variable bounds are admitted
-    first, and a slack row they imply is not admitted at all; bounds only
-    tighten, so it stays implied. Bland's order ``rank`` puts every slack
-    before every variable, the newest slack first.
+    name the row and direction certifying each. The box seeds the variable
+    columns' bounds, ``cons`` holds the rows admitted so far, and of each
+    admitted batch the variable bounds go first; a slack row they imply is
+    not admitted at all, and since bounds only tighten it stays implied.
+    Bland's order ``rank`` puts every slack before every variable, the
+    newest slack first.
     """
 
-    def __init__(self, objective: LinExpr, relevant: set[Var]):
+    def __init__(self, objective: LinExpr, bounds: Bounds, variables: set[Var]):
         self.objective = objective
-        self.names = sorted(relevant)
+        self.names = sorted(variables)
         self.col = {v: j for j, v in enumerate(self.names)}
+        self.cons: frozenset[LinConstraint] = frozenset()
         self.nums: list[dict[int, int]] = []
         self.rhs: list[int] = []
         self.den: list[int] = []
         self.basis: list[int] = []
         self.at: dict[int, int] = {}
         self.rank = list(range(len(self.names)))
-        self.lo: list[int | None] = [None] * len(self.names)
-        self.hi: list[int | None] = [None] * len(self.names)
-        self.lo_src: list[tuple[LinConstraint, str] | None] = [None] * len(self.names)
-        self.hi_src: list[tuple[LinConstraint, str] | None] = [None] * len(self.names)
+        self.lo: list[int | None] = []
+        self.hi: list[int | None] = []
+        self.lo_src: list[tuple[LinConstraint, str] | None] = []
+        self.hi_src: list[tuple[LinConstraint, str] | None] = []
+        for v in self.names:
+            lo, hi = bounds.interval(v)
+            self.lo.append(lo)
+            self.hi.append(hi)
+            self.lo_src.append(None if lo is None else (bounds.row_lo(v), "ge"))
+            self.hi_src.append(None if hi is None else (bounds.row_hi(v), "le"))
         self.slack_of: dict[LinExpr, int] = {}
         self.cost = {self.col[v]: c for v, c in objective.terms}
         self.costval = 0
         self.cost_den = 1
         self.pivots = 0
-        # the latest optimum, which the next re-optimisation starts from, with the rows and box it
-        # solved; held weakly, since it holds this tableau and only the cyclic collector frees a cycle
-        self.source: tuple[weakref.ref[LpOptimal], frozenset[LinConstraint], Bounds] | None = None
 
     def add_row(self, coeffs: dict[int, int], rhs: int, den: int = 1) -> int:
         self.nums.append({j: a for j, a in coeffs.items() if a})
@@ -478,28 +470,6 @@ class _Simplex:
                 dz[self.basis[r]] = Fraction(-d * row[enter], self.den[r])
         return {v: dz[j] for j, v in enumerate(self.names) if j in dz}
 
-    def extend(self, prev: LpOptimal, sub: Subproblem, objective: LinExpr, bounds: Bounds) -> LpOutcome | None:
-        """Re-solve in place after a cut round that only added rows to ``prev``, this tableau's latest optimum.
-
-        Each added row tightens a column's bounds, is implied, brings a new
-        slack column with its row rewritten in the current basis, or repeats
-        a row the tableau has; the check restores feasibility and the primal
-        simplex optimality. Returns None, for a solve from scratch, unless
-        ``sub`` only gained rows with variables, all of them this tableau's,
-        and has the same box and objective.
-        """
-        if self.source is None or objective != self.objective:
-            return None
-        latest, cons, box = self.source
-        if latest() is not prev or box is not bounds or not cons <= sub.cons:
-            return None
-        added = sorted(sub.cons - cons, key=_order)
-        if not all(row.lhs.terms and all(v in self.col for v, _ in row.lhs.terms) for row in added):
-            return None
-        self.source = None  # from here the tableau no longer matches prev
-        self.admit(added)
-        return self.solve()
-
 
 def _constant_row_proof(row: LinConstraint) -> FarkasProof | None:
     """The one-entry Farkas proof that a row without variables fails, or None when it holds."""
@@ -513,24 +483,25 @@ def _constant_row_proof(row: LinConstraint) -> FarkasProof | None:
 def lp_solve(sub: Subproblem, objective: LinExpr, bounds: Bounds, prev: LpOptimal | None = None) -> LpOutcome:
     """Solve the rational relaxation of the subproblem inside its box.
 
-    ``prev``, the optimum of the same node's previous cut round, passes its
-    tableau on to the new optimum when the round only added rows
-    (``_Simplex.extend``); otherwise the solve starts from scratch.
+    Without ``prev`` the box seeds a new tableau's columns and C is admitted.
+    ``prev`` is the optimum of the same node's previous cut round, whose
+    tableau is re-solved in place: ``sub`` holds ``prev``'s rows plus new rows
+    over the tableau's variables, under the same objective and box, and only
+    the new rows are admitted. The kernel checks every certificate, so a
+    ``prev`` outside that contract can fail the solve but not change a verdict.
     """
-    sx = None if prev is None else prev.state
-    out = None if sx is None else sx.extend(prev, sub, objective, bounds)
-    if out is None:
-        rows, relevant = _rows_and_vars(sub, bounds, objective)
-        for row in rows:
-            proof = None if row.lhs.terms else _constant_row_proof(row)
-            if proof is not None:
-                return LpInfeasible(proof)
-        sx = _Simplex(objective, relevant)
-        sx.admit([row for row in rows if row.lhs.terms])
-        out = sx.solve()
-    if isinstance(out, LpOptimal):
-        sx.source = (weakref.ref(out), sub.cons, bounds)
-    return out
+    if prev is None:
+        sx = _Simplex(objective, bounds, set(objective.vars()).union(*(row.lhs.vars() for row in sub.cons)))
+    else:
+        sx = prev.state
+    rows = sorted(sub.cons - sx.cons, key=_order)
+    for row in rows:
+        proof = None if row.lhs.terms else _constant_row_proof(row)
+        if proof is not None:
+            return LpInfeasible(proof)
+    sx.cons = sub.cons
+    sx.admit([row for row in rows if row.lhs.terms])
+    return sx.solve()
 
 
 def derive_gomory_cuts(t: LpOptimal) -> list[tuple[LinConstraint, CGCut]]:

@@ -142,8 +142,9 @@ def test_stats_count_work():
 
 
 def test_cut_rounds_forget_nothing_and_re_solve_warm(monkeypatch):
-    # a cut round only adds rows, so every re-solve keeps the node's tableau,
-    # unless a learned cut has no variables and proves the node empty alone
+    # lp_solve's contract for prev: the same objective and box, and the rows
+    # of prev's solve plus new rows over its tableau's variables, which keeps
+    # the tableau
     rng = random.Random(11)
     instances = [encode_script(cnf_script(random_cnf(rng, 3, n), 3)).instance for n in (16, 18, 20, 22, 24)]
     instances += [random_instance(rng) for _ in range(100)]
@@ -154,15 +155,21 @@ def test_cut_rounds_forget_nothing_and_re_solve_warm(monkeypatch):
         tableaus.append(self)
         init(self, *args)
 
-    subs, warm = {}, 0
+    calls, warm = {}, 0
     lp_solve = engine.lp_solve
 
     def recording(sub, objective, bounds, prev=None):
         nonlocal warm
+        if prev is not None:
+            prev_sub, prev_objective, prev_bounds = calls[id(prev)]
+            assert prev_sub.cons <= sub.cons
+            assert objective == prev_objective and bounds is prev_bounds
+            for row in sub.cons - prev_sub.cons:
+                assert row.lhs.terms and all(v in prev.state.col for v in row.lhs.vars())
         made = len(tableaus)
         out = lp_solve(sub, objective, bounds, prev)
-        subs[id(out)] = sub
-        if prev is not None and all(c.lhs.terms for c in sub.cons - subs[id(prev)].cons):
+        calls[id(out)] = (sub, objective, bounds)
+        if prev is not None:
             assert len(tableaus) == made
             assert not isinstance(out, LpOptimal) or out.state is prev.state
             warm += 1
