@@ -594,8 +594,8 @@ class PropagationResult:
 def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     """Tighten per-variable intervals; detect pinned differences and emptiness.
 
-    Each round visits the oriented rows ``sum_u a_u * x_u >= rhs`` in one
-    fixed order and takes each row's largest activity over the current
+    Each round visits the oriented rows ``sum_u a_u * x_u >= rhs`` in the
+    relaxation's row order, not by text, which two rows may share, and takes each row's largest activity over the current
     intervals once: the sum over the finite ends that maximise each term, and
     the one variable whose end is infinite, if there is exactly one. A row
     with two infinite ends bounds nothing. Variable ``v``'s limit is ``rhs``
@@ -606,7 +606,7 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     order is the one that re-summing the other variables for each bound
     would give.
     """
-    base_rows = sorted(sub.cons, key=LinConstraint.render)
+    base_rows = sorted(sub.cons, key=_order)
 
     # the working interval of every variable the rows mention
     lo: dict[Var, int | None] = {}

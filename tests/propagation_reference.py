@@ -3,14 +3,16 @@
 This is ``imtsolver.lp.propagate_bounds`` as it was before each round took a
 row's largest activity once, kept verbatim so that a test can hold the two
 to the same derived rows, certificates, fixes and Farkas proofs, in the same
-order.
+order. Its one change since is the row order it visits, which is an input
+convention rather than what the comparison checks: ``lp._order``, as in the
+module, since two different rows can render the same text.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from imtsolver.certificates import BoundFix, CGCut, ComboEntry, FarkasProof
-from imtsolver.lp import _PROPAGATION_ROUNDS, PropagationResult, _constant_row_proof
+from imtsolver.lp import _PROPAGATION_ROUNDS, PropagationResult, _constant_row_proof, _order
 from imtsolver.model import (
     Bounds,
     LinConstraint,
@@ -25,7 +27,7 @@ from imtsolver.model import (
 
 def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     """Tighten per-variable intervals; detect pinned differences and emptiness."""
-    base_rows = sorted(map(normalize, sub.cons), key=LinConstraint.render)
+    base_rows = sorted(map(normalize, sub.cons), key=_order)
 
     relevant: set[Var] = set()
     for row in base_rows:

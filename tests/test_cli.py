@@ -558,6 +558,41 @@ def test_runs_are_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+# two rows that render alike: the variable |2 x| prints as 2 x
+SAME_TEXT = """
+[vars]
+x int 0 1
+|2 x| int 0 2
+y int * 5
+
+[objective]
+min y
+
+[constraints]
+2 x + y >= 3
+|2 x| + y >= 3
+"""
+
+
+def test_trace_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    p = tmp_path / "same_text.imt"
+    p.write_text(SAME_TEXT)
+    traces = set()
+    for seed in range(12):
+        t = tmp_path / f"seed{seed}.trace"
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run(
+            [sys.executable, "-m", "imtsolver.cli", str(p), "--trace", str(t)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout.splitlines()[0]) == (EXIT_OK, "optimal 1"), done.stderr
+        traces.add(t.read_bytes())
+    assert len(traces) == 1
+
+
 @pytest.mark.parametrize("option", ["--node-budget", "--cut-cap", "--default-bound"])
 def test_a_negative_count_is_a_usage_error(tmp_path, capsys, option):
     p = tmp_path / "opt.imt"
