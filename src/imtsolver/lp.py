@@ -595,7 +595,8 @@ def propagate_bounds(sub: Subproblem, bounds: Bounds) -> PropagationResult:
     """Tighten per-variable intervals; detect pinned differences and emptiness.
 
     Each round visits the oriented rows ``sum_u a_u * x_u >= rhs`` in the
-    relaxation's row order, not by text, which two rows may share, and takes each row's largest activity over the current
+    relaxation's row order (``_order``; two rows may render alike, so not by
+    their text) and takes each row's largest activity over the current
     intervals once: the sum over the finite ends that maximise each term, and
     the one variable whose end is infinite, if there is exactly one. A row
     with two infinite ends bounds nothing. Variable ``v``'s limit is ``rhs``
