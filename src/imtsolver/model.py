@@ -9,7 +9,6 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping
 
 Var = str
@@ -28,6 +27,11 @@ class InvariantError(ImtError):
     """A model-level invariant was violated at construction time, or a solver invariant during a solve."""
 
 
+def digit_limit(exc: ValueError) -> str:
+    """Why int() or str() refused a number over Python's digit limit, without the advice to raise the limit."""
+    return str(exc).partition(";")[0]
+
+
 def frac_floor(q: Fraction) -> int:
     return q.numerator // q.denominator
 
@@ -36,7 +40,7 @@ def frac_ceil(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LinExpr:
     """Sparse linear expression with integer coefficients.
 
@@ -45,11 +49,12 @@ class LinExpr:
     computed once, at construction.
     """
 
-    terms: tuple[tuple[Var, int], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    terms: tuple[tuple[Var, int], ...]
+    _hash: int = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.terms,)))
+    def __init__(self, terms: tuple[tuple[Var, int], ...] = ()) -> None:
+        _set_terms(self, terms)
+        _set_expr_hash(self, hash((terms,)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -61,7 +66,9 @@ class LinExpr:
         acc: dict[Var, int] = {}
         for v, c in items:
             acc[v] = acc.get(v, 0) + int(c)
-        return LinExpr(tuple(sorted((v, c) for v, c in acc.items() if c != 0)))
+        if 0 in acc.values():
+            acc = {v: c for v, c in acc.items() if c}
+        return LinExpr(tuple(sorted(acc.items())))
 
     @staticmethod
     def var(v: Var, coeff: int = 1) -> LinExpr:
@@ -85,7 +92,7 @@ class LinExpr:
         return not self.terms
 
     def __add__(self, other: LinExpr) -> LinExpr:
-        return LinExpr.of(list(self.terms) + list(other.terms))
+        return LinExpr.of(self.terms + other.terms)
 
     def __sub__(self, other: LinExpr) -> LinExpr:
         return self + other.scale(-1)
@@ -129,7 +136,12 @@ class Relation(Enum):
     GE = ">="
 
 
-@dataclass(frozen=True, slots=True)
+# members under plain names for the rows each instance builds: on Python 3.10 and
+# 3.11 a Relation.X lookup runs the enum metaclass's __getattr__, ten names' cost
+_LT, _LE, _GT, _GE = Relation.LT, Relation.LE, Relation.GT, Relation.GE
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LinConstraint:
     """Relation between a linear expression and an integer constant.
 
@@ -141,11 +153,15 @@ class LinConstraint:
     lhs: LinExpr
     rel: Relation
     rhs: int
-    _hash: int = field(init=False, repr=False, compare=False)
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int = field(repr=False, compare=False)
+    _text: str | None = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.lhs, self.rel, self.rhs)))
+    def __init__(self, lhs: LinExpr, rel: Relation, rhs: int) -> None:
+        _set_lhs(self, lhs)
+        _set_rel(self, rel)
+        _set_rhs(self, rhs)
+        _set_row_hash(self, hash((lhs, rel, rhs)))
+        _set_text(self, None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -153,9 +169,17 @@ class LinConstraint:
     def render(self) -> str:
         text = self._text
         if text is None:
-            text = f"{self.lhs.render()} {self.rel.value} {self.rhs}"
-            object.__setattr__(self, "_text", text)
+            text = f"{self.lhs.render()} {self.rel._value_} {self.rhs}"
+            _set_text(self, text)
         return text
+
+
+# Each frozen field is assigned once, by its slot's own setter: a plain call,
+# without the attribute lookup of object.__setattr__.
+_set_terms, _set_expr_hash = (LinExpr.__dict__[f].__set__ for f in ("terms", "_hash"))
+_set_lhs, _set_rel, _set_rhs, _set_row_hash, _set_text = (
+    LinConstraint.__dict__[f].__set__ for f in ("lhs", "rel", "rhs", "_hash", "_text")
+)
 
 
 def satisfies(c: LinConstraint, assignment: Mapping[Var, int | Fraction]) -> bool:
@@ -178,10 +202,10 @@ def satisfies_all(cs: Iterable[LinConstraint], assignment: Mapping[Var, int | Fr
 
 def normalize(c: LinConstraint) -> LinConstraint:
     """Rewrite strict relations over integers: e < r to e <= r-1, e > r to e >= r+1."""
-    if c.rel is Relation.LT:
-        return LinConstraint(c.lhs, Relation.LE, c.rhs - 1)
-    if c.rel is Relation.GT:
-        return LinConstraint(c.lhs, Relation.GE, c.rhs + 1)
+    if c.rel is _LT:
+        return LinConstraint(c.lhs, _LE, c.rhs - 1)
+    if c.rel is _GT:
+        return LinConstraint(c.lhs, _GE, c.rhs + 1)
     return c
 
 
@@ -199,46 +223,46 @@ class Bounds:
 
     def __init__(self, table: Mapping[Var, tuple[int | None, int | None]] | None = None):
         clean: dict[Var, tuple[int | None, int | None]] = {}
+        # v >= lo and v <= hi for each finite end, None for an infinite one; the table never changes
+        rows: dict[Var, tuple[LinConstraint | None, LinConstraint | None]] = {}
         for v, (lo, hi) in (table or {}).items():
             if lo is not None and hi is not None and lo > hi:
                 raise InvariantError(f"empty declared interval for {v}: [{lo}, {hi}]")
             if lo is None and hi is None:
                 continue
             clean[v] = (lo, hi)
+            e = LinExpr(((v, 1),))
+            rows[v] = (
+                None if lo is None else LinConstraint(e, _GE, lo),
+                None if hi is None else LinConstraint(e, _LE, hi),
+            )
         self._table = clean
-        # one row per finite end, built on first use; the table never changes
-        self._lo_rows: dict[Var, LinConstraint] = {}
-        self._hi_rows: dict[Var, LinConstraint] = {}
+        self._rows = rows
 
     def interval(self, v: Var) -> tuple[int | None, int | None]:
         return self._table.get(v, (None, None))
 
     def row_lo(self, v: Var) -> LinConstraint:
-        row = self._lo_rows.get(v)
+        row = self._rows.get(v, (None, None))[0]
         if row is None:
-            lo = self.interval(v)[0]
-            if lo is None:
-                raise InvariantError(f"{v} has no lower bound")
-            row = self._lo_rows[v] = LinConstraint(LinExpr.var(v), Relation.GE, lo)
+            raise InvariantError(f"{v} has no lower bound")
         return row
 
     def row_hi(self, v: Var) -> LinConstraint:
-        row = self._hi_rows.get(v)
+        row = self._rows.get(v, (None, None))[1]
         if row is None:
-            hi = self.interval(v)[1]
-            if hi is None:
-                raise InvariantError(f"{v} has no upper bound")
-            row = self._hi_rows[v] = LinConstraint(LinExpr.var(v), Relation.LE, hi)
+            raise InvariantError(f"{v} has no upper bound")
         return row
 
     def rows(self, vars: Iterable[Var]) -> list[LinConstraint]:
         out = []
         for v in sorted(set(vars)):
-            lo, hi = self.interval(v)
-            if lo is not None:
-                out.append(self.row_lo(v))
-            if hi is not None:
-                out.append(self.row_hi(v))
+            if v in self._rows:
+                lo, hi = self._rows[v]
+                if lo is not None:
+                    out.append(lo)
+                if hi is not None:
+                    out.append(hi)
         return out
 
     def filled(self, vars: Iterable[Var], default: int | None) -> Bounds:
@@ -405,7 +429,9 @@ class ImtInstance:
 
     Constraints are normalized at construction (no strict relations stored).
     Function symbols and variable names are disjoint; every referenced
-    variable is declared; annotation variables carry 0..1 bounds.
+    variable is declared; annotation variables carry 0..1 bounds. The box
+    rows, the canonical row order and the digest are built at construction
+    too, so an instance holding a number too long to print is refused there.
     """
 
     def __init__(
@@ -419,26 +445,46 @@ class ImtInstance:
     ):
         self.vars: frozenset[Var] = frozenset(vars)
         self.bounds = bounds
-        self.constraints: frozenset[LinConstraint] = frozenset(normalize(c) for c in constraints)
+        self.constraints: frozenset[LinConstraint] = frozenset(
+            [normalize(c) if c.rel is _LT or c.rel is _GT else c for c in constraints]
+        )
         self.atoms: frozenset[InterfaceAtom] = frozenset(atoms)
         self.objective = objective
         self.funs: dict[str, int] = dict(funs or {})
         self._validate()
+        # one row per finite bound end, in variable order, as a tuple and as a
+        # set, whose union with another set hashes no row again
+        self.box_rows: tuple[LinConstraint, ...] = tuple(bounds.rows(self.vars))
+        self.box_set: frozenset[LinConstraint] = frozenset(self.box_rows)
+        # a trace's first rows: the constraints by text (ties by terms; two rows
+        # with one text and one left side are one row), then the other box rows
+        cons = self.constraints
+        try:
+            ordered = sorted(cons, key=lambda c: (c.render(), c.lhs.terms))
+            rows = (*ordered, *[r for r in self.box_rows if r not in cons])
+            self.canonical_rows: tuple[LinConstraint, ...] = rows
+            text = self.canonical_text()
+        except ValueError as exc:  # str() refuses an int longer than the interpreter's digit limit
+            raise InvariantError(f"a number is too long to print: {digit_limit(exc)}") from None
+        self._digest = hashlib.sha256(text.encode()).hexdigest()
+        # each canonical row's number in a trace's row table; read-only
+        self.row_numbers: dict[LinConstraint, int] = dict(zip(rows, range(len(rows))))
 
     def _validate(self) -> None:
-        overlap = self.vars & set(self.funs)
+        vars_ = self.vars
+        overlap = vars_ & set(self.funs)
         if overlap:
             raise InvariantError(f"names used as both variable and function: {sorted(overlap)}")
         for c in self.constraints:
-            for v in c.lhs.vars():
-                if v not in self.vars:
+            for v, _ in c.lhs.terms:
+                if v not in vars_:
                     raise InvariantError(f"constraint references undeclared variable {v}")
-        for v in self.objective.vars():
-            if v not in self.vars:
+        for v, _ in self.objective.terms:
+            if v not in vars_:
                 raise InvariantError(f"objective references undeclared variable {v}")
         for atom in self.atoms:
             for v in atom.all_vars():
-                if v not in self.vars:
+                if v not in vars_:
                     raise InvariantError(f"atom references undeclared variable {v}")
             if atom.kind == "fun":
                 if atom.fun not in self.funs:
@@ -460,33 +506,6 @@ class ImtInstance:
         lines += ["con " + c.render() for c in self.canonical_rows[: len(self.constraints)]]
         lines += sorted(["atom " + a.render() for a in self.atoms])
         return "\n".join(lines) + "\n"
-
-    @cached_property
-    def box_rows(self) -> tuple[LinConstraint, ...]:
-        """One row per finite bound end, in variable order; built on first use."""
-        return tuple(self.bounds.rows(self.vars))
-
-    @cached_property
-    def box_set(self) -> frozenset[LinConstraint]:
-        """The box rows as a set, whose union with another set hashes no row again."""
-        return frozenset(self.box_rows)
-
-    @cached_property
-    def canonical_rows(self) -> tuple[LinConstraint, ...]:
-        """Constraints by text (ties by terms, relation, rhs), then the other box rows: a trace's first rows."""
-        cons = self.constraints
-        ordered = sorted(cons, key=lambda c: (c.render(), c.lhs.terms, c.rel.value, c.rhs))
-        return (*ordered, *[r for r in self.box_rows if r not in cons])
-
-    @cached_property
-    def row_numbers(self) -> dict[LinConstraint, int]:
-        """Each canonical row's number in a trace's row table; read-only."""
-        rows = self.canonical_rows
-        return dict(zip(rows, range(len(rows))))
-
-    @cached_property
-    def _digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
     def digest(self) -> str:
         return self._digest

@@ -35,6 +35,7 @@ from .model import (
     LinExpr,
     Relation,
     Var,
+    digit_limit,
 )
 
 
@@ -45,8 +46,8 @@ class ParseError(ImtError):
 _PLAIN = r"[A-Za-z_$][A-Za-z0-9_.$!']*"
 _NAME = rf"(?:{_PLAIN}|\|[^|]+\|)"
 _TOKEN = re.compile(rf"\|[^|]+\||[+-]|\d+|{_PLAIN}|\S")
+_TERM = re.compile(rf"\s*([+-]?)\s*(?:(\d+)\s*(?:\*\s*)?)?({_NAME})?")  # [sign] [coefficient [*]] name
 _PLAIN_RE = re.compile(_PLAIN + r"\Z")
-_NAME_RE = re.compile(_NAME + r"\Z")
 _CODE = re.compile(r"(?:[^#|]|\|[^|]*\|?)*")  # a line up to its first '#' outside |...|
 
 _SECTION_RE = re.compile(r"\[(vars|funs|objective|constraints|atoms)\]\Z")
@@ -58,6 +59,14 @@ _ARGS = rf"\s*(?:{_NAME}\s*(?:,\s*{_NAME}\s*)*)?"  # names separated by commas, 
 _ATOM_FUN_LINE = re.compile(rf"({_NAME})\s*=\s*({_NAME})\s*\(({_ARGS})\)\s*(?:@\s*({_NAME}))?\s*\Z")
 _NAME_FIND = re.compile(_NAME)
 _ATOM_EQ_LINE = re.compile(rf"\(\s*({_NAME})\s*=\s*({_NAME})\s*\)\s*(?:@\s*({_NAME}))?\s*\Z")
+# each relation with the shift of its constant that makes a strict one non-strict, as normalize() does
+_RELATIONS = {
+    "<=": (Relation.LE, 0),
+    "<": (Relation.LE, -1),
+    "=": (Relation.EQ, 0),
+    ">=": (Relation.GE, 0),
+    ">": (Relation.GE, 1),
+}
 
 
 def _unquote(token: str) -> str:
@@ -75,35 +84,32 @@ def quote_name(name: Var) -> str:
 
 
 def parse_expr(text: str) -> LinExpr:
-    """Sum of integer-coefficient terms; the literal 0 is the empty expression."""
+    """Sum of integer-coefficient terms; the literal 0 is the empty expression.
+
+    Terms on one variable are summed, and a zero sum drops the term, as in ``LinExpr.of``.
+    """
     text = text.strip()
     if text == "0":
         return LinExpr.zero()
-    tokens = _TOKEN.findall(text)
-    terms: list[tuple[Var, int]] = []
-    i, n = 0, len(tokens)
-    first = True
-    while i < n:
-        sign = 1
-        if tokens[i] in ("+", "-"):
-            sign = 1 if tokens[i] == "+" else -1
-            i += 1
-        elif not first:
-            raise ParseError(f"expected + or - before {tokens[i]!r}")
-        if i >= n:
-            raise ParseError(f"dangling sign in {text!r}")
-        coeff = 1
-        if tokens[i].isdigit():
-            coeff = int(tokens[i])
-            i += 1
-            if i < n and tokens[i] == "*":
-                i += 1
-        if i >= n or not _NAME_RE.match(tokens[i]):
+    terms: dict[Var, int] = {}
+    pos, n = 0, len(text)
+    while pos < n:
+        m = _TERM.match(text, pos)
+        sign, digits, name = m.groups()
+        if not sign and pos:
+            raise ParseError(f"expected + or - before {_TOKEN.search(text, pos).group()!r}")
+        if name is None:
+            if sign and digits is None and m.end() == n:
+                raise ParseError(f"dangling sign in {text!r}")
             raise ParseError(f"expected a variable name in {text!r}")
-        terms.append((_unquote(tokens[i]), sign * coeff))
-        i += 1
-        first = False
-    return LinExpr.of(terms)
+        coeff = int(digits) if digits else 1
+        if name[0] == "|":
+            name = name[1:-1]
+        terms[name] = terms.get(name, 0) + (-coeff if sign == "-" else coeff)
+        pos = m.end()
+    if 0 in terms.values():
+        terms = {v: c for v, c in terms.items() if c}
+    return LinExpr(tuple(sorted(terms.items())))
 
 
 def render_expr(e: LinExpr) -> str:
@@ -129,75 +135,77 @@ def parse_instance(text: str) -> ImtInstance:
     section: str | None = None
     seen: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _CODE.match(raw).group().strip()
-        if not line:
-            continue
-
-        def bad(reason: str) -> ParseError:
-            return ParseError(f"line {lineno}: {reason}")
-
-        m = _SECTION_RE.match(line)
-        if m:
-            section = m.group(1)
-            if section in seen:
-                raise bad(f"section [{section}] appears twice")
-            seen.add(section)
-            continue
-        if section is None:
-            raise bad(f"declaration before any section header: {line!r}")
-
-        if section == "vars":
-            m = _VAR_LINE.match(line)
-            if not m:
-                raise bad(f"cannot parse variable declaration: {line!r}")
-            name = _unquote(m.group(1))
-            if name in vars_:
-                raise bad(f"variable {name} declared twice")
-            lo = None if m.group(2) == "*" else int(m.group(2))
-            hi = None if m.group(3) == "*" else int(m.group(3))
-            if lo is not None and hi is not None and lo > hi:
-                raise bad(f"empty declared interval for {name}: [{lo}, {hi}]")
-            vars_[name] = (lo, hi)
-        elif section == "funs":
-            m = _FUN_LINE.match(line)
-            if not m:
-                raise bad(f"cannot parse function declaration: {line!r}")
-            name = _unquote(m.group(1))
-            if name in funs:
-                raise bad(f"function {name} declared twice")
-            funs[name] = int(m.group(2))
-        elif section == "objective":
-            if objective is not None:
-                raise bad("second objective line")
-            m = _MIN_LINE.match(line)
-            if not m:
-                raise bad(f"objective lines start with 'min': {line!r}")
-            try:
-                objective = parse_expr(m.group(1))
-            except ParseError as exc:
-                raise bad(str(exc)) from exc
-        elif section == "constraints":
-            m = _CON_LINE.match(line)
-            if not m:
-                raise bad(f"cannot parse constraint: {line!r}")
-            try:
-                lhs = parse_expr(m.group(1))
-            except ParseError as exc:
-                raise bad(str(exc)) from exc
-            cons.append(LinConstraint(lhs, Relation(m.group(2)), int(m.group(3))))
-        else:
-            m = _ATOM_EQ_LINE.match(line)
-            if m:
-                ann = _unquote(m.group(3)) if m.group(3) else None
-                atoms.append(InterfaceAtom.eq_atom(_unquote(m.group(1)), _unquote(m.group(2)), ann))
+    # a line's errors are raised without its number, which the handlers below prefix
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = (_CODE.match(raw).group() if "#" in raw else raw).strip()
+            if not line:
                 continue
-            m = _ATOM_FUN_LINE.match(line)
-            if not m:
-                raise bad(f"cannot parse atom: {line!r}")
-            args = [_unquote(a) for a in _NAME_FIND.findall(m.group(3))]
-            ann = _unquote(m.group(4)) if m.group(4) else None
-            atoms.append(InterfaceAtom.fun_def(_unquote(m.group(1)), _unquote(m.group(2)), args, ann))
+            if line[0] == "[":
+                m = _SECTION_RE.match(line)
+                if m:
+                    section = m.group(1)
+                    if section in seen:
+                        raise ParseError(f"section [{section}] appears twice")
+                    seen.add(section)
+                    continue
+
+            if section == "constraints":
+                m = _CON_LINE.match(line)
+                if not m:
+                    raise ParseError(f"cannot parse constraint: {line!r}")
+                lhs, rel, rhs = m.group(1, 2, 3)
+                lhs = parse_expr(lhs)
+                rel, shift = _RELATIONS[rel]
+                cons.append(LinConstraint(lhs, rel, int(rhs) + shift))
+            elif section == "vars":
+                m = _VAR_LINE.match(line)
+                if not m:
+                    raise ParseError(f"cannot parse variable declaration: {line!r}")
+                name, lo, hi = m.group(1, 2, 3)
+                if name[0] == "|":
+                    name = name[1:-1]
+                if name in vars_:
+                    raise ParseError(f"variable {name} declared twice")
+                lo = None if lo == "*" else int(lo)
+                hi = None if hi == "*" else int(hi)
+                if lo is not None and hi is not None and lo > hi:
+                    raise ParseError(f"empty declared interval for {name}: [{lo}, {hi}]")
+                vars_[name] = (lo, hi)
+            elif section == "objective":
+                if objective is not None:
+                    raise ParseError("second objective line")
+                m = _MIN_LINE.match(line)
+                if not m:
+                    raise ParseError(f"objective lines start with 'min': {line!r}")
+                objective = parse_expr(m.group(1))
+            elif section == "funs":
+                m = _FUN_LINE.match(line)
+                if not m:
+                    raise ParseError(f"cannot parse function declaration: {line!r}")
+                name = _unquote(m.group(1))
+                if name in funs:
+                    raise ParseError(f"function {name} declared twice")
+                funs[name] = int(m.group(2))
+            elif section == "atoms":
+                m = _ATOM_EQ_LINE.match(line)
+                if m:
+                    ann = _unquote(m.group(3)) if m.group(3) else None
+                    atoms.append(InterfaceAtom.eq_atom(_unquote(m.group(1)), _unquote(m.group(2)), ann))
+                    continue
+                m = _ATOM_FUN_LINE.match(line)
+                if not m:
+                    raise ParseError(f"cannot parse atom: {line!r}")
+                args = [_unquote(a) for a in _NAME_FIND.findall(m.group(3))]
+                ann = _unquote(m.group(4)) if m.group(4) else None
+                atoms.append(InterfaceAtom.fun_def(_unquote(m.group(1)), _unquote(m.group(2)), args, ann))
+            else:
+                raise ParseError(f"declaration before any section header: {line!r}")
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+    except ValueError as exc:  # only int() raises it here, on a literal over the interpreter's digit limit
+        raise ParseError(f"line {lineno}: integer literal too long: {digit_limit(exc)}") from None
 
     try:
         return ImtInstance(

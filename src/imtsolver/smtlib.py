@@ -24,10 +24,12 @@ from .model import (
     ImtError,
     ImtInstance,
     InterfaceAtom,
+    InvariantError,
     LinConstraint,
     LinExpr,
     Relation,
     Var,
+    digit_limit,
 )
 
 class SmtError(ImtError):
@@ -89,16 +91,26 @@ def parse_sexps(text: str) -> list:
     return stack[0]
 
 
+def _numeral(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:  # over the interpreter's digit limit
+        raise SmtError(f"numeral too long: {digit_limit(exc)}") from None
+
+
 def _strip(symbol: str) -> str:
-    if symbol.startswith("|") and symbol.endswith("|"):
-        return symbol[1:-1]
-    return symbol
+    return symbol[1:-1] if symbol[0] == "|" else symbol  # a token opening with | closes with it
 
 
 def _show(form) -> str:
     if isinstance(form, str):
         return form
     return "(" + " ".join(_show(x) for x in form) + ")"
+
+
+def _pair(x: Var, a: int, y: Var, b: int) -> LinExpr:
+    """``a x + b y`` over two distinct variables, its terms in order."""
+    return LinExpr(((x, a), (y, b)) if x < y else ((y, b), (x, a)))
 
 
 # Boolean values during encoding: a constant, or (variable, polarity).
@@ -256,7 +268,7 @@ class Encoder:
         if isinstance(term, str):
             tok = _strip(term)
             if _NUM_RE.match(tok):
-                return LinExpr.zero(), int(tok)
+                return LinExpr.zero(), _numeral(tok)
             if self.sorts.get(tok) == "Int":
                 return LinExpr.var(tok), 0
             if self.sorts.get(tok) == "Bool":
@@ -396,28 +408,26 @@ class Encoder:
         if cached is not None:
             return cached
         v = self._new_flag("g")
-        agg = LinExpr.var(v)  # v minus the literal sum, negatives folded in
+        agg = {v: 1}  # v minus the literal sum, negatives folded in
         shift = 0
         for name, pos in lits:
-            if pos:
-                agg = agg - LinExpr.var(name)
-            else:
-                agg = agg + LinExpr.var(name)
+            agg[name] = agg.get(name, 0) + (-1 if pos else 1)
+            if not pos:
                 shift += 1
             if kind == "and":
                 if pos:  # v <= x
-                    self.rows.append(LinConstraint(LinExpr.of({name: 1, v: -1}), Relation.GE, 0))
+                    self.rows.append(LinConstraint(_pair(name, 1, v, -1), Relation.GE, 0))
                 else:  # v <= 1 - x
-                    self.rows.append(LinConstraint(LinExpr.of({name: 1, v: 1}), Relation.LE, 1))
+                    self.rows.append(LinConstraint(_pair(name, 1, v, 1), Relation.LE, 1))
             else:
                 if pos:  # v >= x
-                    self.rows.append(LinConstraint(LinExpr.of({v: 1, name: -1}), Relation.GE, 0))
+                    self.rows.append(LinConstraint(_pair(v, 1, name, -1), Relation.GE, 0))
                 else:  # v >= 1 - x
-                    self.rows.append(LinConstraint(LinExpr.of({v: 1, name: 1}), Relation.GE, 1))
+                    self.rows.append(LinConstraint(_pair(v, 1, name, 1), Relation.GE, 1))
         if kind == "and":
-            self.rows.append(LinConstraint(agg, Relation.GE, 1 - len(lits) + shift))
+            self.rows.append(LinConstraint(LinExpr.of(agg), Relation.GE, 1 - len(lits) + shift))
         else:
-            self.rows.append(LinConstraint(agg, Relation.LE, shift))
+            self.rows.append(LinConstraint(LinExpr.of(agg), Relation.LE, shift))
         lit = (v, True)
         self.gate_cache[key] = lit
         return lit
@@ -558,7 +568,7 @@ class Encoder:
 
         def as_const(x) -> int | None:
             if isinstance(x, str) and _NUM_RE.match(_strip(x)):
-                return int(_strip(x))
+                return _numeral(_strip(x))
             if (
                 isinstance(x, list)
                 and len(x) == 2
@@ -566,7 +576,7 @@ class Encoder:
                 and isinstance(x[1], str)
                 and _NUM_RE.match(_strip(x[1]))
             ):
-                return -int(_strip(x[1]))
+                return -_numeral(_strip(x[1]))
             return None
 
         def as_var(x) -> str | None:
@@ -704,14 +714,17 @@ class Encoder:
             lo, hi = self.bounds.get(v, [None, None])
             d = self.default_bound
             table[v] = (-d if lo is None else lo, d if hi is None else hi)
-        instance = ImtInstance(
-            self.sorts.keys(),
-            Bounds(table),
-            self.rows,
-            self.atoms,
-            self.objective if self.objective is not None else LinExpr.zero(),
-            {f: a for f, (a, _) in self.funs.items()},
-        )
+        try:
+            instance = ImtInstance(
+                self.sorts.keys(),
+                Bounds(table),
+                self.rows,
+                self.atoms,
+                self.objective if self.objective is not None else LinExpr.zero(),
+                {f: a for f, (a, _) in self.funs.items()},
+            )
+        except InvariantError as exc:  # a number of the encoding too long to print, say a product of numerals
+            raise SmtError(str(exc)) from None
         return EncodeResult(
             instance,
             dict(self.declared),
@@ -723,11 +736,11 @@ class Encoder:
     def _declare(self, form) -> None:
         cmd = _strip(form[0])
         if cmd == "declare-const":
-            if len(form) != 3:
+            if len(form) != 3 or not isinstance(form[1], str):
                 raise SmtError(f"bad declare-const {_show(form)}")
             name, arg_sorts, ret = _strip(form[1]), [], form[2]
         else:
-            if len(form) != 4 or not isinstance(form[2], list):
+            if len(form) != 4 or not isinstance(form[1], str) or not isinstance(form[2], list):
                 raise SmtError(f"bad declare-fun {_show(form)}")
             name, arg_sorts, ret = _strip(form[1]), form[2], form[3]
         if name in self.sorts or name in self.funs:
@@ -740,7 +753,7 @@ class Encoder:
             self.declared[name] = ret_sort
             self.bounds[name] = [0, 1] if ret_sort == "Bool" else [None, None]
             return
-        if ret_sort != "Int" or any(_strip(s) != "Int" for s in arg_sorts):
+        if ret_sort != "Int" or any(not isinstance(s, str) or _strip(s) != "Int" for s in arg_sorts):
             raise SmtError(f"functions must map Int* to Int: {_show(form)}")
         self.funs[name] = (len(arg_sorts), "Int")
 

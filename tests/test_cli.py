@@ -622,3 +622,32 @@ def test_deeply_nested_smt_script_is_an_error(tmp_path, capsys):
     assert code == EXIT_ERROR
     assert err.startswith("error:") and "nested deeper" in err
     assert "Traceback" not in err and not out
+
+
+# the most digits Python converts between an int and its text; 0 means no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts ints of any length")
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bound.imt", "[vars]\nx int 0 {big}\n"),
+        ("bound.smt2", "(declare-const x Int)\n(assert (>= x {big}))\n(check-sat)\n"),
+        ("product.smt2", "(declare-const x Int)\n(assert (>= (* {half} {half} x) 1))\n(check-sat)\n"),
+    ],
+    ids=["native_literal", "smt_literal", "smt_product"],
+)
+def test_a_number_over_the_digit_limit_is_an_error_not_a_traceback(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text.format(big="9" * (DIGIT_LIMIT + 700), half="9" * (DIGIT_LIMIT - 1300)))
+    done = subprocess.run(
+        [sys.executable, "-m", "imtsolver.cli", str(p), "--trace", str(tmp_path / "out.trace")],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert not done.stdout

@@ -1,11 +1,20 @@
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import native_reference
 from imtsolver.model import Bounds, ImtError, ImtInstance, InterfaceAtom, LinConstraint, LinExpr, Relation
 from imtsolver.native import ParseError, parse_expr, parse_instance, render_expr, render_instance
 
 from gen import random_instance
+
+# the most digits Python converts between an int and its text; 0 means no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts ints of any length")
 
 
 def test_parse_sectioned_document():
@@ -130,3 +139,113 @@ def test_unannotated_equality_atom():
     inst = parse_instance("[vars]\nx int 0 3\ny int 0 3\n[atoms]\n(x = y)")
     (atom,) = inst.atoms
     assert atom.kind == "eq" and atom.annotation is None
+
+
+def test_a_coefficient_is_a_run_of_decimal_digits():
+    # a digit-like sign that is no decimal digit is no coefficient, so it is read as a name and fails
+    with pytest.raises(ParseError) as err:
+        parse_instance("[vars]\nx int 0 1\n[constraints]\n\u00b2 x <= 1")
+    assert str(err.value) == "line 4: expected a variable name in '\u00b2 x'"
+    # a decimal digit of another script is a coefficient
+    inst = parse_instance("[vars]\nx int 0 1\n[constraints]\n\u0663 x <= 1")
+    assert inst.constraints == {LinConstraint(LinExpr.var("x", 3), Relation.LE, 1)}
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("[vars]\nx int 0 {big}", 2),
+        ("[vars]\nx int -{big} *", 2),
+        ("[vars]\nx int 0 1\n[constraints]\n{big} x <= 1", 4),
+        ("[vars]\nx int 0 1\n[constraints]\nx <= -{big}", 4),
+        ("[vars]\nx int 0 1\n[objective]\nmin {big} x", 4),
+        ("[funs]\nf {big}", 2),
+    ],
+    ids=["bound", "negative_bound", "coefficient", "constant", "objective", "arity"],
+)
+def test_an_integer_over_the_digit_limit_is_an_error_on_its_line(text, lineno):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text.format(big="9" * (DIGIT_LIMIT + 700)))
+    assert str(err.value).startswith(f"line {lineno}: integer literal too long: ")
+
+
+@needs_digit_limit
+def test_a_coefficient_summed_past_the_digit_limit_is_an_error():
+    widest = "9" * DIGIT_LIMIT
+    with pytest.raises(ParseError, match="^a number is too long to print: "):
+        parse_instance(f"[vars]\nx int 0 1\n[constraints]\n{widest} x + {widest} x >= 1")
+
+
+EXPR_PIECES = ["x", "y1", "|a b|", "|", "+", "-", "*", "2", "0", "13", " ", "\t", ".", "\u00b2", "\u0663"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(EXPR_PIECES), max_size=8).map("".join))
+def test_an_expression_reads_as_the_reference_reads_it(text):
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            return str(exc)
+
+    assert outcome(parse_expr) == outcome(native_reference.parse_expr)
+
+
+# texts the one-pass parser and the reference must read alike: rendered random
+# instances, with comments, blank lines and pipe-quoted names spliced in
+QUOTED = ["|{}|", "|{} #1|", "|{}, ()|", "|{} @ 2|"]
+COMMENTS = ["", "  # note", "#", " # |x0| <= 3", "\t# [vars]"]
+MUTATION_CHARS = list(" \t#|+-*<=>()[],@0123456789xyf_") + ["\u00a0", "\u00b2", "\u0663", "\x0c"]
+
+
+@st.composite
+def instance_texts(draw):
+    text = render_instance(random_instance(random.Random(draw(st.integers(0, 2**32 - 1)))))
+    spelled = {}
+
+    def spell(m):
+        name = m.group()
+        if name not in spelled:
+            spelled[name] = draw(st.sampled_from([name] + QUOTED)).format(name)
+        return spelled[name]
+
+    text = re.sub(r"\b[xf]\d\b", spell, text)
+    lines = []
+    for line in text.splitlines():
+        lines += [" " * draw(st.integers(0, 2)) + line + draw(st.sampled_from(COMMENTS))]
+        lines += [draw(st.sampled_from(["", "   ", "# only a comment"]))] * draw(st.integers(0, 1))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).canonical_text()
+    except ImtError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_texts())
+def test_the_parser_reads_an_instance_as_the_reference_does(text):
+    expected = _outcome(native_reference.parse_instance, text)
+    assert isinstance(expected, str), expected
+    assert _outcome(parse_instance, text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_texts(), st.data())
+def test_the_parser_fails_as_the_reference_does_on_a_mutated_line(text, data):
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    kind = data.draw(st.sampled_from(["delete", "insert", "replace", "drop", "duplicate"]))
+    if kind in ("drop", "duplicate"):
+        lines[i : i + 1] = [] if kind == "drop" else [line, line]
+    else:
+        at = data.draw(st.integers(0, len(line)))
+        char = data.draw(st.sampled_from(MUTATION_CHARS))
+        cut = at + (kind != "insert")
+        lines[i] = line[:at] + (char if kind != "delete" else "") + line[cut:]
+    mutated = "\n".join(lines)
+    assert _outcome(parse_instance, mutated) == _outcome(native_reference.parse_instance, mutated)

@@ -37,8 +37,17 @@ def test_a_script_runs_without_pythonpath(tmp_path, argv):
     assert done.returncode == 0, done.stderr
 
 
-# the verdicts the engine reaches on the benchmark's inputs at seed 1; a change
-# that alters one of them changes the line
+# the digest over the trace files of the benchmark's inputs at seed 1: a change to
+# an instance's encoding, its canonical rows or the trace format changes this
+# line, even when no verdict moves
+TRACE_BYTES = {
+    "cnf-band": "d77476301e266e4514b3d5f161863a853197acf343b43a884c77dc1feab9cd25",
+    "random-suite": "5de035fc43153977b5d7a802fa40ff8b1efef1a6b0bf67ccb2aa30da920a0155",
+}
+
+
+# the verdicts the engine reaches on those inputs; a change that alters one of
+# them changes the statuses line
 @pytest.mark.parametrize(
     "workload, digest",
     [
@@ -56,6 +65,7 @@ def test_trace_digest_pins_the_benchmark_verdicts(tmp_path, workload, digest):
     )
     assert done.returncode == 0, done.stderr
     assert f"statuses {digest}" in done.stdout.splitlines()
+    assert f"combined {TRACE_BYTES[workload]}" in done.stdout.splitlines()
 
 
 def _trace_digest_module():

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -139,11 +140,39 @@ def test_set_logic_is_ignored(logic):
         "(declare-const x Int) (minimize x) (maximize x)",
         "(declare-const x Int) (minimize (-))",
         "(declare-const x Int) (assert (<= (-) 1))",
+        # a list where a declaration wants a symbol
+        "(declare-const (x) Int)",
+        "(declare-fun (f) (Int) Int)",
+        "(declare-fun f ((Int)) Int)",
+        "(declare-fun f (()) Int)",
     ],
 )
 def test_sort_and_shape_errors(script):
     with pytest.raises(SmtError):
         encode_script(script)
+
+
+# the most digits Python converts between an int and its text; 0 means no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts ints of any length")
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("(assert (>= x {big}))", "numeral too long: "),
+        ("(assert (<= (- {big}) x))", "numeral too long: "),
+        ("(assert (>= (+ x {big}) 1))", "numeral too long: "),
+        ("(assert (>= (* {half} {half} x) 1))", "a number is too long to print: "),
+        ("(assert (<= x 1)) (assert (>= x 0)) (minimize (* {half} {half} x))",
+         "a number is too long to print: "),
+    ],
+    ids=["bound", "negated_bound", "constant", "product", "objective_product"],
+)
+def test_a_number_over_the_digit_limit_is_an_error(script, message):
+    big, half = "9" * (DIGIT_LIMIT + 700), "9" * (DIGIT_LIMIT - 1300)
+    with pytest.raises(SmtError, match=f"^{message}"):
+        encode_script("(declare-const x Int) " + script.format(big=big, half=half))
 
 
 def test_indicator_rows_follow_the_box():
