@@ -30,9 +30,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--runs", type=int, default=200, help="instances to draw")
     ap.add_argument("--seed", type=int, default=20240817, help="base RNG seed")
-    ap.add_argument(
-        "--no-replay", action="store_true", help="skip kernel replay of each trace"
-    )
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
@@ -46,9 +43,8 @@ def main(argv: list[str] | None = None) -> int:
         ok = got.status == want.status
         if ok and want.status == "optimal":
             ok = got.value == ObjValue.finite(want.value)
-        if not args.no_replay:
-            state = replay_trace(instance, got.steps)
-            ok = ok and state.final
+        state = replay_trace(instance, got.steps)
+        ok = ok and state.final
         if ok:
             counts[want.status] += 1
         else:

@@ -19,7 +19,6 @@ from typing import AbstractSet
 from .model import (
     LinConstraint,
     LinExpr,
-    ObjValue,
     Relation,
     Var,
     diff_equality,
@@ -32,21 +31,20 @@ class CheckFailed(Exception):
 
 @dataclass(frozen=True)
 class TheoryLiteral:
-    """Literal of the theory interface: offset (dis)equality or atom sign."""
+    """Literal of the theory interface: (dis)equality of two variables, or atom sign."""
 
     kind: str  # "eq" | "diseq" | "atom_true" | "atom_false"
     x: Var | None = None
     y: Var | None = None
-    offset: int = 0
     var: Var | None = None
 
     @staticmethod
-    def var_eq(x: Var, y: Var, offset: int = 0) -> TheoryLiteral:
-        return TheoryLiteral("eq", x, y, offset)
+    def var_eq(x: Var, y: Var) -> TheoryLiteral:
+        return TheoryLiteral("eq", x, y)
 
     @staticmethod
-    def var_diseq(x: Var, y: Var, offset: int = 0) -> TheoryLiteral:
-        return TheoryLiteral("diseq", x, y, offset)
+    def var_diseq(x: Var, y: Var) -> TheoryLiteral:
+        return TheoryLiteral("diseq", x, y)
 
     @staticmethod
     def atom_true(v: Var) -> TheoryLiteral:
@@ -58,9 +56,9 @@ class TheoryLiteral:
 
     def render(self) -> str:
         if self.kind == "eq":
-            return f"{self.x} = {self.y} + {self.offset}"
+            return f"{self.x} = {self.y}"
         if self.kind == "diseq":
-            return f"{self.x} != {self.y} + {self.offset}"
+            return f"{self.x} != {self.y}"
         if self.kind == "atom_true":
             return f"{self.var} > 0"
         return f"{self.var} <= 0"
@@ -94,22 +92,18 @@ class BoundFix:
 
 @dataclass(frozen=True)
 class LbDual:
-    """Claimed objective lower bound with its dual derivation.
+    """Claimed objective lower bound: a combination whose aggregate equals the
+    objective and whose rounded right side reaches the bound."""
 
-    A finite bound b is backed by a combination whose aggregate equals the
-    objective and whose rounded right side reaches b. A +inf bound is backed
-    by infeasibility (Farkas). A -inf bound claims nothing.
-    """
-
-    bound: ObjValue
-    entries: tuple[ComboEntry, ...] = ()
+    bound: int
+    entries: tuple[ComboEntry, ...]
 
 
 @dataclass(frozen=True)
 class SideCut:
     """One-sided derivation for an entailed disequality: which arm holds, and its proof."""
 
-    side: str  # "le" proves x - y <= offset - 1; "ge" proves x - y >= offset + 1
+    side: str  # "le" proves x - y <= -1; "ge" proves x - y >= 1
     cut: CGCut
 
 
@@ -266,16 +260,11 @@ def check_bound_fix(fix: BoundFix, available: AbstractSet[LinConstraint], claime
 
 def check_lb_dual(cert: LbDual, available: AbstractSet[LinConstraint], objective: LinExpr) -> None:
     """Soundness of a claimed objective lower bound over the row set."""
-    if cert.bound.kind == -1:
-        return  # -inf claims nothing
-    if cert.bound.kind == 1:
-        check_farkas(FarkasProof(cert.entries), available)
-        return
     agg, rhs, den = combo_aggregate(cert.entries, available)
     if agg != {v: c * den for v, c in objective.terms}:
         raise CheckFailed("dual aggregate does not match the objective")
-    if cert.bound.value > _ceil(rhs, den):
-        raise CheckFailed(f"claimed bound {cert.bound.value} exceeds certified {_ceil(rhs, den)}")
+    if cert.bound > _ceil(rhs, den):
+        raise CheckFailed(f"claimed bound {cert.bound} exceeds certified {_ceil(rhs, den)}")
 
 
 def check_literal_evidence(
@@ -285,15 +274,15 @@ def check_literal_evidence(
     if lit.kind == "eq":
         if not isinstance(ev, BoundFix):
             raise CheckFailed("equality literal needs a BoundFix")
-        check_bound_fix(ev, available, diff_equality(lit.x, lit.y, lit.offset))
+        check_bound_fix(ev, available, diff_equality(lit.x, lit.y, 0))
     elif lit.kind == "diseq":
         if not isinstance(ev, SideCut):
             raise CheckFailed("disequality literal needs a SideCut")
         expr = LinExpr.of({lit.x: 1, lit.y: -1})
         if ev.side == "le":
-            target = LinConstraint(expr, Relation.LE, lit.offset - 1)
+            target = LinConstraint(expr, Relation.LE, -1)
         elif ev.side == "ge":
-            target = LinConstraint(expr, Relation.GE, lit.offset + 1)
+            target = LinConstraint(expr, Relation.GE, 1)
         else:
             raise CheckFailed(f"unknown disequality side {ev.side!r}")
         check_cg(ev.cut, available, target)

@@ -13,17 +13,16 @@ rows already entail the core is dropped by theory refutation; otherwise the
 engine splits on the core, and the kernel, once the theory has confirmed
 the conflict, creates only the children where some core literal fails.
 
-Propagation's derived bounds and the Gomory cuts are not learned up front.
-The LP and the search for theory evidence see them beside C, and a step
-whose certificate cites some of them first learns those, each after the
-derived rows its own derivation cites. A branch learns nothing: each child
-inherits the node's unlearned cuts and inherited rows, with the derived
-rows they cite, and its propagation and LP see them beside its C as the
-parent's did. So the kernel checks only the rows a certificate uses, as
+No derived row is learned up front: not propagation's bounds and pinned
+differences, nor the Gomory cuts. The LP and the search for theory evidence
+see them beside C, and a step whose certificate cites some of them first
+learns those, each after the derived rows its own derivation cites. A
+branch learns nothing: each child inherits the node's unlearned cuts and
+inherited rows, with the derived rows they cite, and its propagation and LP
+see them beside its C as the parent's did. So the kernel checks only the rows a certificate uses, as
 lazy clause generation records an explanation only when a conflict needs it
 (Ohrimenko, Stuckey and Codish, Constraints 2009), and no trim pass has to
-remove the rest afterwards (Heule, Hunt and Wetzler, FMCAD 2013). Pinned
-differences are still learned as soon as propagation finds them.
+remove the rest afterwards (Heule, Hunt and Wetzler, FMCAD 2013).
 """
 from __future__ import annotations
 
@@ -152,16 +151,16 @@ def arrangement_literals(atoms: frozenset[InterfaceAtom] | tuple[InterfaceAtom, 
     The equality pattern over atom core variables (equal pairs as equalities,
     the rest as plain disequalities), plus the sign of each annotation. Atoms
     only distinguish equal from unequal, so this decides exactly whether the
-    assignment extends to a model; keeping concrete offsets out of the
-    literals keeps them out of conflict cores, where negating an offset only
-    slides an unbounded variable one unit instead of closing the region.
+    assignment extends to a model. A literal carries no offset: in a conflict
+    core, negating an offset would only slide an unbounded variable one unit
+    instead of closing the region.
     """
     core = sorted({v for a in atoms for v in a.core_vars()})
     lits: list[TheoryLiteral] = []
     for i, u in enumerate(core):
         for w in core[i + 1 :]:
             if assignment[u] == assignment[w]:
-                lits.append(TheoryLiteral.var_eq(u, w, 0))
+                lits.append(TheoryLiteral.var_eq(u, w))
             else:
                 lits.append(TheoryLiteral.var_diseq(u, w))
     seen: set[Var] = set()
@@ -177,7 +176,7 @@ def arrangement_literals(atoms: frozenset[InterfaceAtom] | tuple[InterfaceAtom, 
 
 
 def _eq_evidence(lit: TheoryLiteral, row: LinConstraint) -> BoundFix:
-    # the kernel checks the canonical row of x - y = offset, whose smaller name comes first
+    # the kernel checks the canonical row of x - y = 0, whose smaller name comes first
     ge = identity_cut(row, "ge")
     le = identity_cut(row, "le")
     return BoundFix(ge, le) if lit.x < lit.y else BoundFix(le, ge)
@@ -243,12 +242,12 @@ class _Search:
             v for a in instance.atoms for v in a.all_vars()
         )
         # the current node's unlearned rows, in derivation order: its inherited
-        # rows, then propagation's derived bounds and the node's cuts
-        self.derived: dict[LinConstraint, CGCut] = {}
+        # rows, then propagation's derived bounds and pinned differences, and the node's cuts
+        self.derived: dict[LinConstraint, CGCut | BoundFix] = {}
         # the rows of ``derived`` that every child inherits: inherited rows and cuts
         self.kept: list[LinConstraint] = []
         # each pending node's inherited rows, in derivation order
-        self.inherited: dict[int, dict[LinConstraint, CGCut]] = {}
+        self.inherited: dict[int, dict[LinConstraint, CGCut | BoundFix]] = {}
 
     def run(self) -> SolveResult:
         cfg = self.config
@@ -308,10 +307,10 @@ class _Search:
             current = self.kernel.apply(Step("learn", current.ident, row=row, cert=self.derived.pop(row))).created[0]
         return current
 
-    def _apply(self, current: Subproblem, rule: str, row: LinConstraint | None = None, cert: object = None) -> ApplyInfo:
+    def _apply(self, current: Subproblem, rule: str, cert: object) -> ApplyInfo:
         """Apply a step to the node, after learning the unlearned rows its certificate cites."""
         current = self._cite(current, cert)
-        return self.kernel.apply(Step(rule, current.ident, row=row, cert=cert))
+        return self.kernel.apply(Step(rule, current.ident, cert=cert))
 
     def _branch(self, current: Subproblem, cert: object, hint: tuple[int, int]) -> None:
         """Branch without learning; each child inherits the node's kept rows and the derived rows they cite.
@@ -327,7 +326,8 @@ class _Search:
 
     def _process(self, sub: Subproblem) -> None:
         current = sub
-        # inherited rows, derived bounds and cuts are learned only when a certificate cites them
+        # inherited rows, derived bounds, pinned differences and cuts are learned
+        # only when a certificate cites them
         self.derived = self.inherited.pop(sub.ident, {})
         self.kept = list(self.derived)
         prop = propagate_bounds(self._view(current), self.instance.bounds)
@@ -335,9 +335,8 @@ class _Search:
         if prop.farkas is not None:
             self._apply(current, "drop", cert=prop.farkas)
             return
-        for eq, fix in prop.fixes:
-            current = self._apply(current, "learn", eq, fix).created[0]
-            self.stats.propagations += 1
+        self.derived.update(prop.fixes)
+        self.stats.propagations += len(prop.fixes)
 
         rounds = 0
         prev: LpOptimal | None = None  # re-optimised after each cut round
@@ -355,7 +354,7 @@ class _Search:
             lb = ObjValue.finite(frac_ceil(out.value))
             best = obj_value(self.instance.objective, self.kernel.state.incumbent)
             if not self.kernel.state.incumbent.is_none and lb >= best:
-                self._apply(current, "prune", cert=LbDual(lb, out.dual))
+                self._apply(current, "prune", cert=LbDual(lb.value, out.dual))
                 return
             fractional = [v for v, q in sorted(out.x_star.items()) if q.denominator != 1]
             if not fractional:
@@ -403,7 +402,7 @@ class _Search:
             self._handle_conflict(current, core, ObjValue.finite(frac_ceil(out.value)))
             return
         value = int(out.value)
-        ev = RetireEvidence(tuple(sorted(point.items())), LbDual(ObjValue.finite(value), out.dual))
+        ev = RetireEvidence(tuple(sorted(point.items())), LbDual(value, out.dual))
         self._apply(current, "retire", cert=ev)
 
     def _handle_conflict(

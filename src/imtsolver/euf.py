@@ -1,9 +1,10 @@
-"""Equality-with-functions background theory over integer offsets.
+"""Equality-with-functions background theory.
 
-The session decides conjunctions of offset literals (x = y + c, x != y + c)
-and atom sign literals against the instance's interface atoms. Internally it
-is a congruence closure whose union-find stores an integer offset per edge,
-so a class tracks exact value differences, not just equality.
+The session decides conjunctions of literals (x = y, x != y, and atom signs)
+against the instance's interface atoms. The theory sees the integer program
+only through which shared variables are equal and which are not (Nelson and
+Oppen, TOPLAS 1979), so a literal carries no offset. Internally it is a
+union-find with congruence over function applications.
 
 The closure is rebuilt from the literal trail on every ``check``. At our
 problem sizes rebuilding is cheaper than maintaining a proof forest, and it
@@ -25,22 +26,19 @@ class TheoryConflict:
 
 
 class _Closure:
-    """Union-find with offsets plus congruence over function applications."""
+    """Union-find plus congruence over function applications."""
 
     def __init__(self) -> None:
         self.parent: list[int] = []
-        self.delta: list[int] = []  # value(n) = value(parent[n]) + delta[n]
         self.rank: list[int] = []
         self.var_node: dict[Var, int] = {}
         self.app_node: dict[tuple[str, tuple[int, ...]], int] = {}
         self.apps: list[tuple[str, tuple[int, ...], int]] = []
-        self.diseqs: list[tuple[int, int, int]] = []  # value(a) != value(b) + c
-        self.ok = True
+        self.diseqs: list[tuple[int, int]] = []
 
     def _new_node(self) -> int:
         n = len(self.parent)
         self.parent.append(n)
-        self.delta.append(0)
         self.rank.append(0)
         return n
 
@@ -60,79 +58,43 @@ class _Closure:
             self.apps.append((fun, args, n))
         return n
 
-    def find(self, n: int) -> tuple[int, int]:
-        path = []
-        while self.parent[n] != n:
-            path.append(n)
-            n = self.parent[n]
-        off = 0
-        for m in reversed(path):
-            off += self.delta[m]
-            self.parent[m] = n
-            self.delta[m] = off
-        return (n, off)
+    def find(self, n: int) -> int:
+        root = n
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while n != root:
+            self.parent[n], n = root, self.parent[n]
+        return root
 
-    def union(self, a: int, b: int, c: int) -> bool:
-        """Impose value(a) = value(b) + c; False on an offset clash."""
-        ra, da = self.find(a)
-        rb, db = self.find(b)
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; False when they were one already."""
+        ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            if da != db + c:
-                self.ok = False
-                return False
-            return True
-        shift = db + c - da  # value(ra) = value(rb) + shift
+            return False
         if self.rank[ra] > self.rank[rb]:
-            self.parent[rb] = ra
-            self.delta[rb] = -shift
-        else:
-            self.parent[ra] = rb
-            self.delta[ra] = shift
-            if self.rank[ra] == self.rank[rb]:
-                self.rank[rb] += 1
+            ra, rb = rb, ra
+        self.parent[ra] = rb
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[rb] += 1
         return True
-
-    def diseq(self, a: int, b: int, c: int) -> None:
-        self.diseqs.append((a, b, c))
 
     def run(self) -> bool:
         """Congruence fixpoint, then disequality scan."""
-        if not self.ok:
-            return False
         changed = True
         while changed:
             changed = False
-            sig: dict[tuple[str, tuple[tuple[int, int], ...]], int] = {}
+            sig: dict[tuple[str, tuple[int, ...]], int] = {}
             for fun, args, node in self.apps:
-                key = (fun, tuple(self.find(a) for a in args))
-                other = sig.get(key)
-                if other is None:
-                    sig[key] = node
-                    continue
-                ra, da = self.find(node)
-                rb, db = self.find(other)
-                if ra == rb:
-                    if da != db:
-                        self.ok = False
-                        return False
-                    continue
-                if not self.union(node, other, 0):
-                    return False
-                changed = True
-        for a, b, c in self.diseqs:
-            ra, da = self.find(a)
-            rb, db = self.find(b)
-            if ra == rb and da == db + c:
-                self.ok = False
-                return False
-        return True
+                other = sig.setdefault((fun, tuple(map(self.find, args))), node)
+                if self.union(node, other):
+                    changed = True
+        return all(self.find(a) != self.find(b) for a, b in self.diseqs)
 
 
 def _build_closure(atoms: tuple[InterfaceAtom, ...], literals: Iterable[TheoryLiteral]) -> bool:
     """Consistency of the literal conjunction against the interface atoms."""
+    cl = _Closure()
     activation: dict[Var, bool] = {}
-    eqs: list[tuple[Var, Var, int]] = []
-    diseqs: list[tuple[Var, Var, int]] = []
     for lit in literals:
         if lit.kind == "atom_true":
             if activation.get(lit.var) is False:
@@ -143,13 +105,11 @@ def _build_closure(atoms: tuple[InterfaceAtom, ...], literals: Iterable[TheoryLi
                 return False
             activation[lit.var] = False
         elif lit.kind == "eq":
-            eqs.append((lit.x, lit.y, lit.offset))
+            cl.union(cl.var(lit.x), cl.var(lit.y))
         elif lit.kind == "diseq":
-            diseqs.append((lit.x, lit.y, lit.offset))
+            cl.diseqs.append((cl.var(lit.x), cl.var(lit.y)))
         else:
             raise ImtError(f"unknown theory literal kind {lit.kind!r}")
-
-    cl = _Closure()
     for atom in atoms:
         if atom.annotation is None:
             active: bool | None = True
@@ -162,15 +122,10 @@ def _build_closure(atoms: tuple[InterfaceAtom, ...], literals: Iterable[TheoryLi
             b = cl.app(atom.fun, tuple(cl.var(v) for v in atom.args))
         else:
             a, b = cl.var(atom.x), cl.var(atom.y)
-        if not active:
-            cl.diseq(a, b, 0)
-        elif not cl.union(a, b, 0):
-            return False
-    for x, y, c in eqs:
-        if not cl.union(cl.var(x), cl.var(y), c):
-            return False
-    for x, y, c in diseqs:
-        cl.diseq(cl.var(x), cl.var(y), c)
+        if active:
+            cl.union(a, b)
+        else:
+            cl.diseqs.append((a, b))
     return cl.run()
 
 

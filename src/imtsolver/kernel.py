@@ -136,10 +136,10 @@ def _arms(lit: TheoryLiteral, holds: bool) -> list[LinConstraint]:
     """The rows, one per arm, under which the literal holds (or fails)."""
     if lit.kind in ("eq", "diseq"):
         if (lit.kind == "eq") == holds:
-            return [_diff_row(lit.x, lit.y, Relation.EQ, lit.offset)]
+            return [_diff_row(lit.x, lit.y, Relation.EQ, 0)]
         return [
-            _diff_row(lit.x, lit.y, Relation.LE, lit.offset - 1),
-            _diff_row(lit.x, lit.y, Relation.GE, lit.offset + 1),
+            _diff_row(lit.x, lit.y, Relation.LE, -1),
+            _diff_row(lit.x, lit.y, Relation.GE, 1),
         ]
     if (lit.kind == "atom_true") == holds:
         return [LinConstraint(LinExpr.var(lit.var), Relation.GE, 1)]
@@ -303,7 +303,7 @@ def _apply_step(
         if state.incumbent.is_none:
             raise RuleViolation("prune needs an incumbent")
         check_lb_dual(cert, rows_of(instance, sub), instance.objective)
-        if cert.bound < obj_value(instance.objective, state.incumbent):
+        if ObjValue.finite(cert.bound) < obj_value(instance.objective, state.incumbent):
             raise RuleViolation("bound does not dominate the incumbent")
 
     elif rule == "retire":
@@ -312,8 +312,8 @@ def _apply_step(
         point = cert.assignment_dict()
         rows = rows_of(instance, sub)
         _check_witness(instance, rows, point)
-        value = ObjValue.finite(instance.objective.eval(point))
-        if not value < obj_value(instance.objective, state.incumbent):
+        value = instance.objective.eval(point)
+        if not ObjValue.finite(value) < obj_value(instance.objective, state.incumbent):
             raise RuleViolation("assignment does not improve the incumbent")
         check_lb_dual(cert.lb_match, rows, instance.objective)
         if cert.lb_match.bound != value:

@@ -33,10 +33,10 @@ from .certificates import (
     UnboundedEvidence,
 )
 from .kernel import Step
-from .model import ImtError, ImtInstance, LinConstraint, LinExpr, ObjValue, Relation
+from .model import ImtError, ImtInstance, LinConstraint, LinExpr, Relation
 
 FORMAT_NAME = "bct-trace"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 class TraceError(ImtError):
@@ -129,17 +129,10 @@ def _entries_back(items, table: _Table) -> tuple:
 
 def _lit_back(obj: dict) -> TheoryLiteral:
     if obj["kind"] in ("eq", "diseq"):
-        return TheoryLiteral(obj["kind"], _str(obj["x"]), _str(obj["y"]), _int(obj["offset"]))
+        if len(obj) != 3:  # an offset would claim x = y + c, which no literal claims
+            raise ValueError(f"expected a literal's kind, x and y alone, got {obj!r}")
+        return TheoryLiteral(obj["kind"], _str(obj["x"]), _str(obj["y"]))
     return TheoryLiteral(obj["kind"], var=_str(obj["var"]))
-
-
-def _obj_value_back(obj: dict) -> ObjValue:
-    kind, value = _int(obj["kind"]), obj["value"]
-    if kind == 0:
-        return ObjValue.finite(_int(value))
-    if kind not in (-1, 1) or value is not None:
-        raise ValueError(f"expected a finite value or an infinity, got {obj!r}")
-    return ObjValue(kind)
 
 
 def _cert_back(obj: dict, table: _Table):
@@ -153,7 +146,7 @@ def _cert_back(obj: dict, table: _Table):
     if kind == "side":
         return SideCut(obj["side"], _cert_back(obj["cut"], table))
     if kind == "lb":
-        return LbDual(_obj_value_back(obj["bound"]), _entries_back(obj["entries"], table))
+        return LbDual(_int(obj["bound"]), _entries_back(obj["entries"], table))
     if kind == "theory":
         return TheoryRefutation(
             tuple(_lit_back(l) for l in obj["asserted"]),
@@ -201,7 +194,7 @@ def _pairs(pairs) -> str:
 
 def _lit(lit: TheoryLiteral) -> str:
     if lit.kind in ("eq", "diseq"):
-        return f'{{"kind":{_quote(lit.kind)},"x":{_quote(lit.x)},"y":{_quote(lit.y)},"offset":{lit.offset}}}'
+        return f'{{"kind":{_quote(lit.kind)},"x":{_quote(lit.x)},"y":{_quote(lit.y)}}}'
     return f'{{"kind":{_quote(lit.kind)},"var":{_quote(lit.var)}}}'
 
 
@@ -240,8 +233,7 @@ class _Writer:
         if isinstance(cert, SideCut):
             return f'{{"kind":"side","side":{_quote(cert.side)},"cut":{self.cert(cert.cut)}}}'
         if isinstance(cert, LbDual):
-            bound = f'{{"kind":{cert.bound.kind},"value":{"null" if cert.bound.value is None else cert.bound.value}}}'
-            return f'{{"kind":"lb","bound":{bound},"entries":{self.entries(cert.entries)}}}'
+            return f'{{"kind":"lb","bound":{cert.bound},"entries":{self.entries(cert.entries)}}}'
         if isinstance(cert, TheoryRefutation):
             evidence = ",".join(map(self.cert, cert.evidence))
             return f'{{"kind":"theory","asserted":{_lits(cert.asserted)},"evidence":[{evidence}]}}'

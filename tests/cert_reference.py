@@ -65,12 +65,7 @@ def check_cg(entries, available, claimed: LinConstraint) -> None:
         raise CheckFailed(f"rounded aggregate {frac_ceil(rhs)} does not reach claimed {want_rhs}")
 
 
-def check_lb_dual(kind: int, value: int | None, entries, available, objective: LinExpr) -> None:
-    if kind == -1:
-        return
-    if kind == 1:
-        check_farkas(entries, available)
-        return
+def check_lb_dual(value: int, entries, available, objective: LinExpr) -> None:
     agg, rhs = combo_aggregate(entries, available)
     if agg != {v: Fraction(c) for v, c in objective.terms}:
         raise CheckFailed("dual aggregate does not match the objective")

@@ -176,9 +176,7 @@ def _break_step(step: Step) -> Step | None:
         entries = cert.lower.entries[:i] + ((row, dir_, -mult),) + cert.lower.entries[i + 1 :]
         return Step(step.rule, step.target, row=step.row, cert=BoundFix(CGCut(entries), cert.upper))
     if isinstance(cert, LbDual):
-        if cert.bound.kind != 0:
-            return None
-        worse = LbDual(ObjValue.finite(cert.bound.value + 1), cert.entries)
+        worse = LbDual(cert.bound + 1, cert.entries)
         return Step(step.rule, step.target, cert=worse)
     if isinstance(cert, TheoryRefutation):
         return Step(step.rule, step.target, cert=TheoryRefutation(cert.asserted, cert.evidence[:-1]))
@@ -436,7 +434,7 @@ def test_criterion_9_lp_exactness():
         if isinstance(out, LpOptimal):
             assert status == "optimal"
             assert out.value == value  # Fraction equality, no tolerance
-            check_lb_dual(LbDual(ObjValue.finite(out.value.__ceil__()), out.dual), rows, instance.objective)
+            check_lb_dual(LbDual(out.value.__ceil__(), out.dual), rows, instance.objective)
             optimal += 1
         else:
             assert isinstance(out, LpInfeasible)

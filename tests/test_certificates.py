@@ -21,7 +21,7 @@ from imtsolver.certificates import (
     combo_aggregate,
     identity_cut,
 )
-from imtsolver.model import LinConstraint, LinExpr, ObjValue, Relation, frac_ceil
+from imtsolver.model import LinConstraint, LinExpr, Relation, frac_ceil
 
 
 def row(terms, rel, rhs):
@@ -144,35 +144,25 @@ def test_check_lb_dual_finite():
     have = frozenset({r})
     obj = LinExpr.of([("x", 1), ("y", 1)])
     entries = ((r, "ge", Fraction(1, 2)),)
-    check_lb_dual(LbDual(ObjValue.finite(4), entries), have, obj)  # ceil(7/2)
-    check_lb_dual(LbDual(ObjValue.finite(3), entries), have, obj)  # weaker is fine
+    check_lb_dual(LbDual(4, entries), have, obj)  # ceil(7/2)
+    check_lb_dual(LbDual(3, entries), have, obj)  # weaker is fine
     with pytest.raises(CheckFailed):
-        check_lb_dual(LbDual(ObjValue.finite(5), entries), have, obj)
+        check_lb_dual(LbDual(5, entries), have, obj)
     with pytest.raises(CheckFailed):
-        check_lb_dual(LbDual(ObjValue.finite(4), entries), have, LinExpr.var("x"))
-
-
-def test_check_lb_dual_infinities():
-    lo = row([("x", 1)], Relation.GE, 3)
-    hi = row([("x", 1)], Relation.LE, 2)
-    have = frozenset({lo, hi})
-    entries = ((lo, "ge", Fraction(1)), (hi, "le", Fraction(1)))
-    check_lb_dual(LbDual(ObjValue.pos_inf(), entries), have, LinExpr.var("x"))
-    # -inf claims nothing and needs nothing
-    check_lb_dual(LbDual(ObjValue.neg_inf()), frozenset(), LinExpr.var("x"))
-    with pytest.raises(CheckFailed):
-        check_lb_dual(LbDual(ObjValue.pos_inf()), frozenset(), LinExpr.var("x"))
+        check_lb_dual(LbDual(4, entries), have, LinExpr.var("x"))
 
 
 def test_literal_evidence_equality_canonicalizes_orientation():
-    # y = x + 3 is stored as x - y = -3; evidence must target that orientation
-    lo = row([("x", 1), ("y", -1)], Relation.GE, -3)
-    hi = row([("x", 1), ("y", -1)], Relation.LE, -3)
+    # y = x is stored as x - y = 0; evidence must target that orientation
+    lo = row([("x", 1), ("y", -1)], Relation.GE, 0)
+    hi = row([("x", 1), ("y", -1)], Relation.LE, 0)
     have = frozenset({lo, hi})
     ev = BoundFix(identity_cut(lo, "ge"), identity_cut(hi, "le"))
-    check_literal_evidence(TheoryLiteral.var_eq("y", "x", 3), ev, have)
+    for lit in (TheoryLiteral.var_eq("y", "x"), TheoryLiteral.var_eq("x", "y")):
+        check_literal_evidence(lit, ev, have)
+    # the swapped sides prove y - x >= 0 as the lower side, where x - y >= 0 is due
     with pytest.raises(CheckFailed):
-        check_literal_evidence(TheoryLiteral.var_eq("x", "y", 3), ev, have)
+        check_literal_evidence(TheoryLiteral.var_eq("y", "x"), BoundFix(ev.upper, ev.lower), have)
 
 
 def test_literal_evidence_disequality_sides():
@@ -275,15 +265,13 @@ def test_integer_checks_match_dense_fraction_reference(combo, data):
         cert_reference.check_cg, entries, available, claimed
     )
 
-    kind = data.draw(st.sampled_from((-1, 0, 0, 1)))
     if integral and data.draw(st.booleans()):
         objective = LinExpr.of({v: int(c) for v, c in agg.items()})
     else:
         objective = data.draw(st.sampled_from(pool)).lhs
     value = frac_ceil(rhs) + data.draw(st.integers(-1, 1))
-    bound = {-1: ObjValue.neg_inf(), 0: ObjValue.finite(value), 1: ObjValue.pos_inf()}[kind]
-    assert _verdict(check_lb_dual, LbDual(bound, entries), available, objective) == _verdict(
-        cert_reference.check_lb_dual, kind, value, entries, available, objective
+    assert _verdict(check_lb_dual, LbDual(value, entries), available, objective) == _verdict(
+        cert_reference.check_lb_dual, value, entries, available, objective
     )
 
 

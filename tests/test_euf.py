@@ -30,36 +30,16 @@ def test_congruence_propagates_through_equal_arguments():
 def test_conflict_core_is_deletion_minimal():
     s = EufSession(fun_atoms())
     s.assert_literal(TheoryLiteral.var_eq("x", "y"))
-    s.assert_literal(TheoryLiteral.var_eq("r1", "r2", 5))  # irrelevant offset claim
-    s.assert_literal(TheoryLiteral.var_diseq("r1", "r2", 5))
+    s.assert_literal(TheoryLiteral.var_eq("z", "w"))  # irrelevant claim
+    s.assert_literal(TheoryLiteral.var_diseq("r1", "r2"))
     out = s.check()
     assert isinstance(out, TheoryConflict)
+    assert TheoryLiteral.var_eq("z", "w") not in out.core
     # every literal in the core is necessary
     for i in range(len(out.core)):
         reduced = out.core[:i] + out.core[i + 1 :]
         assert s.consistent(reduced)
     assert not s.consistent(out.core)
-
-
-def test_offset_equalities_chain():
-    s = EufSession([])
-    s.assert_literal(TheoryLiteral.var_eq("x", "y", 2))  # x = y + 2
-    s.assert_literal(TheoryLiteral.var_eq("y", "z", 3))  # y = z + 3
-    s.assert_literal(TheoryLiteral.var_eq("x", "z", 5))  # consistent closure
-    assert s.check() is None
-    s.assert_literal(TheoryLiteral.var_eq("x", "z", 4))
-    assert isinstance(s.check(), TheoryConflict)
-
-
-def test_disequality_with_offset():
-    s = EufSession([])
-    s.assert_literal(TheoryLiteral.var_eq("x", "y", 1))
-    s.assert_literal(TheoryLiteral.var_diseq("x", "y", 1))
-    assert isinstance(s.check(), TheoryConflict)
-    s2 = EufSession([])
-    s2.assert_literal(TheoryLiteral.var_eq("x", "y", 1))
-    s2.assert_literal(TheoryLiteral.var_diseq("x", "y", 2))
-    assert s2.check() is None
 
 
 def test_annotated_atom_only_binds_when_activated():

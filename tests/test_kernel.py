@@ -131,14 +131,14 @@ def test_branch_trichotomy_builds_three_children():
 
 def literal_holds(lit, point):
     if lit.kind in ("eq", "diseq"):
-        return (point[lit.x] - point[lit.y] == lit.offset) == (lit.kind == "eq")
+        return (point[lit.x] == point[lit.y]) == (lit.kind == "eq")
     return (point[lit.var] > 0) == (lit.kind == "atom_true")
 
 
 def test_conflict_split_arms_cover_each_point_some_literal_fails_once():
     rng = random.Random(99)
     lits = [
-        TheoryLiteral.var_eq("x", "y", 1),
+        TheoryLiteral.var_eq("x", "y"),
         TheoryLiteral.var_diseq("y", "z"),
         TheoryLiteral.atom_true("a"),
         TheoryLiteral.atom_false("b"),
@@ -358,8 +358,14 @@ def test_theory_drop_rejections():
         (TheoryRefutation((), ()), "nonempty literal set"),
         (TheoryRefutation(lits, ev[:1]), "one evidence item per asserted literal"),
         (TheoryRefutation(lits, ev + ev[:1]), "one evidence item per asserted literal"),
-        # the rows entail x = y, not x = y + 1
-        (TheoryRefutation((TheoryLiteral.var_eq("x", "y", 1), lits[1]), ev), "does not reach"),
+        # the rows entail x - y <= 0, not x - y <= -1
+        (
+            TheoryRefutation(
+                (lits[0], TheoryLiteral.var_diseq("x", "y")),
+                (ev[0], SideCut("le", identity_cut(row([("x", 1), ("y", -1)], Relation.LE, 0), "le"))),
+            ),
+            "does not reach",
+        ),
         (TheoryRefutation(lits, ev[::-1]), "equality literal needs a BoundFix"),
         # x = y alone is consistent, so the theory replay must refuse it
         (TheoryRefutation(lits[:1], ev[:1]), "theory replay does not confirm the conflict"),
@@ -417,13 +423,13 @@ def test_retire_then_prune():
     # left child (x <= 2): x = 0, y = 3 achieves the objective floor
     point = {"x": 0, "y": 3}
     lo_x = inst.bounds.row_lo("x")
-    lb = LbDual(ObjValue.finite(0), ((lo_x, "ge", Fraction(1)),))
+    lb = LbDual(0, ((lo_x, "ge", Fraction(1)),))
     ev = RetireEvidence(tuple(sorted(point.items())), lb)
     k.apply(Step("retire", target=1, cert=ev))
     assert k.state.incumbent.assignment() == point
     # right child (x >= 3) has lower bound 3 >= incumbent 0
     branch_row = row([("x", 1)], Relation.GE, 3)
-    prune_cert = LbDual(ObjValue.finite(3), ((branch_row, "ge", Fraction(1)),))
+    prune_cert = LbDual(3, ((branch_row, "ge", Fraction(1)),))
     k.apply(Step("prune", target=2, cert=prune_cert))
     assert k.final
     assert verdict(inst, k.state) == ("optimal", ObjValue.finite(0))
@@ -433,7 +439,7 @@ def test_prune_requires_incumbent_and_domination():
     inst = plain_instance()
     k = Kernel(inst)
     lo_x = inst.bounds.row_lo("x")
-    cert = LbDual(ObjValue.finite(0), ((lo_x, "ge", Fraction(1)),))
+    cert = LbDual(0, ((lo_x, "ge", Fraction(1)),))
     with pytest.raises(RuleViolation):
         k.apply(Step("prune", target=0, cert=cert))
 
@@ -441,7 +447,7 @@ def test_prune_requires_incumbent_and_domination():
 def test_retire_rejections():
     inst = plain_instance()
     lo_x = inst.bounds.row_lo("x")
-    lb0 = LbDual(ObjValue.finite(0), ((lo_x, "ge", Fraction(1)),))
+    lb0 = LbDual(0, ((lo_x, "ge", Fraction(1)),))
     good = {"x": 0, "y": 3}
     cases = [
         RetireEvidence((("x", 0),), lb0),  # missing y
@@ -456,7 +462,7 @@ def test_retire_rejections():
 def test_retire_respects_theory_replay():
     inst = theory_instance()
     lo = inst.bounds.row_lo("r1")
-    lb = LbDual(ObjValue.finite(0), ((lo, "ge", Fraction(1)),))
+    lb = LbDual(0, ((lo, "ge", Fraction(1)),))
     # x = y but r1 != r2 contradicts congruence
     bad = {"x": 1, "y": 1, "r1": 0, "r2": 2}
     ev = RetireEvidence(tuple(sorted(bad.items())), lb)
@@ -628,10 +634,27 @@ def pinned_difference_instance():
     )
 
 
+def cited_pin_instance():
+    """x - y >= 0 and x - y <= 0 pin x - y = 0, which no row states; with r1 = f(x),
+    r2 = f(y) and r1 - r2 >= 1, the theory drop cites the pinned row."""
+    return ImtInstance(
+        ["x", "y", "r1", "r2"],
+        Bounds({v: (0, 3) for v in ("x", "y", "r1", "r2")}),
+        [
+            row([("x", 1), ("y", -1)], Relation.GE, 0),
+            row([("x", 1), ("y", -1)], Relation.LE, 0),
+            row([("r1", 1), ("r2", -1)], Relation.GE, 1),
+        ],
+        [InterfaceAtom.fun_def("r1", "f", ["x"]), InterfaceAtom.fun_def("r2", "f", ["y"])],
+        LinExpr.var("r1"),
+        {"f": 1},
+    )
+
+
 def test_every_rule_shares_one_transition_on_solved_instances():
     rng = random.Random(13)
     rules, equality_learns = set(), 0
-    for inst in [random_instance(rng) for _ in range(60)] + [pinned_difference_instance()]:
+    for inst in [random_instance(rng) for _ in range(60)] + [pinned_difference_instance(), cited_pin_instance()]:
         steps = solve(inst).steps
         rules.update(step.rule for step in steps)
         equality_learns += sum(step.rule == "learn" and step.row.rel is Relation.EQ for step in steps)
@@ -679,7 +702,7 @@ def test_a_rejected_step_changes_nothing():
     # x = y is consistent on its own, and the fix proves y = 2, not x = y
     refutation = TheoryRefutation((TheoryLiteral.var_eq("x", "y"),), (fix,))
     point = (("x", 0), ("y", 2))
-    lb = LbDual(ObjValue.finite(0), ((x_le_5, "le", Fraction(1)),))
+    lb = LbDual(0, ((x_le_5, "le", Fraction(1)),))
     bad = [
         Step("branch", target=1, cert=BranchDichotomy("q", 0)),
         Step("learn", target=1, row=row([("x", 1)], Relation.LE, 4), cert=identity_cut(x_le_5, "le")),

@@ -26,7 +26,6 @@ from imtsolver.model import (
     ImtInstance,
     LinConstraint,
     LinExpr,
-    ObjValue,
     Relation,
     Subproblem,
     diff_equality,
@@ -69,7 +68,7 @@ def test_lp_matches_vertex_enumeration_on_random_instances():
             assert isinstance(out, LpOptimal)
             assert out.value == value
             assert satisfies_all(have, out.x_star)
-            bound = ObjValue.finite(-(-value.numerator // value.denominator))
+            bound = -(-value.numerator // value.denominator)
             check_lb_dual(LbDual(bound, out.dual), have, obj)
     # the generator must exercise both outcomes
     assert optimal > 30 and infeasible > 10
@@ -359,7 +358,7 @@ def test_degenerate_beale_lp_reaches_its_exact_optimum():
     assert out.value == -5
     have = frozenset(assemble_rows(sub, bounds, obj))
     assert satisfies_all(have, out.x_star)
-    check_lb_dual(LbDual(ObjValue.finite(-5), out.dual), have, obj)
+    check_lb_dual(LbDual(-5, out.dual), have, obj)
 
 
 small_ints = st.integers(-4, 4)
@@ -428,7 +427,7 @@ def test_cut_round_reoptimises_the_previous_simplex():
     assert out1.pivots < cold1.pivots
     have = frozenset(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
     assert R1 not in {row for row, _, _ in out1.dual}
-    check_lb_dual(LbDual(ObjValue.finite(5), out1.dual), have, WARM_OBJ)
+    check_lb_dual(LbDual(5, out1.dual), have, WARM_OBJ)
     # a second round whose cut needs pivots on the same tableau
     sub2 = root([*sub1.cons, row_of([("x", 1), ("y", -2)], Relation.LE, 0)])
     cold2 = lp_solve(sub2, WARM_OBJ, WARM_BOX)
@@ -436,7 +435,7 @@ def test_cut_round_reoptimises_the_previous_simplex():
     assert isinstance(out2, LpOptimal) and out2.state is out0.state
     assert out2.value == cold2.value
     assert 0 < out2.pivots < cold2.pivots
-    check_lb_dual(LbDual(ObjValue.finite(5), out2.dual), frozenset(assemble_rows(sub2, WARM_BOX, WARM_OBJ)), WARM_OBJ)
+    check_lb_dual(LbDual(5, out2.dual), frozenset(assemble_rows(sub2, WARM_BOX, WARM_OBJ)), WARM_OBJ)
 
 
 @pytest.mark.parametrize("added", [row_of([("x", 1), ("y", -1)], Relation.EQ, 1)], ids=["equality_added"])
@@ -454,7 +453,7 @@ def test_cut_round_falls_back_to_a_cold_solve(added):
     assert (out.value, out.x_star) == (cold.value, cold.x_star)
     assert len(out.dual) == len(cold.dual) and set(out.dual) == set(cold.dual)
     have = frozenset(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
-    check_lb_dual(LbDual(ObjValue.finite(frac_ceil(out.value)), out.dual), have, WARM_OBJ)
+    check_lb_dual(LbDual(frac_ceil(out.value), out.dual), have, WARM_OBJ)
 
 
 # rows that successive cut rounds only add: a slack row, a second slack row
@@ -491,7 +490,7 @@ def test_rounds_that_only_add_rows_merge_them_into_the_previous_rows(monkeypatch
         # the same vertex and multipliers; a warm tableau may list them in another order
         assert (out.value, out.x_star, set(out.dual)) == (cold.value, cold.x_star, set(cold.dual))
         have = frozenset(assemble_rows(sub, WARM_BOX, WARM_OBJ))
-        check_lb_dual(LbDual(ObjValue.finite(frac_ceil(out.value)), out.dual), have, WARM_OBJ)
+        check_lb_dual(LbDual(frac_ceil(out.value), out.dual), have, WARM_OBJ)
         pivots += out.pivots
     assert pivots > 0
 
@@ -509,7 +508,7 @@ def test_the_same_rows_over_another_box_or_equalities_match_a_cold_solve(added):
     # the same vertex and multipliers; a warm tableau may list them in another order
     assert (out.value, out.x_star, set(out.dual)) == (cold.value, cold.x_star, set(cold.dual))
     have = frozenset(assemble_rows(sub1, WARM_BOX, WARM_OBJ))
-    check_lb_dual(LbDual(ObjValue.finite(frac_ceil(out.value)), out.dual), have, WARM_OBJ)
+    check_lb_dual(LbDual(frac_ceil(out.value), out.dual), have, WARM_OBJ)
 
 
 one_sided = st.sampled_from((Relation.GE, Relation.LE))
@@ -552,7 +551,7 @@ def test_cut_rounds_reoptimised_in_place_match_cold_solves(data):
         else:
             assert out.value == cold.value
             assert satisfies_all(have, out.x_star)
-            bound = ObjValue.finite(-(-out.value.numerator // out.value.denominator))
+            bound = -(-out.value.numerator // out.value.denominator)
             check_lb_dual(LbDual(bound, out.dual), have, obj)
 
 
@@ -617,7 +616,7 @@ def test_bounded_columns_match_vertex_enumeration(data):
     else:
         assert isinstance(out, LpOptimal) and out.value == value
         assert satisfies_all(have, out.x_star)
-        check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), out.dual), have, obj)
+        check_lb_dual(LbDual(frac_ceil(value), out.dual), have, obj)
 
 
 def slack_lhs(rows):
@@ -656,7 +655,7 @@ def test_rows_the_box_implies_get_no_tableau_row(extra, status):
     else:
         assert isinstance(out, LpOptimal) and out.value == value == Fraction(3, 2)
         assert satisfies_all(have, out.x_star)
-        check_lb_dual(LbDual(ObjValue.finite(frac_ceil(value)), out.dual), have, obj)
+        check_lb_dual(LbDual(frac_ceil(value), out.dual), have, obj)
 
 
 def test_the_clause_encodings_root_lp_has_one_tableau_row_per_clause():

@@ -41,8 +41,8 @@ def test_a_script_runs_without_pythonpath(tmp_path, argv):
 # an instance's encoding, its canonical rows or the trace format changes this
 # line, even when no verdict moves
 TRACE_BYTES = {
-    "cnf-band": "d77476301e266e4514b3d5f161863a853197acf343b43a884c77dc1feab9cd25",
-    "random-suite": "5de035fc43153977b5d7a802fa40ff8b1efef1a6b0bf67ccb2aa30da920a0155",
+    "cnf-band": "e1a5419be054f4058e3f2fc06c1c3ee010900e1cb1393a8cbfca68f7a866924e",
+    "random-suite": "47ed8893fc47bd3367abf0da8ba613f430c30c7ed2a6fa6854161c129f4488b5",
 }
 
 

@@ -52,8 +52,8 @@ def row(terms, rel, rhs):
 R1 = row([("x", 1), ("y", -2)], Relation.GE, -3)
 R2 = row([("x", 1)], Relation.LE, 4)
 CUT = CGCut(((R1, "ge", Fraction(1, 2)), (R2, "le", Fraction(3, 2))))
-LIT_EQ = TheoryLiteral.var_eq("x", "y", 2)
-LIT_DQ = TheoryLiteral.var_diseq("x", "y", -1)
+LIT_EQ = TheoryLiteral.var_eq("x", "y")
+LIT_DQ = TheoryLiteral.var_diseq("y", "x")
 LIT_AT = TheoryLiteral.atom_true("a")
 
 STEPS = [
@@ -73,14 +73,10 @@ STEPS = [
         ),
     ),
     Step("drop", target=7, cert=FarkasProof(((R1, "ge", Fraction(2)),))),
-    Step("prune", target=8, cert=LbDual(ObjValue.finite(-3), ((R1, "ge", Fraction(1)),))),
-    Step("prune", target=8, cert=LbDual(ObjValue.pos_inf(), ((R1, "ge", Fraction(1)),))),
-    Step("prune", target=8, cert=LbDual(ObjValue.neg_inf())),
-    Step(
-        "retire",
-        target=9,
-        cert=RetireEvidence((("x", 1), ("y", -2)), LbDual(ObjValue.finite(1))),
-    ),
+    Step("prune", target=8, cert=LbDual(-3, ((R1, "ge", Fraction(1)),))),
+    Step("prune", target=8, cert=LbDual(0, ((R1, "ge", Fraction(2)), (R2, "le", Fraction(1, 3))))),
+    Step("prune", target=8, cert=LbDual(5, ())),
+    Step("retire", target=9, cert=RetireEvidence((("x", 1), ("y", -2)), LbDual(1, ()))),
     Step("unbounded", target=10, cert=UnboundedEvidence((("x", 0),), (("x", -1), ("y", 2)))),
 ]
 
@@ -129,7 +125,7 @@ BIG = 2**64 + 3
 def odd_steps(name):
     r = row([(name, -BIG), ("y", 2)], Relation.LE, -BIG)
     cut = CGCut(((r, "le", 2), (R1, "ge", Fraction(3, 4)), (R2, "le", Fraction(-BIG, -7))))
-    lit = TheoryLiteral.var_eq(name, "y", -BIG)
+    lit = TheoryLiteral.var_eq(name, "y")
     return [
         Step("branch", target=BIG, cert=BranchDichotomy(name, -BIG)),
         Step("branch", target=0, cert=BranchTrichotomy(name, "y", BIG)),
@@ -137,10 +133,9 @@ def odd_steps(name):
         Step("learn", target=1, row=r, cert=cut),
         Step("learn", target=2, row=row([(name, 1)], Relation.EQ, -BIG), cert=BoundFix(cut, cut)),
         Step("learn", target=2, row=row([(name, 1), ("y", -1)], Relation.EQ, BIG), cert=BoundFix(cut, cut)),
-        Step("prune", target=3, cert=LbDual(ObjValue.finite(-BIG), cut.entries)),
-        Step("prune", target=3, cert=LbDual(ObjValue.pos_inf(), cut.entries)),
+        Step("prune", target=3, cert=LbDual(-BIG, cut.entries)),
         Step("drop", target=3, cert=TheoryRefutation((lit,), (BoundFix(cut, cut),))),
-        Step("retire", target=4, cert=RetireEvidence(((name, -BIG),), LbDual(ObjValue.neg_inf()))),
+        Step("retire", target=4, cert=RetireEvidence(((name, -BIG),), LbDual(BIG, ()))),
         Step("unbounded", target=5, cert=UnboundedEvidence(((name, 0),), ((name, -1),))),
         Step(name, target=-BIG),
     ]
@@ -169,12 +164,11 @@ mults = st.one_of(st.integers(0, 2**70), st.fractions(min_value=0))
 entries = st.lists(st.tuples(rows, st.sampled_from(["ge", "le"]), mults), max_size=3).map(tuple)
 cg_cuts = entries.map(CGCut)
 lits = st.one_of(
-    st.builds(TheoryLiteral, st.sampled_from(["eq", "diseq"]), names, names, ints),
+    st.builds(TheoryLiteral, st.sampled_from(["eq", "diseq"]), names, names),
     st.builds(lambda kind, v: TheoryLiteral(kind, var=v), st.sampled_from(["atom_true", "atom_false"]), names),
 )
 lit_tuples = st.lists(lits, max_size=3).map(tuple)
-obj_values = st.one_of(st.builds(ObjValue.finite, ints), st.sampled_from([ObjValue.pos_inf(), ObjValue.neg_inf()]))
-lb_duals = st.builds(LbDual, obj_values, entries)
+lb_duals = st.builds(LbDual, ints, entries)
 pairs = st.lists(st.tuples(names, ints), max_size=3).map(tuple)
 bound_fixes = st.builds(BoundFix, cg_cuts, cg_cuts)
 side_cuts = st.builds(SideCut, st.sampled_from(["le", "ge"]), cg_cuts)
@@ -335,12 +329,35 @@ def test_a_version_4_trace_is_refused_at_its_header(tmp_path, capsys):
         read_trace(trace, inst)
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
     assert capsys.readouterr().err == "error: unsupported version 4\n"
-    # its lines still decode, but the split now makes no such child, so the first drop misses
+    # without their offsets its lines decode, but the split now makes no such child, so the first drop misses
     header["version"] = FORMAT_VERSION
-    trace.write_text("".join(line + "\n" for line in [json.dumps(header), *V4_STEPS]))
+    lines = [line.replace(',"offset":0', "") for line in V4_STEPS]
+    trace.write_text("".join(line + "\n" for line in [json.dumps(header), *lines]))
     _, steps = read_trace(trace, inst)
     with pytest.raises(ReplayError, match="^step 1: drop: combination references a row outside the subproblem"):
         replay_trace(inst, steps)
+
+
+# the first steps of a version 5 trace of V4_TEXT: its conflict split, and a retire
+# whose bound is an object of a kind and a value
+V5_STEPS = [
+    V4_STEPS[0],
+    '{"rule":"retire","target":3,"cert":{"kind":"retire","assignment":[["r1",2],["r2",3],["x",0],["y",1]],"lb":{"kind":"lb","bound":{"kind":0,"value":3},"entries":[]}}}',
+]
+
+
+def test_a_version_5_trace_is_refused_at_its_header(tmp_path, capsys):
+    # version 5 wrote an offset on every (dis)equality literal and every bound as {"kind","value"}
+    inst = parse_instance(V4_TEXT)
+    instance = tmp_path / "inst.imt"
+    instance.write_text(V4_TEXT)
+    trace = tmp_path / "old.trace"
+    header = {"format": "bct-trace", "version": 5, "instance": inst.digest()}
+    trace.write_text("".join(line + "\n" for line in [json.dumps(header, separators=(",", ":")), *V5_STEPS]))
+    with pytest.raises(TraceError, match="^unsupported version 5$"):
+        read_trace(trace, inst)
+    assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: unsupported version 5\n"
 
 
 def test_a_propagate_line_replays_to_unknown_rule(tmp_path, capsys):
@@ -397,7 +414,7 @@ def drop(cert):
 
 
 FARKAS = {"kind": "farkas", "entries": [[{"lhs": [["x", 1]], "rel": ">=", "rhs": 1}, "ge", "1"]]}
-RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
+RETIRE_LB = {"kind": "lb", "bound": 1, "entries": []}
 
 
 @pytest.mark.parametrize(
@@ -446,10 +463,18 @@ RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
                         [{"lhs": [["x", True]], "rel": ">=", "rhs": 1}, "ge", "1"],
                     ],
                 },
-                # a finite bound has an integer value and an infinity none
+                # a bound is a JSON integer, not version 5's object of a kind and a value
                 {"kind": "lb", "bound": {"kind": 0, "value": None}, "entries": []},
                 {"kind": "lb", "bound": {"kind": 1, "value": 5}, "entries": []},
                 {"kind": "lb", "bound": {"kind": 2, "value": None}, "entries": []},
+                {"kind": "lb", "bound": {"kind": 0, "value": 3}, "entries": []},
+                {"kind": "lb", "bound": None, "entries": []},
+                {"kind": "lb", "bound": 1.5, "entries": []},
+                {"kind": "lb", "bound": True, "entries": []},
+                # a (dis)equality literal relates x and y alone; an offset, even 0, is refused
+                {"kind": "conflict_split", "core": [{"kind": "eq", "x": "x", "y": "y", "offset": 0}]},
+                {"kind": "conflict_split", "core": [{"kind": "eq", "x": "x", "y": "y", "offset": 3}]},
+                {"kind": "conflict_split", "core": [{"kind": "diseq", "x": "x", "y": "y", "offset": -1}]},
                 # twins of the instance's row x >= 1 and box row x >= 0, which
                 # start the row table
                 {"kind": "farkas", "entries": [[{"lhs": [["x", True]], "rel": ">=", "rhs": 1}, "ge", "1"]]},
@@ -487,6 +512,13 @@ RETIRE_LB = {"kind": "lb", "bound": {"kind": 0, "value": 1}, "entries": []}
         "finite_bound_without_value",
         "infinite_bound_with_value",
         "unknown_bound_kind",
+        "version_5_finite_bound",
+        "null_bound",
+        "float_bound",
+        "bool_bound",
+        "zero_offset",
+        "offset",
+        "diseq_offset",
         "bool_coefficient_of_an_instance_row",
         "float_rhs_of_an_instance_row",
         "bool_rhs_of_a_box_row",
@@ -503,10 +535,10 @@ def test_replay_of_a_malformed_certificate_is_an_error(tmp_path, capsys, step):
     header = {"format": "bct-trace", "version": FORMAT_VERSION, "instance": parse_instance(text).digest()}
     trace = tmp_path / "bad.trace"
     trace.write_text(json.dumps(header) + "\n" + json.dumps(step) + "\n")
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="^line 2: "):
         read_trace(trace, parse_instance(text))
     assert main([str(instance), "--replay", str(trace)]) == EXIT_ERROR
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
 CITING_TEXT = "[vars]\nx int 0 3\n\n[objective]\nmin x\n\n[constraints]\nx >= 1\n"
@@ -572,11 +604,11 @@ def test_each_citing_place_reads_back_its_own_row(tmp_path):
         Step("learn", target=0, row=rows[0], cert=cut(rows[1])),
         Step("learn", target=1, row=rows[0], cert=cut(rows[0])),
         Step("drop", target=2, cert=FarkasProof(cut(rows[2]).entries)),
-        Step("prune", target=3, cert=LbDual(ObjValue.finite(2), cut(rows[3]).entries)),
+        Step("prune", target=3, cert=LbDual(2, cut(rows[3]).entries)),
         Step("learn", target=4, row=rows[4], cert=BoundFix(cut(rows[5]), cut(rows[6]))),
         Step("drop", target=5, cert=TheoryRefutation((LIT_EQ, LIT_DQ), (SideCut("le", cut(rows[7])), cut(rows[8])))),
-        Step("retire", target=6, cert=RetireEvidence((("x", 1),), LbDual(ObjValue.finite(1), cut(rows[9]).entries))),
-        Step("retire", target=7, cert=RetireEvidence((("x", 2),), LbDual(ObjValue.finite(2), cut(rows[10]).entries))),
+        Step("retire", target=6, cert=RetireEvidence((("x", 1),), LbDual(1, cut(rows[9]).entries))),
+        Step("retire", target=7, cert=RetireEvidence((("x", 2),), LbDual(2, cut(rows[10]).entries))),
     ]
     path = tmp_path / "run.trace"
     write_trace(path, inst, steps)
@@ -606,13 +638,11 @@ def test_step_from_json_checks_a_row_before_its_memoised_twin():
 INTEGER_FIELDS = [
     (0, ("cert", "k")),
     (1, ("cert", "c")),
-    (2, ("cert", "core", 0, "offset")),
     (3, ("row", "rhs")),
     (3, ("row", "lhs", 0, 1)),
     (5, ("row", "lhs", 1, 1)),
-    (7, ("cert", "asserted", 0, "offset")),
-    (9, ("cert", "bound", "kind")),
-    (9, ("cert", "bound", "value")),
+    (9, ("cert", "bound")),
+    (12, ("cert", "lb", "bound")),
     (12, ("cert", "assignment", 0, 1)),
     (13, ("cert", "ray", 0, 1)),
 ]

@@ -27,7 +27,7 @@ from imtsolver.certificates import (
     UnboundedEvidence,
 )
 from imtsolver.kernel import Step
-from imtsolver.model import ImtInstance, LinConstraint, ObjValue
+from imtsolver.model import ImtInstance, LinConstraint
 
 
 def canonical_rows(instance: ImtInstance) -> list[LinConstraint]:
@@ -39,12 +39,8 @@ def canonical_rows(instance: ImtInstance) -> list[LinConstraint]:
 
 def _lit_json(lit: TheoryLiteral) -> dict:
     if lit.kind in ("eq", "diseq"):
-        return {"kind": lit.kind, "x": lit.x, "y": lit.y, "offset": lit.offset}
+        return {"kind": lit.kind, "x": lit.x, "y": lit.y}
     return {"kind": lit.kind, "var": lit.var}
-
-
-def _obj_value_json(v: ObjValue) -> dict:
-    return {"kind": v.kind, "value": v.value}
 
 
 class _Encoder:
@@ -71,7 +67,7 @@ class _Encoder:
         if isinstance(cert, SideCut):
             return {"kind": "side", "side": cert.side, "cut": self.cert(cert.cut)}
         if isinstance(cert, LbDual):
-            return {"kind": "lb", "bound": _obj_value_json(cert.bound), "entries": self.entries(cert.entries)}
+            return {"kind": "lb", "bound": cert.bound, "entries": self.entries(cert.entries)}
         if isinstance(cert, TheoryRefutation):
             return {
                 "kind": "theory",
