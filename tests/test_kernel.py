@@ -634,27 +634,11 @@ def pinned_difference_instance():
     )
 
 
-def cited_pin_instance():
-    """x - y >= 0 and x - y <= 0 pin x - y = 0, which no row states; with r1 = f(x),
-    r2 = f(y) and r1 - r2 >= 1, the theory drop cites the pinned row."""
-    return ImtInstance(
-        ["x", "y", "r1", "r2"],
-        Bounds({v: (0, 3) for v in ("x", "y", "r1", "r2")}),
-        [
-            row([("x", 1), ("y", -1)], Relation.GE, 0),
-            row([("x", 1), ("y", -1)], Relation.LE, 0),
-            row([("r1", 1), ("r2", -1)], Relation.GE, 1),
-        ],
-        [InterfaceAtom.fun_def("r1", "f", ["x"]), InterfaceAtom.fun_def("r2", "f", ["y"])],
-        LinExpr.var("r1"),
-        {"f": 1},
-    )
-
-
 def test_every_rule_shares_one_transition_on_solved_instances():
     rng = random.Random(13)
     rules, equality_learns = set(), 0
-    for inst in [random_instance(rng) for _ in range(60)] + [pinned_difference_instance(), cited_pin_instance()]:
+    # conflict_fixture's rows pin x - y = 0 and its theory drop cites that row, so its trace learns an equality
+    for inst in [random_instance(rng) for _ in range(60)] + [pinned_difference_instance(), conflict_fixture()[0]]:
         steps = solve(inst).steps
         rules.update(step.rule for step in steps)
         equality_learns += sum(step.rule == "learn" and step.row.rel is Relation.EQ for step in steps)
